@@ -1,0 +1,96 @@
+"""Print a SHA-256 for every output array of the model and fusion paths.
+
+Run against two source trees and diff the output to check that a refactor
+kept every result bit for bit:
+
+    python3 scripts/output_hashes.py path/to/src > a.txt
+    python3 scripts/output_hashes.py path/to/other/src > b.txt
+    diff a.txt b.txt
+
+Covers `prefill_forward` (caches, raw keys, queries, all logits), every
+`fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
+queries, selection, scores, first logits) and greedy decoding with and
+without eviction, at a small test shape and at the rag_shared shape.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
+
+from kvfuse import bench, fusion  # noqa: E402
+from kvfuse import model as M  # noqa: E402
+from kvfuse.eviction import EvictionPolicy  # noqa: E402
+
+SHAPES = {
+    # name: (model config, system length, document lengths, question length, eviction capacity)
+    "test": (dict(n_layers=4, n_heads=2, head_dim=8, d_ff=32, vocab_size=64, seed=21),
+             8, (12, 10), 5, 24),
+    "rag_shared": (dict(n_layers=8, n_heads=4, head_dim=16, d_ff=256, vocab_size=512, seed=101),
+                   480, (480, 480), 24, 768),
+}
+RATIOS = (0.0, 0.15, 1.0)
+GEN_LEN = 8
+
+
+def digest(array) -> str:
+    a = np.ascontiguousarray(np.asarray(array))
+    return hashlib.sha256(str(a.dtype).encode() + str(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def emit(label: str, array) -> None:
+    print(f"{label} {digest(array)}")
+
+
+def main() -> None:
+    for name, (cfg, sys_len, doc_lens, q_len, capacity) in SHAPES.items():
+        model = M.build_model(M.ModelConfig(**cfg))
+        vocab = model.config.vocab_size
+        segments = fusion.InputSegments(
+            system=bench._draw_ids(7, 0, sys_len, vocab),
+            documents=[bench._draw_ids(7, 1 + i, n, vocab) for i, n in enumerate(doc_lens)],
+            question=bench._draw_ids(7, 99, q_len, vocab),
+        )
+        res = M.prefill_forward(model, segments.all_ids(), record_raw_keys=True,
+                                record_queries=True, want_all_logits=True)
+        for l, cache in enumerate(res.caches):
+            emit(f"{name} prefill L{l} keys", cache.keys)
+            emit(f"{name} prefill L{l} values", cache.values)
+            emit(f"{name} prefill L{l} raw_keys", res.raw_keys[l])
+            emit(f"{name} prefill L{l} queries", res.queries[l])
+        emit(f"{name} prefill logits", res.logits)
+        emit(f"{name} prefill all_logits", res.all_logits)
+        with tempfile.TemporaryDirectory() as store:
+            bench.populate_store(model, segments, store)
+            for strategy in fusion.STRATEGIES:
+                for r in RATIOS:
+                    plan = fusion.FusionPlan(strategy, r=r)
+                    patched, logits, trace = fusion.fused_prefill(model, segments, plan, store)
+                    tag = f"{name} {strategy} r={r}"
+                    emit(f"{tag} keys", patched.keys)
+                    emit(f"{tag} values", patched.values)
+                    emit(f"{tag} question_queries", patched.question_queries)
+                    emit(f"{tag} selected", patched.recompute.indices)
+                    emit(f"{tag} patched_offsets", patched.patched_offsets)
+                    scores = trace.scores_doc
+                    emit(f"{tag} scores", np.zeros(0) if scores is None else scores)
+                    emit(f"{tag} first_logits", logits)
+                    print(f"{tag} flops_prefill {trace.flops['prefill']!r}")
+            for strategy in bench.ALL_STRATEGIES:
+                run = bench.run_strategy(model, segments, strategy, store, gen_len=GEN_LEN)
+                emit(f"{name} {strategy} tokens", run.tokens)
+            for strategy in fusion.STRATEGIES[:4]:
+                run = bench.run_strategy(model, segments, strategy, store, gen_len=GEN_LEN,
+                                         eviction=EvictionPolicy(capacity=capacity))
+                emit(f"{name} {strategy} evicted tokens", run.tokens)
+                emit(f"{name} {strategy} evicted cache",
+                     np.stack([run.cache.keys_view(l) for l in range(model.config.n_layers)]))
+
+
+if __name__ == "__main__":
+    main()

@@ -46,7 +46,6 @@ from .model import (
     ModelWeights,
     build_model,
     decode_step,
-    full_prefill,
     greedy_token,
     init_model,
     prefill_forward,
@@ -80,7 +79,6 @@ __all__ = [
     "concat_chunks",
     "decode_step",
     "evict",
-    "full_prefill",
     "fused_prefill",
     "greedy_generate",
     "greedy_token",

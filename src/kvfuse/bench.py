@@ -168,31 +168,6 @@ def attention_l2_loss(
     return float(np.linalg.norm(w_true - w_cache))
 
 
-def flops_estimate(
-    plan: FusionPlan | None,
-    n: int,
-    config: ModelConfig,
-    *,
-    q_len: int,
-    selected_rows: int | None = None,
-) -> float:
-    """Closed-form prefill FLOPs for a plan (None means the vanilla path).
-
-    head_tail has no ratio, so its actual selected-row count must be
-    passed; budgeted strategies derive rows from r.
-    """
-    if plan is None:
-        return F.vanilla_flops(config, n)
-    if plan.strategy == "full":
-        return F.question_only_flops(config, n, q_len)
-    if plan.strategy == "head_tail":
-        if selected_rows is None:
-            raise InputError("head_tail needs selected_rows for the FLOP estimate")
-        return F.fused_flops_rows(config, n, selected_rows + q_len)
-    r = 0.0 if plan.strategy == "none" else plan.r
-    return F.fused_flops(config, n, r, q_len)
-
-
 def oracle_top_p(scores_doc: np.ndarray, p: int, segments) -> RecomputeSet:
     """Attention-oracle selection at budget p from recorded layer-1 scores."""
     doc = segments.document_offsets()
@@ -265,7 +240,7 @@ def run_strategy(
         prefill_s = time.perf_counter() - t0
         cache = patched.to_decode_cache()
     evicted = False
-    if eviction is not None and eviction.enabled and strategy != "vanilla":
+    if eviction is not None and strategy != "vanilla":
         # The first token comes from the prefill logits; eviction runs once
         # before any decode step, so generated rows are never dropped.
         cache = evict(patched, eviction)
@@ -384,13 +359,20 @@ class BenchConfig:
             raise ConfigError("bench config requires 'model' and 'recipe'")
         kwargs = dict(data)
         kwargs["model"] = ModelConfig.from_dict(data["model"])
-        kwargs["recipe"] = InputRecipe(**data["recipe"])
+        kwargs["recipe"] = _from_fields(InputRecipe, data["recipe"], "recipe")
         if data.get("eviction") is not None:
-            ev = dict(data["eviction"])
-            if "protected" in ev:
-                ev["protected"] = tuple(ev["protected"])
-            kwargs["eviction"] = EvictionPolicy(**ev)
+            kwargs["eviction"] = _from_fields(EvictionPolicy, data["eviction"], "eviction")
         return cls(**kwargs)
+
+
+def _from_fields(cls, data, section: str):
+    """Build a config dataclass from one JSON object; bad keys are a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"bench config {section!r} must be an object")
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise ConfigError(f"bench config {section!r}: {exc}") from exc
 
 
 @dataclass
@@ -472,7 +454,7 @@ def _seed_metrics(args) -> dict:
                 run_tokens = vanilla_tokens
                 losses = [0.0] * model_cfg.n_layers
                 hit = None
-                flops_val = flops_estimate(None, n, model_cfg, q_len=len(segments.question))
+                flops_val = F.vanilla_flops(model_cfg, n)
                 resident = van_cache.resident_floats()
             else:
                 run = run_strategy(
@@ -494,11 +476,7 @@ def _seed_metrics(args) -> dict:
                     hit = hit_rate(run.patched.recompute, oracle_sel)
                 else:
                     hit = None
-                flops_val = flops_estimate(
-                    FusionPlan(strategy, r=(r if r is not None else 0.15), head_tail_k=head_tail_k),
-                    n, model_cfg, q_len=len(segments.question),
-                    selected_rows=(run.trace.p if strategy == "head_tail" else None),
-                )
+                flops_val = run.trace.flops["prefill"]
                 resident = run.cache.resident_floats()
             out[_row_key(strategy, r, evicted)] = {
                 "first_agree": float(run_tokens[0] == vanilla_tokens[0]),

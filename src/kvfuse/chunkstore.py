@@ -34,10 +34,6 @@ _DIGEST_LEN = 32
 DEFAULT_CHUNK_LEN = 512
 
 
-def model_fingerprint(config: ModelConfig) -> bytes:
-    return config.fingerprint()
-
-
 def chunk_id(token_ids, fingerprint: bytes) -> bytes:
     """Content address: digest of the model fingerprint and the raw token ids."""
     ids = np.ascontiguousarray(np.asarray(token_ids, dtype="<u4"))
@@ -156,6 +152,24 @@ def store_chunk(chunk: ChunkKV, directory) -> str:
     return path
 
 
+def _unpack_header(raw: bytes) -> dict:
+    (magic, version, fp, stored_id, n_layers, n_heads, head_dim, n, dtype_code, flags, _r) = (
+        _HEADER.unpack_from(raw, 0)
+    )
+    return {
+        "magic": magic,
+        "version": version,
+        "model_fingerprint": fp,
+        "chunk_id": stored_id,
+        "n_layers": n_layers,
+        "n_heads": n_heads,
+        "head_dim": head_dim,
+        "chunk_len": n,
+        "dtype": dtype_code,
+        "rope_applied": bool(flags & 1),
+    }
+
+
 def read_header(path) -> dict:
     """Header fields of a chunk file, without any integrity verification.
 
@@ -169,20 +183,13 @@ def read_header(path) -> dict:
         raise ChunkNotFoundError(f"no chunk file at {path}") from None
     if len(raw) < _HEADER.size:
         raise IntegrityError(f"chunk file {path} is shorter than its header")
-    (magic, version, fp, stored_id, n_layers, n_heads, head_dim, n, dtype_code, flags, _r) = (
-        _HEADER.unpack(raw)
-    )
+    h = _unpack_header(raw)
     return {
-        "magic": magic.decode("ascii", errors="replace"),
-        "version": version,
-        "model_fingerprint": fp.hex(),
-        "chunk_id": stored_id.hex(),
-        "n_layers": n_layers,
-        "n_heads": n_heads,
-        "head_dim": head_dim,
-        "chunk_len": n,
-        "dtype": "float32" if dtype_code == 0 else f"unknown({dtype_code})",
-        "rope_applied": bool(flags & 1),
+        **h,
+        "magic": h["magic"].decode("ascii", errors="replace"),
+        "model_fingerprint": h["model_fingerprint"].hex(),
+        "chunk_id": h["chunk_id"].hex(),
+        "dtype": "float32" if h["dtype"] == 0 else f"unknown({h['dtype']})",
     }
 
 
@@ -198,19 +205,19 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
     body, digest = raw[:-_DIGEST_LEN], raw[-_DIGEST_LEN:]
     if hashlib.sha256(body).digest() != digest:
         raise IntegrityError(f"chunk file {path} fails its content digest")
-    (magic, version, fp, stored_id, n_layers, n_heads, head_dim, n, dtype_code, flags, _r) = (
-        _HEADER.unpack_from(body, 0)
-    )
-    if magic != MAGIC:
-        raise IntegrityError(f"chunk file {path} has bad magic {magic!r}")
-    if version != VERSION:
-        raise IntegrityError(f"chunk file {path} has unsupported version {version}")
-    if dtype_code != 0:
-        raise IntegrityError(f"chunk file {path} has unknown dtype code {dtype_code}")
+    h = _unpack_header(body)
+    if h["magic"] != MAGIC:
+        raise IntegrityError(f"chunk file {path} has bad magic {h['magic']!r}")
+    if h["version"] != VERSION:
+        raise IntegrityError(f"chunk file {path} has unsupported version {h['version']}")
+    if h["dtype"] != 0:
+        raise IntegrityError(f"chunk file {path} has unknown dtype code {h['dtype']}")
+    stored_id, fp = h["chunk_id"], h["model_fingerprint"]
     if expect_id is not None and stored_id != expect_id:
         raise IntegrityError(
             f"chunk file {path} holds id {stored_id.hex()}, expected {expect_id.hex()}"
         )
+    n_layers, n_heads, n, head_dim = h["n_layers"], h["n_heads"], h["chunk_len"], h["head_dim"]
     offset = _HEADER.size
     expect = offset + 4 * n + 2 * (n_layers * n_heads * n * head_dim * 4)
     if len(body) != expect:
@@ -231,7 +238,7 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
     )
     if chunk_id(token_ids, fp) != stored_id:
         raise IntegrityError(f"chunk file {path} id does not match its own content")
-    rope_applied = bool(flags & 1)
+    rope_applied = h["rope_applied"]
     positions = np.arange(n, dtype=np.int64) if rope_applied else np.zeros(n, dtype=np.int64)
     layers = [
         LayerKV(
@@ -340,16 +347,13 @@ class FusedCache:
         return int(self.keys.shape[2])
 
 
-def concat_chunks(chunks: list[ChunkKV], question_kv=None) -> FusedCache:
+def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
     """Concatenate system + document chunks along the token axis.
 
     The first chunk is the system span; the rest are documents in order.
-    Question tokens are never cached, so question_kv must be None; the
-    question span enters as a zero-length placeholder until fused prefill
-    appends fresh rows.
+    Question tokens are never cached: the question span enters as a
+    zero-length placeholder until fused prefill appends fresh rows.
     """
-    if question_kv is not None:
-        raise ContractViolation("question tokens are always computed fresh, never cached")
     if not chunks:
         raise InputError("need at least one chunk (the system span)")
     fp = chunks[0].model_fingerprint

@@ -117,11 +117,16 @@ def cmd_precompute(args) -> int:
         chunk = precompute_chunk(part, model)
         hexid = chunk.chunk_id.hex()
         path = os.path.join(args.store, hexid)
-        if os.path.exists(path):
-            status = "cached"
-        else:
+        if not os.path.exists(path):
             store_chunk(chunk, args.store)
             status = "stored"
+        else:
+            status = "cached"
+            try:
+                verify_chunk_file(path, expect_id=chunk.chunk_id)
+            except IntegrityError:
+                store_chunk(chunk, args.store)
+                status = "repaired"
         entries.append({"id": hexid, "length": int(len(part))})
         print(f"{status} {hexid} ({len(part)} tokens)")
     manifest = {
@@ -299,12 +304,12 @@ def main(argv=None) -> int:
     except (ConfigError, InputError, ShapeError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ChunkNotFoundError, IntegrityError, FingerprintError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except AssertionFailure as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 3

@@ -25,16 +25,12 @@ DEFAULT_KERNEL = 7
 class EvictionPolicy:
     capacity: int
     kernel: int = DEFAULT_KERNEL
-    protected: tuple[str, ...] = ("system", "question")
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"pool kernel must be odd and >= 1, got {self.kernel}")
-        if set(self.protected) != {"system", "question"}:
-            raise ConfigError("system and question spans are always protected")
 
 
 class CompactedCache(DecodeCache):

@@ -6,6 +6,12 @@ construction, layer 1 provides the true queries/keys/values the selection
 criteria need), then propagate only the selected rows and the question
 through the remaining layers, patching their cache entries as they go.
 
+That propagation is `_patch_layers`, one loop over the model's block that
+carries a row set through layers first..L-1 while the other rows keep the
+stored chunk entries bitwise. The selective pipeline calls it from layer 2
+with the selected rows plus the question; `full` calls it from layer 0 with
+the question rows alone.
+
 Strategies:
   attention_aware  top-p document tokens by summed question attention
   kv_diff          top-p by layer-1 value deviation from the true values
@@ -38,13 +44,11 @@ from .model import (
     DecodeCache,
     Model,
     _F64,
-    _merge_heads,
-    _rmsnorm,
-    _silu,
-    _split_heads,
     attention,
     attention_weights,
-    rope_rotate,
+    block_out,
+    block_qkv,
+    final_logits,
 )
 
 STRATEGIES = ("attention_aware", "kv_diff", "head_tail", "none", "full")
@@ -347,9 +351,38 @@ def fused_prefill(
     return patched, logits, trace
 
 
+def _output_arrays(cfg, n: int, q_len: int):
+    keys = np.empty((cfg.n_layers, cfg.n_heads, n, cfg.head_dim), dtype=DTYPE)
+    question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
+    return keys, np.empty_like(keys), question_queries
+
+
+def _patch_layers(model, fused, x, rows, first, keys, values, question_queries):
+    """Carry the hidden states `x` of `rows` through layers first..L-1.
+
+    At each layer the context rows keep the stored chunk entries of `fused`
+    bitwise, except the carried rows, which are rewritten with fresh keys
+    and values; the carried rows then attend over the whole patched layer.
+    Row offsets are positions, and the question rows come last in `rows`.
+    Returns the carried rows' hidden states after the last layer.
+    """
+    n_ctx, q_len = fused.n, question_queries.shape[2]
+    pos = np.arange(keys.shape[2], dtype=np.int64)
+    for l in range(first, model.config.n_layers):
+        q, k, _, v = block_qkv(model, l, x, rows)
+        keys[l, :, :n_ctx] = fused.keys[l]
+        values[l, :, :n_ctx] = fused.values[l]
+        keys[l][:, rows] = k.astype(DTYPE)
+        values[l][:, rows] = v.astype(DTYPE)
+        question_queries[l] = q[:, -q_len:].astype(DTYPE)
+        attn = attention(
+            q, np.asarray(keys[l], dtype=_F64), np.asarray(values[l], dtype=_F64), rows, pos
+        )
+        x = block_out(model, l, x, attn)
+    return x
+
+
 def _selective_prefill(model, fused, q_ids, plan, durations):
-    cfg = model.config
-    w = model.weights
     n_ctx = fused.n
     q_len = q_ids.size
     n = n_ctx + q_len
@@ -357,38 +390,23 @@ def _selective_prefill(model, fused, q_ids, plan, durations):
     doc_offsets = segmap.document_offsets()
     all_ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
     pos = np.arange(n, dtype=np.int64)
-    q_rows = np.arange(n_ctx, n, dtype=np.int64)
 
     t0 = time.perf_counter()
-    out_keys = np.empty((cfg.n_layers, cfg.n_heads, n, cfg.head_dim), dtype=DTYPE)
-    out_values = np.empty_like(out_keys)
-    question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
+    keys, values, question_queries = _output_arrays(model.config, n, q_len)
 
     # Layer 0, all rows. Queries are fresh; keys/values for the context come
     # from the recovered cache (exact at this layer), question rows fresh.
-    x = np.asarray(w.embedding[all_ids], dtype=_F64)
-    lw = w.layers[0]
-    h1 = _rmsnorm(x, lw.attn_gain)
-    q0 = rope_rotate(_split_heads(h1 @ np.asarray(lw.wq, dtype=_F64), cfg.n_heads, cfg.head_dim), pos, cfg)
-    k0 = rope_rotate(_split_heads(h1 @ np.asarray(lw.wk, dtype=_F64), cfg.n_heads, cfg.head_dim), pos, cfg)
-    v0 = _split_heads(h1 @ np.asarray(lw.wv, dtype=_F64), cfg.n_heads, cfg.head_dim)
+    x = np.asarray(model.weights.embedding[all_ids], dtype=_F64)
+    q0, k0, _, v0 = block_qkv(model, 0, x, pos)
     cache_k0 = np.concatenate([np.asarray(fused.keys[0], dtype=_F64), k0[:, n_ctx:]], axis=1)
     cache_v0 = np.concatenate([np.asarray(fused.values[0], dtype=_F64), v0[:, n_ctx:]], axis=1)
-    attn0 = attention(q0, cache_k0, cache_v0, pos, pos)
-    t = x + _merge_heads(attn0) @ np.asarray(lw.wo, dtype=_F64)
-    x = t + _silu(_rmsnorm(t, lw.ffn_gain) @ np.asarray(lw.w_in, dtype=_F64)) @ np.asarray(lw.w_out, dtype=_F64)
-    out_keys[0], out_values[0] = k0.astype(DTYPE), v0.astype(DTYPE)
+    keys[0], values[0] = k0.astype(DTYPE), v0.astype(DTYPE)
     question_queries[0] = q0[:, n_ctx:].astype(DTYPE)
-    x = np.asarray(x.astype(DTYPE), dtype=_F64)
+    x = block_out(model, 0, x, attention(q0, cache_k0, cache_v0, pos, pos))
 
-    # Layer 1, all rows, fully true.
-    lw = w.layers[1]
-    h1 = _rmsnorm(x, lw.attn_gain)
-    q1 = rope_rotate(_split_heads(h1 @ np.asarray(lw.wq, dtype=_F64), cfg.n_heads, cfg.head_dim), pos, cfg)
-    k1 = rope_rotate(_split_heads(h1 @ np.asarray(lw.wk, dtype=_F64), cfg.n_heads, cfg.head_dim), pos, cfg)
-    v1 = _split_heads(h1 @ np.asarray(lw.wv, dtype=_F64), cfg.n_heads, cfg.head_dim)
-    fused_v1_doc = fused.values[1][:, doc_offsets].copy()  # pre-overwrite, for kv_diff
-    out_keys[1], out_values[1] = k1.astype(DTYPE), v1.astype(DTYPE)
+    # Layer 1, all rows projected, fully true: the selection reads them.
+    q1, k1, _, v1 = block_qkv(model, 1, x, pos)
+    keys[1], values[1] = k1.astype(DTYPE), v1.astype(DTYPE)
     question_queries[1] = q1[:, n_ctx:].astype(DTYPE)
     durations["layer01"] = time.perf_counter() - t0
 
@@ -400,7 +418,9 @@ def _selective_prefill(model, fused, q_ids, plan, durations):
     if plan.strategy == "attention_aware":
         rset = select_recompute(scores_doc, plan.r, n, segmap)
     elif plan.strategy == "kv_diff":
-        rset = select_kv_diff(fused_v1_doc, out_values[1][:, doc_offsets], plan.r, n, segmap)
+        rset = select_kv_diff(
+            fused.values[1][:, doc_offsets], values[1][:, doc_offsets], plan.r, n, segmap
+        )
     elif plan.strategy == "head_tail":
         rset = select_head_tail(segmap, plan.head_tail_k)
     else:  # none
@@ -408,42 +428,16 @@ def _selective_prefill(model, fused, q_ids, plan, durations):
     durations["select"] = time.perf_counter() - t0
 
     # Rows carried through the rest of the network: Re plus the question.
+    # Layer 1 finishes for them only, then layers >= 2 patch them in.
     t0 = time.perf_counter()
-    rows = np.concatenate([rset.indices, q_rows])
-    x = x[rows]
-    attn1 = attention(q1[:, rows], k1, v1, pos[rows], pos)
-    t = x + _merge_heads(attn1) @ np.asarray(lw.wo, dtype=_F64)
-    x = t + _silu(_rmsnorm(t, lw.ffn_gain) @ np.asarray(lw.w_in, dtype=_F64)) @ np.asarray(lw.w_out, dtype=_F64)
-    x = np.asarray(x.astype(DTYPE), dtype=_F64)
-
-    for l in range(2, cfg.n_layers):
-        lw = w.layers[l]
-        h1 = _rmsnorm(x, lw.attn_gain)
-        q_r = rope_rotate(_split_heads(h1 @ np.asarray(lw.wq, dtype=_F64), cfg.n_heads, cfg.head_dim), pos[rows], cfg)
-        k_r = rope_rotate(_split_heads(h1 @ np.asarray(lw.wk, dtype=_F64), cfg.n_heads, cfg.head_dim), pos[rows], cfg)
-        v_r = _split_heads(h1 @ np.asarray(lw.wv, dtype=_F64), cfg.n_heads, cfg.head_dim)
-        # Patch: untouched offsets keep the recovered chunk entries bitwise.
-        out_keys[l, :, :n_ctx] = fused.keys[l]
-        out_values[l, :, :n_ctx] = fused.values[l]
-        out_keys[l][:, rows] = k_r.astype(DTYPE)
-        out_values[l][:, rows] = v_r.astype(DTYPE)
-        question_queries[l] = q_r[:, -q_len:].astype(DTYPE)
-        attn = attention(
-            q_r,
-            np.asarray(out_keys[l], dtype=_F64),
-            np.asarray(out_values[l], dtype=_F64),
-            pos[rows],
-            pos,
-        )
-        t = x + _merge_heads(attn) @ np.asarray(lw.wo, dtype=_F64)
-        x = t + _silu(_rmsnorm(t, lw.ffn_gain) @ np.asarray(lw.w_in, dtype=_F64)) @ np.asarray(lw.w_out, dtype=_F64)
-        x = np.asarray(x.astype(DTYPE), dtype=_F64)
+    rows = np.concatenate([rset.indices, np.arange(n_ctx, n, dtype=np.int64)])
+    x = block_out(model, 1, x[rows], attention(q1[:, rows], k1, v1, rows, pos))
+    x = _patch_layers(model, fused, x, rows, 2, keys, values, question_queries)
     durations["patch"] = time.perf_counter() - t0
 
-    logits = (_rmsnorm(x[-1:], w.final_gain) @ np.asarray(w.unembed, dtype=_F64))[0].astype(DTYPE)
     patched = PatchedCache(
-        keys=out_keys,
-        values=out_values,
+        keys=keys,
+        values=values,
         segments=segmap,
         recompute=rset,
         patched_offsets=rows.copy(),
@@ -452,61 +446,33 @@ def _selective_prefill(model, fused, q_ids, plan, durations):
         local_rotation=False,
         token_ids=all_ids,
     )
-    return patched, logits, rset, scores_doc
+    return patched, final_logits(model, x[-1:])[0], rset, scores_doc
 
 
 def _question_only_prefill(model, fused, q_ids, durations):
     """Plain concatenation: chunk caches keep their local rotation; only the
     question is computed, at its correct global positions."""
-    cfg = model.config
-    w = model.weights
     n_ctx = fused.n
     q_len = q_ids.size
-    n = n_ctx + q_len
-    segmap = fused.segments.with_question_length(q_len)
-    pos_all = np.arange(n, dtype=np.int64)
-    q_pos = pos_all[n_ctx:]
+    rows = np.arange(n_ctx, n_ctx + q_len, dtype=np.int64)
 
     t0 = time.perf_counter()
-    out_keys = np.empty((cfg.n_layers, cfg.n_heads, n, cfg.head_dim), dtype=DTYPE)
-    out_values = np.empty_like(out_keys)
-    question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
-    x = np.asarray(w.embedding[q_ids], dtype=_F64)
-    for l in range(cfg.n_layers):
-        lw = w.layers[l]
-        h1 = _rmsnorm(x, lw.attn_gain)
-        q_r = rope_rotate(_split_heads(h1 @ np.asarray(lw.wq, dtype=_F64), cfg.n_heads, cfg.head_dim), q_pos, cfg)
-        k_r = rope_rotate(_split_heads(h1 @ np.asarray(lw.wk, dtype=_F64), cfg.n_heads, cfg.head_dim), q_pos, cfg)
-        v_r = _split_heads(h1 @ np.asarray(lw.wv, dtype=_F64), cfg.n_heads, cfg.head_dim)
-        out_keys[l, :, :n_ctx] = fused.keys[l]
-        out_values[l, :, :n_ctx] = fused.values[l]
-        out_keys[l, :, n_ctx:] = k_r.astype(DTYPE)
-        out_values[l, :, n_ctx:] = v_r.astype(DTYPE)
-        question_queries[l] = q_r.astype(DTYPE)
-        # Causality by row offset: the chunk rows all precede the question.
-        attn = attention(
-            q_r,
-            np.asarray(out_keys[l], dtype=_F64),
-            np.asarray(out_values[l], dtype=_F64),
-            q_pos,
-            pos_all,
-        )
-        t = x + _merge_heads(attn) @ np.asarray(lw.wo, dtype=_F64)
-        x = t + _silu(_rmsnorm(t, lw.ffn_gain) @ np.asarray(lw.w_in, dtype=_F64)) @ np.asarray(lw.w_out, dtype=_F64)
-        x = np.asarray(x.astype(DTYPE), dtype=_F64)
+    keys, values, question_queries = _output_arrays(model.config, n_ctx + q_len, q_len)
+    x = np.asarray(model.weights.embedding[q_ids], dtype=_F64)
+    # Causality by row offset: the chunk rows all precede the question.
+    x = _patch_layers(model, fused, x, rows, 0, keys, values, question_queries)
     durations["question"] = time.perf_counter() - t0
 
-    logits = (_rmsnorm(x[-1:], w.final_gain) @ np.asarray(w.unembed, dtype=_F64))[0].astype(DTYPE)
     rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), scores=None, strategy="full", p=0)
     patched = PatchedCache(
-        keys=out_keys,
-        values=out_values,
-        segments=segmap,
+        keys=keys,
+        values=values,
+        segments=fused.segments.with_question_length(q_len),
         recompute=rset,
-        patched_offsets=q_pos.copy(),
+        patched_offsets=rows.copy(),
         question_queries=question_queries,
         rope_recovered=False,
         local_rotation=True,
         token_ids=np.concatenate([fused.token_ids.astype(np.int64), q_ids]),
     )
-    return patched, logits
+    return patched, final_logits(model, x[-1:])[0]

@@ -5,6 +5,13 @@ SiLU feed-forward. Built for reproducibility rather than speed: weights come
 from a counter-based generator keyed per tensor, tensors cross function
 boundaries as float32, and arithmetic inside a layer runs in float64 so the
 same tokens give the same numbers regardless of how the sequence was sliced.
+
+The block is written once, split at the attention: `block_qkv` projects a
+set of rows, the caller decides which keys they attend to, and `block_out`
+finishes the layer. `prefill_forward` (rows attend to each other),
+`decode_step` (one row over a growing cache) and the fused pipeline in
+`fusion` (rows patched into stored chunk caches) are all loops over it;
+`final_logits` ends each of them.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import json
 import hashlib
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,6 +109,7 @@ class ModelConfig:
 
 @dataclass
 class LayerWeights:
+    # Field order is the tensor order of a layer in the weight file.
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
@@ -285,12 +293,6 @@ def attention_weights(
 
 
 @dataclass
-class HiddenStates:
-    x: np.ndarray  # (n, d_model) float32
-    positions: np.ndarray  # (n,) int64
-
-
-@dataclass
 class LayerKV:
     keys: np.ndarray  # (n_heads, n, head_dim) float32
     values: np.ndarray  # (n_heads, n, head_dim) float32
@@ -322,90 +324,40 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * d)
 
 
-@dataclass
-class _LayerStep:
-    """Float64 intermediates of one layer applied to a row block."""
+def block_qkv(model: Model, layer: int, x64: np.ndarray, positions: np.ndarray):
+    """First half of a pre-norm block over the given rows: norm1, the Q/K/V
+    projections and rotation at `positions`.
 
-    out: np.ndarray  # (n, d_model) next hidden states
-    q_rot: np.ndarray  # (H, n, hd) rotated queries
-    k_rot: np.ndarray  # (H, n, hd) rotated keys
-    k_raw: np.ndarray  # (H, n, hd) pre-rotation keys
-    v: np.ndarray  # (H, n, hd) values
-
-
-def _layer_step(
-    model: Model,
-    layer: int,
-    x64: np.ndarray,
-    positions: np.ndarray,
-    cache_k64: np.ndarray | None,
-    cache_v64: np.ndarray | None,
-    cache_pos: np.ndarray | None,
-) -> _LayerStep:
-    """One pre-norm block over the given rows.
-
-    Residual stream: t = x + Wo(attn(norm1(x))); out = t + FFN(norm2(t)).
-    cache_k64, when present, is prepended to this block's own keys/values
-    for the attention so a suffix can run against cached context.
+    Returns (q_rot, k_rot, k_raw, v), each (n_heads, rows, head_dim) float64.
+    What the rows attend to is the caller's choice; `block_out` finishes.
     """
     cfg, lw = model.config, model.weights.layers[layer]
     h1 = _rmsnorm(x64, lw.attn_gain)
     q = _split_heads(h1 @ np.asarray(lw.wq, dtype=_F64), cfg.n_heads, cfg.head_dim)
     k_raw = _split_heads(h1 @ np.asarray(lw.wk, dtype=_F64), cfg.n_heads, cfg.head_dim)
     v = _split_heads(h1 @ np.asarray(lw.wv, dtype=_F64), cfg.n_heads, cfg.head_dim)
-    q_rot = rope_rotate(q, positions, cfg)
-    k_rot = rope_rotate(k_raw, positions, cfg)
-    if cache_k64 is not None and cache_k64.shape[1] > 0:
-        full_k = np.concatenate([cache_k64, k_rot], axis=1)
-        full_v = np.concatenate([cache_v64, v], axis=1)
-        full_pos = np.concatenate([cache_pos, positions])
-    else:
-        full_k, full_v, full_pos = k_rot, v, positions
-    attn = attention(q_rot, full_k, full_v, positions, full_pos)
+    return rope_rotate(q, positions, cfg), rope_rotate(k_raw, positions, cfg), k_raw, v
+
+
+def block_out(model: Model, layer: int, x64: np.ndarray, attn: np.ndarray) -> np.ndarray:
+    """Second half of the block: t = x + Wo(attn); out = t + FFN(norm2(t)).
+
+    `attn` is (n_heads, rows, head_dim). The result is rounded through
+    float32, the boundary between layers, so every path that carries a row
+    sees the same layer inputs.
+    """
+    lw = model.weights.layers[layer]
     t = x64 + _merge_heads(attn) @ np.asarray(lw.wo, dtype=_F64)
     out = t + _silu(_rmsnorm(t, lw.ffn_gain) @ np.asarray(lw.w_in, dtype=_F64)) @ np.asarray(
         lw.w_out, dtype=_F64
     )
-    return _LayerStep(out=out, q_rot=q_rot, k_rot=k_rot, k_raw=k_raw, v=v)
+    return np.asarray(out.astype(DTYPE), dtype=_F64)
 
 
-def layer_forward(
-    model: Model, hidden: HiddenStates, layer: int, cache_view: LayerKV | None = None
-) -> tuple[HiddenStates, LayerKV]:
-    """Run one layer over new rows, optionally on top of cached context.
-
-    Returns the next hidden states for exactly the input rows and the new
-    rows' keys/values (keys rotated at their absolute positions). The cache
-    view is read-only here.
-    """
-    cfg = model.config
-    pos = np.asarray(hidden.positions, dtype=np.int64)
-    n = pos.shape[0]
-    if n == 0:
-        empty = np.zeros((cfg.n_heads, 0, cfg.head_dim), dtype=DTYPE)
-        return (
-            HiddenStates(x=np.zeros((0, cfg.d_model), dtype=DTYPE), positions=pos),
-            LayerKV(keys=empty, values=empty.copy(), rope_applied=True, positions=pos),
-        )
-    if n > 1 and np.any(np.diff(pos) <= 0):
-        raise ContractViolation("hidden positions must be strictly increasing")
-    cache_k = cache_v = cache_pos = None
-    if cache_view is not None and cache_view.length > 0:
-        if not cache_view.rope_applied:
-            raise ContractViolation("cache_view must carry rotated keys")
-        if cache_view.positions.max() >= pos.min():
-            raise ContractViolation("cache positions overlap the new rows")
-        cache_k = np.asarray(cache_view.keys, dtype=_F64)
-        cache_v = np.asarray(cache_view.values, dtype=_F64)
-        cache_pos = np.asarray(cache_view.positions, dtype=np.int64)
-    step = _layer_step(model, layer, np.asarray(hidden.x, dtype=_F64), pos, cache_k, cache_v, cache_pos)
-    new_kv = LayerKV(
-        keys=step.k_rot.astype(DTYPE),
-        values=step.v.astype(DTYPE),
-        rope_applied=True,
-        positions=pos.copy(),
-    )
-    return HiddenStates(x=step.out.astype(DTYPE), positions=pos.copy()), new_kv
+def final_logits(model: Model, x64: np.ndarray) -> np.ndarray:
+    """Final norm and unembedding of the given rows; (rows, vocab) float32."""
+    w = model.weights
+    return (_rmsnorm(x64, w.final_gain) @ np.asarray(w.unembed, dtype=_F64)).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -451,37 +403,25 @@ def prefill_forward(
     raw_keys: list[np.ndarray] = []
     queries: list[np.ndarray] = []
     for l in range(cfg.n_layers):
-        step = _layer_step(model, l, x64, pos, None, None, None)
+        q_rot, k_rot, k_raw, v = block_qkv(model, l, x64, pos)
         caches.append(
-            LayerKV(
-                keys=step.k_rot.astype(DTYPE),
-                values=step.v.astype(DTYPE),
-                rope_applied=True,
-                positions=pos.copy(),
-            )
+            LayerKV(keys=k_rot.astype(DTYPE), values=v.astype(DTYPE), rope_applied=True,
+                    positions=pos.copy())
         )
         if record_raw_keys:
-            raw_keys.append(step.k_raw.astype(DTYPE))
+            raw_keys.append(k_raw.astype(DTYPE))
         if record_queries:
-            queries.append(step.q_rot.astype(DTYPE))
-        # float32 boundary between layers: both the vanilla path and the
-        # fused path see identical layer inputs.
-        x64 = np.asarray(step.out.astype(DTYPE), dtype=_F64)
-    final = _rmsnorm(x64, model.weights.final_gain) @ np.asarray(model.weights.unembed, dtype=_F64)
-    result = PrefillResult(caches=caches, logits=final[-1].astype(DTYPE))
+            queries.append(q_rot.astype(DTYPE))
+        x64 = block_out(model, l, x64, attention(q_rot, k_rot, v, pos, pos))
+    final = final_logits(model, x64)
+    result = PrefillResult(caches=caches, logits=final[-1].copy())
     if record_raw_keys:
         result.raw_keys = raw_keys
     if record_queries:
         result.queries = queries
     if want_all_logits:
-        result.all_logits = final.astype(DTYPE)
+        result.all_logits = final
     return result
-
-
-def full_prefill(model: Model, token_ids) -> tuple[list[LayerKV], np.ndarray]:
-    """No-reuse oracle: process the whole prompt, return caches and last-row logits."""
-    res = prefill_forward(model, token_ids)
-    return res.caches, res.logits
 
 
 # ---------------------------------------------------------------------------
@@ -590,24 +530,12 @@ def decode_step(model: Model, cache: DecodeCache, last_token: int, position: int
     if not (0 <= int(last_token) < cfg.vocab_size):
         raise InputError(f"token id {last_token} out of vocabulary")
     x = np.asarray(model.weights.embedding[int(last_token)], dtype=_F64)[None, :]
-    pos_arr = np.asarray([position], dtype=np.int64)
+    pos = np.asarray([position], dtype=np.int64)
     for l in range(cfg.n_layers):
-        lw = model.weights.layers[l]
-        h1 = _rmsnorm(x, lw.attn_gain)
-        q = _split_heads(h1 @ np.asarray(lw.wq, dtype=_F64), cfg.n_heads, cfg.head_dim)
-        k = _split_heads(h1 @ np.asarray(lw.wk, dtype=_F64), cfg.n_heads, cfg.head_dim)
-        v = _split_heads(h1 @ np.asarray(lw.wv, dtype=_F64), cfg.n_heads, cfg.head_dim)
-        q_rot = rope_rotate(q, pos_arr, cfg)[:, 0]
-        k_rot = rope_rotate(k, pos_arr, cfg)[:, 0]
-        cache.append(l, k_rot.astype(DTYPE), v[:, 0].astype(DTYPE), position)
-        attn = cache.attend(l, q_rot, position)  # (H, hd)
-        t = x + attn.reshape(1, -1) @ np.asarray(lw.wo, dtype=_F64)
-        x_out = t + _silu(_rmsnorm(t, lw.ffn_gain) @ np.asarray(lw.w_in, dtype=_F64)) @ np.asarray(
-            lw.w_out, dtype=_F64
-        )
-        x = np.asarray(x_out.astype(DTYPE), dtype=_F64)
-    logits = _rmsnorm(x, model.weights.final_gain) @ np.asarray(model.weights.unembed, dtype=_F64)
-    return logits[0].astype(DTYPE)
+        q_rot, k_rot, _, v = block_qkv(model, l, x, pos)
+        cache.append(l, k_rot[:, 0].astype(DTYPE), v[:, 0].astype(DTYPE), position)
+        x = block_out(model, l, x, cache.attend(l, q_rot[:, 0], position)[:, None])
+    return final_logits(model, x)[0]
 
 
 def greedy_token(logits: np.ndarray) -> int:
@@ -627,14 +555,7 @@ _TENSOR_ORDER_DOC = (
 def _iter_tensors(weights: ModelWeights):
     yield weights.embedding
     for lw in weights.layers:
-        yield lw.wq
-        yield lw.wk
-        yield lw.wv
-        yield lw.wo
-        yield lw.w_in
-        yield lw.w_out
-        yield lw.attn_gain
-        yield lw.ffn_gain
+        yield from (getattr(lw, f.name) for f in fields(lw))
     yield weights.final_gain
     yield weights.unembed
 

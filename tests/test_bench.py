@@ -9,7 +9,6 @@ from kvfuse.bench import (
     attention_l2_loss,
     build_instance,
     evaluate_acceptance,
-    flops_estimate,
     greedy_generate,
     oracle_top_p,
     populate_store,
@@ -20,7 +19,14 @@ from kvfuse.bench import (
 from kvfuse.errors import ConfigError, InputError
 from kvfuse.eviction import EvictionPolicy
 from kvfuse.flops import fused_flops, fused_flops_rows, row_flops, vanilla_flops
-from kvfuse.fusion import FusionPlan, PatchedCache, RecomputeSet, hit_rate
+from kvfuse.fusion import (
+    STRATEGIES,
+    FusionPlan,
+    PatchedCache,
+    RecomputeSet,
+    fused_prefill,
+    hit_rate,
+)
 from kvfuse.model import ModelConfig, build_model, greedy_token, prefill_forward
 
 
@@ -74,17 +80,21 @@ def test_flops_selective_below_three_quarters():
     assert fused_flops(cfg, n, 0.15, 64) < 0.75 * vanilla_flops(cfg, n)
 
 
-def test_flops_estimate_dispatch():
-    cfg = make_config()
-    n, q = 200, 10
-    assert flops_estimate(None, n, cfg, q_len=q) == vanilla_flops(cfg, n)
-    assert flops_estimate(FusionPlan("none"), n, cfg, q_len=q) == fused_flops(cfg, n, 0.0, q)
-    full = flops_estimate(FusionPlan("full"), n, cfg, q_len=q)
-    assert full == cfg.n_layers * q * row_flops(cfg, n)
-    ht = flops_estimate(FusionPlan("head_tail"), n, cfg, q_len=q, selected_rows=30)
-    assert ht == fused_flops_rows(cfg, n, 30 + q)
-    with pytest.raises(InputError):
-        flops_estimate(FusionPlan("head_tail"), n, cfg, q_len=q)
+def test_trace_prefill_flops_dispatch(tmp_path):
+    cfg, model, segments = setup_instance(tmp_path)
+    n, q = segments.n, len(segments.question)
+    for strategy in STRATEGIES:
+        plan = FusionPlan(strategy, r=0.3, head_tail_k=4)
+        _, _, trace = fused_prefill(model, segments, plan, tmp_path)
+        expect = {
+            "attention_aware": fused_flops(cfg, n, 0.3, q),
+            "kv_diff": fused_flops(cfg, n, 0.3, q),
+            "none": fused_flops(cfg, n, 0.0, q),
+            "full": cfg.n_layers * q * row_flops(cfg, n),
+            "head_tail": fused_flops_rows(cfg, n, 2 * (4 + 4) + q),  # 2 docs, first/last 4
+        }[strategy]
+        assert trace.flops["prefill"] == expect, strategy
+        assert trace.flops["vanilla"] == vanilla_flops(cfg, n)
 
 
 # --- Synthetic instances ----------------------------------------------------

@@ -12,17 +12,20 @@ MODEL = {"n_layers": 4, "n_heads": 2, "head_dim": 8, "d_ff": 32,
 CONTEXT = b"System: answer briefly. " + b"the quick brown fox jumps over the lazy dog. " * 6
 
 
-def setup_store(tmp_path):
-    model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps(MODEL))
-    (tmp_path / "context.txt").write_bytes(CONTEXT)
-    manifest = tmp_path / "manifest.json"
-    rc = main([
-        "precompute", "--model", str(model_path), "--store", str(tmp_path / "store"),
+def precompute_argv(tmp_path, manifest):
+    return [
+        "precompute", "--model", str(tmp_path / "model.json"),
+        "--store", str(tmp_path / "store"),
         "--input", str(tmp_path / "context.txt"), "--chunk-len", "64",
         "--system-len", "24", "--manifest-out", str(manifest),
-    ])
-    assert rc == 0
+    ]
+
+
+def setup_store(tmp_path):
+    (tmp_path / "model.json").write_text(json.dumps(MODEL))
+    (tmp_path / "context.txt").write_bytes(CONTEXT)
+    manifest = tmp_path / "manifest.json"
+    assert main(precompute_argv(tmp_path, manifest)) == 0
     return manifest
 
 
@@ -40,18 +43,33 @@ def test_precompute_is_idempotent(tmp_path, capsys):
     manifest = setup_store(tmp_path)
     first = json.loads(manifest.read_text())
     capsys.readouterr()
-    assert main([
-        "precompute", "--model", str(tmp_path / "model.json"),
-        "--store", str(tmp_path / "store"),
-        "--input", str(tmp_path / "context.txt"), "--chunk-len", "64",
-        "--system-len", "24", "--manifest-out", str(manifest),
-    ]) == 0
+    assert main(precompute_argv(tmp_path, manifest)) == 0
     out = capsys.readouterr().out
     assert "cached" in out and "stored" not in out
     assert json.loads(manifest.read_text()) == first
     # 24 system + 246 context bytes + BOS = 271 tokens -> 24 + 64*3 + 55
     lengths = [c["length"] for c in first["chunks"]]
     assert lengths[0] == 24 and sum(lengths) == len(CONTEXT) + 1
+
+
+def test_precompute_repairs_a_corrupt_chunk(tmp_path, capsys):
+    manifest = setup_store(tmp_path)
+    data = json.loads(manifest.read_text())
+    bad_id = data["chunks"][1]["id"]
+    path = os.path.join(data["store"], bad_id)
+    blob = bytearray(open(path, "rb").read())
+    blob[len(blob) // 2] ^= 0x01
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    generate = ["generate", "--manifest", str(manifest), "--question-text", "q",
+                "--strategy", "attention_aware", "--gen-len", "2"]
+    assert main(generate) == 2
+    capsys.readouterr()
+    assert main(precompute_argv(tmp_path, manifest)) == 0
+    out = capsys.readouterr().out
+    assert f"repaired {bad_id}" in out and out.count("repaired") == 1
+    assert "stored" not in out
+    assert main(generate) == 0
 
 
 def test_precompute_multiple_inputs(tmp_path):
@@ -208,8 +226,39 @@ def test_bench_malformed_config_exits_1(tmp_path):
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
 
 
+def test_bench_unknown_section_keys_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    for section, value in (
+        ("eviction", {"capacity": 30, "protected": ["system"]}),
+        ("eviction", {"capacity": 30, "enabled": False}),
+        ("recipe", {**bench_config()["recipe"], "chunk_count": 2}),
+    ):
+        cfg.write_text(json.dumps({**bench_config(), section: value}))
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert f"bench config {section!r}" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(tmp_path):
     assert main(["generate", "--manifest", "nope.json"]) == 1  # no question
     assert main(["frobnicate"]) == 1
     assert main(["precompute", "--model", "/does/not/exist.json", "--store", str(tmp_path),
                  "--input", "/also/missing", "--manifest-out", str(tmp_path / "m.json")]) == 1
+
+
+def test_unreadable_paths_exit_1(tmp_path):
+    (tmp_path / "model.json").write_text(json.dumps(MODEL))
+    (tmp_path / "context.txt").write_bytes(CONTEXT)
+    (tmp_path / "somedir").mkdir()
+    good = {"--model": str(tmp_path / "model.json"), "--input": str(tmp_path / "context.txt"),
+            "--store": str(tmp_path / "store")}
+    for flag, bad in (
+        ("--model", tmp_path / "somedir"),
+        ("--input", tmp_path / "somedir"),
+        ("--model", tmp_path / "context.txt" / "model.json"),  # a file as a directory
+        ("--store", tmp_path / "context.txt"),  # a file where the store should be
+    ):
+        argv = ["precompute", "--chunk-len", "64", "--system-len", "24",
+                "--manifest-out", str(tmp_path / "m.json")]
+        for key, value in {**good, flag: str(bad)}.items():
+            argv += [key, value]
+        assert main(argv) == 1, (flag, bad)

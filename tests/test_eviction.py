@@ -42,8 +42,6 @@ def test_policy_validation():
         EV.EvictionPolicy(capacity=0)
     with pytest.raises(ConfigError):
         EV.EvictionPolicy(capacity=10, kernel=4)
-    with pytest.raises(ConfigError):
-        EV.EvictionPolicy(capacity=10, protected=("system",))
     EV.EvictionPolicy(capacity=10, kernel=1)
 
 

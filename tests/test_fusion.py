@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -204,10 +205,34 @@ def test_fused_prefill_full_recompute_matches_vanilla(tmp_path):
     patched, logits, trace = FU.fused_prefill(
         model, segments, FU.FusionPlan("attention_aware", r=1.0), tmp_path
     )
-    _, oracle_logits = M.full_prefill(model, segments.all_ids())
+    oracle_logits = M.prefill_forward(model, segments.all_ids()).logits
     np.testing.assert_allclose(logits, oracle_logits, atol=1e-4)
     assert M.greedy_token(logits) == M.greedy_token(oracle_logits)
     assert trace.clamped  # r=1 exceeds the document token count
+
+
+def test_patch_layers_suffix_matches_full_prefill():
+    # A suffix carried through every layer over the exact prefill caches of
+    # its prefix reproduces the full prefill at the suffix rows.
+    model = make_model()
+    cfg = model.config
+    rng = np.random.default_rng(8)
+    n, cut = 10, 4
+    ids = rng.integers(0, cfg.vocab_size, size=n)
+    full = M.prefill_forward(model, ids, want_all_logits=True)
+    prefix = M.prefill_forward(model, ids[:cut])
+    context = types.SimpleNamespace(
+        n=cut,
+        keys=np.stack([c.keys for c in prefix.caches]),
+        values=np.stack([c.values for c in prefix.caches]),
+    )
+    keys, values, question_queries = FU._output_arrays(cfg, n, n - cut)
+    x = np.asarray(model.weights.embedding[ids[cut:]], dtype=np.float64)
+    x = FU._patch_layers(model, context, x, np.arange(cut, n), 0, keys, values, question_queries)
+    np.testing.assert_allclose(M.final_logits(model, x), full.all_logits[cut:], atol=1e-5)
+    for l, cache in enumerate(full.caches):
+        np.testing.assert_allclose(keys[l], cache.keys, atol=1e-5)
+        np.testing.assert_allclose(values[l], cache.values, atol=1e-5)
 
 
 def test_fused_prefill_r0_identical_to_none(tmp_path):
@@ -236,7 +261,7 @@ def test_fused_prefill_single_chunk_none_matches_vanilla(tmp_path):
     )
     populate_store(model, segments, tmp_path)
     _, logits, _ = FU.fused_prefill(model, segments, FU.FusionPlan("none"), tmp_path)
-    _, oracle = M.full_prefill(model, segments.all_ids())
+    oracle = M.prefill_forward(model, segments.all_ids()).logits
     np.testing.assert_allclose(logits, oracle, atol=1e-4)
 
 
@@ -285,7 +310,7 @@ def test_fused_prefill_full_strategy_leaves_chunks_alone(tmp_path):
         offset += len(part)
     # And it is a worse approximation than position recovery.
     _, none_logits, _ = FU.fused_prefill(model, segments, FU.FusionPlan("none"), tmp_path)
-    _, oracle = M.full_prefill(model, segments.all_ids())
+    oracle = M.prefill_forward(model, segments.all_ids()).logits
     assert np.linalg.norm(logits - oracle) >= np.linalg.norm(none_logits - oracle) - 1e-6
 
 
@@ -361,7 +386,7 @@ def test_monotone_fidelity_in_r(tmp_path):
         rng = np.random.default_rng(100 + seed)
         segments = make_instance(model, rng, sys_len=6, doc_lens=(10, 10), q_len=4)
         populate_store(model, segments, tmp_path)
-        _, oracle = M.full_prefill(model, segments.all_ids())
+        oracle = M.prefill_forward(model, segments.all_ids()).logits
         for r in grid:
             _, logits, _ = FU.fused_prefill(
                 model, segments, FU.FusionPlan("attention_aware", r=r), tmp_path

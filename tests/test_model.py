@@ -213,78 +213,20 @@ def test_attention_head_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Layer forward
-
-
-def test_layer_forward_empty_cache_equals_no_cache():
-    cfg = small_config()
-    model = M.build_model(cfg)
-    rng = np.random.default_rng(7)
-    hidden = M.HiddenStates(
-        x=rng.normal(size=(6, cfg.d_model)).astype(np.float32),
-        positions=np.arange(6, dtype=np.int64),
-    )
-    empty = M.LayerKV(
-        keys=np.zeros((cfg.n_heads, 0, cfg.head_dim), dtype=np.float32),
-        values=np.zeros((cfg.n_heads, 0, cfg.head_dim), dtype=np.float32),
-        rope_applied=True,
-        positions=np.zeros(0, dtype=np.int64),
-    )
-    out_a, kv_a = M.layer_forward(model, hidden, 0, None)
-    out_b, kv_b = M.layer_forward(model, hidden, 0, empty)
-    assert np.array_equal(out_a.x, out_b.x)
-    assert np.array_equal(kv_a.keys, kv_b.keys)
-
-
-def test_layer_forward_split_matches_unsplit():
-    cfg = small_config()
-    model = M.build_model(cfg)
-    rng = np.random.default_rng(8)
-    n, cut = 10, 4
-    x = rng.normal(size=(n, cfg.d_model)).astype(np.float32)
-    pos = np.arange(n, dtype=np.int64)
-    full_out, full_kv = M.layer_forward(model, M.HiddenStates(x, pos), 1, None)
-    _, prefix_kv = M.layer_forward(model, M.HiddenStates(x[:cut], pos[:cut]), 1, None)
-    suffix_out, _ = M.layer_forward(model, M.HiddenStates(x[cut:], pos[cut:]), 1, prefix_kv)
-    np.testing.assert_allclose(suffix_out.x, full_out.x[cut:], atol=1e-5)
-
-
-def test_layer_forward_zero_rows():
-    cfg = small_config()
-    model = M.build_model(cfg)
-    hidden = M.HiddenStates(
-        x=np.zeros((0, cfg.d_model), dtype=np.float32), positions=np.zeros(0, dtype=np.int64)
-    )
-    out, kv = M.layer_forward(model, hidden, 0, None)
-    assert out.x.shape == (0, cfg.d_model)
-    assert kv.length == 0
-
-
-def test_layer_forward_position_overlap_rejected():
-    cfg = small_config()
-    model = M.build_model(cfg)
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(3, cfg.d_model)).astype(np.float32)
-    _, kv = M.layer_forward(model, M.HiddenStates(x, np.arange(3, dtype=np.int64)), 0, None)
-    with pytest.raises(ContractViolation):
-        M.layer_forward(model, M.HiddenStates(x, np.arange(2, 5, dtype=np.int64)), 0, kv)
-
-
-# ---------------------------------------------------------------------------
 # Prefill
 
 
 def test_full_prefill_shapes_and_vocab_check():
     cfg = small_config()
     model = M.build_model(cfg)
-    caches, logits = M.full_prefill(model, [3])
-    assert len(caches) == cfg.n_layers
-    assert all(c.length == 1 and c.rope_applied for c in caches)
-    assert logits.shape == (cfg.vocab_size,)
+    res = M.prefill_forward(model, [3])
+    assert len(res.caches) == cfg.n_layers
+    assert all(c.length == 1 and c.rope_applied for c in res.caches)
+    assert res.logits.shape == (cfg.vocab_size,)
     with pytest.raises(InputError):
-        M.full_prefill(model, [cfg.vocab_size])
+        M.prefill_forward(model, [cfg.vocab_size])
     with pytest.raises(InputError):
-        M.full_prefill(model, [])
+        M.prefill_forward(model, [])
 
 
 def test_prefill_causality():
@@ -320,8 +262,7 @@ def test_decode_matches_oracle_prefill():
     model = M.build_model(cfg)
     rng = np.random.default_rng(12)
     ids = rng.integers(0, cfg.vocab_size, size=15)
-    caches, _ = M.full_prefill(model, ids)
-    cache = M.DecodeCache.from_layer_kvs(cfg, caches)
+    cache = M.DecodeCache.from_layer_kvs(cfg, M.prefill_forward(model, ids).caches)
     nxt = 4
     logits = M.decode_step(model, cache, nxt, len(ids))
     oracle = M.prefill_forward(model, np.append(ids, nxt))
@@ -333,17 +274,16 @@ def test_decode_greedy_matches_incremental_reprefill():
     model = M.build_model(cfg)
     rng = np.random.default_rng(13)
     ids = list(rng.integers(0, cfg.vocab_size, size=10))
-    caches, logits = M.full_prefill(model, ids)
-    cache = M.DecodeCache.from_layer_kvs(cfg, caches)
-    produced = [M.greedy_token(logits)]
+    res = M.prefill_forward(model, ids)
+    cache = M.DecodeCache.from_layer_kvs(cfg, res.caches)
+    produced = [M.greedy_token(res.logits)]
     for _ in range(2):
         logits = M.decode_step(model, cache, produced[-1], cache.length)
         produced.append(M.greedy_token(logits))
     expected = []
     grow = list(ids)
     for _ in range(3):
-        _, lg = M.full_prefill(model, grow)
-        expected.append(M.greedy_token(lg))
+        expected.append(M.greedy_token(M.prefill_forward(model, grow).logits))
         grow.append(expected[-1])
     assert produced == expected
 
@@ -351,8 +291,7 @@ def test_decode_greedy_matches_incremental_reprefill():
 def test_decode_cache_grows_by_one():
     cfg = small_config()
     model = M.build_model(cfg)
-    caches, _ = M.full_prefill(model, [1, 2, 3])
-    cache = M.DecodeCache.from_layer_kvs(cfg, caches)
+    cache = M.DecodeCache.from_layer_kvs(cfg, M.prefill_forward(model, [1, 2, 3]).caches)
     assert cache.length == 3
     M.decode_step(model, cache, 0, 3)
     assert cache.length == 4
