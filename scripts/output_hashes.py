@@ -10,12 +10,15 @@ kept every result bit for bit:
 Covers `prefill_forward` (caches, raw keys, queries, all logits), every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
 queries, selection, scores, first logits) and greedy decoding with and
-without eviction, at a small test shape and at the rag_shared shape.
+without eviction, at a small test shape and at the rag_shared shape; then
+every `run_bench` report row, timing columns left out, for a 3-seed needle
+config with two r values and eviction.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import tempfile
 
@@ -36,6 +39,18 @@ SHAPES = {
 }
 RATIOS = (0.0, 0.15, 1.0)
 GEN_LEN = 8
+BENCH_CONFIG = {
+    "model": SHAPES["test"][0],
+    "recipe": {"n_doc_chunks": 2, "chunk_len": 24, "system_len": 12, "question_len": 6,
+               "data_seed": 3, "kind": "needle"},
+    "r_grid": [0.1, 0.3],
+    "eviction": {"capacity": 48},
+    "gen_len": GEN_LEN,
+    "repetitions": 1,
+    "warmup": 0,
+    "seeds": [0, 1, 2],
+}
+TIMING_COLUMNS = ("ttft_ms", "tpot_ms")
 
 
 def digest(array) -> str:
@@ -90,6 +105,12 @@ def main() -> None:
                 emit(f"{name} {strategy} evicted tokens", run.tokens)
                 emit(f"{name} {strategy} evicted cache",
                      np.stack([run.cache.keys_view(l) for l in range(model.config.n_layers)]))
+    report = bench.run_bench(bench.BenchConfig.from_dict(BENCH_CONFIG))
+    for row in report.rows:
+        kept = {k: v for k, v in row.items() if k not in TIMING_COLUMNS}
+        blob = json.dumps(kept, sort_keys=True).encode()
+        print(f"bench {row['strategy']} r={row['r']} evict={row['evict']} "
+              f"{hashlib.sha256(blob).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .errors import (
     KVFuseError,
     ShapeError,
 )
-from .bench import BenchConfig, InputRecipe, greedy_generate, run_bench
+from .bench import BenchConfig, InputRecipe, run_bench
 from .chunkstore import (
     ChunkKV,
     concat_chunks,
@@ -80,7 +80,6 @@ __all__ = [
     "decode_step",
     "evict",
     "fused_prefill",
-    "greedy_generate",
     "greedy_token",
     "init_model",
     "load_chunk",

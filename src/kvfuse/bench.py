@@ -1,10 +1,10 @@
 """Quantitative harness: oracle comparisons, FLOP accounting, timing, reports.
 
-Quality at desk scale is token-level agreement with the no-reuse greedy
-decode, which upper-bounds every reuse strategy. Agreement, attention-map
-losses, and hit rates are averaged over seeds; TTFT/TPOT are medians over
-repetitions on one instance, with warm-up discarded and scoring time kept
-out of the per-token figure (it is reported separately).
+`run_bench` writes one report row per (strategy, r, eviction). Quality at
+desk scale is token-level agreement with the no-reuse greedy decode, which
+upper-bounds every reuse strategy; agreement, attention-map losses and hit
+rates are averaged over seeds. TTFT/TPOT are medians over repetitions on
+the first seed's instance, with warm-up runs discarded.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import os
 import statistics
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -141,13 +140,12 @@ def attention_l2_loss(
     patched: PatchedCache,
     vanilla: PrefillResult,
     layer: int,
-    probe_rows: np.ndarray | None = None,
 ) -> float:
     """Frobenius distance between attention maps at one layer.
 
-    Probe rows default to the question span. Both maps use the oracle's
-    true queries for those rows, one against the oracle keys and one
-    against the supplied cache, so the number isolates cache quality.
+    The probe rows are the question span. Both maps use the oracle's true
+    queries for those rows, one against the oracle keys and one against
+    the supplied cache, so the number isolates cache quality.
     """
     if vanilla.queries is None:
         raise InputError("vanilla result must be run with record_queries=True")
@@ -157,10 +155,8 @@ def attention_l2_loss(
     n = patched.n
     if vanilla.caches[layer].length != n:
         raise InputError("caches cover different token sequences")
-    if probe_rows is None:
-        q_span = patched.segments.question_span
-        probe_rows = np.arange(q_span.start, q_span.stop, dtype=np.int64)
-    probe_rows = np.asarray(probe_rows, dtype=np.int64)
+    q_span = patched.segments.question_span
+    probe_rows = np.arange(q_span.start, q_span.stop, dtype=np.int64)
     k_pos = np.arange(n, dtype=np.int64)
     q = vanilla.queries[layer][:, probe_rows]
     w_true = attention_weights(q, vanilla.caches[layer].keys, probe_rows, k_pos)
@@ -262,18 +258,6 @@ def run_strategy(
     )
 
 
-def greedy_generate(
-    model: Model,
-    strategy: str,
-    segments: InputSegments,
-    length: int,
-    store_dir=None,
-    **kwargs,
-) -> np.ndarray:
-    """Token sequence of greedy decoding under a strategy."""
-    return run_strategy(model, segments, strategy, store_dir, gen_len=length, **kwargs).tokens
-
-
 def time_ttft_tpot(
     model: Model,
     segments: InputSegments,
@@ -287,7 +271,7 @@ def time_ttft_tpot(
     warmup: int = 3,
     eviction: EvictionPolicy | None = None,
 ) -> dict:
-    """Median TTFT/TPOT in milliseconds; scoring time reported separately.
+    """Median TTFT/TPOT in milliseconds.
 
     TTFT covers the whole serving path to first-token logits, chunk
     loading included. TPOT is the mean per-token decode time within a run,
@@ -295,7 +279,7 @@ def time_ttft_tpot(
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
-    ttfts, tpots, scores = [], [], []
+    ttfts, tpots = [], []
     for i in range(warmup + repetitions):
         run = run_strategy(
             model, segments, strategy, store_dir,
@@ -306,12 +290,10 @@ def time_ttft_tpot(
         ttfts.append(run.prefill_seconds * 1e3)
         if run.decode_seconds:
             tpots.append(float(np.mean(run.decode_seconds)) * 1e3)
-        if run.trace is not None and "select" in run.trace.durations:
-            scores.append(run.trace.durations["select"] * 1e3)
-    out = {"ttft_ms": statistics.median(ttfts)}
-    out["tpot_ms"] = statistics.median(tpots) if tpots else float("nan")
-    out["score_ms"] = statistics.median(scores) if scores else None
-    return out
+    return {
+        "ttft_ms": statistics.median(ttfts),
+        "tpot_ms": statistics.median(tpots) if tpots else float("nan"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +308,10 @@ class BenchConfig:
     r_grid: list[float] = field(default_factory=lambda: [0.15])
     head_tail_k: int = 20
     eviction: EvictionPolicy | None = None
-    evict_strategies: list[str] = field(default_factory=lambda: ["attention_aware"])
     gen_len: int = 16
-    gen_len_sweep: list[int] | None = None
     repetitions: int = 3
     warmup: int = 1
     seeds: list[int] = field(default_factory=lambda: [0])
-    probe_all_rows: bool = False
-    throughput_batches: list[int] | None = None
-    parallel_workers: int = 0
     acceptance: list[dict] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -343,11 +320,13 @@ class BenchConfig:
                 raise ConfigError(f"unknown strategy {s!r}")
         if self.gen_len < 1 or self.repetitions < 1 or not self.seeds:
             raise ConfigError("gen_len and repetitions must be >= 1; seeds non-empty")
-        if self.gen_len_sweep is not None and any(g < 2 for g in self.gen_len_sweep):
-            raise ConfigError("gen_len_sweep lengths must be >= 2 for a per-token figure")
         for r in self.r_grid:
             if not (0.0 <= r <= 1.0):
                 raise ConfigError(f"r value {r} outside [0, 1]")
+        if not isinstance(self.acceptance, list):
+            raise ConfigError("bench config 'acceptance' must be a list")
+        for check in self.acceptance:
+            _check_assertion(check)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchConfig":
@@ -378,9 +357,6 @@ def _from_fields(cls, data, section: str):
 @dataclass
 class BenchReport:
     rows: list[dict]
-    throughput: list[dict] = field(default_factory=list)
-    r_sweep: list[dict] = field(default_factory=list)
-    timing_sweep: list[dict] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -390,15 +366,8 @@ class BenchReport:
                 writer.writerow({k: row[k] for k in CSV_COLUMNS})
 
     def write_json(self, path) -> None:
-        payload = {"rows": self.rows}
-        if self.throughput:
-            payload["throughput"] = self.throughput
-        if self.r_sweep:
-            payload["r_sweep"] = self.r_sweep
-        if self.timing_sweep:
-            payload["timing_sweep"] = self.timing_sweep
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump({"rows": self.rows}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -423,32 +392,22 @@ def _expand_rows(config: BenchConfig) -> list[tuple[str, float | None, bool]]:
             variants = [(strategy, None)]
         for strategy_, r in variants:
             rows.append((strategy_, r, False))
-            if (
-                config.eviction is not None
-                and strategy_ in config.evict_strategies
-                and strategy_ != "vanilla"
-            ):
+            if config.eviction is not None and strategy_ == "attention_aware":
                 rows.append((strategy_, r, True))
     return rows
 
 
-def _seed_metrics(args) -> dict:
-    """Non-timing metrics for one seed; shaped for cross-seed averaging.
-
-    Top-level so a process pool can run seeds in parallel; everything in
-    `args` is picklable and the store directory is per-call.
-    """
-    (model_cfg, recipe, row_keys, head_tail_k, gen_len, eviction, probe_all) = args
-    model = build_model(model_cfg)
+def _seed_metrics(model: Model, config: BenchConfig, recipe: InputRecipe, row_keys) -> dict:
+    """Non-timing metrics for one seed's instance; shaped for cross-seed averaging."""
+    model_cfg = config.model
     segments = build_instance(recipe, model_cfg)
+    n = segments.n
     out: dict = {}
     with tempfile.TemporaryDirectory() as store:
         populate_store(model, segments, store)
         oracle = prefill_forward(model, segments.all_ids(), record_queries=True)
         van_cache = DecodeCache.from_layer_kvs(model_cfg, oracle.caches)
-        vanilla_tokens, _ = _decode_loop(model, van_cache, oracle.logits, segments.n, gen_len)
-        n = segments.n
-        probe_rows = np.arange(n) if probe_all else None
+        vanilla_tokens, _ = _decode_loop(model, van_cache, oracle.logits, n, config.gen_len)
         for strategy, r, evicted in row_keys:
             if strategy == "vanilla":
                 run_tokens = vanilla_tokens
@@ -460,14 +419,13 @@ def _seed_metrics(args) -> dict:
                 run = run_strategy(
                     model, segments, strategy, store,
                     r=(r if r is not None else 0.15),
-                    head_tail_k=head_tail_k,
-                    gen_len=gen_len,
-                    eviction=(eviction if evicted else None),
+                    head_tail_k=config.head_tail_k,
+                    gen_len=config.gen_len,
+                    eviction=(config.eviction if evicted else None),
                 )
                 run_tokens = run.tokens
                 losses = [
-                    attention_l2_loss(run.patched, oracle, l, probe_rows)
-                    for l in range(model_cfg.n_layers)
+                    attention_l2_loss(run.patched, oracle, l) for l in range(model_cfg.n_layers)
                 ]
                 if strategy in ("attention_aware", "kv_diff", "head_tail"):
                     oracle_sel = oracle_top_p(
@@ -494,28 +452,14 @@ def run_bench(config: BenchConfig, out_dir=None) -> BenchReport:
     """One report row per (strategy, r, eviction); CSV/JSON written if out_dir."""
     model = build_model(config.model)
     row_keys = _expand_rows(config)
-    seed_args = [
-        (
-            config.model,
-            InputRecipe(**{**_recipe_dict(config.recipe), "data_seed": config.recipe.data_seed + s}),
-            row_keys,
-            config.head_tail_k,
-            config.gen_len,
-            config.eviction,
-            config.probe_all_rows,
-        )
-        for s in config.seeds
+    recipes = [
+        replace(config.recipe, data_seed=config.recipe.data_seed + s) for s in config.seeds
     ]
-    if config.parallel_workers > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel_workers) as pool:
-            per_seed = list(pool.map(_seed_metrics, seed_args))
-    else:
-        per_seed = [_seed_metrics(a) for a in seed_args]
+    per_seed = [_seed_metrics(model, config, recipe, row_keys) for recipe in recipes]
 
     # Timing on the first seed's instance, all repetitions, sequential.
-    segments = build_instance(seed_args[0][1], config.model)
+    segments = build_instance(recipes[0], config.model)
     timing: dict = {}
-    timing_sweep: list[dict] = []
     with tempfile.TemporaryDirectory() as store:
         populate_store(model, segments, store)
         for strategy, r, evicted in row_keys:
@@ -528,23 +472,6 @@ def run_bench(config: BenchConfig, out_dir=None) -> BenchReport:
                 warmup=config.warmup,
                 eviction=(config.eviction if evicted else None),
             )
-        if config.gen_len_sweep:
-            for strategy in config.strategies:
-                for gen_len in config.gen_len_sweep:
-                    t = time_ttft_tpot(
-                        model, segments, strategy, store,
-                        r=config.r_grid[0], head_tail_k=config.head_tail_k,
-                        gen_len=gen_len, repetitions=config.repetitions,
-                        warmup=config.warmup,
-                    )
-                    timing_sweep.append(
-                        {
-                            "strategy": strategy,
-                            "gen_len": gen_len,
-                            "ttft_ms": _fmt(t["ttft_ms"]),
-                            "tpot_ms": _fmt(t["tpot_ms"]),
-                        }
-                    )
 
     rows = []
     for key in row_keys:
@@ -569,69 +496,12 @@ def run_bench(config: BenchConfig, out_dir=None) -> BenchReport:
                 "peak_kv_floats": int(np.max([p["peak_kv"] for p in per])),
             }
         )
-    report = BenchReport(rows=rows, timing_sweep=timing_sweep)
-
-    if config.throughput_batches:
-        report.throughput = throughput_sweep(model, config)
-    if len(config.r_grid) > 1 and "attention_aware" in config.strategies:
-        report.r_sweep = [
-            {
-                "r": row["r"],
-                "gen_agree_frac": row["gen_agree_frac"],
-                "first_token_agree": row["first_token_agree"],
-            }
-            for row in rows
-            if row["strategy"] == "attention_aware" and row["evict"] == "false"
-        ]
+    report = BenchReport(rows=rows)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         report.write_csv(os.path.join(out_dir, "report.csv"))
         report.write_json(os.path.join(out_dir, "report.json"))
-        if report.timing_sweep:
-            with open(os.path.join(out_dir, "timing_sweep.csv"), "w", newline="") as fh:
-                writer = csv.DictWriter(
-                    fh, fieldnames=["strategy", "gen_len", "ttft_ms", "tpot_ms"],
-                    lineterminator="\n",
-                )
-                writer.writeheader()
-                writer.writerows(report.timing_sweep)
     return report
-
-
-def _recipe_dict(recipe: InputRecipe) -> dict:
-    return {f.name: getattr(recipe, f.name) for f in fields(recipe)}
-
-
-def throughput_sweep(model: Model, config: BenchConfig) -> list[dict]:
-    """Tokens/sec over batches of independent sequential requests."""
-    rows = []
-    with tempfile.TemporaryDirectory() as store:
-        instances = []
-        for i in range(max(config.throughput_batches)):
-            recipe = InputRecipe(
-                **{**_recipe_dict(config.recipe), "data_seed": config.recipe.data_seed + 1000 + i}
-            )
-            segments = build_instance(recipe, config.model)
-            populate_store(model, segments, store)
-            instances.append(segments)
-        for strategy in config.strategies:
-            for batch in config.throughput_batches:
-                t0 = time.perf_counter()
-                for segments in instances[:batch]:
-                    run_strategy(
-                        model, segments, strategy, store,
-                        r=config.r_grid[0], head_tail_k=config.head_tail_k,
-                        gen_len=config.gen_len, eviction=None,
-                    )
-                elapsed = time.perf_counter() - t0
-                rows.append(
-                    {
-                        "strategy": strategy,
-                        "batch": batch,
-                        "tokens_per_s": _fmt(batch * config.gen_len / elapsed),
-                    }
-                )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +526,50 @@ def _find_row(rows: list[dict], where: dict) -> dict:
     return matches[0]
 
 
+# Report columns an assertion can compare as numbers.
+_ASSERTABLE = [c for c in CSV_COLUMNS if c not in ("strategy", "evict", "attn_l2_by_layer")]
+
+
+def _check_assertion(check) -> None:
+    """Shape of one acceptance entry; checked when the config loads."""
+    if not isinstance(check, dict):
+        raise ConfigError(f"acceptance entry {check!r} must be an object")
+    label = f"acceptance entry {check.get('name', check.get('metric'))!r}"
+    if check.get("metric") not in _ASSERTABLE:
+        raise ConfigError(f"{label}: metric must be one of {_ASSERTABLE}")
+    if check.get("op") not in _OPS:
+        raise ConfigError(f"{label}: op must be one of {sorted(_OPS)}")
+    if not isinstance(check.get("where"), dict):
+        raise ConfigError(f"{label}: 'where' must be an object")
+    has_value = "value" in check
+    if has_value == ("where_right" in check):
+        raise ConfigError(f"{label}: give exactly one of 'value' or 'where_right'")
+    if has_value:
+        if isinstance(check["value"], bool) or not isinstance(check["value"], (int, float)):
+            raise ConfigError(f"{label}: 'value' must be a number")
+    elif not isinstance(check["where_right"], dict):
+        raise ConfigError(f"{label}: 'where_right' must be an object")
+    for selector in (check["where"], check.get("where_right", {})):
+        if not set(selector) <= set(CSV_COLUMNS):
+            raise ConfigError(f"{label}: selector {selector} names a column the report lacks")
+
+
+def _cell(rows: list[dict], where: dict, metric: str) -> float:
+    value = _find_row(rows, where)[metric]
+    if value == "":
+        raise ConfigError(f"{metric} is blank in the row selected by {where}")
+    return float(value)
+
+
 def evaluate_acceptance(report: BenchReport, assertions: list[dict]) -> list[dict]:
     """Each assertion compares a row metric against a constant or another row."""
     results = []
     for check in assertions:
         metric = check["metric"]
         op = _OPS[check["op"]]
-        left = float(_find_row(report.rows, check["where"])[metric])
+        left = _cell(report.rows, check["where"], metric)
         if "where_right" in check:
-            right = float(_find_row(report.rows, check["where_right"])[metric])
+            right = _cell(report.rows, check["where_right"], metric)
         else:
             right = float(check["value"])
         ok = bool(op(left, right))

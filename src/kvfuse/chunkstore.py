@@ -13,7 +13,7 @@ import hashlib
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +70,8 @@ def precompute_chunk(token_ids, model: Model) -> ChunkKV:
     if ids.size == 0:
         raise InputError("cannot precompute an empty chunk")
     res = prefill_forward(model, ids, record_raw_keys=True)
-    n = ids.shape[0]
-    zeros = np.zeros(n, dtype=np.int64)
     layers = [
-        LayerKV(keys=raw, values=cache.values.copy(), rope_applied=False, positions=zeros.copy())
+        LayerKV(keys=raw, values=cache.values.copy(), rope_applied=False)
         for raw, cache in zip(res.raw_keys, res.caches)
     ]
     fp = model.config.fingerprint()
@@ -238,12 +236,8 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
     )
     if chunk_id(token_ids, fp) != stored_id:
         raise IntegrityError(f"chunk file {path} id does not match its own content")
-    rope_applied = h["rope_applied"]
-    positions = np.arange(n, dtype=np.int64) if rope_applied else np.zeros(n, dtype=np.int64)
     layers = [
-        LayerKV(
-            keys=keys[l], values=values[l], rope_applied=rope_applied, positions=positions.copy()
-        )
+        LayerKV(keys=keys[l], values=values[l], rope_applied=h["rope_applied"])
         for l in range(n_layers)
     ]
     return ChunkKV(chunk_id=stored_id, token_ids=token_ids, layers=layers, model_fingerprint=fp)
@@ -302,10 +296,6 @@ class SegmentMap:
     @property
     def n(self) -> int:
         return self.spans[-1].stop
-
-    @property
-    def system_span(self) -> Span:
-        return self.spans[0]
 
     @property
     def question_span(self) -> Span:
@@ -417,7 +407,6 @@ def rotate_chunk_local(chunk: ChunkKV, config: ModelConfig) -> ChunkKV:
             keys=rope_rotate(l.keys, pos, config).astype(DTYPE),
             values=l.values,
             rope_applied=True,
-            positions=pos.copy(),
         )
         for l in chunk.layers
     ]

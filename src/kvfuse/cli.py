@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -45,6 +46,7 @@ from .model import ModelConfig, build_model
 BOS = 256
 EOS = 257
 BYTE_VOCAB = 258  # 256 byte values plus the two specials
+_HEX_ID = re.compile(r"[0-9a-fA-F]{64}")
 
 
 def encode_bytes(data: bytes, config: ModelConfig, *, bos=False, eos=False) -> np.ndarray:
@@ -149,11 +151,22 @@ def _load_manifest(path: str) -> dict:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError("manifest must be a JSON object")
     for key in ("model", "store", "chunks"):
         if key not in manifest:
             raise ConfigError(f"manifest is missing {key!r}")
-    if len(manifest["chunks"]) < 2:
+    if not isinstance(manifest["model"], dict):
+        raise ConfigError("manifest 'model' must be an object")
+    if not isinstance(manifest["store"], str):
+        raise ConfigError("manifest 'store' must be a path string")
+    chunks = manifest["chunks"]
+    if not isinstance(chunks, list) or len(chunks) < 2:
         raise ConfigError("manifest needs a system chunk and at least one document chunk")
+    for entry in chunks:
+        cid = entry.get("id") if isinstance(entry, dict) else None
+        if not isinstance(cid, str) or not _HEX_ID.fullmatch(cid):
+            raise ConfigError(f"manifest chunk {entry!r} needs a 64-character hex 'id'")
     return manifest
 
 
@@ -214,9 +227,6 @@ def cmd_bench(args) -> int:
             repetitions=1,
             warmup=0,
             gen_len=min(config.gen_len, 8),
-            gen_len_sweep=None,
-            throughput_batches=None,
-            parallel_workers=0,
         )
     report = run_bench(config, out_dir=args.out_dir)
     for row in report.rows:

@@ -16,7 +16,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .errors import ConfigError, ContractViolation, InputError
 from .fusion import PatchedCache
-from .model import DecodeCache, Model, attention_weights, decode_step
+from .model import DecodeCache, attention_weights
 
 DEFAULT_KERNEL = 7
 
@@ -123,11 +123,3 @@ def evict(cache: PatchedCache, policy: EvictionPolicy, scores: np.ndarray | None
             values[l, h] = cache.values[l, h, retained]
     return CompactedCache(keys, values, index_map, n)
 
-
-def decode_with_eviction(model: Model, compacted: CompactedCache, last_token: int, position: int) -> np.ndarray:
-    """One decode step on a compacted cache; new rows are appended, never dropped."""
-    if position <= compacted.max_position:
-        raise ContractViolation(
-            f"position {position} must exceed retained maximum {compacted.max_position}"
-        )
-    return decode_step(model, compacted, last_token, position)

@@ -37,9 +37,7 @@ def fused_flops(config: ModelConfig, n: int, r: float, q_len: int) -> float:
     r = 1 returns exactly the vanilla form. Actual selected-row counts (the
     clamp to document length) live in the trace, not here.
     """
-    p = round(r * n)
-    rows = min(p + q_len, n)
-    return 2.0 * full_layer_flops(config, n) + (config.n_layers - 2) * rows * row_flops(config, n)
+    return fused_flops_rows(config, n, round(r * n) + q_len)
 
 
 def fused_flops_rows(config: ModelConfig, n: int, rows: int) -> float:

@@ -245,15 +245,8 @@ def attention(
     out = np.empty_like(q)
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
-        scores = np.matmul(q[:, start:stop], k.transpose(0, 2, 1)) * scale
-        hidden_mask = kpos[None, :] > qpos[start:stop, None]
-        if hidden_mask.all(axis=1).any():
-            raise ContractViolation("a query row has no visible key")
-        scores = np.where(hidden_mask[None, :, :], -np.inf, scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        out[:, start:stop] = np.matmul(weights, v)
+        weights = attention_weights(q[:, start:stop], k, qpos[start:stop], kpos, scale=scale)
+        out[:, start:stop] = weights @ v
     return out
 
 
@@ -267,9 +260,9 @@ def attention_weights(
 ) -> np.ndarray:
     """Causal softmax weight matrices (n_heads, rows, keys), float64.
 
-    Same masking and scaling as `attention`, returning the weights instead
-    of their product with the values. Used by relevance scoring, eviction
-    scoring, and the attention-map loss metric.
+    The masked softmax behind `attention`, which multiplies it by the
+    values; relevance scoring, eviction scoring and the attention-map loss
+    metric use the weights themselves.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys, dtype=_F64)
@@ -297,7 +290,6 @@ class LayerKV:
     keys: np.ndarray  # (n_heads, n, head_dim) float32
     values: np.ndarray  # (n_heads, n, head_dim) float32
     rope_applied: bool
-    positions: np.ndarray  # (n,) int64; meaningful only when rope_applied
 
     @property
     def length(self) -> int:
@@ -405,8 +397,7 @@ def prefill_forward(
     for l in range(cfg.n_layers):
         q_rot, k_rot, k_raw, v = block_qkv(model, l, x64, pos)
         caches.append(
-            LayerKV(keys=k_rot.astype(DTYPE), values=v.astype(DTYPE), rope_applied=True,
-                    positions=pos.copy())
+            LayerKV(keys=k_rot.astype(DTYPE), values=v.astype(DTYPE), rope_applied=True)
         )
         if record_raw_keys:
             raw_keys.append(k_raw.astype(DTYPE))
@@ -473,9 +464,6 @@ class DecodeCache:
 
     def keys_view(self, layer: int) -> np.ndarray:
         return self._keys[layer, :, : self._count]
-
-    def values_view(self, layer: int) -> np.ndarray:
-        return self._values[layer, :, : self._count]
 
     def _grow(self) -> None:
         cap = self._keys.shape[2]
@@ -545,12 +533,6 @@ def greedy_token(logits: np.ndarray) -> int:
 
 # ---------------------------------------------------------------------------
 # Weight export/import (golden tests only)
-
-_TENSOR_ORDER_DOC = (
-    "embedding, then per layer (wq, wk, wv, wo, w_in, w_out, attn_gain, ffn_gain), "
-    "then final_gain, then unembed; raw little-endian float32"
-)
-
 
 def _iter_tensors(weights: ModelWeights):
     yield weights.embedding

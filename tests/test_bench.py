@@ -9,7 +9,6 @@ from kvfuse.bench import (
     attention_l2_loss,
     build_instance,
     evaluate_acceptance,
-    greedy_generate,
     oracle_top_p,
     populate_store,
     run_bench,
@@ -191,15 +190,15 @@ def test_attention_loss_orders_strategies(tmp_path):
 def test_generate_length_one_matches_prefill(tmp_path):
     cfg, model, segments = setup_instance(tmp_path)
     res = prefill_forward(model, segments.all_ids())
-    tokens = greedy_generate(model, "vanilla", segments, 1, tmp_path)
+    tokens = run_strategy(model, segments, "vanilla", tmp_path, gen_len=1).tokens
     assert tokens.shape == (1,)
     assert tokens[0] == greedy_token(res.logits)
 
 
 def test_r1_generation_matches_vanilla(tmp_path):
     cfg, model, segments = setup_instance(tmp_path)
-    vanilla = greedy_generate(model, "vanilla", segments, 12, tmp_path)
-    fused = greedy_generate(model, "attention_aware", segments, 12, tmp_path, r=1.0)
+    vanilla = run_strategy(model, segments, "vanilla", tmp_path, gen_len=12).tokens
+    fused = run_strategy(model, segments, "attention_aware", tmp_path, r=1.0, gen_len=12).tokens
     assert np.array_equal(vanilla, fused)
 
 
@@ -237,11 +236,10 @@ def test_timing_reports_medians(tmp_path):
         gen_len=4, repetitions=3, warmup=1,
     )
     assert out["ttft_ms"] > 0 and out["tpot_ms"] > 0
-    assert out["score_ms"] is not None and out["score_ms"] >= 0
     out_v = time_ttft_tpot(
         model, segments, "vanilla", tmp_path, gen_len=4, repetitions=2, warmup=0
     )
-    assert out_v["score_ms"] is None
+    assert out_v["ttft_ms"] > 0 and out_v["tpot_ms"] > 0
 
 
 # --- Reports ----------------------------------------------------------------
@@ -305,38 +303,6 @@ def test_report_eviction_and_r_grid_rows(tmp_path):
             if r["r"] == row["r"] and r["evict"] == "false" and r["strategy"] != "vanilla"
         )
         assert int(row["peak_kv_floats"]) < int(twin["peak_kv_floats"])
-    assert len(report.r_sweep) == 2
-
-
-def test_parallel_seeds_match_serial():
-    serial = run_bench(quick_bench_config(seeds=[0, 1]))
-    parallel = run_bench(quick_bench_config(seeds=[0, 1], parallel_workers=2))
-    for row_s, row_p in zip(serial.rows, parallel.rows):
-        for key in CSV_COLUMNS:
-            if key in ("ttft_ms", "tpot_ms"):
-                continue
-            assert row_s[key] == row_p[key], key
-
-
-def test_throughput_sweep_shape():
-    cfg = quick_bench_config(strategies=["vanilla", "none"], throughput_batches=[1, 2])
-    report = run_bench(cfg)
-    assert len(report.throughput) == 4
-    for row in report.throughput:
-        assert float(row["tokens_per_s"]) > 0
-
-
-def test_gen_len_timing_sweep(tmp_path):
-    cfg = quick_bench_config(strategies=["vanilla", "none"], gen_len_sweep=[2, 4])
-    report = run_bench(cfg, out_dir=tmp_path)
-    assert len(report.timing_sweep) == 4
-    assert {row["gen_len"] for row in report.timing_sweep} == {2, 4}
-    for row in report.timing_sweep:
-        assert float(row["ttft_ms"]) > 0 and float(row["tpot_ms"]) > 0
-    header = (tmp_path / "timing_sweep.csv").read_text().splitlines()[0]
-    assert header == "strategy,gen_len,ttft_ms,tpot_ms"
-    with pytest.raises(ConfigError):
-        quick_bench_config(gen_len_sweep=[1])
 
 
 def test_bench_config_validation():
@@ -346,6 +312,8 @@ def test_bench_config_validation():
         quick_bench_config(r_grid=[1.5])
     with pytest.raises(ConfigError):
         quick_bench_config(bogus_key=1)
+    with pytest.raises(ConfigError):
+        quick_bench_config(throughput_batches=[1, 2])
     with pytest.raises(ConfigError):
         BenchConfig.from_dict({"recipe": {"n_doc_chunks": 1, "chunk_len": 8,
                                            "system_len": 4, "question_len": 2}})
@@ -363,8 +331,9 @@ def test_evaluate_acceptance():
          "where": {"strategy": "full"}, "op": ">", "value": 1.0},
     ])
     assert [r["ok"] for r in results] == [True, True, False]
-    with pytest.raises(ConfigError):
-        evaluate_acceptance(report, [
-            {"metric": "gen_agree_frac", "where": {"strategy": "ghost"},
-             "op": ">=", "value": 0.0},
-        ])
+    for where, metric in (({"strategy": "ghost"}, "gen_agree_frac"),
+                          ({"strategy": "none"}, "hit_rate")):  # blank cell
+        with pytest.raises(ConfigError):
+            evaluate_acceptance(report, [
+                {"metric": metric, "where": where, "op": ">=", "value": 0.0},
+            ])

@@ -180,6 +180,24 @@ def test_generate_missing_chunk(tmp_path):
     assert rc == 2
 
 
+def test_generate_malformed_manifest_exits_1(tmp_path, capsys):
+    manifest = setup_store(tmp_path)
+    data = json.loads(manifest.read_text())
+    system, doc = data["chunks"][:2]
+    bad = tmp_path / "bad.json"
+    for broken in (
+        {**data, "chunks": 5},
+        {**data, "chunks": [{**system, "id": "zz"}, doc]},
+        {**data, "chunks": [{"length": system["length"]}, doc]},
+        {**data, "store": 5},
+        {**data, "model": 5},
+    ):
+        bad.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert main(["generate", "--manifest", str(bad), "--question-text", "q"]) == 1, broken
+        assert capsys.readouterr().err.startswith("error: manifest")
+
+
 def bench_config(acceptance=None):
     return {
         "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "d_ff": 32,
@@ -262,3 +280,29 @@ def test_unreadable_paths_exit_1(tmp_path):
         for key, value in {**good, flag: str(bad)}.items():
             argv += [key, value]
         assert main(argv) == 1, (flag, bad)
+
+
+ROW = {"strategy": "vanilla"}
+
+
+@pytest.mark.parametrize("entry", [
+    {"metric": "nope", "where": ROW, "op": ">=", "value": 0},
+    {"metric": "strategy", "where": ROW, "op": "==", "value": 0},
+    {"metric": "gen_agree_frac", "where": ROW, "op": "~", "value": 0},
+    {"metric": "gen_agree_frac", "where": "vanilla", "op": ">=", "value": 0},
+    {"metric": "gen_agree_frac", "where": {"method": "vanilla"}, "op": ">=", "value": 0},
+    {"metric": "gen_agree_frac", "where": ROW, "op": ">=", "value": "1"},
+    {"metric": "gen_agree_frac", "where": ROW, "op": ">="},
+    {"metric": "gen_agree_frac", "where": ROW, "op": ">=", "value": 0, "where_right": ROW},
+    {"metric": "gen_agree_frac", "where": ROW, "op": ">=", "where_right": "full"},
+    "gen_agree_frac >= 0",
+])
+def test_bench_bad_acceptance_entry_exits_1_before_running(tmp_path, capsys, monkeypatch, entry):
+    def never(*args, **kwargs):
+        raise AssertionError("the bench ran before its config was checked")
+
+    monkeypatch.setattr("kvfuse.cli.run_bench", never)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps(bench_config(acceptance=[entry])))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: acceptance")

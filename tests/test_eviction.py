@@ -165,7 +165,7 @@ def test_evict_tie_break_toward_low_offsets(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# decode_with_eviction
+# decoding on a compacted cache
 
 
 def test_noop_eviction_decode_matches_unevicted(tmp_path):
@@ -176,7 +176,7 @@ def test_noop_eviction_decode_matches_unevicted(tmp_path):
     compacted = EV.evict(patched, EV.EvictionPolicy(capacity=patched.n + 1))
     token = M.greedy_token(logits)
     a = M.decode_step(model, plain, token, patched.n)
-    b = EV.decode_with_eviction(model, compacted, token, patched.n)
+    b = M.decode_step(model, compacted, token, patched.n)
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
@@ -188,12 +188,12 @@ def test_evicted_cache_grows_append_only(tmp_path):
     compacted = EV.evict(patched, EV.EvictionPolicy(capacity=capacity))
     token = M.greedy_token(logits)
     for step in range(3):
-        logits2 = EV.decode_with_eviction(model, compacted, token, patched.n + step)
+        logits2 = M.decode_step(model, compacted, token, patched.n + step)
         token = M.greedy_token(logits2)
     assert compacted.length == capacity + 3
     assert compacted.resident_floats() == 4 * 2 * (capacity + 3) * 8 * 2
     with pytest.raises(ContractViolation):
-        EV.decode_with_eviction(model, compacted, token, patched.n)
+        M.decode_step(model, compacted, token, patched.n)
 
 
 def test_evicted_greedy_trace_frozen(tmp_path):
@@ -204,6 +204,6 @@ def test_evicted_greedy_trace_frozen(tmp_path):
     compacted = EV.evict(patched, EV.EvictionPolicy(capacity=24))
     tokens = [M.greedy_token(logits)]
     for step in range(7):
-        lg = EV.decode_with_eviction(model, compacted, tokens[-1], patched.n + step)
+        lg = M.decode_step(model, compacted, tokens[-1], patched.n + step)
         tokens.append(M.greedy_token(lg))
     assert tokens == GOLDEN_EVICTED_GREEDY
