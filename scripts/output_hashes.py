@@ -9,7 +9,8 @@ kept every result bit for bit:
 
 Covers `prefill_forward` (caches, raw keys, queries, all logits), every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
-queries, selection, scores, first logits) and greedy decoding with and
+queries, selection, scores, first logits, and the prefill, vanilla and scoring
+FLOP figures of the trace) and greedy decoding with and
 without eviction, at a small test shape and at the rag_shared shape; then
 every `run_bench` report row, timing columns left out, for a 3-seed needle
 config with two r values and eviction.
@@ -95,7 +96,8 @@ def main() -> None:
                     scores = trace.scores_doc
                     emit(f"{tag} scores", np.zeros(0) if scores is None else scores)
                     emit(f"{tag} first_logits", logits)
-                    print(f"{tag} flops_prefill {trace.flops['prefill']!r}")
+                    for kind in ("prefill", "vanilla", "scoring"):
+                        print(f"{tag} flops_{kind} {trace.flops[kind]!r}")
             for strategy in bench.ALL_STRATEGIES:
                 run = bench.run_strategy(model, segments, strategy, store, gen_len=GEN_LEN)
                 emit(f"{name} {strategy} tokens", run.tokens)

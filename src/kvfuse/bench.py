@@ -170,7 +170,6 @@ def oracle_top_p(scores_doc: np.ndarray, p: int, segments) -> RecomputeSet:
     return RecomputeSet(
         indices=_top_p(np.asarray(scores_doc), doc, p),
         scores=np.asarray(scores_doc),
-        strategy="attention_aware",
         p=p,
     )
 
@@ -315,21 +314,34 @@ class BenchConfig:
     acceptance: list[dict] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        for s in self.strategies:
-            if s not in ALL_STRATEGIES:
-                raise ConfigError(f"unknown strategy {s!r}")
-        if self.gen_len < 1 or self.repetitions < 1 or not self.seeds:
-            raise ConfigError("gen_len and repetitions must be >= 1; seeds non-empty")
-        for r in self.r_grid:
-            if not (0.0 <= r <= 1.0):
-                raise ConfigError(f"r value {r} outside [0, 1]")
+        def count(value, low: int) -> bool:
+            return _is_int(value) and value >= low
+
+        for name, ok, want in (
+            ("strategies", _list_of(self.strategies, ALL_STRATEGIES.__contains__),
+             f"a list of names from {ALL_STRATEGIES}"),
+            ("r_grid", _list_of(self.r_grid, lambda r: _is_number(r) and 0.0 <= r <= 1.0),
+             "a list of numbers in [0, 1]"),
+            ("seeds", _list_of(self.seeds, _is_int) and len(self.seeds) > 0,
+             "a non-empty list of integers"),
+            ("gen_len", count(self.gen_len, 1), "an integer >= 1"),
+            ("repetitions", count(self.repetitions, 1), "an integer >= 1"),
+            ("warmup", count(self.warmup, 0), "an integer >= 0"),
+            ("head_tail_k", count(self.head_tail_k, 0), "an integer >= 0"),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise ConfigError(f"bench config {name!r} must be {want}, got {value!r}")
         if not isinstance(self.acceptance, list):
             raise ConfigError("bench config 'acceptance' must be a list")
+        rows = _known_rows(self)
         for check in self.acceptance:
-            _check_assertion(check)
+            _check_assertion(check, rows)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("bench config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -342,6 +354,18 @@ class BenchConfig:
         if data.get("eviction") is not None:
             kwargs["eviction"] = _from_fields(EvictionPolicy, data["eviction"], "eviction")
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(value, item_ok) -> bool:
+    return isinstance(value, list) and all(item_ok(v) for v in value)
 
 
 def _from_fields(cls, data, section: str):
@@ -397,6 +421,15 @@ def _expand_rows(config: BenchConfig) -> list[tuple[str, float | None, bool]]:
     return rows
 
 
+def _known_rows(config: BenchConfig) -> list[dict]:
+    """Each report row's columns that are known before anything runs."""
+    return [
+        {"strategy": strategy, "r": _fmt(r), "evict": "true" if evicted else "false",
+         "n": config.recipe.n, "L": config.model.n_layers}
+        for strategy, r, evicted in _expand_rows(config)
+    ]
+
+
 def _seed_metrics(model: Model, config: BenchConfig, recipe: InputRecipe, row_keys) -> dict:
     """Non-timing metrics for one seed's instance; shaped for cross-seed averaging."""
     model_cfg = config.model
@@ -443,7 +476,6 @@ def _seed_metrics(model: Model, config: BenchConfig, recipe: InputRecipe, row_ke
                 "hit": hit,
                 "flops": flops_val,
                 "peak_kv": int(resident),
-                "n": n,
             }
     return out
 
@@ -474,18 +506,13 @@ def run_bench(config: BenchConfig, out_dir=None) -> BenchReport:
             )
 
     rows = []
-    for key in row_keys:
-        strategy, r, evicted = key
+    for key, known in zip(row_keys, _known_rows(config)):
         per = [m[key] for m in per_seed]
         losses = np.mean([p["losses"] for p in per], axis=0)
         hits = [p["hit"] for p in per if p["hit"] is not None]
         rows.append(
             {
-                "strategy": strategy,
-                "r": _fmt(r),
-                "evict": "true" if evicted else "false",
-                "n": per[0]["n"],
-                "L": config.model.n_layers,
+                **known,
                 "ttft_ms": _fmt(timing[key]["ttft_ms"]),
                 "tpot_ms": _fmt(timing[key]["tpot_ms"]),
                 "flops_prefill": _fmt(float(np.mean([p["flops"] for p in per]))),
@@ -528,10 +555,13 @@ def _find_row(rows: list[dict], where: dict) -> dict:
 
 # Report columns an assertion can compare as numbers.
 _ASSERTABLE = [c for c in CSV_COLUMNS if c not in ("strategy", "evict", "attn_l2_by_layer")]
+# Report columns a selector can name: those known before the bench runs.
+_SELECTABLE = ("strategy", "r", "evict", "n", "L")
 
 
-def _check_assertion(check) -> None:
-    """Shape of one acceptance entry; checked when the config loads."""
+def _check_assertion(check, rows: list[dict]) -> None:
+    """Shape of one acceptance entry, and each of its selectors picking
+    exactly one of `rows`, the report rows as known before the run."""
     if not isinstance(check, dict):
         raise ConfigError(f"acceptance entry {check!r} must be an object")
     label = f"acceptance entry {check.get('name', check.get('metric'))!r}"
@@ -545,13 +575,17 @@ def _check_assertion(check) -> None:
     if has_value == ("where_right" in check):
         raise ConfigError(f"{label}: give exactly one of 'value' or 'where_right'")
     if has_value:
-        if isinstance(check["value"], bool) or not isinstance(check["value"], (int, float)):
+        if not _is_number(check["value"]):
             raise ConfigError(f"{label}: 'value' must be a number")
     elif not isinstance(check["where_right"], dict):
         raise ConfigError(f"{label}: 'where_right' must be an object")
-    for selector in (check["where"], check.get("where_right", {})):
-        if not set(selector) <= set(CSV_COLUMNS):
-            raise ConfigError(f"{label}: selector {selector} names a column the report lacks")
+    for selector in [check["where"]] + ([] if has_value else [check["where_right"]]):
+        if not set(selector) <= set(_SELECTABLE):
+            raise ConfigError(f"{label}: selector {selector} may only name {_SELECTABLE}")
+        try:
+            _find_row(rows, selector)
+        except ConfigError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
 
 
 def _cell(rows: list[dict], where: dict, metric: str) -> float:

@@ -329,7 +329,6 @@ class FusedCache:
     segments: SegmentMap
     rope_recovered: bool
     local_rotation: bool
-    model_fingerprint: bytes
     token_ids: np.ndarray  # (n,) uint32, system + documents
 
     @property
@@ -354,7 +353,6 @@ def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
     if len(rotated) > 1:
         raise ContractViolation("cannot mix rotated and unrotated chunks")
     local_rotation = rotated.pop()
-    n_layers = len(chunks[0].layers)
     keys = np.concatenate(
         [np.stack([l.keys for l in c.layers]) for c in chunks], axis=2
     ).astype(DTYPE, copy=False)
@@ -368,14 +366,12 @@ def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
         offset += c.length
     spans.append(Span("question", offset, 0))
     token_ids = np.concatenate([c.token_ids for c in chunks]).astype(np.uint32)
-    assert keys.shape[0] == n_layers
     return FusedCache(
         keys=keys,
         values=values,
         segments=SegmentMap(spans),
         rope_recovered=False,
         local_rotation=local_rotation,
-        model_fingerprint=fp,
         token_ids=token_ids,
     )
 

@@ -22,6 +22,7 @@ import numpy as np
 from .bench import BenchConfig, evaluate_acceptance, run_bench, run_strategy
 from .chunkstore import (
     DEFAULT_CHUNK_LEN,
+    chunk_id,
     load_chunk,
     precompute_chunk,
     read_header,
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .eviction import EvictionPolicy
 from .fusion import STRATEGIES, InputSegments
-from .model import ModelConfig, build_model
+from .model import ModelConfig, _check_tokens, build_model
 
 BOS = 256
 EOS = 257
@@ -85,10 +86,7 @@ def _read_tokens(path: str, fmt: str, config: ModelConfig, *, bos: bool = False)
         raise InputError(f"{path} is not a whitespace-separated id list: {exc}") from exc
     if not ids:
         raise InputError(f"{path} holds no token ids")
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= config.vocab_size:
-        raise InputError("token id out of vocabulary")
-    return arr
+    return _check_tokens(config, ids)
 
 
 def cmd_precompute(args) -> int:
@@ -115,20 +113,21 @@ def cmd_precompute(args) -> int:
         raise ConfigError("need a system chunk plus at least one document chunk")
     os.makedirs(args.store, exist_ok=True)
     entries = []
+    fp = config.fingerprint()
     for part in parts:
-        chunk = precompute_chunk(part, model)
-        hexid = chunk.chunk_id.hex()
+        # Only a missing or corrupt file costs a forward.
+        cid = chunk_id(part, fp)
+        hexid = cid.hex()
         path = os.path.join(args.store, hexid)
-        if not os.path.exists(path):
-            store_chunk(chunk, args.store)
-            status = "stored"
-        else:
-            status = "cached"
+        status = "stored"
+        if os.path.exists(path):
             try:
-                verify_chunk_file(path, expect_id=chunk.chunk_id)
+                verify_chunk_file(path, expect_id=cid)
+                status = "cached"
             except IntegrityError:
-                store_chunk(chunk, args.store)
                 status = "repaired"
+        if status != "cached":
+            store_chunk(precompute_chunk(part, model), args.store)
         entries.append({"id": hexid, "length": int(len(part))})
         print(f"{status} {hexid} ({len(part)} tokens)")
     manifest = {

@@ -57,21 +57,21 @@ class CompactedCache(DecodeCache):
         }
 
 
-def snap_scores(cache: PatchedCache, window: np.ndarray | None = None, kernel: int = DEFAULT_KERNEL) -> np.ndarray:
+def snap_scores(cache: PatchedCache, kernel: int = DEFAULT_KERNEL) -> np.ndarray:
     """Pooled question-window attention per layer, head, and position.
 
-    Weights of the window queries over all causally visible positions are
-    summed over the window rows and max-pooled (width `kernel`, stride 1,
-    edges clamped). Returns (n_layers, n_heads, n) float64 over all offsets;
-    the caller decides which offsets compete.
+    The window is the question rows: weights of their true queries over all
+    causally visible positions are summed over the window rows and
+    max-pooled (width `kernel`, stride 1, edges clamped). Returns
+    (n_layers, n_heads, n) float64 over all offsets; the caller decides
+    which offsets compete.
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ConfigError(f"pool kernel must be odd and >= 1, got {kernel}")
     if not cache.rope_recovered:
         raise ContractViolation("eviction scoring needs a position-recovered cache")
     q_span = cache.segments.question_span
-    if window is None:
-        window = cache.question_queries
+    window = cache.question_queries
     if window.shape[2] == 0 or q_span.length == 0:
         raise InputError("observation window (question span) is empty")
     if window.shape[2] != q_span.length:

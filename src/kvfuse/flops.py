@@ -7,6 +7,10 @@ causal average (n+1)/2 for every charged row, which makes a full layer cost
 exactly the triangular sum and lets the selective form reduce to the vanilla
 form in the all-rows limit.
 
+`prefill_flops` is the one prefill cost. A fused-prefill trace charges it
+for the rows actually carried, so a budget that clamps to the document
+length pays for the rows that ran; `fused_flops` is the unclamped budget.
+
 Selection scoring cost is small and reported separately, mirroring how
 timing isolates it; it is not part of the prefill figure.
 """
@@ -26,29 +30,26 @@ def full_layer_flops(config: ModelConfig, n: int) -> float:
     return n * row_flops(config, n)
 
 
+def prefill_flops(config: ModelConfig, n: int, rows: int, first: int) -> float:
+    """Layers below `first` over all n rows, the rest over min(rows, n) rows.
+
+    Vanilla is first = n_layers; the selective pipeline carries its selected
+    rows plus the question from 2, and `full` the question alone from 0.
+    """
+    carried = (config.n_layers - first) * min(rows, n)
+    return first * full_layer_flops(config, n) + carried * row_flops(config, n)
+
+
 def vanilla_flops(config: ModelConfig, n: int) -> float:
-    return config.n_layers * full_layer_flops(config, n)
+    return prefill_flops(config, n, n, config.n_layers)
 
 
 def fused_flops(config: ModelConfig, n: int, r: float, q_len: int) -> float:
-    """Selective pipeline: layers 0 and 1 over all rows, then p + |Q| rows.
+    """Budget model of the selective pipeline: p = round(r * n) unclamped.
 
-    p = round(r * n) enters unclamped and the row count saturates at n, so
-    r = 1 returns exactly the vanilla form. Actual selected-row counts (the
-    clamp to document length) live in the trace, not here.
+    The row count saturates at n, so r = 1 returns exactly the vanilla form.
     """
-    return fused_flops_rows(config, n, round(r * n) + q_len)
-
-
-def fused_flops_rows(config: ModelConfig, n: int, rows: int) -> float:
-    """Same form with an explicit patched-row count (head/tail selection)."""
-    rows = min(rows, n)
-    return 2.0 * full_layer_flops(config, n) + (config.n_layers - 2) * rows * row_flops(config, n)
-
-
-def question_only_flops(config: ModelConfig, n: int, q_len: int) -> float:
-    """Plain concatenation: only the question propagates, at every layer."""
-    return config.n_layers * q_len * row_flops(config, n)
+    return prefill_flops(config, n, round(r * n) + q_len, 2)
 
 
 def scoring_flops(config: ModelConfig, n: int, q_len: int, n_doc: int, strategy: str) -> float:

@@ -1,16 +1,17 @@
 """Selective recomputation over a fused chunk cache, plus the reuse baselines.
 
-All strategies except `full` share one pipeline: load chunks, concatenate,
-recover global positions, run layers 0 and 1 fully (layer 0 is exact by
+Every strategy ends in one shared tail: `_patch_layers`, one loop over the
+model's block, carries a row set through the deeper layers, rewriting
+those rows' keys and values while the other rows keep the stored chunk
+entries bitwise; then one `PatchedCache`, one final-logits call and one
+`FusionTrace`. Only the setup differs. The selective strategies recover
+global positions, run layers 0 and 1 over every row (layer 0 is exact by
 construction, layer 1 provides the true queries/keys/values the selection
-criteria need), then propagate only the selected rows and the question
-through the remaining layers, patching their cache entries as they go.
-
-That propagation is `_patch_layers`, one loop over the model's block that
-carries a row set through layers first..L-1 while the other rows keep the
-stored chunk entries bitwise. The selective pipeline calls it from layer 2
-with the selected rows plus the question; `full` calls it from layer 0 with
-the question rows alone.
+criteria need), select, and carry the selected rows plus the question
+from layer 2. `full` rotates each chunk locally and carries the question
+alone from layer 0. The trace charges `flops.prefill_flops` for the rows
+it carried, so a budget that clamps is charged for the rows that ran;
+`flops.fused_flops` models the unclamped budget.
 
 Strategies:
   attention_aware  top-p document tokens by summed question attention
@@ -23,7 +24,6 @@ Strategies:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -44,6 +44,7 @@ from .model import (
     DecodeCache,
     Model,
     _F64,
+    _check_tokens,
     attention,
     attention_weights,
     block_out,
@@ -78,10 +79,7 @@ class InputSegments:
     question: np.ndarray
 
     def all_ids(self) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(self.system)] + [np.asarray(d) for d in self.documents]
-            + [np.asarray(self.question)]
-        ).astype(np.int64)
+        return np.concatenate(self.context_chunks() + [np.asarray(self.question)]).astype(np.int64)
 
     def context_chunks(self) -> list[np.ndarray]:
         return [np.asarray(self.system)] + [np.asarray(d) for d in self.documents]
@@ -95,7 +93,6 @@ class InputSegments:
 class RecomputeSet:
     indices: np.ndarray  # sorted global offsets, subset of document spans
     scores: np.ndarray | None  # per document token, aligned with document_offsets()
-    strategy: str
     p: int
     clamped: bool = False
 
@@ -108,26 +105,24 @@ class RecomputeSet:
 
 @dataclass
 class PatchedCache:
-    """Fused cache after the pipeline ran: layers 0-1 true, layers >= 2
-    patched at the selected rows and the question; question rows appended
-    at every layer."""
+    """Fused cache after the pipeline ran: stored chunk entries patched at the
+    carried rows (selective: layers 0-1 true everywhere, layers >= 2 at Re
+    and the question; `full`: the question rows at every layer)."""
 
     keys: np.ndarray  # (L, H, n, hd) float32
     values: np.ndarray  # (L, H, n, hd) float32
     segments: SegmentMap
     recompute: RecomputeSet
-    patched_offsets: np.ndarray  # rows rewritten at layers >= 2 (Re plus question)
+    patched_offsets: np.ndarray  # carried rows (Re plus question)
     question_queries: np.ndarray  # (L, H, |Q|, hd) float32, rotated true queries
-    rope_recovered: bool
-    local_rotation: bool
-    token_ids: np.ndarray  # (n,) int64
+    rope_recovered: bool  # False only for `full`, whose chunks keep local rotation
 
     @property
     def n(self) -> int:
         return int(self.keys.shape[2])
 
     def to_decode_cache(self) -> DecodeCache:
-        return DecodeCache.from_arrays(self.keys, self.values)
+        return DecodeCache(self.keys.copy(), self.values.copy(), self.n)
 
 
 @dataclass
@@ -161,9 +156,6 @@ class FusionTrace:
         if self.eviction is not None:
             out["eviction"] = self.eviction
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +206,7 @@ def select_recompute(scores: np.ndarray, r: float, n: int, segment_map: SegmentM
     if scores.shape != doc.shape:
         raise ShapeError(f"scores cover {scores.shape[0]} tokens, documents have {doc.shape[0]}")
     p, clamped = _budget(r, n, doc.shape[0])
-    return RecomputeSet(
-        indices=_top_p(scores, doc, p), scores=scores, strategy="attention_aware",
-        p=p, clamped=clamped,
-    )
+    return RecomputeSet(indices=_top_p(scores, doc, p), scores=scores, p=p, clamped=clamped)
 
 
 def select_kv_diff(
@@ -238,8 +227,7 @@ def select_kv_diff(
     deviation = np.sqrt(np.sum(np.square(a - b), axis=(0, 2)))  # (n_doc,)
     p, clamped = _budget(r, n, doc.shape[0])
     return RecomputeSet(
-        indices=_top_p(deviation, doc, p), scores=deviation, strategy="kv_diff",
-        p=p, clamped=clamped,
+        indices=_top_p(deviation, doc, p), scores=deviation, p=p, clamped=clamped
     )
 
 
@@ -253,9 +241,7 @@ def select_head_tail(segment_map: SegmentMap, k: int) -> RecomputeSet:
                            np.arange(max(span.length - k, 0), span.length))
         picked.append(local + span.start)
     indices = np.unique(np.concatenate(picked)) if picked else np.zeros(0, dtype=np.int64)
-    return RecomputeSet(
-        indices=indices.astype(np.int64), scores=None, strategy="head_tail", p=int(indices.size)
-    )
+    return RecomputeSet(indices=indices.astype(np.int64), scores=None, p=int(indices.size))
 
 
 def hit_rate(selected: RecomputeSet, oracle_topk: RecomputeSet) -> float:
@@ -274,17 +260,6 @@ def hit_rate(selected: RecomputeSet, oracle_topk: RecomputeSet) -> float:
 # Fused prefill
 
 
-def _load_context(model: Model, segments: InputSegments, store_dir, rotate_local: bool):
-    fp = model.config.fingerprint()
-    chunks = []
-    for part in segments.context_chunks():
-        chunk = load_chunk(chunk_id(part, fp), store_dir)
-        if rotate_local:
-            chunk = rotate_chunk_local(chunk, model.config)
-        chunks.append(chunk)
-    return chunks
-
-
 def fused_prefill(
     model: Model, segments: InputSegments, plan: FusionPlan, store_dir
 ) -> tuple[PatchedCache, np.ndarray, FusionTrace]:
@@ -297,64 +272,69 @@ def fused_prefill(
     cfg = model.config
     if cfg.n_layers < 2:
         raise ConfigError("the selective pipeline needs at least 2 layers")
-    q_ids = np.asarray(segments.question, dtype=np.int64)
-    if q_ids.size == 0:
-        raise InputError("question must be non-empty")
-    if q_ids.min() < 0 or q_ids.max() >= cfg.vocab_size:
-        raise InputError("question token out of vocabulary")
+    q_ids = _check_tokens(cfg, segments.question)
+    full = plan.strategy == "full"
 
     durations: dict[str, float] = {}
     t0 = time.perf_counter()
-    chunks = _load_context(model, segments, store_dir, rotate_local=(plan.strategy == "full"))
+    fp = cfg.fingerprint()
+    chunks = [load_chunk(chunk_id(part, fp), store_dir) for part in segments.context_chunks()]
+    if full:
+        chunks = [rotate_chunk_local(chunk, cfg) for chunk in chunks]
     durations["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     fused = concat_chunks(chunks)
     durations["concat"] = time.perf_counter() - t0
 
-    if plan.strategy == "full":
-        patched, logits = _question_only_prefill(model, fused, q_ids, durations)
-        rset = patched.recompute
-        scores_doc = None
+    n_ctx, q_len = fused.n, int(q_ids.size)
+    n = n_ctx + q_len
+    segmap = fused.segments.with_question_length(q_len)
+    keys = np.empty((cfg.n_layers, cfg.n_heads, n, cfg.head_dim), dtype=DTYPE)
+    values = np.empty_like(keys)
+    question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
+    question_rows = np.arange(n_ctx, n, dtype=np.int64)
+
+    if full:
+        # Only the question is carried, from layer 0; the chunk rows all
+        # precede it, so causality follows from the row offsets.
+        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), scores=None, p=0)
+        scores_doc, layer1 = None, None
+        x, first = np.asarray(model.weights.embedding[q_ids], dtype=_F64), 0
     else:
         t0 = time.perf_counter()
         recover_positions(fused, cfg)
         durations["recover"] = time.perf_counter() - t0
-        patched, logits, rset, scores_doc = _selective_prefill(
-            model, fused, q_ids, plan, durations
+        x, layer1, rset, scores_doc = _layers01_and_select(
+            model, fused, q_ids, plan, segmap, keys, values, question_queries, durations
         )
+        first = 2
+    rows = np.concatenate([rset.indices, question_rows])  # Re plus the question
 
-    n, n_ctx, q_len = patched.n, patched.n - q_ids.size, int(q_ids.size)
-    if plan.strategy == "full":
-        prefill_cost = F.question_only_flops(cfg, n, q_len)
-    elif plan.strategy == "head_tail":
-        prefill_cost = F.fused_flops_rows(cfg, n, rset.p + q_len)
-    else:
-        prefill_cost = F.fused_flops(cfg, n, plan.r if plan.strategy != "none" else 0.0, q_len)
+    t0 = time.perf_counter()
+    if layer1 is not None:
+        # Layer 1 finishes for the carried rows only.
+        q1, k1, v1 = layer1
+        pos = np.arange(n, dtype=np.int64)
+        x = block_out(model, 1, x[rows], attention(q1[:, rows], k1, v1, rows, pos))
+    x = _patch_layers(model, fused, x, rows, first, keys, values, question_queries)
+    durations["patch"] = time.perf_counter() - t0
+
+    patched = PatchedCache(
+        keys=keys, values=values, segments=segmap, recompute=rset, patched_offsets=rows,
+        question_queries=question_queries, rope_recovered=not full,
+    )
     trace = FusionTrace(
-        strategy=plan.strategy,
-        r=plan.r,
-        p=rset.p,
-        n=n,
-        n_ctx=n_ctx,
-        q_len=q_len,
-        selected=[int(i) for i in rset.indices],
-        clamped=rset.clamped,
-        durations=durations,
+        strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
+        selected=[int(i) for i in rset.indices], clamped=rset.clamped, durations=durations,
         flops={
-            "prefill": prefill_cost,
+            "prefill": F.prefill_flops(cfg, n, rows.size, first),
             "vanilla": F.vanilla_flops(cfg, n),
             "scoring": F.scoring_flops(cfg, n, q_len, n_ctx - len(segments.system), plan.strategy),
         },
         scores_doc=scores_doc,
     )
-    return patched, logits, trace
-
-
-def _output_arrays(cfg, n: int, q_len: int):
-    keys = np.empty((cfg.n_layers, cfg.n_heads, n, cfg.head_dim), dtype=DTYPE)
-    question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
-    return keys, np.empty_like(keys), question_queries
+    return patched, final_logits(model, x[-1:])[0], trace
 
 
 def _patch_layers(model, fused, x, rows, first, keys, values, question_queries):
@@ -382,18 +362,18 @@ def _patch_layers(model, fused, x, rows, first, keys, values, question_queries):
     return x
 
 
-def _selective_prefill(model, fused, q_ids, plan, durations):
+def _layers01_and_select(model, fused, q_ids, plan, segmap, keys, values, question_queries,
+                         durations):
+    """Layers 0 and 1 over every row (their true entries written into the
+    output arrays), then the selection from layer-1 data. Returns the rows'
+    hidden states after layer 0, layer 1's (q, k, v), the recompute set and
+    the per-document scores."""
     n_ctx = fused.n
-    q_len = q_ids.size
-    n = n_ctx + q_len
-    segmap = fused.segments.with_question_length(q_len)
-    doc_offsets = segmap.document_offsets()
+    n = n_ctx + q_ids.size
     all_ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
     pos = np.arange(n, dtype=np.int64)
 
     t0 = time.perf_counter()
-    keys, values, question_queries = _output_arrays(model.config, n, q_len)
-
     # Layer 0, all rows. Queries are fresh; keys/values for the context come
     # from the recovered cache (exact at this layer), question rows fresh.
     x = np.asarray(model.weights.embedding[all_ids], dtype=_F64)
@@ -418,61 +398,13 @@ def _selective_prefill(model, fused, q_ids, plan, durations):
     if plan.strategy == "attention_aware":
         rset = select_recompute(scores_doc, plan.r, n, segmap)
     elif plan.strategy == "kv_diff":
+        doc_offsets = segmap.document_offsets()
         rset = select_kv_diff(
             fused.values[1][:, doc_offsets], values[1][:, doc_offsets], plan.r, n, segmap
         )
     elif plan.strategy == "head_tail":
         rset = select_head_tail(segmap, plan.head_tail_k)
     else:  # none
-        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), scores=None, strategy="none", p=0)
+        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), scores=None, p=0)
     durations["select"] = time.perf_counter() - t0
-
-    # Rows carried through the rest of the network: Re plus the question.
-    # Layer 1 finishes for them only, then layers >= 2 patch them in.
-    t0 = time.perf_counter()
-    rows = np.concatenate([rset.indices, np.arange(n_ctx, n, dtype=np.int64)])
-    x = block_out(model, 1, x[rows], attention(q1[:, rows], k1, v1, rows, pos))
-    x = _patch_layers(model, fused, x, rows, 2, keys, values, question_queries)
-    durations["patch"] = time.perf_counter() - t0
-
-    patched = PatchedCache(
-        keys=keys,
-        values=values,
-        segments=segmap,
-        recompute=rset,
-        patched_offsets=rows.copy(),
-        question_queries=question_queries,
-        rope_recovered=True,
-        local_rotation=False,
-        token_ids=all_ids,
-    )
-    return patched, final_logits(model, x[-1:])[0], rset, scores_doc
-
-
-def _question_only_prefill(model, fused, q_ids, durations):
-    """Plain concatenation: chunk caches keep their local rotation; only the
-    question is computed, at its correct global positions."""
-    n_ctx = fused.n
-    q_len = q_ids.size
-    rows = np.arange(n_ctx, n_ctx + q_len, dtype=np.int64)
-
-    t0 = time.perf_counter()
-    keys, values, question_queries = _output_arrays(model.config, n_ctx + q_len, q_len)
-    x = np.asarray(model.weights.embedding[q_ids], dtype=_F64)
-    # Causality by row offset: the chunk rows all precede the question.
-    x = _patch_layers(model, fused, x, rows, 0, keys, values, question_queries)
-    durations["question"] = time.perf_counter() - t0
-
-    rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), scores=None, strategy="full", p=0)
-    patched = PatchedCache(
-        keys=keys,
-        values=values,
-        segments=fused.segments.with_question_length(q_len),
-        recompute=rset,
-        patched_offsets=rows.copy(),
-        question_queries=question_queries,
-        rope_recovered=False,
-        local_rotation=True,
-        token_ids=np.concatenate([fused.token_ids.astype(np.int64), q_ids]),
-    )
-    return patched, final_logits(model, x[-1:])[0]
+    return x, (q1, k1, v1), rset, scores_doc

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import hashlib
-import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -109,7 +108,6 @@ class ModelConfig:
 
 @dataclass
 class LayerWeights:
-    # Field order is the tensor order of a layer in the weight file.
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
@@ -219,7 +217,6 @@ def attention(
     q_positions: np.ndarray,
     k_positions: np.ndarray,
     *,
-    scale: float | None = None,
     block: int = 512,
 ) -> np.ndarray:
     """Causal scaled dot-product attention.
@@ -239,13 +236,11 @@ def attention(
         raise ShapeError("keys/values misaligned with queries")
     qpos = np.asarray(q_positions, dtype=np.int64)
     kpos = np.asarray(k_positions, dtype=np.int64)
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[2])
     n_q = q.shape[1]
     out = np.empty_like(q)
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
-        weights = attention_weights(q[:, start:stop], k, qpos[start:stop], kpos, scale=scale)
+        weights = attention_weights(q[:, start:stop], k, qpos[start:stop], kpos)
         out[:, start:stop] = weights @ v
     return out
 
@@ -255,8 +250,6 @@ def attention_weights(
     keys: np.ndarray,
     q_positions: np.ndarray,
     k_positions: np.ndarray,
-    *,
-    scale: float | None = None,
 ) -> np.ndarray:
     """Causal softmax weight matrices (n_heads, rows, keys), float64.
 
@@ -268,9 +261,7 @@ def attention_weights(
     k = np.asarray(keys, dtype=_F64)
     if q.shape[0] != k.shape[0]:
         raise ShapeError(f"head counts differ: {q.shape[0]} vs {k.shape[0]}")
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[2])
-    scores = np.matmul(q, k.transpose(0, 2, 1)) * scale
+    scores = np.matmul(q, k.transpose(0, 2, 1)) * (1.0 / np.sqrt(q.shape[2]))
     hidden = np.asarray(k_positions)[None, :] > np.asarray(q_positions)[:, None]
     if hidden.all(axis=1).any():
         raise ContractViolation("a query row has no visible key")
@@ -449,11 +440,6 @@ class DecodeCache:
         values = np.stack([c.values for c in caches]).copy()
         return cls(keys, values, n)
 
-    @classmethod
-    def from_arrays(cls, keys: np.ndarray, values: np.ndarray) -> "DecodeCache":
-        # keys/values: (L, H, n, hd) float32, already rotated.
-        return cls(keys.copy(), values.copy(), keys.shape[2])
-
     @property
     def length(self) -> int:
         return self._count
@@ -529,46 +515,3 @@ def decode_step(model: Model, cache: DecodeCache, last_token: int, position: int
 def greedy_token(logits: np.ndarray) -> int:
     # argmax with ties to the lowest id, deterministic.
     return int(np.argmax(logits))
-
-
-# ---------------------------------------------------------------------------
-# Weight export/import (golden tests only)
-
-def _iter_tensors(weights: ModelWeights):
-    yield weights.embedding
-    for lw in weights.layers:
-        yield from (getattr(lw, f.name) for f in fields(lw))
-    yield weights.final_gain
-    yield weights.unembed
-
-
-def save_model(model: Model, path) -> None:
-    """Write length-prefixed config JSON followed by tensors in a fixed order."""
-    blob = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for tensor in _iter_tensors(model.weights):
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-
-
-def load_model(path) -> Model:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4:
-        raise InputError("weight file truncated")
-    (blob_len,) = struct.unpack_from("<I", raw, 0)
-    config = ModelConfig.from_json(raw[4 : 4 + blob_len].decode("utf-8"))
-    weights = init_model(config)  # correct shapes; contents overwritten below
-    offset = 4 + blob_len
-    for tensor in _iter_tensors(weights):
-        nbytes = tensor.size * 4
-        if offset + nbytes > len(raw):
-            raise InputError("weight file truncated")
-        tensor[...] = np.frombuffer(raw, dtype="<f4", count=tensor.size, offset=offset).reshape(
-            tensor.shape
-        )
-        offset += nbytes
-    if offset != len(raw):
-        raise InputError("weight file has trailing bytes")
-    return Model(config=config, weights=weights)

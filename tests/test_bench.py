@@ -17,7 +17,7 @@ from kvfuse.bench import (
 )
 from kvfuse.errors import ConfigError, InputError
 from kvfuse.eviction import EvictionPolicy
-from kvfuse.flops import fused_flops, fused_flops_rows, row_flops, vanilla_flops
+from kvfuse.flops import fused_flops, prefill_flops, row_flops, vanilla_flops
 from kvfuse.fusion import (
     STRATEGIES,
     FusionPlan,
@@ -90,7 +90,7 @@ def test_trace_prefill_flops_dispatch(tmp_path):
             "kv_diff": fused_flops(cfg, n, 0.3, q),
             "none": fused_flops(cfg, n, 0.0, q),
             "full": cfg.n_layers * q * row_flops(cfg, n),
-            "head_tail": fused_flops_rows(cfg, n, 2 * (4 + 4) + q),  # 2 docs, first/last 4
+            "head_tail": prefill_flops(cfg, n, 2 * (4 + 4) + q, 2),  # 2 docs, first/last 4
         }[strategy]
         assert trace.flops["prefill"] == expect, strategy
         assert trace.flops["vanilla"] == vanilla_flops(cfg, n)
@@ -145,8 +145,6 @@ def test_attention_loss_zero_against_self(tmp_path):
         patched_offsets=np.zeros(0, dtype=np.int64),
         question_queries=run.patched.question_queries,
         rope_recovered=True,
-        local_rotation=False,
-        token_ids=segments.all_ids(),
     )
     for layer in range(cfg.n_layers):
         assert attention_l2_loss(sandwich, oracle, layer) == 0.0
@@ -314,6 +312,14 @@ def test_bench_config_validation():
         quick_bench_config(bogus_key=1)
     with pytest.raises(ConfigError):
         quick_bench_config(throughput_batches=[1, 2])
+    for key, value in (("gen_len", "8"), ("r_grid", 0.1), ("r_grid", ["0.1"]), ("seeds", 3),
+                       ("seeds", []), ("seeds", [0.5]), ("repetitions", 1.5),
+                       ("strategies", "vanilla"), ("warmup", -1), ("warmup", True),
+                       ("head_tail_k", "x"), ("gen_len", 0)):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            quick_bench_config(**{key: value})
+    with pytest.raises(ConfigError):
+        BenchConfig.from_dict(["model", "recipe"])
     with pytest.raises(ConfigError):
         BenchConfig.from_dict({"recipe": {"n_doc_chunks": 1, "chunk_len": 8,
                                            "system_len": 4, "question_len": 2}})

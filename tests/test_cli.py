@@ -39,10 +39,16 @@ def test_tokenizer_round_trip():
         encode_bytes(b"hi", small)
 
 
-def test_precompute_is_idempotent(tmp_path, capsys):
+def never(*args, **kwargs):
+    raise AssertionError("called where nothing should run")
+
+
+def test_precompute_is_idempotent(tmp_path, capsys, monkeypatch):
     manifest = setup_store(tmp_path)
     first = json.loads(manifest.read_text())
     capsys.readouterr()
+    # Every chunk is stored and verifies, so the second run runs no forward.
+    monkeypatch.setattr("kvfuse.cli.precompute_chunk", never)
     assert main(precompute_argv(tmp_path, manifest)) == 0
     out = capsys.readouterr().out
     assert "cached" in out and "stored" not in out
@@ -282,6 +288,19 @@ def test_unreadable_paths_exit_1(tmp_path):
         assert main(argv) == 1, (flag, bad)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("gen_len", "8"), ("r_grid", 0.1), ("seeds", 3), ("repetitions", 1.5),
+    ("strategies", "vanilla"), ("warmup", -1), ("head_tail_k", "x"),
+])
+def test_bench_ill_typed_config_exits_1(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setattr("kvfuse.cli.run_bench", never)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({**bench_config(), key: value}))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bench config {key!r}") and "Traceback" not in err
+
+
 ROW = {"strategy": "vanilla"}
 
 
@@ -296,13 +315,16 @@ ROW = {"strategy": "vanilla"}
     {"metric": "gen_agree_frac", "where": ROW, "op": ">=", "value": 0, "where_right": ROW},
     {"metric": "gen_agree_frac", "where": ROW, "op": ">=", "where_right": "full"},
     "gen_agree_frac >= 0",
+    # Selectors are matched against the rows known before the run.
+    {"metric": "gen_agree_frac", "where": {"strategy": "attention_aware"}, "op": ">=",
+     "value": 0},  # the plain and the evicted row
+    {"metric": "gen_agree_frac", "where": {"strategy": "ghost"}, "op": ">=", "value": 0},
+    {"metric": "gen_agree_frac", "where": ROW, "op": ">=", "where_right": {"strategy": "ghost"}},
+    {"metric": "gen_agree_frac", "where": {"ttft_ms": "1"}, "op": ">=", "value": 0},
 ])
 def test_bench_bad_acceptance_entry_exits_1_before_running(tmp_path, capsys, monkeypatch, entry):
-    def never(*args, **kwargs):
-        raise AssertionError("the bench ran before its config was checked")
-
     monkeypatch.setattr("kvfuse.cli.run_bench", never)
     cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps(bench_config(acceptance=[entry])))
+    cfg.write_text(json.dumps({**bench_config(acceptance=[entry]), "eviction": {"capacity": 30}}))
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: acceptance")

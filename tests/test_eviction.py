@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter1d
@@ -98,9 +100,9 @@ def test_snap_scores_rejects_empty_window(tmp_path):
     model = make_model()
     rng = np.random.default_rng(3)
     _, patched, _, _ = patched_instance(model, tmp_path, rng)
-    empty = patched.question_queries[:, :, :0]
+    empty = dataclasses.replace(patched, question_queries=patched.question_queries[:, :, :0])
     with pytest.raises(InputError):
-        EV.snap_scores(patched, window=empty)
+        EV.snap_scores(empty)
 
 
 # ---------------------------------------------------------------------------

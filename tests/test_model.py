@@ -303,33 +303,3 @@ def test_decode_cache_grows_by_one():
 def test_greedy_token_shift_invariant():
     logits = np.array([0.3, -0.1, 0.9, 0.2], dtype=np.float32)
     assert M.greedy_token(logits) == M.greedy_token(logits + 5.0)
-
-
-# ---------------------------------------------------------------------------
-# Weight export/import
-
-
-def test_weight_file_round_trip(tmp_path):
-    cfg = small_config()
-    model = M.build_model(cfg)
-    path = tmp_path / "weights.bin"
-    M.save_model(model, path)
-    loaded = M.load_model(path)
-    assert loaded.config == cfg
-    assert np.array_equal(loaded.weights.embedding, model.weights.embedding)
-    rng = np.random.default_rng(14)
-    ids = rng.integers(0, cfg.vocab_size, size=9)
-    a = M.prefill_forward(model, ids)
-    b = M.prefill_forward(loaded, ids)
-    assert np.array_equal(a.logits, b.logits)
-
-
-def test_weight_file_truncation_detected(tmp_path):
-    cfg = small_config()
-    model = M.build_model(cfg)
-    path = tmp_path / "weights.bin"
-    M.save_model(model, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(InputError):
-        M.load_model(path)
