@@ -39,6 +39,8 @@ from .model import (
     Model,
     ModelConfig,
     PrefillResult,
+    _is_int,
+    _is_number,
     attention_weights,
     build_model,
     decode_step,
@@ -80,9 +82,12 @@ class InputRecipe:
     needle_len: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("n_doc_chunks", "chunk_len", "system_len", "question_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for name in ("n_doc_chunks", "chunk_len", "system_len", "question_len", "needle_len"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (_is_int(self.data_seed) and 0 <= self.data_seed < 2**64):
+            raise ConfigError(f"data_seed must be an integer in [0, 2**64), got {self.data_seed!r}")
         if self.kind not in ("uniform", "needle"):
             raise ConfigError(f"unknown input kind {self.kind!r}")
 
@@ -332,11 +337,19 @@ class BenchConfig:
             if not ok:
                 value = getattr(self, name)
                 raise ConfigError(f"bench config {name!r} must be {want}, got {value!r}")
+        try:
+            self.seed_recipes()
+        except ConfigError as exc:
+            raise ConfigError(f"bench config 'seeds': recipe data_seed + seed: {exc}") from exc
         if not isinstance(self.acceptance, list):
             raise ConfigError("bench config 'acceptance' must be a list")
         rows = _known_rows(self)
         for check in self.acceptance:
             _check_assertion(check, rows)
+
+    def seed_recipes(self) -> list[InputRecipe]:
+        """One recipe per seed s, its data_seed shifted by s."""
+        return [replace(self.recipe, data_seed=self.recipe.data_seed + s) for s in self.seeds]
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchConfig":
@@ -349,19 +362,11 @@ class BenchConfig:
         if "model" not in data or "recipe" not in data:
             raise ConfigError("bench config requires 'model' and 'recipe'")
         kwargs = dict(data)
-        kwargs["model"] = ModelConfig.from_dict(data["model"])
+        kwargs["model"] = _from_fields(ModelConfig, data["model"], "model")
         kwargs["recipe"] = _from_fields(InputRecipe, data["recipe"], "recipe")
         if data.get("eviction") is not None:
             kwargs["eviction"] = _from_fields(EvictionPolicy, data["eviction"], "eviction")
         return cls(**kwargs)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _list_of(value, item_ok) -> bool:
@@ -374,7 +379,7 @@ def _from_fields(cls, data, section: str):
         raise ConfigError(f"bench config {section!r} must be an object")
     try:
         return cls(**data)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bench config {section!r}: {exc}") from exc
 
 
@@ -484,9 +489,7 @@ def run_bench(config: BenchConfig, out_dir=None) -> BenchReport:
     """One report row per (strategy, r, eviction); CSV/JSON written if out_dir."""
     model = build_model(config.model)
     row_keys = _expand_rows(config)
-    recipes = [
-        replace(config.recipe, data_seed=config.recipe.data_seed + s) for s in config.seeds
-    ]
+    recipes = config.seed_recipes()
     per_seed = [_seed_metrics(model, config, recipe, row_keys) for recipe in recipes]
 
     # Timing on the first seed's instance, all repetitions, sequential.

@@ -16,7 +16,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .errors import ConfigError, ContractViolation, InputError
 from .fusion import PatchedCache
-from .model import DecodeCache, attention_weights
+from .model import DecodeCache, _is_int, attention_weights
 
 DEFAULT_KERNEL = 7
 
@@ -27,6 +27,10 @@ class EvictionPolicy:
     kernel: int = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
+        for name in ("capacity", "kernel"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
         if self.kernel < 1 or self.kernel % 2 == 0:

@@ -39,6 +39,16 @@ _LAYER_BASE = 2
 _STREAMS_PER_LAYER = 6
 
 
+# A bool is an int to isinstance, but never a valid count, seed or number
+# in a config.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Dimensions and seed of the toy model.
@@ -59,10 +69,12 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.d_model == 0:
             object.__setattr__(self, "d_model", self.n_heads * self.head_dim)
+        if not _is_number(self.rope_base):
+            raise ConfigError(f"rope_base must be a number, got {self.rope_base!r}")
         object.__setattr__(self, "rope_base", float(self.rope_base))
         for name in ("n_layers", "n_heads", "head_dim", "d_ff", "vocab_size", "d_model"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim must be even for rotary pairs, got {self.head_dim}")
@@ -72,7 +84,7 @@ class ModelConfig:
             )
         if not (self.rope_base > 1.0):
             raise ConfigError(f"rope_base must be > 1, got {self.rope_base}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     @classmethod
@@ -210,20 +222,25 @@ def rope_rotate(vectors: np.ndarray, positions, config: ModelConfig) -> np.ndarr
 # Attention
 
 
+# Query rows per attention tile.
+_TILE_ROWS = 128
+
+
 def attention(
     queries: np.ndarray,
     keys: np.ndarray,
     values: np.ndarray,
     q_positions: np.ndarray,
     k_positions: np.ndarray,
-    *,
-    block: int = 512,
 ) -> np.ndarray:
     """Causal scaled dot-product attention.
 
     Shapes (n_heads, rows, head_dim); the causal mask admits key position
-    <= query position. Query rows are processed in blocks so the score
-    matrix never materializes at full n x n. Returns float64.
+    <= query position. Query rows are processed in tiles of 128, so the
+    score matrix never materializes at full n x n. A tile scores only the
+    keys up to the last one some row of it can see, since every later key
+    is hidden from all its rows (the block skipping of FlashAttention).
+    Returns float64.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys, dtype=_F64)
@@ -236,12 +253,13 @@ def attention(
         raise ShapeError("keys/values misaligned with queries")
     qpos = np.asarray(q_positions, dtype=np.int64)
     kpos = np.asarray(k_positions, dtype=np.int64)
-    n_q = q.shape[1]
     out = np.empty_like(q)
-    for start in range(0, n_q, block):
-        stop = min(start + block, n_q)
-        weights = attention_weights(q[:, start:stop], k, qpos[start:stop], kpos)
-        out[:, start:stop] = weights @ v
+    for start in range(0, q.shape[1], _TILE_ROWS):
+        tile = slice(start, start + _TILE_ROWS)
+        seen = np.flatnonzero(kpos <= qpos[tile].max())
+        cut = int(seen[-1]) + 1 if seen.size else 0
+        weights = _causal_softmax(q[:, tile], k[:, :cut], qpos[tile], kpos[:cut])
+        out[:, tile] = weights @ v[:, :cut]
     return out
 
 
@@ -261,15 +279,26 @@ def attention_weights(
     k = np.asarray(keys, dtype=_F64)
     if q.shape[0] != k.shape[0]:
         raise ShapeError(f"head counts differ: {q.shape[0]} vs {k.shape[0]}")
-    scores = np.matmul(q, k.transpose(0, 2, 1)) * (1.0 / np.sqrt(q.shape[2]))
-    hidden = np.asarray(k_positions)[None, :] > np.asarray(q_positions)[:, None]
-    if hidden.all(axis=1).any():
+    return _causal_softmax(q, k, np.asarray(q_positions), np.asarray(k_positions))
+
+
+def _causal_softmax(q, k, q_pos, k_pos) -> np.ndarray:
+    # Softmax of the scaled scores, in place in the score matrix. Keys
+    # before the first one hidden from some row are visible to every row,
+    # so only the band from that key on is masked.
+    if q_pos.size and (k_pos.size == 0 or q_pos.min() < k_pos.min()):
         raise ContractViolation("a query row has no visible key")
-    scores = np.where(hidden[None, :, :], -np.inf, scores)
+    scores = np.matmul(q, k.transpose(0, 2, 1))
+    scores *= 1.0 / np.sqrt(q.shape[2])
+    partly = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else k_pos[:0]
+    if partly.size:
+        band = slice(int(partly[0]), None)
+        hidden = k_pos[None, band] > q_pos[:, None]
+        np.copyto(scores[:, :, band], -np.inf, where=hidden[None])
     scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,111 @@
+"""Property checks of the query-tiled causal attention over random shapes."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kvfuse.errors import ContractViolation
+from kvfuse.model import attention, attention_weights
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+heads = st.integers(1, 4)
+head_dims = st.sampled_from([2, 4, 8, 16])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def where_weights(q, k, q_pos, k_pos):
+    """The masked softmax written as one np.where over the whole matrix."""
+    scores = np.matmul(q, k.transpose(0, 2, 1)) * (1.0 / np.sqrt(q.shape[2]))
+    hidden = k_pos[None, :] > q_pos[:, None]
+    scores = np.where(hidden[None, :, :], -np.inf, scores)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
+
+
+def arrays(seed, n_heads, n_q, n_k, head_dim):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n_heads, n_q, head_dim)),
+            rng.normal(size=(n_heads, n_k, head_dim)),
+            rng.normal(size=(n_heads, n_k, head_dim)))
+
+
+@st.composite
+def ascending_positions(draw, min_size=1):
+    """1 to 400 strictly ascending key positions with gaps of 1 to 3."""
+    n = draw(st.integers(min_size, 400), label="n")
+    gaps = np.random.default_rng(draw(seeds, label="gap seed")).integers(1, 4, size=n)
+    return draw(st.integers(0, 5), label="start") + np.cumsum(gaps)
+
+
+def check_against_untiled(q, k, v, q_pos, k_pos):
+    out = attention(q, k, v, q_pos, k_pos)
+    expect = where_weights(q, k, q_pos, k_pos) @ v
+    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(heads, head_dims, ascending_positions(), seeds)
+@example(n_heads=2, head_dim=4, k_pos=np.arange(3, 303), seed=0)  # three tiles
+def test_self_attention_matches_untiled(n_heads, head_dim, k_pos, seed):
+    q, k, v = arrays(seed, n_heads, k_pos.size, k_pos.size, head_dim)
+    check_against_untiled(q, k, v, k_pos, k_pos)
+
+
+@SETTINGS
+@given(heads, head_dims, ascending_positions(), seeds, st.data())
+def test_carried_rows_match_untiled(n_heads, head_dim, k_pos, seed, data):
+    # A sorted subset of rows attends over every key, as the carried rows
+    # of the fused pipeline do.
+    n_q = data.draw(st.integers(1, k_pos.size), label="n_q")
+    rows = np.sort(np.random.default_rng(seed).choice(k_pos.size, size=n_q, replace=False))
+    q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
+    check_against_untiled(q, k, v, k_pos[rows], k_pos)
+
+
+@SETTINGS
+@given(heads, head_dims, ascending_positions(min_size=2), seeds, st.booleans(), st.data())
+def test_unordered_keys_match_untiled(n_heads, head_dim, k_pos, seed, sort_queries, data):
+    # Keys out of order; queries sit anywhere at or after the earliest key,
+    # sorted or not, so a tile may still stop short of the last key.
+    rng = np.random.default_rng(seed)
+    k_pos = rng.permutation(k_pos)
+    n_q = data.draw(st.integers(1, 400), label="n_q")
+    q_pos = rng.integers(k_pos.min(), k_pos.max() + 2, size=n_q)
+    if sort_queries:
+        q_pos = np.sort(q_pos)
+    q, k, v = arrays(seed, n_heads, n_q, k_pos.size, head_dim)
+    check_against_untiled(q, k, v, q_pos, k_pos)
+
+
+@SETTINGS
+@given(heads, head_dims, ascending_positions(), seeds, st.booleans(), st.data())
+def test_weights_bitwise_equal_to_where_formulation(n_heads, head_dim, k_pos, seed, shuffle,
+                                                    data):
+    if shuffle:
+        k_pos = np.random.default_rng(seed).permutation(k_pos)
+    n_q = data.draw(st.integers(1, 64), label="n_q")
+    q_pos = np.random.default_rng(seed).integers(k_pos.min(), k_pos.max() + 2, size=n_q)
+    q, k, _ = arrays(seed, n_heads, n_q, k_pos.size, head_dim)
+    got = attention_weights(q, k, q_pos, k_pos)
+    expect = where_weights(q, k, q_pos, k_pos)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+@SETTINGS
+@given(heads, head_dims, st.integers(129, 400), seeds, st.booleans(), st.data())
+def test_row_without_visible_key_raises_in_a_later_tile(n_heads, head_dim, n, seed, shuffle,
+                                                       data):
+    k_pos = np.arange(1, n + 1)
+    if shuffle:
+        k_pos = np.random.default_rng(seed).permutation(k_pos)
+    q_pos = np.arange(1, n + 1)
+    q_pos[data.draw(st.integers(128, n - 1), label="blind row")] = 0
+    q, k, v = arrays(seed, n_heads, n, n, head_dim)
+    with pytest.raises(ContractViolation):
+        attention(q, k, v, q_pos, k_pos)
+    with pytest.raises(ContractViolation):
+        attention_weights(q, k, q_pos, k_pos)

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,39 @@ def test_truncated_file_detected(tmp_path):
         fh.write(raw[: len(raw) // 2])
     with pytest.raises(IntegrityError):
         CS.load_chunk(chunk.chunk_id, tmp_path)
+
+
+def _store_after(barrier, chunk, directory, repeats):
+    barrier.wait()
+    for _ in range(repeats):
+        CS.store_chunk(chunk, directory)
+
+
+def test_two_writers_of_one_chunk(tmp_path):
+    # Two processes store the same chunk into one store at once. Each write
+    # goes through its own temp file and an atomic rename, so one whole
+    # file remains and no temp file is left behind.
+    model = make_model(n_layers=2)
+    chunk = CS.precompute_chunk(random_ids(np.random.default_rng(3), 40), model)
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    writers = [ctx.Process(target=_store_after, args=(barrier, chunk, tmp_path, 25))
+               for _ in range(2)]
+    try:
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(timeout=60)
+        assert [w.exitcode for w in writers] == [0, 0]
+    finally:
+        for w in writers:
+            if w.is_alive():
+                w.kill()
+                w.join()
+    assert [p.name for p in tmp_path.iterdir()] == [chunk.chunk_id.hex()]
+    stored = CS.verify_chunk_file(tmp_path / chunk.chunk_id.hex(), chunk.chunk_id)
+    for a, b in zip(stored.layers, chunk.layers):
+        assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
 
 
 # ---------------------------------------------------------------------------

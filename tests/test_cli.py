@@ -288,9 +288,18 @@ def test_unreadable_paths_exit_1(tmp_path):
         assert main(argv) == 1, (flag, bad)
 
 
+BENCH_MODEL, RECIPE = bench_config()["model"], bench_config()["recipe"]  # data_seed 3
+
+
 @pytest.mark.parametrize("key, value", [
     ("gen_len", "8"), ("r_grid", 0.1), ("seeds", 3), ("repetitions", 1.5),
     ("strategies", "vanilla"), ("warmup", -1), ("head_tail_k", "x"),
+    ("recipe", {**RECIPE, "chunk_len": 8.5}), ("recipe", {**RECIPE, "needle_len": 2.5}),
+    ("recipe", {**RECIPE, "system_len": True}), ("recipe", {**RECIPE, "data_seed": -3}),
+    ("recipe", {**RECIPE, "data_seed": 2**64}), ("seeds", [0, -4]), ("seeds", [2**64 - 3]),
+    ("eviction", {"capacity": 30.5}), ("eviction", {"capacity": 30, "kernel": True}),
+    ("model", {**BENCH_MODEL, "n_heads": True}), ("model", {**BENCH_MODEL, "rope_base": "x"}),
+    ("model", {**BENCH_MODEL, "depth": 2}),
 ])
 def test_bench_ill_typed_config_exits_1(tmp_path, capsys, monkeypatch, key, value):
     monkeypatch.setattr("kvfuse.cli.run_bench", never)

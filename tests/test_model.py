@@ -180,13 +180,14 @@ def test_attention_identical_keys_split_mass():
 
 
 def test_attention_matches_loop_reference():
+    # Enough rows to span two query tiles, the second one partly filled.
     rng = np.random.default_rng(5)
-    H, n, hd = 3, 5, 6
+    H, n, hd = 2, M._TILE_ROWS + 12, 6
     q = rng.normal(size=(H, n, hd))
     k = rng.normal(size=(H, n, hd))
     v = rng.normal(size=(H, n, hd))
     pos = np.arange(n)
-    out = M.attention(q, k, v, pos, pos, block=2)
+    out = M.attention(q, k, v, pos, pos)
     ref = ref_attention(q, k, v, pos, pos, 1.0 / np.sqrt(hd))
     np.testing.assert_allclose(out, ref, atol=1e-10)
 
