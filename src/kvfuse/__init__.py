@@ -5,7 +5,7 @@ Modules:
   chunkstore per-chunk KV precompute, binary persistence, position recovery
   fusion     selective recomputation pipeline and the reuse baselines
   eviction   capacity-bounded cache compaction after the first token
-  bench      metrics, FLOP model, timing, and report generation
+  bench      quality metrics, FLOP accounting, and report generation
   cli        operator commands (precompute / generate / bench / inspect)
 """
 

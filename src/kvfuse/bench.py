@@ -1,10 +1,11 @@
-"""Quantitative harness: oracle comparisons, FLOP accounting, timing, reports.
+"""Quality harness: oracle comparisons, FLOP accounting, reports.
 
 `run_bench` writes one report row per (strategy, r, eviction). Quality at
 desk scale is token-level agreement with the no-reuse greedy decode, which
 upper-bounds every reuse strategy; agreement, attention-map losses and hit
-rates are averaged over seeds. TTFT/TPOT are medians over repetitions on
-the first seed's instance, with warm-up runs discarded.
+rates are averaged over seeds. TTFT/TPOT per strategy are measured by the
+benchmark in `perfbench/`, from `StrategyRun.prefill_seconds` and
+`decode_seconds`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -56,8 +56,6 @@ CSV_COLUMNS = [
     "evict",
     "n",
     "L",
-    "ttft_ms",
-    "tpot_ms",
     "flops_prefill",
     "attn_l2_by_layer",
     "hit_rate",
@@ -218,12 +216,14 @@ def run_strategy(
     gen_len: int = 16,
     eviction: EvictionPolicy | None = None,
 ) -> StrategyRun:
-    """Prefill under one strategy, optionally evict after the first token,
-    then greedy-decode `gen_len` tokens in total."""
+    """Prefill under one strategy, optionally evict after the first token
+    (fused strategies only), then greedy-decode `gen_len` tokens in total."""
     if strategy not in ALL_STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     if gen_len < 1:
         raise InputError("gen_len must be >= 1")
+    if eviction is not None and strategy == "vanilla":
+        raise ConfigError("eviction needs a fused strategy; vanilla keeps no patched cache")
     n = segments.n
     if strategy == "vanilla":
         t0 = time.perf_counter()
@@ -239,19 +239,16 @@ def run_strategy(
         patched, first_logits, trace = fused_prefill(model, segments, plan, store_dir)
         prefill_s = time.perf_counter() - t0
         cache = patched.to_decode_cache()
-    evicted = False
-    if eviction is not None and strategy != "vanilla":
+    if eviction is not None:
         # The first token comes from the prefill logits; eviction runs once
         # before any decode step, so generated rows are never dropped.
         cache = evict(patched, eviction)
-        evicted = True
-        if trace is not None:
-            trace.eviction = {"capacity": eviction.capacity, "kernel": eviction.kernel,
-                              **cache.summary()}
+        trace.eviction = {"capacity": eviction.capacity, "kernel": eviction.kernel,
+                          **cache.summary()}
     tokens, decode_s = _decode_loop(model, cache, first_logits, n, gen_len)
     return StrategyRun(
         strategy=strategy,
-        evicted=evicted,
+        evicted=eviction is not None,
         tokens=tokens,
         first_logits=first_logits,
         trace=trace,
@@ -260,44 +257,6 @@ def run_strategy(
         prefill_seconds=prefill_s,
         decode_seconds=decode_s,
     )
-
-
-def time_ttft_tpot(
-    model: Model,
-    segments: InputSegments,
-    strategy: str,
-    store_dir,
-    *,
-    r: float = 0.15,
-    head_tail_k: int = 20,
-    gen_len: int = 16,
-    repetitions: int = 5,
-    warmup: int = 3,
-    eviction: EvictionPolicy | None = None,
-) -> dict:
-    """Median TTFT/TPOT in milliseconds.
-
-    TTFT covers the whole serving path to first-token logits, chunk
-    loading included. TPOT is the mean per-token decode time within a run,
-    median across repetitions.
-    """
-    if repetitions < 1:
-        raise ConfigError("repetitions must be >= 1")
-    ttfts, tpots = [], []
-    for i in range(warmup + repetitions):
-        run = run_strategy(
-            model, segments, strategy, store_dir,
-            r=r, head_tail_k=head_tail_k, gen_len=gen_len, eviction=eviction,
-        )
-        if i < warmup:
-            continue
-        ttfts.append(run.prefill_seconds * 1e3)
-        if run.decode_seconds:
-            tpots.append(float(np.mean(run.decode_seconds)) * 1e3)
-    return {
-        "ttft_ms": statistics.median(ttfts),
-        "tpot_ms": statistics.median(tpots) if tpots else float("nan"),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +272,6 @@ class BenchConfig:
     head_tail_k: int = 20
     eviction: EvictionPolicy | None = None
     gen_len: int = 16
-    repetitions: int = 3
-    warmup: int = 1
     seeds: list[int] = field(default_factory=lambda: [0])
     acceptance: list[dict] = field(default_factory=list)
 
@@ -324,14 +281,11 @@ class BenchConfig:
 
         for name, ok, want in (
             ("strategies", _list_of(self.strategies, ALL_STRATEGIES.__contains__),
-             f"a list of names from {ALL_STRATEGIES}"),
+             f"a non-empty list of names from {ALL_STRATEGIES}"),
             ("r_grid", _list_of(self.r_grid, lambda r: _is_number(r) and 0.0 <= r <= 1.0),
-             "a list of numbers in [0, 1]"),
-            ("seeds", _list_of(self.seeds, _is_int) and len(self.seeds) > 0,
-             "a non-empty list of integers"),
+             "a non-empty list of numbers in [0, 1]"),
+            ("seeds", _list_of(self.seeds, _is_int), "a non-empty list of integers"),
             ("gen_len", count(self.gen_len, 1), "an integer >= 1"),
-            ("repetitions", count(self.repetitions, 1), "an integer >= 1"),
-            ("warmup", count(self.warmup, 0), "an integer >= 0"),
             ("head_tail_k", count(self.head_tail_k, 0), "an integer >= 0"),
         ):
             if not ok:
@@ -370,7 +324,8 @@ class BenchConfig:
 
 
 def _list_of(value, item_ok) -> bool:
-    return isinstance(value, list) and all(item_ok(v) for v in value)
+    """A non-empty list whose every item passes `item_ok`."""
+    return isinstance(value, list) and len(value) > 0 and all(item_ok(v) for v in value)
 
 
 def _from_fields(cls, data, section: str):
@@ -436,7 +391,7 @@ def _known_rows(config: BenchConfig) -> list[dict]:
 
 
 def _seed_metrics(model: Model, config: BenchConfig, recipe: InputRecipe, row_keys) -> dict:
-    """Non-timing metrics for one seed's instance; shaped for cross-seed averaging."""
+    """Quality metrics for one seed's instance; shaped for cross-seed averaging."""
     model_cfg = config.model
     segments = build_instance(recipe, model_cfg)
     n = segments.n
@@ -489,24 +444,7 @@ def run_bench(config: BenchConfig, out_dir=None) -> BenchReport:
     """One report row per (strategy, r, eviction); CSV/JSON written if out_dir."""
     model = build_model(config.model)
     row_keys = _expand_rows(config)
-    recipes = config.seed_recipes()
-    per_seed = [_seed_metrics(model, config, recipe, row_keys) for recipe in recipes]
-
-    # Timing on the first seed's instance, all repetitions, sequential.
-    segments = build_instance(recipes[0], config.model)
-    timing: dict = {}
-    with tempfile.TemporaryDirectory() as store:
-        populate_store(model, segments, store)
-        for strategy, r, evicted in row_keys:
-            timing[_row_key(strategy, r, evicted)] = time_ttft_tpot(
-                model, segments, strategy, store,
-                r=(r if r is not None else 0.15),
-                head_tail_k=config.head_tail_k,
-                gen_len=config.gen_len,
-                repetitions=config.repetitions,
-                warmup=config.warmup,
-                eviction=(config.eviction if evicted else None),
-            )
+    per_seed = [_seed_metrics(model, config, recipe, row_keys) for recipe in config.seed_recipes()]
 
     rows = []
     for key, known in zip(row_keys, _known_rows(config)):
@@ -516,8 +454,6 @@ def run_bench(config: BenchConfig, out_dir=None) -> BenchReport:
         rows.append(
             {
                 **known,
-                "ttft_ms": _fmt(timing[key]["ttft_ms"]),
-                "tpot_ms": _fmt(timing[key]["tpot_ms"]),
                 "flops_prefill": _fmt(float(np.mean([p["flops"] for p in per]))),
                 "attn_l2_by_layer": ";".join(_fmt(v) for v in losses),
                 "hit_rate": _fmt(float(np.mean(hits)) if hits else None),

@@ -2,7 +2,7 @@
 
 Subcommands: `precompute` builds per-chunk KV files from a context,
 `generate` answers a question against a precomputed store, `bench` runs
-the measurement harness, `inspect` dumps and verifies one chunk file.
+the quality harness, `inspect` dumps and verifies one chunk file.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 missing or
 corrupt stored data, 3 a bench acceptance assertion failed.
@@ -223,8 +223,6 @@ def cmd_bench(args) -> int:
         config = dataclasses.replace(
             config,
             seeds=config.seeds[:1],
-            repetitions=1,
-            warmup=0,
             gen_len=min(config.gen_len, 8),
         )
     report = run_bench(config, out_dir=args.out_dir)
@@ -232,7 +230,7 @@ def cmd_bench(args) -> int:
         label = row["strategy"] + (f" r={row['r']}" if row["r"] else "")
         label += " evicted" if row["evict"] == "true" else ""
         print(
-            f"{label:32s} ttft={row['ttft_ms']}ms tpot={row['tpot_ms']}ms "
+            f"{label:32s} flops_prefill={row['flops_prefill']} hit_rate={row['hit_rate']} "
             f"agree={row['gen_agree_frac']}"
         )
     print(f"report: {os.path.join(args.out_dir, 'report.csv')}")
@@ -292,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("bench", help="run the measurement harness")
+    p = sub.add_parser("bench", help="run the quality harness")
     p.add_argument("--config", required=True, help="bench config JSON file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--quick", action="store_true",
-                   help="single seed, one repetition, short generation")
+                   help="single seed, short generation")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="dump and verify one chunk file")

@@ -382,7 +382,6 @@ class PrefillResult:
     logits: np.ndarray  # (vocab,) float32, last row
     raw_keys: list[np.ndarray] | None = None  # per layer (H, n, hd) float32, pre-rotation
     queries: list[np.ndarray] | None = None  # per layer (H, n, hd) float32, rotated
-    all_logits: np.ndarray | None = None  # (n, vocab) float32
 
 
 def _check_tokens(config: ModelConfig, token_ids: np.ndarray) -> np.ndarray:
@@ -403,7 +402,6 @@ def prefill_forward(
     *,
     record_raw_keys: bool = False,
     record_queries: bool = False,
-    want_all_logits: bool = False,
 ) -> PrefillResult:
     """Full forward over a token sequence at positions 0..n-1."""
     cfg = model.config
@@ -424,14 +422,11 @@ def prefill_forward(
         if record_queries:
             queries.append(q_rot.astype(DTYPE))
         x64 = block_out(model, l, x64, attention(q_rot, k_rot, v, pos, pos))
-    final = final_logits(model, x64)
-    result = PrefillResult(caches=caches, logits=final[-1].copy())
+    result = PrefillResult(caches=caches, logits=final_logits(model, x64[-1:])[0])
     if record_raw_keys:
         result.raw_keys = raw_keys
     if record_queries:
         result.queries = queries
-    if want_all_logits:
-        result.all_logits = final
     return result
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from kvfuse import chunkstore as CS
 from kvfuse import model as M
+from kvfuse.cli import main
 from kvfuse.errors import (
     ChunkNotFoundError,
     ContractViolation,
@@ -137,15 +138,22 @@ def test_single_byte_corruption_detected(tmp_path):
     CS.load_chunk(chunk.chunk_id, tmp_path)
 
 
-def test_truncated_file_detected(tmp_path):
+def test_truncated_file_detected(tmp_path, capsys):
+    # Every cut, from the empty file to one byte short, is caught by the
+    # verifier, the loader and `kvfuse inspect` alike.
     model = make_model(n_layers=2)
-    chunk = CS.precompute_chunk([1, 2, 3], model)
+    chunk = CS.precompute_chunk([1, 2, 3, 4, 5], model)
     path = CS.store_chunk(chunk, tmp_path)
     raw = open(path, "rb").read()
-    with open(path, "wb") as fh:
-        fh.write(raw[: len(raw) // 2])
-    with pytest.raises(IntegrityError):
-        CS.load_chunk(chunk.chunk_id, tmp_path)
+    for cut in range(len(raw)):
+        with open(path, "wb") as fh:
+            fh.write(raw[:cut])
+        with pytest.raises(IntegrityError):
+            CS.verify_chunk_file(path)
+        with pytest.raises(IntegrityError):
+            CS.load_chunk(chunk.chunk_id, tmp_path)
+        assert main(["inspect", str(path)]) == 2, cut
+    assert capsys.readouterr().err.count("data error:") == len(raw)
 
 
 def _store_after(barrier, chunk, directory, repeats):

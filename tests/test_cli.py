@@ -142,6 +142,16 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
         "--strategy", "attention_aware", "--evict",
     ])
     assert rc == 1  # --evict without a capacity
+    # vanilla keeps no patched cache to evict from: refused, not ignored.
+    trace_path.unlink()
+    capsys.readouterr()
+    rc = main([
+        "generate", "--manifest", str(manifest), "--question-text", "fox?",
+        "--strategy", "vanilla", "--evict", "--evict-capacity", "20",
+        "--trace-out", str(trace_path),
+    ])
+    assert rc == 1 and capsys.readouterr().err.startswith("error:")
+    assert not trace_path.exists()
 
 
 def test_generate_vanilla_trace(tmp_path):
@@ -211,8 +221,6 @@ def bench_config(acceptance=None):
         "recipe": {"n_doc_chunks": 2, "chunk_len": 24, "system_len": 12,
                    "question_len": 6, "data_seed": 3},
         "gen_len": 8,
-        "repetitions": 2,
-        "warmup": 1,
         "seeds": [0, 1],
         "acceptance": acceptance or [],
     }
@@ -242,12 +250,17 @@ def test_bench_assertion_failure_exits_3(tmp_path, capsys):
     assert "[FAIL] impossible" in out
 
 
-def test_bench_malformed_config_exits_1(tmp_path):
+def test_bench_malformed_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bench.json"
     cfg.write_text("{not json")
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
     cfg.write_text(json.dumps({"model": MODEL}))  # missing recipe
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+    for key in ("repetitions", "warmup"):  # deleted fields
+        cfg.write_text(json.dumps({**bench_config(), key: 1}))
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: unknown bench config keys: ['{key}']")
 
 
 def test_bench_unknown_section_keys_exit_1(tmp_path, capsys):
@@ -292,8 +305,8 @@ BENCH_MODEL, RECIPE = bench_config()["model"], bench_config()["recipe"]  # data_
 
 
 @pytest.mark.parametrize("key, value", [
-    ("gen_len", "8"), ("r_grid", 0.1), ("seeds", 3), ("repetitions", 1.5),
-    ("strategies", "vanilla"), ("warmup", -1), ("head_tail_k", "x"),
+    ("gen_len", "8"), ("r_grid", 0.1), ("seeds", 3), ("strategies", []),
+    ("strategies", "vanilla"), ("r_grid", []), ("head_tail_k", "x"),
     ("recipe", {**RECIPE, "chunk_len": 8.5}), ("recipe", {**RECIPE, "needle_len": 2.5}),
     ("recipe", {**RECIPE, "system_len": True}), ("recipe", {**RECIPE, "data_seed": -3}),
     ("recipe", {**RECIPE, "data_seed": 2**64}), ("seeds", [0, -4]), ("seeds", [2**64 - 3]),

@@ -219,7 +219,7 @@ def test_patch_layers_suffix_matches_full_prefill():
     rng = np.random.default_rng(8)
     n, cut = 10, 4
     ids = rng.integers(0, cfg.vocab_size, size=n)
-    full = M.prefill_forward(model, ids, want_all_logits=True)
+    full = M.prefill_forward(model, ids)
     prefix = M.prefill_forward(model, ids[:cut])
     context = types.SimpleNamespace(
         n=cut,
@@ -232,7 +232,8 @@ def test_patch_layers_suffix_matches_full_prefill():
                                 dtype=np.float32)
     x = np.asarray(model.weights.embedding[ids[cut:]], dtype=np.float64)
     x = FU._patch_layers(model, context, x, np.arange(cut, n), 0, keys, values, question_queries)
-    np.testing.assert_allclose(M.final_logits(model, x), full.all_logits[cut:], atol=1e-5)
+    prefix_logits = [M.prefill_forward(model, ids[: t + 1]).logits for t in range(cut, n)]
+    np.testing.assert_allclose(M.final_logits(model, x), np.stack(prefix_logits), atol=1e-5)
     for l, cache in enumerate(full.caches):
         np.testing.assert_allclose(keys[l], cache.keys, atol=1e-5)
         np.testing.assert_allclose(values[l], cache.values, atol=1e-5)

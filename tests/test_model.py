@@ -236,11 +236,19 @@ def test_prefill_causality():
     rng = np.random.default_rng(10)
     ids = rng.integers(0, cfg.vocab_size, size=12)
     t = 5
-    a = M.prefill_forward(model, ids, want_all_logits=True)
+    a = M.prefill_forward(model, ids, record_queries=True)
     mutated = ids.copy()
     mutated[t + 1 :] = rng.integers(0, cfg.vocab_size, size=len(ids) - t - 1)
-    b = M.prefill_forward(model, mutated, want_all_logits=True)
-    np.testing.assert_allclose(a.all_logits[t], b.all_logits[t], atol=1e-6)
+    b = M.prefill_forward(model, mutated, record_queries=True)
+    # Rows <= t of every layer see only tokens <= t; each layer's queries
+    # carry the previous layer's output at those rows.
+    for l in range(cfg.n_layers):
+        np.testing.assert_allclose(a.caches[l].keys[:, : t + 1], b.caches[l].keys[:, : t + 1],
+                                   atol=1e-6)
+        np.testing.assert_allclose(a.caches[l].values[:, : t + 1],
+                                   b.caches[l].values[:, : t + 1], atol=1e-6)
+        np.testing.assert_allclose(a.queries[l][:, : t + 1], b.queries[l][:, : t + 1], atol=1e-6)
+    assert not np.allclose(a.caches[0].keys[:, t + 1 :], b.caches[0].keys[:, t + 1 :])
 
 
 def test_prefill_bitwise_deterministic():
