@@ -10,8 +10,9 @@ kept every result bit for bit:
 Covers `prefill_forward` (caches, raw keys, queries, last-row logits), every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
 queries, selection, scores, first logits, and the prefill, vanilla and scoring
-FLOP figures of the trace) and greedy decoding with and
-without eviction, at a small test shape and at the rag_shared shape; then
+FLOP figures of the trace), greedy decoding with and without eviction, and
+the pooled eviction scores (`snap_scores`) of the four strategies that
+recover positions, at a small test shape and at the rag_shared shape; then
 every `run_bench` report row for a 3-seed needle config with two r values
 and eviction. The timing columns that older trees still report are left
 out, so those trees hash the same rows.
@@ -30,7 +31,7 @@ sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
 
 from kvfuse import bench, fusion  # noqa: E402
 from kvfuse import model as M  # noqa: E402
-from kvfuse.eviction import EvictionPolicy  # noqa: E402
+from kvfuse.eviction import EvictionPolicy, snap_scores  # noqa: E402
 
 SHAPES = {
     # name: (model config, system length, document lengths, question length, eviction capacity)
@@ -103,6 +104,7 @@ def main() -> None:
                 run = bench.run_strategy(model, segments, strategy, store, gen_len=GEN_LEN,
                                          eviction=EvictionPolicy(capacity=capacity))
                 emit(f"{name} {strategy} evicted tokens", run.tokens)
+                emit(f"{name} {strategy} snap_scores", snap_scores(run.patched))
                 emit(f"{name} {strategy} evicted cache",
                      np.stack([run.cache.keys_view(l) for l in range(model.config.n_layers)]))
     report = bench.run_bench(bench.BenchConfig.from_dict(BENCH_CONFIG))

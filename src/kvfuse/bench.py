@@ -33,6 +33,7 @@ from .fusion import (
     _top_p,
     fused_prefill,
     hit_rate,
+    question_attention,
 )
 from .model import (
     DecodeCache,
@@ -41,7 +42,6 @@ from .model import (
     PrefillResult,
     _is_int,
     _is_number,
-    attention_weights,
     build_model,
     decode_step,
     greedy_token,
@@ -155,26 +155,19 @@ def attention_l2_loss(
     n_layers = len(vanilla.caches)
     if not (0 <= layer < n_layers):
         raise InputError(f"layer {layer} out of range [0, {n_layers})")
-    n = patched.n
-    if vanilla.caches[layer].length != n:
+    if vanilla.caches[layer].length != patched.n:
         raise InputError("caches cover different token sequences")
-    q_span = patched.segments.question_span
-    probe_rows = np.arange(q_span.start, q_span.stop, dtype=np.int64)
-    k_pos = np.arange(n, dtype=np.int64)
-    q = vanilla.queries[layer][:, probe_rows]
-    w_true = attention_weights(q, vanilla.caches[layer].keys, probe_rows, k_pos)
-    w_cache = attention_weights(q, patched.keys[layer], probe_rows, k_pos)
+    segments = patched.segments
+    q_span = segments.question_span
+    q = vanilla.queries[layer][:, q_span.start:q_span.stop]
+    w_true = question_attention(q, vanilla.caches[layer].keys, segments)
+    w_cache = question_attention(q, patched.keys[layer], segments)
     return float(np.linalg.norm(w_true - w_cache))
 
 
 def oracle_top_p(scores_doc: np.ndarray, p: int, segments) -> RecomputeSet:
     """Attention-oracle selection at budget p from recorded layer-1 scores."""
-    doc = segments.document_offsets()
-    return RecomputeSet(
-        indices=_top_p(np.asarray(scores_doc), doc, p),
-        scores=np.asarray(scores_doc),
-        p=p,
-    )
+    return RecomputeSet(indices=_top_p(scores_doc, segments.document_offsets(), p), p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +236,7 @@ def run_strategy(
         # The first token comes from the prefill logits; eviction runs once
         # before any decode step, so generated rows are never dropped.
         cache = evict(patched, eviction)
-        trace.eviction = {"capacity": eviction.capacity, "kernel": eviction.kernel,
-                          **cache.summary()}
+        trace.eviction = {"capacity": eviction.capacity, **cache.summary()}
     tokens, decode_s = _decode_loop(model, cache, first_logits, n, gen_len)
     return StrategyRun(
         strategy=strategy,
@@ -291,6 +283,12 @@ class BenchConfig:
             if not ok:
                 value = getattr(self, name)
                 raise ConfigError(f"bench config {name!r} must be {want}, got {value!r}")
+        protected = self.recipe.system_len + self.recipe.question_len
+        if self.eviction is not None and self.eviction.capacity <= protected:
+            raise ConfigError(
+                f"bench config 'eviction': capacity {self.eviction.capacity} must exceed the "
+                f"{protected} protected rows (recipe system_len + question_len)"
+            )
         try:
             self.seed_recipes()
         except ConfigError as exc:

@@ -262,7 +262,6 @@ class Span:
     kind: str  # "system" | "document" | "question"
     start: int
     length: int
-    index: int = 0  # order among document spans
 
     @property
     def stop(self) -> int:
@@ -361,8 +360,8 @@ def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
     ).astype(DTYPE, copy=False)
     spans = [Span("system", 0, chunks[0].length)]
     offset = chunks[0].length
-    for i, c in enumerate(chunks[1:]):
-        spans.append(Span("document", offset, c.length, index=i))
+    for c in chunks[1:]:
+        spans.append(Span("document", offset, c.length))
         offset += c.length
     spans.append(Span("question", offset, 0))
     token_ids = np.concatenate([c.token_ids for c in chunks]).astype(np.uint32)

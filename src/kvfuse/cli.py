@@ -186,11 +186,7 @@ def cmd_generate(args) -> int:
             question = encode_bytes(fh.read(), config, eos=True)
     segments = InputSegments(system=parts[0], documents=parts[1:], question=question)
 
-    eviction = None
-    if args.evict:
-        if args.evict_capacity is None:
-            raise ConfigError("--evict requires --evict-capacity")
-        eviction = EvictionPolicy(capacity=args.evict_capacity, kernel=args.evict_kernel)
+    eviction = None if args.evict_capacity is None else EvictionPolicy(args.evict_capacity)
 
     run = run_strategy(
         model, segments, args.strategy, store,
@@ -275,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest-out", required=True)
     p.set_defaults(func=cmd_precompute)
 
-    p = sub.add_parser("generate", help="greedy-decode an answer over a store")
+    # Exact option names only, so --evict is not read as --evict-capacity.
+    p = sub.add_parser("generate", help="greedy-decode an answer over a store",
+                       allow_abbrev=False)
     p.add_argument("--manifest", required=True)
     q = p.add_mutually_exclusive_group(required=True)
     q.add_argument("--question-text")
@@ -284,9 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.15)
     p.add_argument("--head-tail-k", type=int, default=20)
     p.add_argument("--gen-len", type=int, default=16)
-    p.add_argument("--evict", action="store_true")
-    p.add_argument("--evict-capacity", type=int, default=None)
-    p.add_argument("--evict-kernel", type=int, default=7)
+    p.add_argument("--evict-capacity", type=int, default=None,
+                   help="rows per layer and head kept after the first token; turns eviction on")
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=cmd_generate)
 

@@ -13,6 +13,9 @@ alone from layer 0. The trace charges `flops.prefill_flops` for the rows
 it carried, so a budget that clamps is charged for the rows that ran;
 `flops.fused_flops` models the unclamped budget.
 
+Question relevance (`question_attention`) and the top-p rule (`_top_p`)
+are written once, here; eviction and the harness call them too.
+
 Strategies:
   attention_aware  top-p document tokens by summed question attention
   kv_diff          top-p by layer-1 value deviation from the true values
@@ -92,7 +95,6 @@ class InputSegments:
 @dataclass
 class RecomputeSet:
     indices: np.ndarray  # sorted global offsets, subset of document spans
-    scores: np.ndarray | None  # per document token, aligned with document_offsets()
     p: int
     clamped: bool = False
 
@@ -162,73 +164,49 @@ class FusionTrace:
 # Scoring and selection
 
 
-def score_tokens(q_true: np.ndarray, k_true: np.ndarray, segment_map: SegmentMap) -> np.ndarray:
-    """Question-relevance score per document token.
-
-    For each question row, softmax over everything it can causally see,
-    averaged over heads, summed over question rows, restricted to
-    document offsets. Softmax normalizes over all visible positions, not
-    just documents, so a token's score is its actual attention mass.
+def question_attention(queries: np.ndarray, keys: np.ndarray,
+                       segment_map: SegmentMap) -> np.ndarray:
+    """Causal attention weights (H, |Q|, n), float64, of the question rows
+    over every position; `queries` are the question's rows at one layer,
+    `keys` cover all n positions. Selection, eviction scoring and the
+    attention-map loss all read question relevance from here.
     """
     q_span = segment_map.question_span
-    if q_span.length == 0:
-        raise InputError("cannot score with an empty question span")
-    q = np.asarray(q_true, dtype=_F64)
-    k = np.asarray(k_true, dtype=_F64)
-    if q.shape[1] != q_span.length:
-        raise ShapeError(f"expected {q_span.length} question rows, got {q.shape[1]}")
-    if k.shape[1] != segment_map.n:
-        raise ShapeError(f"keys must cover all {segment_map.n} positions, got {k.shape[1]}")
+    if q_span.length == 0 or queries.shape[1] == 0:
+        raise InputError("question attention needs a non-empty question span and query rows")
+    if queries.shape[1] != q_span.length:
+        raise ShapeError(f"expected {q_span.length} question rows, got {queries.shape[1]}")
+    if keys.shape[1] != segment_map.n:
+        raise ShapeError(f"keys must cover all {segment_map.n} positions, got {keys.shape[1]}")
     q_pos = np.arange(q_span.start, q_span.stop, dtype=np.int64)
-    k_pos = np.arange(segment_map.n, dtype=np.int64)
-    weights = attention_weights(q, k, q_pos, k_pos)  # (H, |Q|, n)
-    summed = weights.mean(axis=0).sum(axis=0)  # head average, then sum over rows
-    return summed[segment_map.document_offsets()]
+    return attention_weights(queries, keys, q_pos, np.arange(segment_map.n, dtype=np.int64))
+
+
+def score_tokens(q_true: np.ndarray, k_true: np.ndarray, segment_map: SegmentMap) -> np.ndarray:
+    """Question-relevance score per document token: question attention
+    averaged over heads and summed over question rows. The softmax runs
+    over every visible position, so a score is actual attention mass."""
+    weights = question_attention(q_true, k_true, segment_map)
+    return weights.mean(axis=0).sum(axis=0)[segment_map.document_offsets()]
 
 
 def _top_p(scores: np.ndarray, doc_offsets: np.ndarray, p: int) -> np.ndarray:
-    # Ties break toward the lower offset: lexsort's last key dominates.
+    # Highest score first, ties toward the lower offset: lexsort's last key dominates.
     order = np.lexsort((doc_offsets, -np.asarray(scores, dtype=_F64)))
     return np.sort(doc_offsets[order[:p]])
 
 
-def _budget(r: float, n: int, n_doc: int) -> tuple[int, bool]:
-    p_raw = round(r * n)
-    return min(p_raw, n_doc), p_raw > n_doc
-
-
 def select_recompute(scores: np.ndarray, r: float, n: int, segment_map: SegmentMap) -> RecomputeSet:
-    """Top-p document offsets by score; p = round(r * n), n the total length."""
+    """Top-p document offsets by score; p = round(r * n) clamped to the documents."""
     if not (0.0 <= r <= 1.0):
         raise ConfigError(f"r must be in [0, 1], got {r}")
     doc = segment_map.document_offsets()
     scores = np.asarray(scores, dtype=_F64)
     if scores.shape != doc.shape:
         raise ShapeError(f"scores cover {scores.shape[0]} tokens, documents have {doc.shape[0]}")
-    p, clamped = _budget(r, n, doc.shape[0])
-    return RecomputeSet(indices=_top_p(scores, doc, p), scores=scores, p=p, clamped=clamped)
-
-
-def select_kv_diff(
-    v_cat: np.ndarray, v_true: np.ndarray, r: float, n: int, segment_map: SegmentMap
-) -> RecomputeSet:
-    """Top-p document offsets by Euclidean deviation of fused layer-1 values.
-
-    v_cat and v_true are (n_heads, n_doc, head_dim) over document offsets;
-    the per-token deviation concatenates heads.
-    """
-    a = np.asarray(v_cat, dtype=_F64)
-    b = np.asarray(v_true, dtype=_F64)
-    if a.shape != b.shape:
-        raise ContractViolation(f"value shapes differ: {a.shape} vs {b.shape}")
-    doc = segment_map.document_offsets()
-    if a.shape[1] != doc.shape[0]:
-        raise ContractViolation(f"values cover {a.shape[1]} tokens, documents have {doc.shape[0]}")
-    deviation = np.sqrt(np.sum(np.square(a - b), axis=(0, 2)))  # (n_doc,)
-    p, clamped = _budget(r, n, doc.shape[0])
-    return RecomputeSet(
-        indices=_top_p(deviation, doc, p), scores=deviation, p=p, clamped=clamped
-    )
+    p_raw = round(r * n)
+    p = min(p_raw, doc.shape[0])
+    return RecomputeSet(indices=_top_p(scores, doc, p), p=p, clamped=p_raw > doc.shape[0])
 
 
 def select_head_tail(segment_map: SegmentMap, k: int) -> RecomputeSet:
@@ -241,7 +219,7 @@ def select_head_tail(segment_map: SegmentMap, k: int) -> RecomputeSet:
                            np.arange(max(span.length - k, 0), span.length))
         picked.append(local + span.start)
     indices = np.unique(np.concatenate(picked)) if picked else np.zeros(0, dtype=np.int64)
-    return RecomputeSet(indices=indices.astype(np.int64), scores=None, p=int(indices.size))
+    return RecomputeSet(indices=indices.astype(np.int64), p=int(indices.size))
 
 
 def hit_rate(selected: RecomputeSet, oracle_topk: RecomputeSet) -> float:
@@ -298,7 +276,7 @@ def fused_prefill(
     if full:
         # Only the question is carried, from layer 0; the chunk rows all
         # precede it, so causality follows from the row offsets.
-        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), scores=None, p=0)
+        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
         scores_doc, layer1 = None, None
         x, first = np.asarray(model.weights.embedding[q_ids], dtype=_F64), 0
     else:
@@ -398,13 +376,16 @@ def _layers01_and_select(model, fused, q_ids, plan, segmap, keys, values, questi
     if plan.strategy == "attention_aware":
         rset = select_recompute(scores_doc, plan.r, n, segmap)
     elif plan.strategy == "kv_diff":
-        doc_offsets = segmap.document_offsets()
-        rset = select_kv_diff(
-            fused.values[1][:, doc_offsets], values[1][:, doc_offsets], plan.r, n, segmap
-        )
+        # Euclidean deviation of the stored layer-1 values from the true
+        # ones, heads concatenated.
+        doc = segmap.document_offsets()
+        diff = (np.asarray(fused.values[1][:, doc], dtype=_F64)
+                - np.asarray(values[1][:, doc], dtype=_F64))
+        deviation = np.sqrt(np.sum(np.square(diff), axis=(0, 2)))
+        rset = select_recompute(deviation, plan.r, n, segmap)
     elif plan.strategy == "head_tail":
         rset = select_head_tail(segmap, plan.head_tail_k)
     else:  # none
-        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), scores=None, p=0)
+        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
     durations["select"] = time.perf_counter() - t0
     return x, (q1, k1, v1), rset, scores_doc

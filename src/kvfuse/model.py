@@ -272,8 +272,7 @@ def attention_weights(
     """Causal softmax weight matrices (n_heads, rows, keys), float64.
 
     The masked softmax behind `attention`, which multiplies it by the
-    values; relevance scoring, eviction scoring and the attention-map loss
-    metric use the weights themselves.
+    values; `fusion.question_attention` reads the weights themselves.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys, dtype=_F64)

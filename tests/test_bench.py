@@ -216,6 +216,7 @@ def test_run_strategy_eviction_shrinks_cache(tmp_path):
     assert evicted.evicted and not plain.evicted
     assert evicted.cache.resident_floats() < plain.cache.resident_floats()
     assert evicted.trace.eviction["capacity"] == 30
+    assert set(evicted.trace.eviction) == {"capacity", *evicted.cache.summary()}
 
 
 def test_run_strategy_rejects_unknown(tmp_path):
@@ -301,6 +302,10 @@ def test_bench_config_validation():
                        ("gen_len", 0)):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             quick_bench_config(**{key: value})
+    # Eviction must leave room beyond the protected system + question rows.
+    with pytest.raises(ConfigError, match="bench config 'eviction'.*18 protected rows"):
+        quick_bench_config(eviction={"capacity": 18})
+    assert quick_bench_config(eviction={"capacity": 19}).eviction.capacity == 19
     with pytest.raises(ConfigError):
         BenchConfig.from_dict(["model", "recipe"])
     with pytest.raises(ConfigError):

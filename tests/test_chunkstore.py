@@ -227,8 +227,8 @@ def test_segment_map_offsets():
     sm = CS.SegmentMap(
         [
             CS.Span("system", 0, 3),
-            CS.Span("document", 3, 4, index=0),
-            CS.Span("document", 7, 2, index=1),
+            CS.Span("document", 3, 4),
+            CS.Span("document", 7, 2),
             CS.Span("question", 9, 5),
         ]
     )

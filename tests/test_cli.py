@@ -129,25 +129,30 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
     rc = main([
         "generate", "--manifest", str(manifest), "--question-text", "fox?",
         "--strategy", "attention_aware", "--r", "0.2", "--gen-len", "4",
-        "--evict", "--evict-capacity", "60", "--trace-out", str(trace_path),
+        "--evict-capacity", "60", "--trace-out", str(trace_path),
     ])
-    assert rc == 0
+    assert rc == 0  # a capacity alone turns eviction on
     trace = json.loads(trace_path.read_text())
     assert trace["strategy"] == "attention_aware"
     assert len(trace["tokens"]) == 4
     assert trace["eviction"]["capacity"] == 60
+    assert trace["eviction"]["kept_per_layer_head"] == 60 < trace["n"]
+    assert "kernel" not in trace["eviction"]
     assert trace["p"] == len(trace["selected"])
-    rc = main([
-        "generate", "--manifest", str(manifest), "--question-text", "fox?",
-        "--strategy", "attention_aware", "--evict",
-    ])
-    assert rc == 1  # --evict without a capacity
+    capsys.readouterr()
+    for flags in (["--evict"], ["--evict", "--evict-capacity", "60"], ["--evict-kernel", "7"]):
+        rc = main([
+            "generate", "--manifest", str(manifest), "--question-text", "fox?",
+            "--strategy", "attention_aware", *flags,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1 and f"unrecognized arguments: {flags[0]}" in err, flags
     # vanilla keeps no patched cache to evict from: refused, not ignored.
     trace_path.unlink()
     capsys.readouterr()
     rc = main([
         "generate", "--manifest", str(manifest), "--question-text", "fox?",
-        "--strategy", "vanilla", "--evict", "--evict-capacity", "20",
+        "--strategy", "vanilla", "--evict-capacity", "20",
         "--trace-out", str(trace_path),
     ])
     assert rc == 1 and capsys.readouterr().err.startswith("error:")
@@ -268,6 +273,7 @@ def test_bench_unknown_section_keys_exit_1(tmp_path, capsys):
     for section, value in (
         ("eviction", {"capacity": 30, "protected": ["system"]}),
         ("eviction", {"capacity": 30, "enabled": False}),
+        ("eviction", {"capacity": 30, "kernel": 7}),  # the pooling width is fixed
         ("recipe", {**bench_config()["recipe"], "chunk_count": 2}),
     ):
         cfg.write_text(json.dumps({**bench_config(), section: value}))
@@ -313,6 +319,8 @@ BENCH_MODEL, RECIPE = bench_config()["model"], bench_config()["recipe"]  # data_
     ("eviction", {"capacity": 30.5}), ("eviction", {"capacity": 30, "kernel": True}),
     ("model", {**BENCH_MODEL, "n_heads": True}), ("model", {**BENCH_MODEL, "rope_base": "x"}),
     ("model", {**BENCH_MODEL, "depth": 2}),
+    # Not above the protected rows: system_len 12 + question_len 6.
+    ("eviction", {"capacity": 18}),
 ])
 def test_bench_ill_typed_config_exits_1(tmp_path, capsys, monkeypatch, key, value):
     monkeypatch.setattr("kvfuse.cli.run_bench", never)

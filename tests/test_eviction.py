@@ -40,30 +40,34 @@ def patched_instance(model, tmp_path, rng, sys_len=6, doc_lens=(14, 12), q_len=4
 
 
 def test_policy_validation():
-    with pytest.raises(ConfigError):
-        EV.EvictionPolicy(capacity=0)
-    with pytest.raises(ConfigError):
-        EV.EvictionPolicy(capacity=10, kernel=4)
-    EV.EvictionPolicy(capacity=10, kernel=1)
+    for capacity in (0, -3, 10.5, "10", True):
+        with pytest.raises(ConfigError):
+            EV.EvictionPolicy(capacity=capacity)
+    assert EV.EvictionPolicy(capacity=10).capacity == 10
 
 
-def test_snap_scores_kernel_one_is_identity(tmp_path):
+def test_snap_scores_pools_summed_question_attention(tmp_path):
     model = make_model()
     rng = np.random.default_rng(0)
     _, patched, _, _ = patched_instance(model, tmp_path, rng)
-    raw = EV.snap_scores(patched, kernel=1)
-    pooled = EV.snap_scores(patched, kernel=7)
-    assert raw.shape == (4, 2, patched.n)
-    assert not np.array_equal(raw, pooled)
-    np.testing.assert_array_equal(maximum_filter1d(raw, size=7, axis=-1, mode="nearest"), pooled)
+    pooled = EV.snap_scores(patched)
+    assert pooled.shape == (4, 2, patched.n)
+    for l in range(4):
+        raw = FU.question_attention(
+            patched.question_queries[l], patched.keys[l], patched.segments
+        ).sum(axis=1)
+        assert not np.array_equal(raw, pooled[l])
+        np.testing.assert_array_equal(
+            maximum_filter1d(raw, size=EV.POOL_KERNEL, axis=-1, mode="nearest"), pooled[l]
+        )
 
 
 def test_snap_scores_matches_loop_reference(tmp_path):
     model = make_model()
     rng = np.random.default_rng(1)
     _, patched, _, _ = patched_instance(model, tmp_path, rng)
-    kernel = 5
-    got = EV.snap_scores(patched, kernel=kernel)
+    kernel = EV.POOL_KERNEL
+    got = EV.snap_scores(patched)
     cfg = model.config
     q_span = patched.segments.question_span
     scale = 1.0 / np.sqrt(cfg.head_dim)
@@ -152,13 +156,13 @@ def test_evict_rejects_capacity_below_protected(tmp_path):
         EV.evict(patched, EV.EvictionPolicy(capacity=16))
 
 
-def test_evict_tie_break_toward_low_offsets(tmp_path):
+def test_evict_tie_break_toward_low_offsets(tmp_path, monkeypatch):
     model = make_model()
     rng = np.random.default_rng(7)
     _, patched, _, _ = patched_instance(model, tmp_path, rng, doc_lens=(10, 10))
-    uniform = np.ones((4, 2, patched.n))
+    monkeypatch.setattr(EV, "snap_scores", lambda cache: np.ones((4, 2, cache.n)))
     policy = EV.EvictionPolicy(capacity=patched.segments.protected_offsets().size + 5)
-    compacted = EV.evict(patched, policy, scores=uniform)
+    compacted = EV.evict(patched, policy)
     doc = patched.segments.document_offsets()
     expect = np.sort(np.concatenate([patched.segments.protected_offsets(), doc[:5]]))
     for l in range(4):

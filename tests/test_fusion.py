@@ -7,7 +7,13 @@ import pytest
 from kvfuse import chunkstore as CS
 from kvfuse import fusion as FU
 from kvfuse import model as M
-from kvfuse.errors import ChunkNotFoundError, ConfigError, ContractViolation, InputError
+from kvfuse.errors import (
+    ChunkNotFoundError,
+    ConfigError,
+    ContractViolation,
+    InputError,
+    ShapeError,
+)
 
 
 def make_model(**over):
@@ -33,8 +39,8 @@ def populate_store(model, segments, store):
 def simple_segmap(sys_len, doc_lens, q_len):
     spans = [CS.Span("system", 0, sys_len)]
     offset = sys_len
-    for i, n in enumerate(doc_lens):
-        spans.append(CS.Span("document", offset, n, index=i))
+    for n in doc_lens:
+        spans.append(CS.Span("document", offset, n))
         offset += n
     spans.append(CS.Span("question", offset, q_len))
     return CS.SegmentMap(spans)
@@ -97,6 +103,21 @@ def test_score_tokens_rejects_empty_question():
         FU.score_tokens(np.zeros((1, 0, 4)), np.zeros((1, sm.n, 4)), sm)
 
 
+def test_question_attention_checks_rows_and_keys():
+    sm = simple_segmap(2, [3], 2)
+    q, k = np.ones((1, 2, 4)), np.ones((1, sm.n, 4))
+    weights = FU.question_attention(q, k, sm)
+    assert weights.shape == (1, 2, sm.n)
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0)
+    assert weights[0, 0, -1] == 0.0  # the first question row cannot see the second
+    with pytest.raises(InputError):
+        FU.question_attention(q[:, :0], k, sm)  # no query rows
+    with pytest.raises(ShapeError):
+        FU.question_attention(np.ones((1, 3, 4)), k, sm)
+    with pytest.raises(ShapeError):
+        FU.question_attention(q, k[:, :-1], sm)
+
+
 # ---------------------------------------------------------------------------
 # Selection
 
@@ -141,28 +162,35 @@ def test_select_optimality_brute_force():
             assert chosen_sum >= scores[list(combo)].sum() - 1e-12
 
 
-def test_select_kv_diff_degenerate_equality():
-    sm = simple_segmap(1, [4], 1)
-    v = np.ones((2, 4, 4), dtype=np.float32)
-    rset = FU.select_kv_diff(v, v.copy(), r=2 / 6, n=6, segment_map=sm)
-    assert list(rset.indices) == [1, 2]  # all-zero deviations, ties to low offsets
-    with pytest.raises(ContractViolation):
-        FU.select_kv_diff(v, v[:, :3], r=0.5, n=6, segment_map=sm)
-
-
-def test_select_kv_diff_matches_loop_reference():
-    rng = np.random.default_rng(4)
-    sm = simple_segmap(2, [5, 4], 1)
-    v_cat = rng.normal(size=(3, 9, 4)).astype(np.float32)
-    v_true = rng.normal(size=(3, 9, 4)).astype(np.float32)
-    rset = FU.select_kv_diff(v_cat, v_true, r=0.25, n=12, segment_map=sm)
-    doc = sm.document_offsets()
-    dev = np.array(
-        [np.linalg.norm((v_cat[:, i] - v_true[:, i]).astype(np.float64)) for i in range(9)]
+def test_kv_diff_selects_top_layer1_value_deviation(tmp_path):
+    # kv_diff picks the document tokens whose stored layer-1 values deviate
+    # most from the true ones, ties to the lower offset.
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(4), doc_lens=(12, 10, 9))
+    populate_store(model, segments, tmp_path)
+    stored = np.concatenate(
+        [CS.precompute_chunk(part, model).layers[1].values
+         for part in segments.context_chunks()], axis=1,
     )
-    expect = doc[np.argsort(-dev, kind="stable")[: rset.p]]
-    assert set(rset.indices) == set(expect)
-    np.testing.assert_allclose(rset.scores, dev, rtol=1e-6)
+    for r in (0.1, 0.3, 1.0):
+        patched, _, trace = FU.fused_prefill(
+            model, segments, FU.FusionPlan("kv_diff", r=r), tmp_path
+        )
+        true = patched.values[1]
+        doc = patched.segments.document_offsets()
+        deviation = {}
+        for i in doc:
+            total = 0.0
+            for h in range(model.config.n_heads):
+                for d in range(model.config.head_dim):
+                    total += (float(stored[h, i, d]) - float(true[h, i, d])) ** 2
+            deviation[int(i)] = total ** 0.5
+        assert len(set(deviation.values())) > 1  # the criterion actually ranks
+        p_raw = round(r * patched.n)
+        p = min(p_raw, doc.size)
+        expect = sorted(sorted(deviation, key=lambda i: (-deviation[i], i))[:p])
+        assert (trace.p, trace.clamped) == (p, p_raw > doc.size)
+        assert trace.selected == expect
 
 
 def test_select_head_tail():
@@ -181,13 +209,13 @@ def test_select_head_tail():
 
 
 def test_hit_rate_contract():
-    a = FU.RecomputeSet(np.array([1, 2, 3]), None, 3)
-    b = FU.RecomputeSet(np.array([2, 3, 4]), None, 3)
+    a = FU.RecomputeSet(np.array([1, 2, 3]), 3)
+    b = FU.RecomputeSet(np.array([2, 3, 4]), 3)
     assert FU.hit_rate(a, a) == 1.0
     assert FU.hit_rate(b, a) == pytest.approx(2 / 3)
-    disjoint = FU.RecomputeSet(np.array([7, 8, 9]), None, 3)
+    disjoint = FU.RecomputeSet(np.array([7, 8, 9]), 3)
     assert FU.hit_rate(disjoint, a) == 0.0
-    empty = FU.RecomputeSet(np.zeros(0, dtype=np.int64), None, 0)
+    empty = FU.RecomputeSet(np.zeros(0, dtype=np.int64), 0)
     assert FU.hit_rate(empty, empty) == 1.0
     with pytest.raises(ContractViolation):
         FU.hit_rate(a, empty)
