@@ -217,6 +217,8 @@ def run_strategy(
         raise InputError("gen_len must be >= 1")
     if eviction is not None and strategy == "vanilla":
         raise ConfigError("eviction needs a fused strategy; vanilla keeps no patched cache")
+    if eviction is not None:
+        eviction.check_protected(len(segments.system) + len(segments.question))
     n = segments.n
     if strategy == "vanilla":
         t0 = time.perf_counter()

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .eviction import EvictionPolicy
 from .fusion import STRATEGIES, InputSegments
-from .model import ModelConfig, _check_tokens, build_model
+from .model import ModelConfig, _check_tokens, _is_int, build_model
 
 BOS = 256
 EOS = 257
@@ -175,18 +175,23 @@ def cmd_generate(args) -> int:
     model = build_model(config)
     store = manifest["store"]
 
-    # Context token ids always come from the store; the vanilla baseline
-    # ignores the cached KV but reads the same files.
-    parts = [load_chunk(entry["id"], store).token_ids.astype(np.int64)
-             for entry in manifest["chunks"]]
     if args.question_text is not None:
         question = encode_bytes(args.question_text.encode("utf-8"), config, eos=True)
     else:
         with open(args.question_file, "rb") as fh:
             question = encode_bytes(fh.read(), config, eos=True)
-    segments = InputSegments(system=parts[0], documents=parts[1:], question=question)
-
     eviction = None if args.evict_capacity is None else EvictionPolicy(args.evict_capacity)
+    system_len = manifest["chunks"][0].get("length")
+    if eviction is not None and _is_int(system_len):
+        # The manifest gives the system length, so a capacity that cannot hold
+        # the protected rows is refused before any chunk is read.
+        eviction.check_protected(system_len + len(question))
+
+    # Context token ids always come from the store; the vanilla baseline
+    # ignores the cached KV but reads the same files.
+    parts = [load_chunk(entry["id"], store).token_ids.astype(np.int64)
+             for entry in manifest["chunks"]]
+    segments = InputSegments(system=parts[0], documents=parts[1:], question=question)
 
     run = run_strategy(
         model, segments, args.strategy, store,

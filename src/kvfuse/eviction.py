@@ -31,6 +31,15 @@ class EvictionPolicy:
         if not _is_int(self.capacity) or self.capacity < 1:
             raise ConfigError(f"capacity must be an integer >= 1, got {self.capacity!r}")
 
+    def check_protected(self, protected: int) -> None:
+        """Refuse a capacity with no room beyond the `protected` system and
+        question rows, which are always kept. Callers that know both lengths
+        before any prefill call it early; `evict` calls it again."""
+        if self.capacity <= protected:
+            raise ConfigError(
+                f"capacity {self.capacity} must exceed protected span size {protected}"
+            )
+
 
 class CompactedCache(DecodeCache):
     """Dense per-layer per-head retained rows plus their original offsets.
@@ -84,10 +93,7 @@ def evict(cache: PatchedCache, policy: EvictionPolicy) -> CompactedCache:
     segmap = cache.segments
     n = cache.n
     protected = segmap.protected_offsets()
-    if policy.capacity <= protected.size:
-        raise ConfigError(
-            f"capacity {policy.capacity} must exceed protected span size {protected.size}"
-        )
+    policy.check_protected(protected.size)
     doc = segmap.document_offsets()
     budget = policy.capacity - protected.size
     kept = min(n, policy.capacity)

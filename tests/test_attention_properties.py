@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvfuse.errors import ContractViolation
-from kvfuse.model import attention, attention_weights
+from kvfuse.model import _TILE_ROWS, attention, attention_weights
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -55,13 +55,30 @@ def test_self_attention_matches_untiled(n_heads, head_dim, k_pos, seed):
     check_against_untiled(q, k, v, k_pos, k_pos)
 
 
+@st.composite
+def carried_rows(draw):
+    """Key positions and a sorted subset of row indices into them."""
+    k_pos = draw(ascending_positions())
+    n_q = draw(st.integers(1, k_pos.size), label="n_q")
+    rng = np.random.default_rng(draw(seeds, label="row seed"))
+    return k_pos, np.sort(rng.choice(k_pos.size, size=n_q, replace=False))
+
+
+# The carried rows of rag_shared (480 system rows, two 480-row documents,
+# 24 question rows; n=1464): 220 sorted document rows plus the question.
+RAG_SHARED_CARRIED = (np.arange(1464), np.concatenate([
+    np.sort(np.random.default_rng(8).choice(np.arange(480, 1440), size=220, replace=False)),
+    np.arange(1440, 1464),
+]))
+
+
 @SETTINGS
-@given(heads, head_dims, ascending_positions(), seeds, st.data())
-def test_carried_rows_match_untiled(n_heads, head_dim, k_pos, seed, data):
+@given(heads, head_dims, carried_rows(), seeds)
+@example(n_heads=4, head_dim=16, case=RAG_SHARED_CARRIED, seed=0)
+def test_carried_rows_match_untiled(n_heads, head_dim, case, seed):
     # A sorted subset of rows attends over every key, as the carried rows
     # of the fused pipeline do.
-    n_q = data.draw(st.integers(1, k_pos.size), label="n_q")
-    rows = np.sort(np.random.default_rng(seed).choice(k_pos.size, size=n_q, replace=False))
+    k_pos, rows = case
     q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
     check_against_untiled(q, k, v, k_pos[rows], k_pos)
 
@@ -96,14 +113,14 @@ def test_weights_bitwise_equal_to_where_formulation(n_heads, head_dim, k_pos, se
 
 
 @SETTINGS
-@given(heads, head_dims, st.integers(129, 400), seeds, st.booleans(), st.data())
+@given(heads, head_dims, st.integers(_TILE_ROWS + 1, 400), seeds, st.booleans(), st.data())
 def test_row_without_visible_key_raises_in_a_later_tile(n_heads, head_dim, n, seed, shuffle,
                                                        data):
     k_pos = np.arange(1, n + 1)
     if shuffle:
         k_pos = np.random.default_rng(seed).permutation(k_pos)
     q_pos = np.arange(1, n + 1)
-    q_pos[data.draw(st.integers(128, n - 1), label="blind row")] = 0
+    q_pos[data.draw(st.integers(_TILE_ROWS, n - 1), label="blind row")] = 0
     q, k, v = arrays(seed, n_heads, n, n, head_dim)
     with pytest.raises(ContractViolation):
         attention(q, k, v, q_pos, k_pos)

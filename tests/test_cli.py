@@ -1,11 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from kvfuse.bench import run_strategy
 from kvfuse.cli import BOS, EOS, decode_bytes, encode_bytes, main
 from kvfuse.errors import ConfigError
-from kvfuse.model import ModelConfig
+from kvfuse.eviction import EvictionPolicy
+from kvfuse.fusion import InputSegments
+from kvfuse.model import ModelConfig, build_model
 
 MODEL = {"n_layers": 4, "n_heads": 2, "head_dim": 8, "d_ff": 32,
          "vocab_size": 300, "seed": 9}
@@ -157,6 +161,28 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
     ])
     assert rc == 1 and capsys.readouterr().err.startswith("error:")
     assert not trace_path.exists()
+
+
+def test_capacity_below_protected_rows_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # The README store: a 24-token system chunk; "fox?" encodes to 5 ids.
+    manifest = setup_store(tmp_path)
+    monkeypatch.setattr("kvfuse.cli.load_chunk", never)
+    monkeypatch.setattr("kvfuse.fusion.load_chunk", never)
+    monkeypatch.setattr("kvfuse.bench.fused_prefill", never)
+    capsys.readouterr()
+    rc = main([
+        "generate", "--manifest", str(manifest), "--question-text", "fox?",
+        "--strategy", "attention_aware", "--evict-capacity", "29",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and "protected span size 29" in err
+    segments = InputSegments(system=np.arange(24), documents=[np.arange(64)],
+                             question=np.arange(5))
+    model = build_model(ModelConfig(**MODEL))
+    for capacity in (1, 29):
+        with pytest.raises(ConfigError, match="protected span size 29"):
+            run_strategy(model, segments, "attention_aware", tmp_path / "store",
+                         eviction=EvictionPolicy(capacity))
 
 
 def test_generate_vanilla_trace(tmp_path):
