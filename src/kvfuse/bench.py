@@ -198,6 +198,22 @@ def _decode_loop(model, cache, first_logits, start_pos: int, length: int):
     return np.asarray(tokens, dtype=np.int64), seconds
 
 
+def check_run_args(
+    strategy: str, *, r: float, head_tail_k: int, gen_len: int,
+    eviction: EvictionPolicy | None,
+) -> FusionPlan | None:
+    """The checks of `run_strategy` that need its arguments alone, in its
+    order, so a caller can make them before reading any chunk. Returns the
+    fused strategy's plan, None for vanilla."""
+    if strategy not in ALL_STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    if gen_len < 1:
+        raise InputError("gen_len must be >= 1")
+    if eviction is not None and strategy == "vanilla":
+        raise ConfigError("eviction needs a fused strategy; vanilla keeps no patched cache")
+    return None if strategy == "vanilla" else FusionPlan(strategy, r=r, head_tail_k=head_tail_k)
+
+
 def run_strategy(
     model: Model,
     segments: InputSegments,
@@ -211,16 +227,12 @@ def run_strategy(
 ) -> StrategyRun:
     """Prefill under one strategy, optionally evict after the first token
     (fused strategies only), then greedy-decode `gen_len` tokens in total."""
-    if strategy not in ALL_STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    if gen_len < 1:
-        raise InputError("gen_len must be >= 1")
-    if eviction is not None and strategy == "vanilla":
-        raise ConfigError("eviction needs a fused strategy; vanilla keeps no patched cache")
+    plan = check_run_args(strategy, r=r, head_tail_k=head_tail_k, gen_len=gen_len,
+                          eviction=eviction)
     if eviction is not None:
         eviction.check_protected(len(segments.system) + len(segments.question))
     n = segments.n
-    if strategy == "vanilla":
+    if plan is None:
         t0 = time.perf_counter()
         res = prefill_forward(model, segments.all_ids())
         prefill_s = time.perf_counter() - t0
@@ -229,7 +241,6 @@ def run_strategy(
         patched = None
         first_logits = res.logits
     else:
-        plan = FusionPlan(strategy, r=r, head_tail_k=head_tail_k)
         t0 = time.perf_counter()
         patched, first_logits, trace = fused_prefill(model, segments, plan, store_dir)
         prefill_s = time.perf_counter() - t0

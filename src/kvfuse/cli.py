@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bench import BenchConfig, evaluate_acceptance, run_bench, run_strategy
+from .bench import BenchConfig, check_run_args, evaluate_acceptance, run_bench, run_strategy
 from .chunkstore import (
     DEFAULT_CHUNK_LEN,
     chunk_id,
@@ -181,10 +181,12 @@ def cmd_generate(args) -> int:
         with open(args.question_file, "rb") as fh:
             question = encode_bytes(fh.read(), config, eos=True)
     eviction = None if args.evict_capacity is None else EvictionPolicy(args.evict_capacity)
+    # What run_strategy refuses from the arguments alone, or from the system
+    # length the manifest gives, is refused before any chunk is read.
+    check_run_args(args.strategy, r=args.r, head_tail_k=args.head_tail_k,
+                   gen_len=args.gen_len, eviction=eviction)
     system_len = manifest["chunks"][0].get("length")
     if eviction is not None and _is_int(system_len):
-        # The manifest gives the system length, so a capacity that cannot hold
-        # the protected rows is refused before any chunk is read.
         eviction.check_protected(system_len + len(question))
 
     # Context token ids always come from the store; the vanilla baseline

@@ -1,17 +1,17 @@
 """Selective recomputation over a fused chunk cache, plus the reuse baselines.
 
-Every strategy ends in one shared tail: `_patch_layers`, one loop over the
-model's block, carries a row set through the deeper layers, rewriting
-those rows' keys and values while the other rows keep the stored chunk
-entries bitwise; then one `PatchedCache`, one final-logits call and one
-`FusionTrace`. Only the setup differs. The selective strategies recover
-global positions, run layers 0 and 1 over every row (layer 0 is exact by
-construction, layer 1 provides the true queries/keys/values the selection
-criteria need), select, and carry the selected rows plus the question
-from layer 2. `full` rotates each chunk locally and carries the question
-alone from layer 0. The trace charges `flops.prefill_flops` for the rows
-it carried, so a budget that clamps is charged for the rows that ran;
-`flops.fused_flops` models the unclamped budget.
+Every strategy runs one loop over the model's block from layer 0. At each
+layer the carried rows write fresh keys and values into the stored layer,
+whose other rows keep the stored chunk entries bitwise, and attend over
+that float32 layer, so decode continues from the cache the prefill
+attended to. Then one `PatchedCache`, one final-logits call and one
+`FusionTrace`. Only the row schedule differs. The selective strategies
+recover global positions and carry every row until layer 1's projections,
+which the selection criteria read; then the selected rows (Re) plus the
+question. `full` rotates each chunk locally and carries the question
+alone. The trace charges `flops.prefill_flops` for the rows that ran
+(every row at layers 0-1 when selecting), so a clamped budget pays for
+them; `flops.fused_flops` models the unclamped budget.
 
 Question relevance (`question_attention`) and the top-p rule (`_top_p`)
 are written once, here; eviction and the harness call them too.
@@ -108,8 +108,9 @@ class RecomputeSet:
 @dataclass
 class PatchedCache:
     """Fused cache after the pipeline ran: stored chunk entries patched at the
-    carried rows (selective: layers 0-1 true everywhere, layers >= 2 at Re
-    and the question; `full`: the question rows at every layer)."""
+    carried rows (selective: every row at layers 0-1, Re and the question at
+    layers >= 2; `full`: the question rows at every layer). Each layer is
+    exactly what the carried rows attended to."""
 
     keys: np.ndarray  # (L, H, n, hd) float32
     values: np.ndarray  # (L, H, n, hd) float32
@@ -272,30 +273,60 @@ def fused_prefill(
     values = np.empty_like(keys)
     question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
     question_rows = np.arange(n_ctx, n, dtype=np.int64)
+    pos = np.arange(n, dtype=np.int64)
 
     if full:
-        # Only the question is carried, from layer 0; the chunk rows all
-        # precede it, so causality follows from the row offsets.
+        # Only the question is carried; the chunk rows all precede it, so
+        # causality follows from the row offsets.
         rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
-        scores_doc, layer1 = None, None
-        x, first = np.asarray(model.weights.embedding[q_ids], dtype=_F64), 0
+        scores_doc, rows, ids = None, question_rows, q_ids
     else:
         t0 = time.perf_counter()
         recover_positions(fused, cfg)
         durations["recover"] = time.perf_counter() - t0
-        x, layer1, rset, scores_doc = _layers01_and_select(
-            model, fused, q_ids, plan, segmap, keys, values, question_queries, durations
-        )
-        first = 2
-    rows = np.concatenate([rset.indices, question_rows])  # Re plus the question
+        rows, ids = pos, np.concatenate([fused.token_ids.astype(np.int64), q_ids])
 
+    # The one layer loop: the carried rows write their keys and values into
+    # the stored layer, then attend over it. The selection, after layer 1's
+    # projections, shrinks the carried rows to Re plus the question.
     t0 = time.perf_counter()
-    if layer1 is not None:
-        # Layer 1 finishes for the carried rows only.
-        q1, k1, v1 = layer1
-        pos = np.arange(n, dtype=np.int64)
-        x = block_out(model, 1, x[rows], attention(q1[:, rows], k1, v1, rows, pos))
-    x = _patch_layers(model, fused, x, rows, first, keys, values, question_queries)
+    x = np.asarray(model.weights.embedding[ids], dtype=_F64)
+    for l in range(cfg.n_layers):
+        q, k, _, v = block_qkv(model, l, x, rows)
+        keys[l, :, :n_ctx] = fused.keys[l]
+        values[l, :, :n_ctx] = fused.values[l]
+        keys[l][:, rows] = k.astype(DTYPE)
+        values[l][:, rows] = v.astype(DTYPE)
+        question_queries[l] = q[:, -q_len:].astype(DTYPE)
+        if l == 1 and not full:
+            durations["layer01"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            # Scores are recorded for every selective strategy so the harness
+            # can compare any selection against the attention oracle at
+            # matched budget.
+            scores_doc = score_tokens(q[:, n_ctx:], k, segmap)
+            if plan.strategy == "attention_aware":
+                rset = select_recompute(scores_doc, plan.r, n, segmap)
+            elif plan.strategy == "kv_diff":
+                # Euclidean deviation of the stored layer-1 values from the
+                # true ones, heads concatenated.
+                doc = segmap.document_offsets()
+                diff = (np.asarray(fused.values[1][:, doc], dtype=_F64)
+                        - np.asarray(values[1][:, doc], dtype=_F64))
+                deviation = np.sqrt(np.sum(np.square(diff), axis=(0, 2)))
+                rset = select_recompute(deviation, plan.r, n, segmap)
+            elif plan.strategy == "head_tail":
+                rset = select_head_tail(segmap, plan.head_tail_k)
+            else:  # none
+                rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
+            rows = np.concatenate([rset.indices, question_rows])
+            q, x = q[:, rows], x[rows]
+            durations["select"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+        attn = attention(
+            q, np.asarray(keys[l], dtype=_F64), np.asarray(values[l], dtype=_F64), rows, pos
+        )
+        x = block_out(model, l, x, attn)
     durations["patch"] = time.perf_counter() - t0
 
     patched = PatchedCache(
@@ -306,7 +337,7 @@ def fused_prefill(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
         selected=[int(i) for i in rset.indices], clamped=rset.clamped, durations=durations,
         flops={
-            "prefill": F.prefill_flops(cfg, n, rows.size, first),
+            "prefill": F.prefill_flops(cfg, n, rows.size, 0 if full else 2),
             "vanilla": F.vanilla_flops(cfg, n),
             "scoring": F.scoring_flops(cfg, n, q_len, n_ctx - len(segments.system), plan.strategy),
         },
@@ -314,78 +345,3 @@ def fused_prefill(
     )
     return patched, final_logits(model, x[-1:])[0], trace
 
-
-def _patch_layers(model, fused, x, rows, first, keys, values, question_queries):
-    """Carry the hidden states `x` of `rows` through layers first..L-1.
-
-    At each layer the context rows keep the stored chunk entries of `fused`
-    bitwise, except the carried rows, which are rewritten with fresh keys
-    and values; the carried rows then attend over the whole patched layer.
-    Row offsets are positions, and the question rows come last in `rows`.
-    Returns the carried rows' hidden states after the last layer.
-    """
-    n_ctx, q_len = fused.n, question_queries.shape[2]
-    pos = np.arange(keys.shape[2], dtype=np.int64)
-    for l in range(first, model.config.n_layers):
-        q, k, _, v = block_qkv(model, l, x, rows)
-        keys[l, :, :n_ctx] = fused.keys[l]
-        values[l, :, :n_ctx] = fused.values[l]
-        keys[l][:, rows] = k.astype(DTYPE)
-        values[l][:, rows] = v.astype(DTYPE)
-        question_queries[l] = q[:, -q_len:].astype(DTYPE)
-        attn = attention(
-            q, np.asarray(keys[l], dtype=_F64), np.asarray(values[l], dtype=_F64), rows, pos
-        )
-        x = block_out(model, l, x, attn)
-    return x
-
-
-def _layers01_and_select(model, fused, q_ids, plan, segmap, keys, values, question_queries,
-                         durations):
-    """Layers 0 and 1 over every row (their true entries written into the
-    output arrays), then the selection from layer-1 data. Returns the rows'
-    hidden states after layer 0, layer 1's (q, k, v), the recompute set and
-    the per-document scores."""
-    n_ctx = fused.n
-    n = n_ctx + q_ids.size
-    all_ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
-    pos = np.arange(n, dtype=np.int64)
-
-    t0 = time.perf_counter()
-    # Layer 0, all rows. Queries are fresh; keys/values for the context come
-    # from the recovered cache (exact at this layer), question rows fresh.
-    x = np.asarray(model.weights.embedding[all_ids], dtype=_F64)
-    q0, k0, _, v0 = block_qkv(model, 0, x, pos)
-    cache_k0 = np.concatenate([np.asarray(fused.keys[0], dtype=_F64), k0[:, n_ctx:]], axis=1)
-    cache_v0 = np.concatenate([np.asarray(fused.values[0], dtype=_F64), v0[:, n_ctx:]], axis=1)
-    keys[0], values[0] = k0.astype(DTYPE), v0.astype(DTYPE)
-    question_queries[0] = q0[:, n_ctx:].astype(DTYPE)
-    x = block_out(model, 0, x, attention(q0, cache_k0, cache_v0, pos, pos))
-
-    # Layer 1, all rows projected, fully true: the selection reads them.
-    q1, k1, _, v1 = block_qkv(model, 1, x, pos)
-    keys[1], values[1] = k1.astype(DTYPE), v1.astype(DTYPE)
-    question_queries[1] = q1[:, n_ctx:].astype(DTYPE)
-    durations["layer01"] = time.perf_counter() - t0
-
-    # Selection from layer-1 quantities. Scores are recorded for every
-    # strategy in this pipeline so the harness can compare any selection
-    # against the attention oracle at matched budget.
-    t0 = time.perf_counter()
-    scores_doc = score_tokens(q1[:, n_ctx:], k1, segmap)
-    if plan.strategy == "attention_aware":
-        rset = select_recompute(scores_doc, plan.r, n, segmap)
-    elif plan.strategy == "kv_diff":
-        # Euclidean deviation of the stored layer-1 values from the true
-        # ones, heads concatenated.
-        doc = segmap.document_offsets()
-        diff = (np.asarray(fused.values[1][:, doc], dtype=_F64)
-                - np.asarray(values[1][:, doc], dtype=_F64))
-        deviation = np.sqrt(np.sum(np.square(diff), axis=(0, 2)))
-        rset = select_recompute(deviation, plan.r, n, segmap)
-    elif plan.strategy == "head_tail":
-        rset = select_head_tail(segmap, plan.head_tail_k)
-    else:  # none
-        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
-    durations["select"] = time.perf_counter() - t0
-    return x, (q1, k1, v1), rset, scores_doc

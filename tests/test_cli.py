@@ -176,6 +176,13 @@ def test_capacity_below_protected_rows_refused_before_any_work(tmp_path, capsys,
     ])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error:") and "protected span size 29" in err
+    # So are the checks that need the arguments alone.
+    for extra, message in ((["--strategy", "vanilla", "--evict-capacity", "60"],
+                            "eviction needs a fused strategy"),
+                           (["--gen-len", "0"], "gen_len must be >= 1")):
+        rc = main(["generate", "--manifest", str(manifest), "--question-text", "fox?", *extra])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and message in err
     segments = InputSegments(system=np.arange(24), documents=[np.arange(64)],
                              question=np.arange(5))
     model = build_model(ModelConfig(**MODEL))

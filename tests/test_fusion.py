@@ -1,5 +1,4 @@
 import itertools
-import types
 
 import numpy as np
 import pytest
@@ -239,32 +238,49 @@ def test_fused_prefill_full_recompute_matches_vanilla(tmp_path):
     assert trace.clamped  # r=1 exceeds the document token count
 
 
-def test_patch_layers_suffix_matches_full_prefill():
-    # A suffix carried through every layer over the exact prefill caches of
-    # its prefix reproduces the full prefill at the suffix rows.
+def test_full_strategy_suffix_matches_full_prefill(tmp_path):
+    # A question carried through every layer over the exact stored cache of
+    # its prefix reproduces the full prefill at the question rows.
     model = make_model()
     cfg = model.config
     rng = np.random.default_rng(8)
     n, cut = 10, 4
     ids = rng.integers(0, cfg.vocab_size, size=n)
-    full = M.prefill_forward(model, ids)
-    prefix = M.prefill_forward(model, ids[:cut])
-    context = types.SimpleNamespace(
-        n=cut,
-        keys=np.stack([c.keys for c in prefix.caches]),
-        values=np.stack([c.values for c in prefix.caches]),
-    )
-    keys = np.empty((cfg.n_layers, cfg.n_heads, n, cfg.head_dim), dtype=np.float32)
-    values = np.empty_like(keys)
-    question_queries = np.empty((cfg.n_layers, cfg.n_heads, n - cut, cfg.head_dim),
-                                dtype=np.float32)
-    x = np.asarray(model.weights.embedding[ids[cut:]], dtype=np.float64)
-    x = FU._patch_layers(model, context, x, np.arange(cut, n), 0, keys, values, question_queries)
-    prefix_logits = [M.prefill_forward(model, ids[: t + 1]).logits for t in range(cut, n)]
-    np.testing.assert_allclose(M.final_logits(model, x), np.stack(prefix_logits), atol=1e-5)
-    for l, cache in enumerate(full.caches):
-        np.testing.assert_allclose(keys[l], cache.keys, atol=1e-5)
-        np.testing.assert_allclose(values[l], cache.values, atol=1e-5)
+    CS.store_chunk(CS.precompute_chunk(ids[:cut], model), tmp_path)
+    for t in range(cut, n):
+        segments = FU.InputSegments(system=ids[:cut], documents=[], question=ids[cut : t + 1])
+        patched, logits, _ = FU.fused_prefill(model, segments, FU.FusionPlan("full"), tmp_path)
+        prefix = M.prefill_forward(model, ids[: t + 1])
+        np.testing.assert_allclose(logits, prefix.logits, atol=1e-5)
+        for l, cache in enumerate(prefix.caches):
+            np.testing.assert_allclose(patched.keys[l], cache.keys, atol=1e-5)
+            np.testing.assert_allclose(patched.values[l], cache.values, atol=1e-5)
+
+
+@pytest.mark.parametrize("strategy", ["attention_aware", "kv_diff", "head_tail", "none"])
+def test_prefill_attends_over_the_cache_it_returns(tmp_path, strategy):
+    # Rerunning the blocks over the returned float32 cache alone, every row
+    # through layers 0-1 and the patched rows after, reproduces the
+    # first-token logits bit for bit: decode continues from the cache the
+    # prefill attended to.
+    model = make_model()
+    rng = np.random.default_rng(13)
+    segments = make_instance(model, rng)
+    populate_store(model, segments, tmp_path)
+    plan = FU.FusionPlan(strategy, r=0.3, head_tail_k=2)
+    patched, logits, _ = FU.fused_prefill(model, segments, plan, tmp_path)
+    pos = np.arange(patched.n, dtype=np.int64)
+    rows = pos
+    x = np.asarray(model.weights.embedding[segments.all_ids()], dtype=np.float64)
+    for l in range(model.config.n_layers):
+        if l == 2:
+            rows = patched.patched_offsets
+            x = x[rows]
+        q, _, _, _ = M.block_qkv(model, l, x, rows)
+        attn = M.attention(q, np.asarray(patched.keys[l], dtype=np.float64),
+                           np.asarray(patched.values[l], dtype=np.float64), rows, pos)
+        x = M.block_out(model, l, x, attn)
+    assert np.array_equal(M.final_logits(model, x[-1:])[0], logits)
 
 
 def test_fused_prefill_r0_identical_to_none(tmp_path):
