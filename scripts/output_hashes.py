@@ -12,7 +12,9 @@ Covers `prefill_forward` (caches, raw keys, queries, last-row logits), every
 queries, selection, scores, first logits, and the prefill, vanilla and scoring
 FLOP figures of the trace), greedy decoding with and without eviction, and
 the pooled eviction scores (`snap_scores`) of the four strategies that
-recover positions, at a small test shape and at the rag_shared shape; then
+recover positions, at a small test shape and at the rag_shared shape; the
+logits of every step of a long greedy decode at the test shape, with and
+without eviction, long enough that the decode cache grows three times; then
 every `run_bench` report row for a 3-seed needle config with two r values
 and eviction. The timing columns that older trees still report are left
 out, so those trees hash the same rows.
@@ -31,7 +33,7 @@ sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
 
 from kvfuse import bench, fusion  # noqa: E402
 from kvfuse import model as M  # noqa: E402
-from kvfuse.eviction import EvictionPolicy, snap_scores  # noqa: E402
+from kvfuse.eviction import EvictionPolicy, evict, snap_scores  # noqa: E402
 
 SHAPES = {
     # name: (model config, system length, document lengths, question length, eviction capacity)
@@ -42,6 +44,7 @@ SHAPES = {
 }
 RATIOS = (0.0, 0.15, 1.0)
 GEN_LEN = 8
+LONG_DECODE = 256  # steps: from 35 rows (24 after eviction) past three cache growths
 BENCH_CONFIG = {
     "model": SHAPES["test"][0],
     "recipe": {"n_doc_chunks": 2, "chunk_len": 24, "system_len": 12, "question_len": 6,
@@ -61,6 +64,19 @@ def digest(array) -> str:
 
 def emit(label: str, array) -> None:
     print(f"{label} {digest(array)}")
+
+
+def emit_long_decode(model, segments, store, capacity: int) -> None:
+    plan = fusion.FusionPlan("attention_aware", r=0.15)
+    for evicted in (False, True):
+        patched, logits, _ = fusion.fused_prefill(model, segments, plan, store)
+        cache = (evict(patched, EvictionPolicy(capacity=capacity)) if evicted
+                 else patched.to_decode_cache())
+        for step in range(LONG_DECODE):
+            logits = M.decode_step(model, cache, M.greedy_token(logits), segments.n + step)
+            emit(f"test long decode evict={evicted} step {step} logits", logits)
+        emit(f"test long decode evict={evicted} cache",
+             np.stack([cache.keys_view(l) for l in range(model.config.n_layers)]))
 
 
 def main() -> None:
@@ -107,6 +123,8 @@ def main() -> None:
                 emit(f"{name} {strategy} snap_scores", snap_scores(run.patched))
                 emit(f"{name} {strategy} evicted cache",
                      np.stack([run.cache.keys_view(l) for l in range(model.config.n_layers)]))
+            if name == "test":
+                emit_long_decode(model, segments, store, capacity)
     report = bench.run_bench(bench.BenchConfig.from_dict(BENCH_CONFIG))
     for row in report.rows:
         kept = {k: v for k, v in row.items() if k not in TIMING_COLUMNS}

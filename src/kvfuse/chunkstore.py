@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -107,6 +108,39 @@ def _chunk_path(directory, cid: bytes) -> str:
     return os.path.join(os.fspath(directory), cid.hex())
 
 
+# A writer's temp file carries its pid, so a later run can tell a killed
+# writer's leftover from a file still being written.
+_TMP_PREFIX = ".tmp-chunk-"
+_TMP_NAME = re.compile(re.escape(_TMP_PREFIX) + r"([1-9][0-9]*)-", re.ASCII)
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):  # no such process, or no such pid
+        return False
+    except PermissionError:
+        pass  # alive, owned by another user
+    return True
+
+
+def remove_orphaned_temps(directory) -> list[str]:
+    """Delete the `.tmp-chunk-<pid>-*` files of `directory` whose writer
+    process is gone; returns their names. A live writer's file, and a temp
+    file that names no pid, is left alone."""
+    removed = []
+    for name in sorted(os.listdir(directory)):
+        match = _TMP_NAME.match(name)
+        if match is None or _pid_alive(int(match.group(1))):
+            continue
+        try:
+            os.unlink(os.path.join(os.fspath(directory), name))
+        except FileNotFoundError:
+            continue
+        removed.append(name)
+    return removed
+
+
 def store_chunk(chunk: ChunkKV, directory) -> str:
     """Atomically persist a chunk; returns the file path."""
     n_layers = len(chunk.layers)
@@ -137,7 +171,7 @@ def store_chunk(chunk: ChunkKV, directory) -> str:
     )
     digest = hashlib.sha256(body).digest()
     path = _chunk_path(directory, chunk.chunk_id)
-    fd, tmp = tempfile.mkstemp(dir=os.fspath(directory), prefix=".tmp-chunk-")
+    fd, tmp = tempfile.mkstemp(dir=os.fspath(directory), prefix=f"{_TMP_PREFIX}{os.getpid()}-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(body)

@@ -26,6 +26,7 @@ from .chunkstore import (
     load_chunk,
     precompute_chunk,
     read_header,
+    remove_orphaned_temps,
     split_into_chunks,
     store_chunk,
     verify_chunk_file,
@@ -112,6 +113,8 @@ def cmd_precompute(args) -> int:
     if len(parts) < 2:
         raise ConfigError("need a system chunk plus at least one document chunk")
     os.makedirs(args.store, exist_ok=True)
+    for name in remove_orphaned_temps(args.store):
+        print(f"removed orphaned {name}")
     entries = []
     fp = config.fingerprint()
     for part in parts:

@@ -51,7 +51,7 @@ class CompactedCache(DecodeCache):
     """
 
     def __init__(self, keys, values, index_map, original_length):
-        super().__init__(keys, values, keys.shape[2])
+        super().__init__(keys, values)
         self._max_pos = original_length - 1
         self.index_map = index_map  # (L, H, kept) int64
         self.kept = int(index_map.shape[2])

@@ -125,7 +125,7 @@ class PatchedCache:
         return int(self.keys.shape[2])
 
     def to_decode_cache(self) -> DecodeCache:
-        return DecodeCache(self.keys.copy(), self.values.copy(), self.n)
+        return DecodeCache(self.keys, self.values)
 
 
 @dataclass
@@ -290,7 +290,7 @@ def fused_prefill(
     # the stored layer, then attend over it. The selection, after layer 1's
     # projections, shrinks the carried rows to Re plus the question.
     t0 = time.perf_counter()
-    x = np.asarray(model.weights.embedding[ids], dtype=_F64)
+    x = model.weights.embedding[ids]
     for l in range(cfg.n_layers):
         q, k, _, v = block_qkv(model, l, x, rows)
         keys[l, :, :n_ctx] = fused.keys[l]

@@ -2,9 +2,12 @@
 
 Pre-norm RMS blocks with rotary position embeddings and a plain two-matrix
 SiLU feed-forward. Built for reproducibility rather than speed: weights come
-from a counter-based generator keyed per tensor, tensors cross function
-boundaries as float32, and arithmetic inside a layer runs in float64 so the
-same tokens give the same numbers regardless of how the sequence was sliced.
+from a counter-based generator keyed per tensor as float32, hidden states
+between layers and the chunk and fused caches are float32, and arithmetic
+inside a layer runs in float64 so the same tokens give the same numbers
+regardless of how the sequence was sliced. A built `Model` holds its weights,
+and `DecodeCache` its rows, as exact float64 upcasts of those float32 values,
+so no layer call converts them again and the results are the same bit for bit.
 
 The block is written once, split at the attention: `block_qkv` projects a
 set of rows, the caller decides which keys they attend to, and `block_out`
@@ -24,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation, InputError, ShapeError
 
-# float32 at every boundary (weights, hidden states, caches, logits),
-# float64 inside a layer. Keeps cross-path comparisons tight.
+# float32 values at every boundary (drawn weights, hidden states, caches,
+# logits), float64 inside a layer. Keeps cross-path comparisons tight.
 DTYPE = np.float32
 _F64 = np.float64
 
@@ -140,6 +143,9 @@ class ModelWeights:
 
 @dataclass
 class Model:
+    """A config and its weights, held as float64 copies of the drawn float32
+    values (see `build_model`)."""
+
     config: ModelConfig
     weights: ModelWeights
 
@@ -156,33 +162,51 @@ def init_model(config: ModelConfig) -> ModelWeights:
     """Draw all projection matrices uniform in [-1/sqrt(d_model), +1/sqrt(d_model)].
 
     Normalization gains start at 1 (a random gain would just rescale the
-    stream). The result is a pure function of the config, seed included.
+    stream). The result is float32 and a pure function of the config, seed
+    included.
     """
+    return _init_weights(config, DTYPE)
+
+
+def _init_weights(config: ModelConfig, dtype) -> ModelWeights:
+    # Each tensor is drawn as float32 and converted to `dtype` at once, so
+    # float64 weights never sit beside a float32 copy of the whole set.
     d = config.d_model
     scale = 1.0 / np.sqrt(d)
-    embedding = _draw_uniform(config.seed, _STREAM_EMBED, (config.vocab_size, d), scale)
-    unembed = _draw_uniform(config.seed, _STREAM_UNEMBED, (d, config.vocab_size), scale)
+
+    def draw(stream: int, shape: tuple[int, ...]) -> np.ndarray:
+        return _draw_uniform(config.seed, stream, shape, scale).astype(dtype)
+
     layers = []
     for l in range(config.n_layers):
         base = _LAYER_BASE + _STREAMS_PER_LAYER * l
         layers.append(
             LayerWeights(
-                wq=_draw_uniform(config.seed, base + 0, (d, d), scale),
-                wk=_draw_uniform(config.seed, base + 1, (d, d), scale),
-                wv=_draw_uniform(config.seed, base + 2, (d, d), scale),
-                wo=_draw_uniform(config.seed, base + 3, (d, d), scale),
-                w_in=_draw_uniform(config.seed, base + 4, (d, config.d_ff), scale),
-                w_out=_draw_uniform(config.seed, base + 5, (config.d_ff, d), scale),
-                attn_gain=np.ones(d, dtype=DTYPE),
-                ffn_gain=np.ones(d, dtype=DTYPE),
+                wq=draw(base + 0, (d, d)),
+                wk=draw(base + 1, (d, d)),
+                wv=draw(base + 2, (d, d)),
+                wo=draw(base + 3, (d, d)),
+                w_in=draw(base + 4, (d, config.d_ff)),
+                w_out=draw(base + 5, (config.d_ff, d)),
+                attn_gain=np.ones(d, dtype=dtype),
+                ffn_gain=np.ones(d, dtype=dtype),
             )
         )
-    final_gain = np.ones(d, dtype=DTYPE)
-    return ModelWeights(embedding=embedding, layers=layers, final_gain=final_gain, unembed=unembed)
+    return ModelWeights(
+        embedding=draw(_STREAM_EMBED, (config.vocab_size, d)),
+        layers=layers,
+        final_gain=np.ones(d, dtype=dtype),
+        unembed=draw(_STREAM_UNEMBED, (d, config.vocab_size)),
+    )
 
 
 def build_model(config: ModelConfig) -> Model:
-    return Model(config=config, weights=init_model(config))
+    """The model of `config`, its weights upcast once to float64.
+
+    The values are exactly `init_model`'s float32 draws, so every result is
+    the same as with float32 weights converted at each use.
+    """
+    return Model(config=config, weights=_init_weights(config, _F64))
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +223,30 @@ def rope_rotate(vectors: np.ndarray, positions, config: ModelConfig) -> np.ndarr
     v = np.asarray(vectors, dtype=_F64)
     if v.shape[-1] != config.head_dim:
         raise ShapeError(f"last axis {v.shape[-1]} != head_dim {config.head_dim}")
+    single = v.ndim == 1
+    cos, sin = _rope_table(np.atleast_1d(positions) if single else positions, config)
+    out = _rotate(v[None, :] if single else v, cos, sin)
+    return out[0] if single else out
+
+
+def _rope_table(positions, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    # cos and sin of m * theta_i, (..., n, head_dim / 2) float64.
     pos = np.asarray(positions, dtype=_F64)
     if np.any(pos < 0):
         raise InputError("positions must be >= 0")
-    single = v.ndim == 1
-    if single:
-        v = v[None, :]
-        pos = np.atleast_1d(pos)
     half = config.head_dim // 2
     i = np.arange(half, dtype=_F64)
     theta = np.asarray(config.rope_base, dtype=_F64) ** (-2.0 * i / config.head_dim)
-    angles = pos[..., None] * theta  # (..., n, half)
-    cos, sin = np.cos(angles), np.sin(angles)
+    angles = pos[..., None] * theta
+    return np.cos(angles), np.sin(angles)
+
+
+def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     even, odd = v[..., 0::2], v[..., 1::2]
     out = np.empty_like(v)
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
-    return out[0] if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +353,10 @@ class LayerKV:
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
-    return x / np.sqrt(ms + _NORM_EPS) * np.asarray(gain, dtype=_F64)
+    # np.mean is this reduction followed by the divide; called directly it
+    # gives the same bits without mean's per-call dispatch.
+    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
+    return x / np.sqrt(ms + _NORM_EPS) * gain
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -350,10 +383,11 @@ def block_qkv(model: Model, layer: int, x64: np.ndarray, positions: np.ndarray):
     """
     cfg, lw = model.config, model.weights.layers[layer]
     h1 = _rmsnorm(x64, lw.attn_gain)
-    q = _split_heads(h1 @ np.asarray(lw.wq, dtype=_F64), cfg.n_heads, cfg.head_dim)
-    k_raw = _split_heads(h1 @ np.asarray(lw.wk, dtype=_F64), cfg.n_heads, cfg.head_dim)
-    v = _split_heads(h1 @ np.asarray(lw.wv, dtype=_F64), cfg.n_heads, cfg.head_dim)
-    return rope_rotate(q, positions, cfg), rope_rotate(k_raw, positions, cfg), k_raw, v
+    q = _split_heads(h1 @ lw.wq, cfg.n_heads, cfg.head_dim)
+    k_raw = _split_heads(h1 @ lw.wk, cfg.n_heads, cfg.head_dim)
+    v = _split_heads(h1 @ lw.wv, cfg.n_heads, cfg.head_dim)
+    cos, sin = _rope_table(positions, cfg)
+    return _rotate(q, cos, sin), _rotate(k_raw, cos, sin), k_raw, v
 
 
 def block_out(model: Model, layer: int, x64: np.ndarray, attn: np.ndarray) -> np.ndarray:
@@ -364,17 +398,15 @@ def block_out(model: Model, layer: int, x64: np.ndarray, attn: np.ndarray) -> np
     sees the same layer inputs.
     """
     lw = model.weights.layers[layer]
-    t = x64 + _merge_heads(attn) @ np.asarray(lw.wo, dtype=_F64)
-    out = t + _silu(_rmsnorm(t, lw.ffn_gain) @ np.asarray(lw.w_in, dtype=_F64)) @ np.asarray(
-        lw.w_out, dtype=_F64
-    )
-    return np.asarray(out.astype(DTYPE), dtype=_F64)
+    t = x64 + _merge_heads(attn) @ lw.wo
+    out = t + _silu(_rmsnorm(t, lw.ffn_gain) @ lw.w_in) @ lw.w_out
+    return out.astype(DTYPE).astype(_F64)
 
 
 def final_logits(model: Model, x64: np.ndarray) -> np.ndarray:
     """Final norm and unembedding of the given rows; (rows, vocab) float32."""
     w = model.weights
-    return (_rmsnorm(x64, w.final_gain) @ np.asarray(w.unembed, dtype=_F64)).astype(DTYPE)
+    return (_rmsnorm(x64, w.final_gain) @ w.unembed).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +445,7 @@ def prefill_forward(
     ids = _check_tokens(cfg, token_ids)
     n = ids.shape[0]
     pos = np.arange(n, dtype=np.int64)
-    x64 = np.asarray(model.weights.embedding[ids], dtype=_F64)
+    x64 = model.weights.embedding[ids]
     caches: list[LayerKV] = []
     raw_keys: list[np.ndarray] = []
     queries: list[np.ndarray] = []
@@ -442,18 +474,39 @@ def prefill_forward(
 class DecodeCache:
     """Growable per-layer KV storage for autoregressive decoding.
 
-    Rows are dense (n_heads, count, head_dim) slices of a preallocated
-    buffer that doubles on demand. All stored rows precede the current
-    decode position, so attention over the cache needs no mask. Layer
-    count, head count, and head_dim come from the array shapes.
+    Each layer holds one float64 key buffer and one value buffer of shape
+    (n_heads, capacity, head_dim); rows are exact upcasts of float32 rows,
+    so attention reads them without a conversion. A full buffer grows by
+    max(count // 2, 64) rows, one layer at a time, so a growth never holds
+    two copies of the whole cache. All stored rows precede the current
+    decode position, so attention over the cache needs no mask.
+
+    A step is explicit: `append` takes the layers of one position in order
+    0..L-1, and the step commits (`length` and `max_position` move) with
+    the last layer. `attend` for a layer needs that layer's row at
+    `position` already appended. Layer count, head count and head_dim come
+    from the array shapes.
     """
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray, length: int):
-        # keys/values: (L, H, capacity, hd) float32 with `length` valid rows.
-        self._keys = keys
-        self._values = values
-        self._count = length
-        self._max_pos = length - 1
+    _HEADROOM = 64  # spare rows per layer at construction, and least growth
+
+    def __init__(self, keys, values):
+        # keys/values: per layer (n_heads, n, head_dim) float32, as a
+        # (L, H, n, hd) array or a sequence of layers.
+        self._count = keys[0].shape[1]
+        self._keys = [self._buffer(k) for k in keys]
+        self._values = [self._buffer(v) for v in values]
+        self._max_pos = self._count - 1
+        self._next_layer = 0  # layer the step in progress appends next
+        self._step_pos = -1  # position of the step in progress
+        self._sqrt_hd = np.sqrt(self._keys[0].shape[2])
+
+    @classmethod
+    def _buffer(cls, rows: np.ndarray) -> np.ndarray:
+        h, n, hd = rows.shape
+        buf = np.empty((h, n + cls._HEADROOM, hd), dtype=_F64)
+        buf[:, :n] = rows.astype(DTYPE, copy=False)
+        return buf
 
     @classmethod
     def from_layer_kvs(cls, config: ModelConfig, caches: list[LayerKV]) -> "DecodeCache":
@@ -465,9 +518,7 @@ class DecodeCache:
                 raise ContractViolation("decode requires rotated caches")
             if c.length != n:
                 raise ShapeError("layers disagree on cache length")
-        keys = np.stack([c.keys for c in caches]).copy()
-        values = np.stack([c.values for c in caches]).copy()
-        return cls(keys, values, n)
+        return cls([c.keys for c in caches], [c.values for c in caches])
 
     @property
     def length(self) -> int:
@@ -478,49 +529,69 @@ class DecodeCache:
         return self._max_pos
 
     def keys_view(self, layer: int) -> np.ndarray:
-        return self._keys[layer, :, : self._count]
+        """The committed keys of `layer`, (n_heads, length, head_dim) float32."""
+        return self._keys[layer][:, : self._count].astype(DTYPE)
 
-    def _grow(self) -> None:
-        cap = self._keys.shape[2]
-        new_cap = max(2 * cap, 8)
-        for name in ("_keys", "_values"):
-            old = getattr(self, name)
-            grown = np.zeros(old.shape[:2] + (new_cap,) + old.shape[3:], dtype=old.dtype)
-            grown[:, :, :cap] = old
-            setattr(self, name, grown)
+    def _grow(self, layer: int) -> None:
+        count = self._count
+        for bufs in (self._keys, self._values):
+            old = bufs[layer]
+            grown = np.empty((old.shape[0], old.shape[1] + max(count // 2, self._HEADROOM),
+                              old.shape[2]), dtype=_F64)
+            grown[:, :count] = old[:, :count]
+            bufs[layer] = grown
 
     def append(self, layer: int, k_row: np.ndarray, v_row: np.ndarray, position: int) -> None:
-        if position <= self._max_pos:
+        """Store one row (n_heads, head_dim), rounded to float32, for `layer`
+        at `position`; layer 0 starts a step, the last layer commits it."""
+        if layer != self._next_layer:
+            raise ContractViolation(
+                f"append for layer {layer}, but the step expects layer {self._next_layer}"
+            )
+        if layer == 0 and position <= self._max_pos:
             raise ContractViolation(
                 f"position {position} collides with cached maximum {self._max_pos}"
             )
-        if self._count == self._keys.shape[2]:
-            self._grow()
-        self._keys[layer, :, self._count] = k_row
-        self._values[layer, :, self._count] = v_row
-        if layer == self._keys.shape[0] - 1:
+        if layer > 0 and position != self._step_pos:
+            raise ContractViolation(
+                f"layer {layer} appends position {position} inside the step at {self._step_pos}"
+            )
+        if self._count == self._keys[layer].shape[1]:
+            self._grow(layer)
+        self._keys[layer][:, self._count] = k_row.astype(DTYPE)
+        self._values[layer][:, self._count] = v_row.astype(DTYPE)
+        self._step_pos = position
+        if layer == len(self._keys) - 1:
+            self._next_layer = 0
             self._count += 1
             self._max_pos = position
+        else:
+            self._next_layer = layer + 1
 
     def attend(self, layer: int, q_heads: np.ndarray, position: int) -> np.ndarray:
         """Attention of one query row (H, hd) over all stored rows of `layer`.
 
-        During a step the current layer's new row is already written at
-        index `count` (append commits the count bump on the last layer),
-        so the row attends to itself as well.
+        The layer's row at `position` must be appended: inside the step it
+        sits at index `count`, after the commit it is the last row, and the
+        query attends to it as well.
         """
-        upto = self._count + (1 if self._max_pos < position else 0)
-        k = np.asarray(self._keys[layer, :, :upto], dtype=_F64)
-        v = np.asarray(self._values[layer, :, :upto], dtype=_F64)
-        scores = np.einsum("hd,hnd->hn", q_heads, k) / np.sqrt(self._keys.shape[3])
+        if self._next_layer > layer and position == self._step_pos:
+            upto = self._count + 1
+        elif self._next_layer == 0 and position == self._max_pos:
+            upto = self._count
+        else:
+            raise ContractViolation(f"layer {layer} has no row appended at position {position}")
+        k = self._keys[layer][:, :upto]
+        v = self._values[layer][:, :upto]
+        scores = np.einsum("hd,hnd->hn", q_heads, k) / self._sqrt_hd
         scores -= scores.max(axis=-1, keepdims=True)
         w = np.exp(scores)
         w /= w.sum(axis=-1, keepdims=True)
         return np.einsum("hn,hnd->hd", w, v)
 
     def resident_floats(self) -> int:
-        shape = self._keys.shape
-        return shape[0] * shape[1] * self._count * shape[3] * 2
+        h, _, hd = self._keys[0].shape
+        return len(self._keys) * h * self._count * hd * 2
 
 
 def decode_step(model: Model, cache: DecodeCache, last_token: int, position: int) -> np.ndarray:
@@ -532,11 +603,11 @@ def decode_step(model: Model, cache: DecodeCache, last_token: int, position: int
     cfg = model.config
     if not (0 <= int(last_token) < cfg.vocab_size):
         raise InputError(f"token id {last_token} out of vocabulary")
-    x = np.asarray(model.weights.embedding[int(last_token)], dtype=_F64)[None, :]
+    x = model.weights.embedding[int(last_token)][None, :]
     pos = np.asarray([position], dtype=np.int64)
     for l in range(cfg.n_layers):
         q_rot, k_rot, _, v = block_qkv(model, l, x, pos)
-        cache.append(l, k_rot[:, 0].astype(DTYPE), v[:, 0].astype(DTYPE), position)
+        cache.append(l, k_rot[:, 0], v[:, 0], position)
         x = block_out(model, l, x, cache.attend(l, q_rot[:, 0], position)[:, None])
     return final_logits(model, x)[0]
 

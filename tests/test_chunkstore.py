@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -154,6 +155,23 @@ def test_truncated_file_detected(tmp_path, capsys):
             CS.load_chunk(chunk.chunk_id, tmp_path)
         assert main(["inspect", str(path)]) == 2, cut
     assert capsys.readouterr().err.count("data error:") == len(raw)
+
+
+def test_store_names_its_temp_file_by_pid(tmp_path, monkeypatch):
+    # The pid lets `kvfuse precompute` tell a killed writer's leftover from
+    # a live one's; a failed rename leaves no temp file behind.
+    chunk = CS.precompute_chunk(random_ids(np.random.default_rng(4), 12), make_model(n_layers=1))
+    seen = []
+
+    def failing_replace(src, dst):
+        seen.append(os.path.basename(src))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(CS.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        CS.store_chunk(chunk, tmp_path)
+    assert len(seen) == 1 and seen[0].startswith(f".tmp-chunk-{os.getpid()}-")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _store_after(barrier, chunk, directory, repeats):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +82,26 @@ def test_precompute_repairs_a_corrupt_chunk(tmp_path, capsys):
     assert f"repaired {bad_id}" in out and out.count("repaired") == 1
     assert "stored" not in out
     assert main(generate) == 0
+
+
+def test_precompute_removes_only_dead_writers_temp_files(tmp_path, capsys):
+    manifest = setup_store(tmp_path)
+    store = tmp_path / "store"
+    # A finished child's pid names a writer that was killed mid-write; this
+    # process stands for a writer still at work.
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    dead = f".tmp-chunk-{child.pid}-k3x9q"
+    live = f".tmp-chunk-{os.getpid()}-a7b2c"
+    no_pid = ".tmp-chunk-a7b2c"
+    for name in (dead, live, no_pid):
+        (store / name).write_bytes(b"partial")
+    capsys.readouterr()
+    assert main(precompute_argv(tmp_path, manifest)) == 0
+    assert f"removed orphaned {dead}" in capsys.readouterr().out
+    assert not (store / dead).exists()
+    assert (store / live).read_bytes() == b"partial"
+    assert (store / no_pid).exists()
 
 
 def test_precompute_multiple_inputs(tmp_path):
