@@ -48,6 +48,7 @@ from .model import (
     Model,
     _F64,
     _check_tokens,
+    _rope_table,
     attention,
     attention_weights,
     block_out,
@@ -274,6 +275,7 @@ def fused_prefill(
     question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
     question_rows = np.arange(n_ctx, n, dtype=np.int64)
     pos = np.arange(n, dtype=np.int64)
+    cos, sin = _rope_table(pos, cfg)
 
     if full:
         # Only the question is carried; the chunk rows all precede it, so
@@ -290,9 +292,9 @@ def fused_prefill(
     # the stored layer, then attend over it. The selection, after layer 1's
     # projections, shrinks the carried rows to Re plus the question.
     t0 = time.perf_counter()
-    x = model.weights.embedding[ids]
+    x, rope = model.weights.embedding[ids], (cos[rows], sin[rows])
     for l in range(cfg.n_layers):
-        q, k, _, v = block_qkv(model, l, x, rows)
+        q, k, _, v = block_qkv(model, l, x, rope)
         keys[l, :, :n_ctx] = fused.keys[l]
         values[l, :, :n_ctx] = fused.values[l]
         keys[l][:, rows] = k.astype(DTYPE)
@@ -320,7 +322,7 @@ def fused_prefill(
             else:  # none
                 rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
             rows = np.concatenate([rset.indices, question_rows])
-            q, x = q[:, rows], x[rows]
+            q, x, rope = q[:, rows], x[rows], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
         attn = attention(

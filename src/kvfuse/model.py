@@ -223,10 +223,7 @@ def rope_rotate(vectors: np.ndarray, positions, config: ModelConfig) -> np.ndarr
     v = np.asarray(vectors, dtype=_F64)
     if v.shape[-1] != config.head_dim:
         raise ShapeError(f"last axis {v.shape[-1]} != head_dim {config.head_dim}")
-    single = v.ndim == 1
-    cos, sin = _rope_table(np.atleast_1d(positions) if single else positions, config)
-    out = _rotate(v[None, :] if single else v, cos, sin)
-    return out[0] if single else out
+    return _rotate(v, *_rope_table(positions, config))
 
 
 def _rope_table(positions, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +271,9 @@ def attention(
     in cache. A tile scores only the keys up to the last one some row of it
     can see, since every later key is hidden from all its rows (the block
     skipping of FlashAttention). The exponentials are multiplied by the
-    values before they are normalised, so the division runs over
-    (rows, head_dim), not over (rows, keys). Returns float64.
+    values before they are normalised, so the division runs over (rows,
+    head_dim), not (rows, keys); `DecodeCache.attend` shares this core.
+    Returns float64.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys, dtype=_F64)
@@ -319,19 +317,25 @@ def attention_weights(
 
 
 def _causal_exp(q, k, q_pos, k_pos) -> tuple[np.ndarray, np.ndarray]:
-    # Unnormalised softmax of the scaled scores, in place in the score
-    # matrix, and its row sums (n_heads, rows, 1). Keys before the first
+    # `_softmax_exp` of the causally masked scores. Keys before the first
     # one hidden from some row are visible to every row, so only the band
     # from that key on is masked.
     if q_pos.size and (k_pos.size == 0 or q_pos.min() < k_pos.min()):
         raise ContractViolation("a query row has no visible key")
     scores = np.matmul(q, k.transpose(0, 2, 1))
-    scores *= 1.0 / np.sqrt(q.shape[2])
     partly = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else k_pos[:0]
     if partly.size:
         band = slice(int(partly[0]), None)
         hidden = k_pos[None, band] > q_pos[:, None]
         np.copyto(scores[:, :, band], -np.inf, where=hidden[None])
+    return _softmax_exp(scores, q.shape[-1])
+
+
+def _softmax_exp(scores: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # The one softmax core of prefill and decode: the unnormalised softmax
+    # of the scores scaled by 1/sqrt(head_dim), in place in `scores`, and
+    # its sums over the last axis. Callers divide after the value product.
+    scores *= 1.0 / np.sqrt(head_dim)
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     return scores, scores.sum(axis=-1, keepdims=True)
@@ -374,9 +378,10 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * d)
 
 
-def block_qkv(model: Model, layer: int, x64: np.ndarray, positions: np.ndarray):
+def block_qkv(model: Model, layer: int, x64: np.ndarray, rope: tuple[np.ndarray, np.ndarray]):
     """First half of a pre-norm block over the given rows: norm1, the Q/K/V
-    projections and rotation at `positions`.
+    projections and rotation by `rope`, the rows' (cos, sin) `_rope_table`,
+    which a forward builds once for all its layers.
 
     Returns (q_rot, k_rot, k_raw, v), each (n_heads, rows, head_dim) float64.
     What the rows attend to is the caller's choice; `block_out` finishes.
@@ -386,7 +391,7 @@ def block_qkv(model: Model, layer: int, x64: np.ndarray, positions: np.ndarray):
     q = _split_heads(h1 @ lw.wq, cfg.n_heads, cfg.head_dim)
     k_raw = _split_heads(h1 @ lw.wk, cfg.n_heads, cfg.head_dim)
     v = _split_heads(h1 @ lw.wv, cfg.n_heads, cfg.head_dim)
-    cos, sin = _rope_table(positions, cfg)
+    cos, sin = rope
     return _rotate(q, cos, sin), _rotate(k_raw, cos, sin), k_raw, v
 
 
@@ -445,12 +450,13 @@ def prefill_forward(
     ids = _check_tokens(cfg, token_ids)
     n = ids.shape[0]
     pos = np.arange(n, dtype=np.int64)
+    rope = _rope_table(pos, cfg)
     x64 = model.weights.embedding[ids]
     caches: list[LayerKV] = []
     raw_keys: list[np.ndarray] = []
     queries: list[np.ndarray] = []
     for l in range(cfg.n_layers):
-        q_rot, k_rot, k_raw, v = block_qkv(model, l, x64, pos)
+        q_rot, k_rot, k_raw, v = block_qkv(model, l, x64, rope)
         caches.append(
             LayerKV(keys=k_rot.astype(DTYPE), values=v.astype(DTYPE), rope_applied=True)
         )
@@ -459,12 +465,9 @@ def prefill_forward(
         if record_queries:
             queries.append(q_rot.astype(DTYPE))
         x64 = block_out(model, l, x64, attention(q_rot, k_rot, v, pos, pos))
-    result = PrefillResult(caches=caches, logits=final_logits(model, x64[-1:])[0])
-    if record_raw_keys:
-        result.raw_keys = raw_keys
-    if record_queries:
-        result.queries = queries
-    return result
+    return PrefillResult(caches=caches, logits=final_logits(model, x64[-1:])[0],
+                         raw_keys=raw_keys if record_raw_keys else None,
+                         queries=queries if record_queries else None)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +481,8 @@ class DecodeCache:
     (n_heads, capacity, head_dim); rows are exact upcasts of float32 rows,
     so attention reads them without a conversion. A full buffer grows by
     max(count // 2, 64) rows, one layer at a time, so a growth never holds
-    two copies of the whole cache. All stored rows precede the current
-    decode position, so attention over the cache needs no mask.
+    two copies of the whole cache. Every stored row precedes the decode
+    position, so `attend` runs `attention`'s softmax core unmasked.
 
     A step is explicit: `append` takes the layers of one position in order
     0..L-1, and the step commits (`length` and `max_position` move) with
@@ -499,7 +502,6 @@ class DecodeCache:
         self._max_pos = self._count - 1
         self._next_layer = 0  # layer the step in progress appends next
         self._step_pos = -1  # position of the step in progress
-        self._sqrt_hd = np.sqrt(self._keys[0].shape[2])
 
     @classmethod
     def _buffer(cls, rows: np.ndarray) -> np.ndarray:
@@ -582,12 +584,8 @@ class DecodeCache:
         else:
             raise ContractViolation(f"layer {layer} has no row appended at position {position}")
         k = self._keys[layer][:, :upto]
-        v = self._values[layer][:, :upto]
-        scores = np.einsum("hd,hnd->hn", q_heads, k) / self._sqrt_hd
-        scores -= scores.max(axis=-1, keepdims=True)
-        w = np.exp(scores)
-        w /= w.sum(axis=-1, keepdims=True)
-        return np.einsum("hn,hnd->hd", w, v)
+        exp, sums = _softmax_exp(np.matmul(k, q_heads[:, :, None])[:, :, 0], k.shape[2])
+        return np.matmul(exp[:, None, :], self._values[layer][:, :upto])[:, 0] / sums
 
     def resident_floats(self) -> int:
         h, _, hd = self._keys[0].shape
@@ -604,9 +602,9 @@ def decode_step(model: Model, cache: DecodeCache, last_token: int, position: int
     if not (0 <= int(last_token) < cfg.vocab_size):
         raise InputError(f"token id {last_token} out of vocabulary")
     x = model.weights.embedding[int(last_token)][None, :]
-    pos = np.asarray([position], dtype=np.int64)
+    rope = _rope_table([position], cfg)  # before any append: a bad position changes nothing
     for l in range(cfg.n_layers):
-        q_rot, k_rot, _, v = block_qkv(model, l, x, pos)
+        q_rot, k_rot, _, v = block_qkv(model, l, x, rope)
         cache.append(l, k_rot[:, 0], v[:, 0], position)
         x = block_out(model, l, x, cache.attend(l, q_rot[:, 0], position)[:, None])
     return final_logits(model, x)[0]

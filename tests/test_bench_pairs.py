@@ -1,0 +1,128 @@
+"""scripts/bench_pairs.py on a fake runner: run order, layout and pair counts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEEDS = list(range(21, 31))
+
+
+class FakeRunner:
+    """perfbench's last line with made-up figures; records the calls.
+
+    The change's `tpot_p50_ms` reads 20% below the parent's, except on
+    seed 24 where it reads 20% above; `token_agree` ties on every seed.
+    Every other metric reads 1.0 on both sides, plus a small amount for
+    the parent on odd seeds.
+    """
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, tree, workload, seed, seconds, trace):
+        side = tree.name
+        self.calls.append((workload, seed, side, seconds, trace))
+        metrics = {}
+        for spec in BENCHMARK["per_layer" if trace else "end_to_end"]:
+            value = 1.0 + (0.001 * seed if side == "parent" and seed % 2 else 0.0)
+            metrics[spec["name"]] = {"value": value, "unit": spec["unit"]}
+        if not trace:
+            base = 2.0 + 0.01 * seed
+            factor = 1.0 if side == "parent" else (1.2 if seed == 24 else 0.8)
+            metrics["tpot_p50_ms"]["value"] = base * factor
+            metrics["token_agree"]["value"] = 0.5
+        return {"correct": True, "attempted": 10 + (side == "change"), "failed": 0,
+                "metrics": metrics}
+
+
+@pytest.fixture
+def trees(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    # Runs last as long as the change tree's BENCHMARK.json says.
+    (change / "BENCHMARK.json").write_text(json.dumps({**BENCHMARK, "run_seconds": 3}))
+    return parent, change
+
+
+def test_pairs_alternate_and_every_metric_is_compared(trees, tmp_path):
+    parent, change = trees
+    runner = FakeRunner()
+    out = tmp_path / "BENCH_fake.json"
+    assert bench_pairs.main(
+        ["--parent", str(parent), "--change", str(change), "--workloads", "rag_shared,long_answer",
+         "--seeds", "21-30", "--out", str(out), "--title", "fake"], runner=runner) == 0
+
+    # Odd seeds run the parent first, even seeds the change first.
+    expected = [(w, s, side, 3.0, 0)
+                for w in ("rag_shared", "long_answer") for s in SEEDS
+                for side in (("parent", "change") if s % 2 else ("change", "parent"))]
+    assert runner.calls == expected
+
+    data = json.loads(out.read_text())
+    assert data["title"] == "fake"
+    assert {"command", "pairs", "host", "scaling", "verdict_rule"} <= set(data)
+    assert set(data["workloads"]) == {"rag_shared", "long_answer"}
+    section = data["workloads"]["long_answer"]
+    assert section["correct"] == {"parent": True, "change": True}
+    assert section["attempted"] == {"parent": 100, "change": 110}
+    assert section["failed"] == {"parent": 0, "change": 0}
+    assert list(section["metrics"]) == [m["name"] for m in BENCHMARK["end_to_end"]]
+    for name, entry in section["metrics"].items():
+        assert set(entry["parent"]) == set(entry["change"]) == {"p25", "median", "p75"}
+        assert len(entry["parent_runs"]) == len(entry["change_runs"]) == entry["pairs"] == 10
+        assert entry["change_won_pairs"] + entry["tied_pairs"] <= 10
+
+    tpot = section["metrics"]["tpot_p50_ms"]
+    assert (tpot["change_won_pairs"], tpot["tied_pairs"]) == (9, 0)
+    assert tpot["verdict"] == "better"
+    assert tpot["parent_runs"] == [round(2.0 + 0.01 * s, 4) for s in SEEDS]
+    assert tpot["median_change"] == pytest.approx(-0.2, abs=0.05)
+    agree = section["metrics"]["token_agree"]
+    assert (agree["change_won_pairs"], agree["tied_pairs"], agree["verdict"]) == (0, 10,
+                                                                                  "identical")
+    # Lower is better: the change wins the five odd seeds, where the parent
+    # reads a little higher, and ties the even ones.
+    rss = section["metrics"]["peak_rss_mb"]
+    assert (rss["change_won_pairs"], rss["tied_pairs"], rss["verdict"]) == (5, 5, "within bound")
+    # Higher is better: the same runs are five lost pairs.
+    rate = section["metrics"]["tokens_per_s"]
+    assert (rate["change_won_pairs"], rate["tied_pairs"], rate["verdict"]) == (0, 5,
+                                                                               "within bound")
+
+
+def test_traced_section_joins_an_existing_file(trees, tmp_path):
+    parent, change = trees
+    out = tmp_path / "BENCH_fake.json"
+    out.write_text(json.dumps({"title": "untraced"}))
+    runner = FakeRunner()
+    bench_pairs.main(
+        ["--parent", str(parent), "--change", str(change), "--workloads", "long_answer",
+         "--seeds", "1,2", "--trace", "1", "--section", "traced_long_answer",
+         "--out", str(out)], runner=runner)
+    assert [call[1:] for call in runner.calls] == [
+        (1, "parent", 3.0, 1), (1, "change", 3.0, 1), (2, "change", 3.0, 1), (2, "parent", 3.0, 1)]
+    data = json.loads(out.read_text())
+    assert data["title"] == "untraced"
+    traced = data["traced_long_answer"]["workloads"]["long_answer"]["metrics"]
+    assert list(traced) == [m["name"] for m in BENCHMARK["per_layer"]]
+    assert all(entry["bound"] is None and entry["pairs"] == 2 for entry in traced.values())
+    assert data["traced_long_answer"]["command"] == (
+        "python3 perfbench/run.py --workload W --seed S --seconds 3 --trace 1")
+
+
+def test_last_json_line_and_seed_ranges():
+    assert bench_pairs.last_json_line('{"a": 1}\nend_to_end x 1 ms\n{"b": 2}\n') == {"b": 2}
+    with pytest.raises(RuntimeError):
+        bench_pairs.last_json_line("no json here\n")
+    assert bench_pairs.parse_seeds("21-24") == [21, 22, 23, 24]
+    assert bench_pairs.parse_seeds("1,3,5") == [1, 3, 5]

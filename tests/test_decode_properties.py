@@ -5,7 +5,8 @@ grows it layer by layer; a `CompactedCache` is the same storage after
 eviction. Over initial lengths of 1-300 rows and up to 200 appended steps,
 so that runs cross several growth boundaries, the cache must hand back
 exactly the float32 rows it was given and appended, in order, and attend
-over exactly those rows. A step's layer order is a checked contract.
+over exactly those rows as `model.attention` does: decode and prefill share
+one attention kernel. A step's layer order is a checked contract.
 """
 
 import numpy as np
@@ -40,10 +41,12 @@ def make_cache(kind: str, rng, n: int):
     return EV.CompactedCache(keys, values, index_map, original), keys, values
 
 
-def reference_attend(q, k, v):
-    scores = np.einsum("hd,hnd->hn", q, k.astype(np.float64)) / np.sqrt(k.shape[2])
-    w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return np.einsum("hn,hnd->hd", w / w.sum(axis=-1, keepdims=True), v.astype(np.float64))
+def prefill_attention(q, k, v, position):
+    """`model.attention` of the query at `position` over the rows k, v. Every
+    stored row precedes the query, and the newest one is at `position`."""
+    k_pos = position - np.arange(k.shape[1])[::-1]
+    out = M.attention(q[:, None, :], k, v, np.array([position]), k_pos)
+    return out[:, 0]
 
 
 @SETTINGS
@@ -77,7 +80,7 @@ def test_cache_returns_its_rows_across_growth(kind, n, steps, seed):
             values[l] = np.concatenate([values[l], v_row.astype(M.DTYPE)], axis=1)
             q = rng.normal(size=(N_HEADS, HEAD_DIM))
             np.testing.assert_allclose(cache.attend(l, q, position),
-                                       reference_attend(q, keys[l], values[l]),
+                                       prefill_attention(q, keys[l], values[l], position),
                                        rtol=1e-12, atol=1e-12)
         assert cache.length == n + step + 1
         assert cache.max_position == position

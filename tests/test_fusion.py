@@ -276,7 +276,7 @@ def test_prefill_attends_over_the_cache_it_returns(tmp_path, strategy):
         if l == 2:
             rows = patched.patched_offsets
             x = x[rows]
-        q, _, _, _ = M.block_qkv(model, l, x, rows)
+        q, _, _, _ = M.block_qkv(model, l, x, M._rope_table(rows, model.config))
         attn = M.attention(q, np.asarray(patched.keys[l], dtype=np.float64),
                            np.asarray(patched.values[l], dtype=np.float64), rows, pos)
         x = M.block_out(model, l, x, attn)

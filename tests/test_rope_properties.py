@@ -3,12 +3,19 @@
 `rope_rotate` rejects negative positions, so a rotation by -a is built as
 F R(a) F, where F flips the sign of every odd coordinate (a reflection
 that turns each rotary pair's angle around).
+
+A forward builds one cos/sin table and every layer's `block_qkv` reads it;
+the fused prefill slices the table of all positions at its carried rows.
+A sliced table must rotate bit for bit like a table built on those rows.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvfuse import model as M
+from kvfuse.errors import InputError
 from kvfuse.model import ModelConfig, rope_rotate
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -55,3 +62,54 @@ def test_rotation_inverts_exactly(case):
     np.testing.assert_allclose(back, x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(rotated, axis=-1), np.linalg.norm(x, axis=-1),
                                rtol=1e-13)
+
+
+MODEL = M.build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, d_ff=16, vocab_size=32,
+                                  seed=5))
+
+
+@st.composite
+def carried_rows(draw):
+    """Ascending positions of n_ctx context rows then a question, and the rows
+    a selective layer carries: an unsorted subset of the context (Re) then
+    every question row, with random inputs for them."""
+    n_ctx = draw(st.integers(0, 300), label="n_ctx")
+    q_len = draw(st.integers(1, 24), label="q_len")
+    rng = np.random.default_rng(draw(seeds, label="seed"))
+    gaps = rng.integers(1, 4, size=n_ctx + q_len)
+    positions = draw(st.integers(0, 50_000), label="start") + np.cumsum(gaps) - gaps[0]
+    re = rng.permutation(n_ctx)[: draw(st.integers(0, n_ctx), label="|Re|")]
+    rows = np.concatenate([re, np.arange(n_ctx, n_ctx + q_len)])
+    return positions, rows, rng.normal(size=(rows.size, MODEL.config.d_model))
+
+
+@SETTINGS
+@given(carried_rows(), st.integers(0, MODEL.config.n_layers - 1))
+def test_sliced_table_rotates_like_a_table_of_the_rows(case, layer):
+    positions, rows, x = case
+    cfg = MODEL.config
+    cos, sin = M._rope_table(positions, cfg)
+    sliced = M.block_qkv(MODEL, layer, x, (cos[rows], sin[rows]))
+    direct = M.block_qkv(MODEL, layer, x, M._rope_table(positions[rows], cfg))
+    for got, expect in zip(sliced, direct):
+        assert np.array_equal(got, expect)
+    # At position 0 the table is cos 1, sin 0, which leaves q unrotated.
+    q_raw = M.block_qkv(MODEL, layer, x, M._rope_table(np.zeros(rows.size), cfg))[0]
+    q_rot, k_rot, k_raw, _ = sliced
+    assert np.array_equal(q_rot, rope_rotate(q_raw, positions[rows], cfg))
+    assert np.array_equal(k_rot, rope_rotate(k_raw, positions[rows], cfg))
+
+
+@SETTINGS
+@given(st.integers(-10**6, -1))
+def test_decode_step_refuses_a_negative_position_before_any_append(position):
+    prefill = M.prefill_forward(MODEL, [1, 2, 3])
+    cache = M.DecodeCache.from_layer_kvs(MODEL.config, prefill.caches)
+    keys = [cache.keys_view(l) for l in range(MODEL.config.n_layers)]
+    with pytest.raises(InputError):
+        M.decode_step(MODEL, cache, 4, position)
+    assert (cache.length, cache.max_position) == (3, 2)
+    for l, before in enumerate(keys):
+        assert np.array_equal(cache.keys_view(l), before)
+    M.decode_step(MODEL, cache, 4, 3)  # no step was left half done
+    assert (cache.length, cache.max_position) == (4, 3)
