@@ -9,9 +9,11 @@ For every workload and seed the script runs `python3 perfbench/run.py` once
 in each tree, for BENCHMARK.json's `run_seconds` at the same `--trace`:
 odd seeds run the parent first, even seeds the change first, so a drift of
 the host over the session falls on both sides alike. It reads the last JSON
-line of every run and writes, for every metric BENCHMARK.json names for that mode (`end_to_end`
-untraced, `per_layer` traced) on every workload, both sides' quartiles and
-medians, every run, the count of pairs the change won and a verdict by
+line of every run, and the `checks.tokens_sha256` of its first. For every
+workload it writes whether both sides produced the same tokens on every
+seed (`tokens_identical`), and for every metric BENCHMARK.json names for
+that mode (`end_to_end` untraced, `per_layer` traced) both sides' quartiles
+and medians, every run, the count of pairs the change won and a verdict by
 `VERDICT_RULE`. `--section NAME` stores the result under NAME in an existing
 `--out` file instead of writing a new one, which is how a traced section
 joins an untraced comparison. Every run's last line also goes to stderr.
@@ -49,20 +51,26 @@ def perfbench_command(workload: str, seed, seconds: float, trace: int) -> list[s
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in `tree`; its last JSON line as a dict."""
+    """One perfbench run in `tree`: its last JSON line as a dict, with the
+    `tokens_sha256` that its first JSON line's checks hold."""
     cmd = perfbench_command(workload, seed, seconds, trace)
     cmd[0] = sys.executable
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return last_json_line(proc.stdout)
+    first = json_lines(proc.stdout)[0]
+    return {**last_json_line(proc.stdout), "tokens_sha256": first["checks"]["tokens_sha256"]}
+
+
+def json_lines(stdout: str) -> list[dict]:
+    lines = [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
+    if not lines:
+        raise RuntimeError("perfbench printed no JSON line")
+    return lines
 
 
 def last_json_line(stdout: str) -> dict:
-    for line in reversed(stdout.strip().splitlines()):
-        if line.startswith("{"):
-            return json.loads(line)
-    raise RuntimeError("perfbench printed no JSON line")
+    return json_lines(stdout)[-1]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -143,6 +151,8 @@ def bench_pairs(benchmark: dict, parent: Path, change: Path, workloads: list[str
             "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+            "tokens_identical": all(p["tokens_sha256"] == c["tokens_sha256"]
+                                    for p, c in zip(runs["parent"], runs["change"])),
             "metrics": {
                 spec["name"]: compare(spec, *(
                     [r["metrics"][spec["name"]]["value"] for r in runs[side]]

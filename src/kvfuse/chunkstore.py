@@ -25,7 +25,17 @@ from .errors import (
     InputError,
     IntegrityError,
 )
-from .model import DTYPE, LayerKV, Model, ModelConfig, prefill_forward, rope_rotate
+from .model import (
+    DTYPE,
+    LayerKV,
+    Model,
+    ModelConfig,
+    _F64,
+    _rope_table,
+    _rotate,
+    prefill_forward,
+    rope_rotate,
+)
 
 MAGIC = b"A3KV"
 VERSION = 1
@@ -427,13 +437,16 @@ def recover_positions(fused: FusedCache, config: ModelConfig) -> FusedCache:
 
 
 def rotate_chunk_local(chunk: ChunkKV, config: ModelConfig) -> ChunkKV:
-    """Apply rotation at local positions 0..len-1 (plain-concatenation baseline)."""
+    """Apply rotation at local positions 0..len-1 (plain-concatenation baseline).
+
+    One cos/sin table serves every layer, since all sit at the same positions.
+    """
     if chunk.rope_applied:
         raise ContractViolation("chunk already rotated")
-    pos = np.arange(chunk.length, dtype=np.int64)
+    rope = _rope_table(np.arange(chunk.length, dtype=np.int64), config)
     layers = [
         LayerKV(
-            keys=rope_rotate(l.keys, pos, config).astype(DTYPE),
+            keys=_rotate(np.asarray(l.keys, dtype=_F64), *rope).astype(DTYPE),
             values=l.values,
             rope_applied=True,
         )

@@ -14,7 +14,11 @@ set of rows, the caller decides which keys they attend to, and `block_out`
 finishes the layer. `prefill_forward` (rows attend to each other),
 `decode_step` (one row over a growing cache) and the fused pipeline in
 `fusion` (rows patched into stored chunk caches) are all loops over it;
-`final_logits` ends each of them.
+`final_logits` ends each of them. Each layer holds its Q, K and V weights
+stacked in one (3, d_model, d_model) array, of which `wq`, `wk` and `wv`
+are views, so `block_qkv` runs one projection product and rotates the q
+and k heads in one call; the weights take no more memory than three
+separate matrices.
 """
 
 from __future__ import annotations
@@ -123,14 +127,17 @@ class ModelConfig:
 
 @dataclass
 class LayerWeights:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    wqkv: np.ndarray  # (3, d_model, d_model): Wq, Wk, Wv stacked
     wo: np.ndarray
     w_in: np.ndarray
     w_out: np.ndarray
     attn_gain: np.ndarray
     ffn_gain: np.ndarray
+
+    # Views of `wqkv`, not copies.
+    wq = property(lambda self: self.wqkv[0])
+    wk = property(lambda self: self.wqkv[1])
+    wv = property(lambda self: self.wqkv[2])
 
 
 @dataclass
@@ -182,9 +189,7 @@ def _init_weights(config: ModelConfig, dtype) -> ModelWeights:
         base = _LAYER_BASE + _STREAMS_PER_LAYER * l
         layers.append(
             LayerWeights(
-                wq=draw(base + 0, (d, d)),
-                wk=draw(base + 1, (d, d)),
-                wv=draw(base + 2, (d, d)),
+                wqkv=np.stack([draw(base + i, (d, d)) for i in range(3)]),  # Wq, Wk, Wv
                 wo=draw(base + 3, (d, d)),
                 w_in=draw(base + 4, (d, config.d_ff)),
                 w_out=draw(base + 5, (config.d_ff, d)),
@@ -239,10 +244,17 @@ def _rope_table(positions, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]
 
 
 def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    # out_even = even * cos - odd * sin, out_odd = even * sin + odd * cos,
+    # the same rounded products and sums as those expressions, built in
+    # `out` so that only one temporary of half v's size is made: rotating
+    # q and k together would otherwise double the temporaries' peak.
     even, odd = v[..., 0::2], v[..., 1::2]
     out = np.empty_like(v)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    np.multiply(even, cos, out=out_even)
+    out_even -= np.multiply(odd, sin, out=out_odd)
+    np.multiply(odd, cos, out=out_odd)
+    out_odd += even * sin
     return out
 
 
@@ -368,8 +380,8 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 
 def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
-    # (n, d_model) -> (n_heads, n, head_dim)
-    return x.reshape(x.shape[0], n_heads, head_dim).transpose(1, 0, 2)
+    # (..., n, d_model) -> (..., n_heads, n, head_dim)
+    return x.reshape(*x.shape[:-1], n_heads, head_dim).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
@@ -379,20 +391,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def block_qkv(model: Model, layer: int, x64: np.ndarray, rope: tuple[np.ndarray, np.ndarray]):
-    """First half of a pre-norm block over the given rows: norm1, the Q/K/V
-    projections and rotation by `rope`, the rows' (cos, sin) `_rope_table`,
-    which a forward builds once for all its layers.
+    """First half of a pre-norm block over the given rows: norm1, one
+    product with the stacked Q/K/V weights, and one rotation of the q and k
+    heads by `rope`, the rows' (cos, sin) `_rope_table`, which a forward
+    builds once for all its layers.
 
     Returns (q_rot, k_rot, k_raw, v), each (n_heads, rows, head_dim) float64.
     What the rows attend to is the caller's choice; `block_out` finishes.
     """
     cfg, lw = model.config, model.weights.layers[layer]
-    h1 = _rmsnorm(x64, lw.attn_gain)
-    q = _split_heads(h1 @ lw.wq, cfg.n_heads, cfg.head_dim)
-    k_raw = _split_heads(h1 @ lw.wk, cfg.n_heads, cfg.head_dim)
-    v = _split_heads(h1 @ lw.wv, cfg.n_heads, cfg.head_dim)
-    cos, sin = rope
-    return _rotate(q, cos, sin), _rotate(k_raw, cos, sin), k_raw, v
+    # (3, rows, d_model): q, k and v each one contiguous block, the layout
+    # of three separate products, so the rotation reads them as fast.
+    qkv = _split_heads(_rmsnorm(x64, lw.attn_gain) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
+    q_rot, k_rot = _rotate(qkv[:2], *rope)
+    return q_rot, k_rot, qkv[1], qkv[2]
 
 
 def block_out(model: Model, layer: int, x64: np.ndarray, attn: np.ndarray) -> np.ndarray:

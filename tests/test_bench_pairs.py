@@ -21,7 +21,8 @@ class FakeRunner:
     The change's `tpot_p50_ms` reads 20% below the parent's, except on
     seed 24 where it reads 20% above; `token_agree` ties on every seed.
     Every other metric reads 1.0 on both sides, plus a small amount for
-    the parent on odd seeds.
+    the parent on odd seeds. Both sides produce the same tokens, except the
+    change on rag_shared seed 27.
     """
 
     def __init__(self):
@@ -39,8 +40,11 @@ class FakeRunner:
             factor = 1.0 if side == "parent" else (1.2 if seed == 24 else 0.8)
             metrics["tpot_p50_ms"]["value"] = base * factor
             metrics["token_agree"]["value"] = 0.5
+        tokens = f"{workload}-{seed}"
+        if side == "change" and (workload, seed) == ("rag_shared", 27):
+            tokens += "-other"
         return {"correct": True, "attempted": 10 + (side == "change"), "failed": 0,
-                "metrics": metrics}
+                "metrics": metrics, "tokens_sha256": tokens}
 
 
 @pytest.fixture
@@ -76,6 +80,8 @@ def test_pairs_alternate_and_every_metric_is_compared(trees, tmp_path):
     assert section["correct"] == {"parent": True, "change": True}
     assert section["attempted"] == {"parent": 100, "change": 110}
     assert section["failed"] == {"parent": 0, "change": 0}
+    assert section["tokens_identical"] is True
+    assert data["workloads"]["rag_shared"]["tokens_identical"] is False
     assert list(section["metrics"]) == [m["name"] for m in BENCHMARK["end_to_end"]]
     for name, entry in section["metrics"].items():
         assert set(entry["parent"]) == set(entry["change"]) == {"p25", "median", "p75"}
@@ -121,7 +127,9 @@ def test_traced_section_joins_an_existing_file(trees, tmp_path):
 
 
 def test_last_json_line_and_seed_ranges():
-    assert bench_pairs.last_json_line('{"a": 1}\nend_to_end x 1 ms\n{"b": 2}\n') == {"b": 2}
+    stdout = 'start\n{"a": 1}\nend_to_end x 1 ms\n{"b": 2}\n'
+    assert bench_pairs.json_lines(stdout) == [{"a": 1}, {"b": 2}]
+    assert bench_pairs.last_json_line(stdout) == {"b": 2}
     with pytest.raises(RuntimeError):
         bench_pairs.last_json_line("no json here\n")
     assert bench_pairs.parse_seeds("21-24") == [21, 22, 23, 24]

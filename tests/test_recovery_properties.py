@@ -5,6 +5,10 @@ offsets. Layer 0 saw no context in any path, and the system chunk comes
 first, so at layer 0 everywhere and over the system span at every layer
 the result must match a full prefill of the same ids. Chunks of up to 100
 tokens put chunk edges on both sides of the 32-row attention tile edges.
+
+Local rotation (the plain-concatenation baseline) builds one cos/sin table
+per chunk for all its layers; it must rotate every layer bit for bit as
+`rope_rotate` at positions 0..len-1 does.
 """
 
 import numpy as np
@@ -44,3 +48,18 @@ def test_recovered_concat_matches_prefill_at_layer0_and_system_span(parts):
     np.testing.assert_allclose(fused.keys[:, :, system], true_k[:, :, system], rtol=0, atol=ATOL)
     np.testing.assert_allclose(fused.values[:, :, system], true_v[:, :, system], rtol=0,
                                atol=ATOL)
+
+
+@SETTINGS
+@given(chunkings())
+def test_local_rotation_equals_rope_rotate_per_layer(parts):
+    for part in parts:
+        chunk = CS.precompute_chunk(part, MODEL)
+        rotated = CS.rotate_chunk_local(chunk, MODEL.config)
+        pos = np.arange(chunk.length, dtype=np.int64)
+        assert len(rotated.layers) == len(chunk.layers)
+        for before, after in zip(chunk.layers, rotated.layers):
+            assert after.rope_applied and after.keys.dtype == M.DTYPE
+            assert np.array_equal(after.keys,
+                                  M.rope_rotate(before.keys, pos, MODEL.config).astype(M.DTYPE))
+            assert after.values is before.values

@@ -6,12 +6,17 @@ that turns each rotary pair's angle around).
 
 A forward builds one cos/sin table and every layer's `block_qkv` reads it;
 the fused prefill slices the table of all positions at its carried rows.
-A sliced table must rotate bit for bit like a table built on those rows.
+A sliced table must rotate bit for bit like a table built on those rows,
+and `_rotate`, which builds its result in place, must give the bits of the
+plain two-line expression.
+`block_qkv` runs one product with a layer's stacked Q/K/V weights and one
+rotation of the q and k heads; each part must equal its own product, and
+the stacked array must be the one float64 copy of those weights.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvfuse import model as M
@@ -64,6 +69,18 @@ def test_rotation_inverts_exactly(case):
                                rtol=1e-13)
 
 
+@SETTINGS
+@given(rope_cases())
+def test_rotate_gives_the_bits_of_the_plain_expression(case):
+    config, x, a, _ = case
+    cos, sin = M._rope_table(a, config)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    expect = np.empty_like(x)
+    expect[..., 0::2] = even * cos - odd * sin
+    expect[..., 1::2] = even * sin + odd * cos
+    assert np.array_equal(M._rotate(x, cos, sin), expect)
+
+
 MODEL = M.build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, d_ff=16, vocab_size=32,
                                   seed=5))
 
@@ -98,6 +115,33 @@ def test_sliced_table_rotates_like_a_table_of_the_rows(case, layer):
     q_rot, k_rot, k_raw, _ = sliced
     assert np.array_equal(q_rot, rope_rotate(q_raw, positions[rows], cfg))
     assert np.array_equal(k_rot, rope_rotate(k_raw, positions[rows], cfg))
+
+
+@SETTINGS
+@given(st.integers(1, 300), st.integers(0, MODEL.config.n_layers - 1), seeds)
+@example(rows=1, layer=MODEL.config.n_layers - 1, seed=0)  # a decode step
+def test_one_qkv_product_equals_the_three_products(rows, layer, seed):
+    cfg, lw = MODEL.config, MODEL.weights.layers[layer]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, cfg.d_model))
+    positions = rng.integers(0, 50_000, size=rows)
+    q_rot, k_rot, k_raw, v = M.block_qkv(MODEL, layer, x, M._rope_table(positions, cfg))
+    h1 = M._rmsnorm(x, lw.attn_gain)
+
+    def heads(y):
+        return M._split_heads(y, cfg.n_heads, cfg.head_dim)
+
+    assert np.array_equal(k_raw, heads(h1 @ lw.wk))
+    assert np.array_equal(v, heads(h1 @ lw.wv))
+    assert np.array_equal(q_rot, rope_rotate(heads(h1 @ lw.wq), positions, cfg))
+    assert np.array_equal(k_rot, rope_rotate(k_raw, positions, cfg))
+    # Wq, Wk and Wv are views of the stacked float64 array, which holds
+    # exactly the drawn float32 values.
+    drawn = M.init_model(cfg).layers[layer]
+    assert lw.wqkv.dtype == np.float64
+    assert np.array_equal(lw.wqkv, np.stack([drawn.wq, drawn.wk, drawn.wv]))
+    for w in (lw.wq, lw.wk, lw.wv):
+        assert np.shares_memory(w, lw.wqkv)
 
 
 @SETTINGS
