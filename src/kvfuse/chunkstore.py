@@ -24,6 +24,7 @@ from .errors import (
     FingerprintError,
     InputError,
     IntegrityError,
+    ShapeError,
 )
 from .model import (
     DTYPE,
@@ -34,7 +35,6 @@ from .model import (
     _rope_table,
     _rotate,
     prefill_forward,
-    rope_rotate,
 )
 
 MAGIC = b"A3KV"
@@ -236,16 +236,24 @@ def read_header(path) -> dict:
 
 
 def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
-    """Full load of one file path with every integrity check applied."""
+    """Full load of one file path with every integrity check applied.
+
+    The file is read once into a writable buffer; the digest is taken over
+    a view of it, and the returned token ids, keys and values are views of
+    it too, so a load copies the stored cache once.
+    """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            got = fh.readinto(raw)
     except FileNotFoundError:
         raise ChunkNotFoundError(f"no chunk file at {path}") from None
+    if got != len(raw):
+        raise IntegrityError(f"chunk file {path} read {got} of its {len(raw)} bytes")
     if len(raw) < _HEADER.size + _DIGEST_LEN:
         raise IntegrityError(f"chunk file {path} is truncated")
-    body, digest = raw[:-_DIGEST_LEN], raw[-_DIGEST_LEN:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(raw)[:-_DIGEST_LEN]
+    if hashlib.sha256(body).digest() != raw[-_DIGEST_LEN:]:
         raise IntegrityError(f"chunk file {path} fails its content digest")
     h = _unpack_header(body)
     if h["magic"] != MAGIC:
@@ -264,20 +272,13 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
     expect = offset + 4 * n + 2 * (n_layers * n_heads * n * head_dim * 4)
     if len(body) != expect:
         raise IntegrityError(f"chunk file {path} has wrong payload size")
-    token_ids = np.frombuffer(body, dtype="<u4", count=n, offset=offset).copy()
+    token_ids = np.frombuffer(raw, dtype="<u4", count=n, offset=offset)
     offset += 4 * n
     count = n_layers * n_heads * n * head_dim
-    keys = (
-        np.frombuffer(body, dtype="<f4", count=count, offset=offset)
-        .reshape(n_layers, n_heads, n, head_dim)
-        .copy()
-    )
+    shape = (n_layers, n_heads, n, head_dim)
+    keys = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
     offset += count * 4
-    values = (
-        np.frombuffer(body, dtype="<f4", count=count, offset=offset)
-        .reshape(n_layers, n_heads, n, head_dim)
-        .copy()
-    )
+    values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
     if chunk_id(token_ids, fp) != stored_id:
         raise IntegrityError(f"chunk file {path} id does not match its own content")
     layers = [
@@ -396,16 +397,20 @@ def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
     if len(rotated) > 1:
         raise ContractViolation("cannot mix rotated and unrotated chunks")
     local_rotation = rotated.pop()
-    keys = np.concatenate(
-        [np.stack([l.keys for l in c.layers]) for c in chunks], axis=2
-    ).astype(DTYPE, copy=False)
-    values = np.concatenate(
-        [np.stack([l.values for l in c.layers]) for c in chunks], axis=2
-    ).astype(DTYPE, copy=False)
-    spans = [Span("system", 0, chunks[0].length)]
-    offset = chunks[0].length
-    for c in chunks[1:]:
-        spans.append(Span("document", offset, c.length))
+    n_layers = len(chunks[0].layers)
+    n_heads, _, head_dim = chunks[0].layers[0].keys.shape
+    n = sum(c.length for c in chunks)
+    keys = np.empty((n_layers, n_heads, n, head_dim), dtype=DTYPE)
+    values = np.empty_like(keys)
+    spans, offset = [], 0
+    for c in chunks:
+        if len(c.layers) != n_layers:
+            raise ShapeError(f"chunks disagree on layer count: {len(c.layers)} vs {n_layers}")
+        span = slice(offset, offset + c.length)
+        for l, layer in enumerate(c.layers):
+            keys[l, :, span] = layer.keys
+            values[l, :, span] = layer.values
+        spans.append(Span("document" if spans else "system", offset, c.length))
         offset += c.length
     spans.append(Span("question", offset, 0))
     token_ids = np.concatenate([c.token_ids for c in chunks]).astype(np.uint32)
@@ -430,8 +435,14 @@ def recover_positions(fused: FusedCache, config: ModelConfig) -> FusedCache:
         raise ContractViolation("positions already recovered; rotation is not idempotent")
     if fused.local_rotation:
         raise ContractViolation("locally rotated chunks cannot be position-recovered")
-    positions = np.arange(fused.n, dtype=np.int64)
-    fused.keys = rope_rotate(fused.keys, positions, config).astype(DTYPE)
+    if fused.keys.shape[-1] != config.head_dim:
+        raise ShapeError(f"last axis {fused.keys.shape[-1]} != head_dim {config.head_dim}")
+    # One table for every layer, and one layer rotated at a time, written
+    # back rounded to float32: the bits of `rope_rotate` over the whole
+    # cache, without its float64 copy of every layer at once.
+    rope = _rope_table(np.arange(fused.n, dtype=np.int64), config)
+    for layer in fused.keys:
+        layer[...] = _rotate(np.asarray(layer, dtype=_F64), *rope)
     fused.rope_recovered = True
     return fused
 

@@ -295,8 +295,9 @@ def fused_prefill(
     x, rope = model.weights.embedding[ids], (cos[rows], sin[rows])
     for l in range(cfg.n_layers):
         q, k, _, v = block_qkv(model, l, x, rope)
-        keys[l, :, :n_ctx] = fused.keys[l]
-        values[l, :, :n_ctx] = fused.values[l]
+        if rows.size < n:  # else every stored entry is overwritten below
+            keys[l, :, :n_ctx] = fused.keys[l]
+            values[l, :, :n_ctx] = fused.values[l]
         keys[l][:, rows] = k.astype(DTYPE)
         values[l][:, rows] = v.astype(DTYPE)
         question_queries[l] = q[:, -q_len:].astype(DTYPE)
@@ -325,10 +326,7 @@ def fused_prefill(
             q, x, rope = q[:, rows], x[rows], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-        attn = attention(
-            q, np.asarray(keys[l], dtype=_F64), np.asarray(values[l], dtype=_F64), rows, pos
-        )
-        x = block_out(model, l, x, attn)
+        x = block_out(model, l, x, attention(q, keys[l], values[l], rows, pos))
     durations["patch"] = time.perf_counter() - t0
 
     patched = PatchedCache(

@@ -278,24 +278,38 @@ def attention(
     """Causal scaled dot-product attention.
 
     Shapes (n_heads, rows, head_dim); the causal mask admits key position
-    <= query position. Query rows are processed in tiles of 32, so the
-    score matrix never materializes at full n x n and a tile's scores stay
-    in cache. A tile scores only the keys up to the last one some row of it
-    can see, since every later key is hidden from all its rows (the block
-    skipping of FlashAttention). The exponentials are multiplied by the
-    values before they are normalised, so the division runs over (rows,
-    head_dim), not (rows, keys); `DecodeCache.attend` shares this core.
-    Returns float64.
+    <= query position. Each call lays out its operands once: the queries
+    scaled by 1/sqrt(head_dim), the keys copied into one contiguous float64
+    (n_heads, head_dim, keys) array, and the values into a float64
+    (n_heads, keys, head_dim + 1) array whose last column is ones. The
+    copies upcast float32 keys and values, so callers pass them as stored.
+    Query rows are then processed in tiles of 32, so the score matrix never
+    materializes at full n x n and a tile's scores stay in cache. A tile
+    scores only the keys up to the last one some row of it can see, since
+    every later key is hidden from all its rows (the block skipping of
+    FlashAttention). After the shared max shift and exponential, one
+    product with the extended values gives both the unnormalised outputs
+    and, from the ones column, the row sums, so a tile divides once over
+    (rows, head_dim) and never sums or scales its score block. Returns
+    float64.
     """
     q = np.asarray(queries, dtype=_F64)
-    k = np.asarray(keys, dtype=_F64)
-    v = np.asarray(values, dtype=_F64)
+    k = np.asarray(keys)
+    v = np.asarray(values)
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError("queries/keys/values must be (n_heads, rows, head_dim)")
     if not (q.shape[0] == k.shape[0] == v.shape[0]):
         raise ShapeError(f"head counts differ: {q.shape[0]}, {k.shape[0]}, {v.shape[0]}")
     if k.shape[1] != v.shape[1] or k.shape[2] != q.shape[2] or v.shape[2] != q.shape[2]:
         raise ShapeError("keys/values misaligned with queries")
+    h, n, hd = k.shape
+    q = q * (1.0 / np.sqrt(hd))
+    # Contiguous (h, hd, n) keys: a tile's product then reads a row-major
+    # slice, which BLAS runs faster than a transposed view.
+    k_t = np.ascontiguousarray(k.transpose(0, 2, 1), dtype=_F64)
+    v_ext = np.empty((h, n, hd + 1), dtype=_F64)
+    v_ext[:, :, :hd] = v
+    v_ext[:, :, hd] = 1.0
     qpos = np.asarray(q_positions, dtype=np.int64)
     kpos = np.asarray(k_positions, dtype=np.int64)
     out = np.empty_like(q)
@@ -303,8 +317,10 @@ def attention(
         tile = slice(start, start + _TILE_ROWS)
         seen = np.flatnonzero(kpos <= qpos[tile].max())
         cut = int(seen[-1]) + 1 if seen.size else 0
-        exp, sums = _causal_exp(q[:, tile], k[:, :cut], qpos[tile], kpos[:cut])
-        out[:, tile] = (exp @ v[:, :cut]) / sums
+        scores = np.matmul(q[:, tile], k_t[:, :, :cut])
+        _mask_hidden(scores, qpos[tile], kpos[:cut])
+        ext = _softmax_exp(scores) @ v_ext[:, :cut]
+        np.divide(ext[:, :, :hd], ext[:, :, hd:], out=out[:, tile])
     return out
 
 
@@ -317,40 +333,41 @@ def attention_weights(
     """Causal softmax weight matrices (n_heads, rows, keys), float64.
 
     The masked softmax behind `attention`; `fusion.question_attention`
-    reads the weights themselves.
+    reads the weights themselves. It scales the scores and sums their
+    exponentials itself, so the weights are bit for bit those of one
+    `np.where` mask over the whole scaled score matrix.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys, dtype=_F64)
     if q.shape[0] != k.shape[0]:
         raise ShapeError(f"head counts differ: {q.shape[0]} vs {k.shape[0]}")
-    exp, sums = _causal_exp(q, k, np.asarray(q_positions), np.asarray(k_positions))
-    exp /= sums
+    scores = np.matmul(q, k.transpose(0, 2, 1))
+    _mask_hidden(scores, np.asarray(q_positions), np.asarray(k_positions))
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    exp = _softmax_exp(scores)
+    exp /= exp.sum(axis=-1, keepdims=True)
     return exp
 
 
-def _causal_exp(q, k, q_pos, k_pos) -> tuple[np.ndarray, np.ndarray]:
-    # `_softmax_exp` of the causally masked scores. Keys before the first
-    # one hidden from some row are visible to every row, so only the band
-    # from that key on is masked.
+def _mask_hidden(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) -> None:
+    # Set the scores (..., rows, keys) of keys hidden from their row to
+    # -inf, in place. Keys before the first one hidden from some row are
+    # visible to every row, so only the band from that key on is masked.
     if q_pos.size and (k_pos.size == 0 or q_pos.min() < k_pos.min()):
         raise ContractViolation("a query row has no visible key")
-    scores = np.matmul(q, k.transpose(0, 2, 1))
     partly = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else k_pos[:0]
     if partly.size:
         band = slice(int(partly[0]), None)
         hidden = k_pos[None, band] > q_pos[:, None]
-        np.copyto(scores[:, :, band], -np.inf, where=hidden[None])
-    return _softmax_exp(scores, q.shape[-1])
+        np.copyto(scores[..., band], -np.inf, where=hidden)
 
 
-def _softmax_exp(scores: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # The one softmax core of prefill and decode: the unnormalised softmax
-    # of the scores scaled by 1/sqrt(head_dim), in place in `scores`, and
-    # its sums over the last axis. Callers divide after the value product.
-    scores *= 1.0 / np.sqrt(head_dim)
+def _softmax_exp(scores: np.ndarray) -> np.ndarray:
+    # The one softmax core of prefill and decode: shift each row by its
+    # maximum and exponentiate, in place in `scores`, which it returns.
+    # Callers scale before it and normalise after it.
     scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    return scores, scores.sum(axis=-1, keepdims=True)
+    return np.exp(scores, out=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +393,11 @@ def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    # x / (1 + exp(-x)), the same ops in the same order, in one temporary.
+    t = np.negative(x)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(x, t, out=t)
 
 
 def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
@@ -596,7 +617,10 @@ class DecodeCache:
         else:
             raise ContractViolation(f"layer {layer} has no row appended at position {position}")
         k = self._keys[layer][:, :upto]
-        exp, sums = _softmax_exp(np.matmul(k, q_heads[:, :, None])[:, :, 0], k.shape[2])
+        scores = np.matmul(k, q_heads[:, :, None])[:, :, 0]
+        scores *= 1.0 / np.sqrt(k.shape[2])
+        exp = _softmax_exp(scores)
+        sums = exp.sum(axis=-1, keepdims=True)
         return np.matmul(exp[:, None, :], self._values[layer][:, :upto])[:, 0] / sums
 
     def resident_floats(self) -> int:

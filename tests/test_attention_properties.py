@@ -99,6 +99,20 @@ def test_unordered_keys_match_untiled(n_heads, head_dim, k_pos, seed, sort_queri
 
 
 @SETTINGS
+@given(heads, head_dims, carried_rows(), seeds)
+@example(n_heads=4, head_dim=16, case=RAG_SHARED_CARRIED, seed=0)
+def test_float32_keys_and_values_give_the_bits_of_their_upcasts(n_heads, head_dim, case, seed):
+    # `fused_prefill` passes its float32 layers as stored; the copies that
+    # `attention` makes upcast them exactly.
+    k_pos, rows = case
+    q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
+    k32, v32 = k.astype(np.float32), v.astype(np.float32)
+    got = attention(q, k32, v32, k_pos[rows], k_pos)
+    expect = attention(q, k32.astype(np.float64), v32.astype(np.float64), k_pos[rows], k_pos)
+    assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
+
+
+@SETTINGS
 @given(heads, head_dims, ascending_positions(), seeds, st.booleans(), st.data())
 def test_weights_bitwise_equal_to_where_formulation(n_heads, head_dim, k_pos, seed, shuffle,
                                                     data):

@@ -157,6 +157,37 @@ def test_truncated_file_detected(tmp_path, capsys):
     assert capsys.readouterr().err.count("data error:") == len(raw)
 
 
+def test_loads_return_writable_arrays_that_share_no_memory(tmp_path):
+    # A load reads the file into its own buffer and returns views of it, so
+    # two loads of one chunk never alias and either may be written to.
+    chunk = CS.precompute_chunk(random_ids(np.random.default_rng(9), 12), make_model(n_layers=2))
+    CS.store_chunk(chunk, tmp_path)
+    a, b = (CS.load_chunk(chunk.chunk_id, tmp_path) for _ in range(2))
+    arrays_a = [a.token_ids] + [x for l in a.layers for x in (l.keys, l.values)]
+    arrays_b = [b.token_ids] + [x for l in b.layers for x in (l.keys, l.values)]
+    for x in arrays_a + arrays_b:
+        assert x.flags.writeable
+    for x in arrays_a:
+        assert not any(np.shares_memory(x, y) for y in arrays_b)
+
+
+def test_short_read_detected(tmp_path, monkeypatch):
+    # A file that yields fewer bytes than its size said (it shrank between
+    # the stat and the read) fails the load.
+    chunk = CS.precompute_chunk([1, 2, 3], make_model(n_layers=1))
+    path = CS.store_chunk(chunk, tmp_path)
+    real_fstat = os.fstat
+
+    def fstat_one_byte_more(fd):
+        fields = list(real_fstat(fd))
+        fields[6] += 1  # st_size
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(CS.os, "fstat", fstat_one_byte_more)
+    with pytest.raises(IntegrityError, match=r"read \d+ of its \d+ bytes"):
+        CS.verify_chunk_file(path)
+
+
 def test_store_names_its_temp_file_by_pid(tmp_path, monkeypatch):
     # The pid lets `kvfuse precompute` tell a killed writer's leftover from
     # a live one's; a failed rename leaves no temp file behind.

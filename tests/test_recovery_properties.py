@@ -6,8 +6,10 @@ first, so at layer 0 everywhere and over the system span at every layer
 the result must match a full prefill of the same ids. Chunks of up to 100
 tokens put chunk edges on both sides of the 32-row attention tile edges.
 
-Local rotation (the plain-concatenation baseline) builds one cos/sin table
-per chunk for all its layers; it must rotate every layer bit for bit as
+Recovery builds one cos/sin table and rotates one layer at a time; it must
+give bit for bit what `rope_rotate` of the whole cache gives. Local
+rotation (the plain-concatenation baseline) builds one cos/sin table per
+chunk for all its layers; it must rotate every layer bit for bit as
 `rope_rotate` at positions 0..len-1 does.
 """
 
@@ -48,6 +50,17 @@ def test_recovered_concat_matches_prefill_at_layer0_and_system_span(parts):
     np.testing.assert_allclose(fused.keys[:, :, system], true_k[:, :, system], rtol=0, atol=ATOL)
     np.testing.assert_allclose(fused.values[:, :, system], true_v[:, :, system], rtol=0,
                                atol=ATOL)
+
+
+@SETTINGS
+@given(chunkings())
+def test_recovery_equals_rope_rotate_of_the_whole_cache(parts):
+    fused = CS.concat_chunks([CS.precompute_chunk(p, MODEL) for p in parts])
+    expect = M.rope_rotate(fused.keys, np.arange(fused.n), MODEL.config).astype(M.DTYPE)
+    values = fused.values.copy()
+    CS.recover_positions(fused, MODEL.config)
+    assert fused.keys.dtype == M.DTYPE and np.array_equal(fused.keys, expect)
+    assert np.array_equal(fused.values, values)
 
 
 @SETTINGS
