@@ -9,9 +9,25 @@ attended to. Then one `PatchedCache`, one final-logits call and one
 recover global positions and carry every row until layer 1's projections,
 which the selection criteria read; then the selected rows (Re) plus the
 question. `full` rotates each chunk locally and carries the question
-alone. The trace charges `flops.prefill_flops` for the rows that ran
-(every row at layers 0-1 when selecting), so a clamped budget pays for
-them; `flops.fused_flops` models the unclamped budget.
+alone. At the last layer only the tile that holds the last row attends,
+and only that row is finished (`model._attend_out`). The trace charges
+`flops.prefill_flops` for the rows that ran (every row at layers 0-1
+when selecting), so a clamped budget pays for them; `flops.fused_flops`
+models the unclamped budget.
+
+The system prefix is computed once. The system rows attend only to each
+other, so their layer 0-1 keys and values depend only on the system
+tokens and the model. A one-entry module-level memo, keyed by the model
+fingerprint and the token bytes of the system's whole-tile prefix (its
+first len(system) // 32 * 32 rows), holds those rows' float32 layer 0-1
+keys and values and layer 1's float64 rotated keys, which scoring reads.
+On a hit the selective strategies carry rows from the end of the prefix
+at layers 0-1 and fill the prefix rows from the memo; on a miss they
+store copies after layer 1's projections, replacing the old entry. Only
+whole 32-row attention tiles are reused: a tile that straddled the
+system's end would run its value product over a longer key range, which
+may sum in another order, so reusing it could change bits. `full` never
+uses the memo. At the rag_shared shape an entry is 0.74 MB.
 
 Question relevance (`question_attention`) and the top-p rule (`_top_p`)
 are written once, here; eviction and the harness call them too.
@@ -43,15 +59,15 @@ from .chunkstore import (
 )
 from .errors import ConfigError, ContractViolation, InputError, ShapeError
 from .model import (
+    _TILE_ROWS,
     DTYPE,
     DecodeCache,
     Model,
     _F64,
+    _attend_out,
     _check_tokens,
     _rope_table,
-    attention,
     attention_weights,
-    block_out,
     block_qkv,
     final_logits,
 )
@@ -139,6 +155,7 @@ class FusionTrace:
     q_len: int
     selected: list[int]
     clamped: bool
+    prefix_rows: int = 0  # system rows whose layers 0-1 came from the prefix memo
     durations: dict[str, float] = field(default_factory=dict)
     flops: dict[str, float] = field(default_factory=dict)
     scores_doc: np.ndarray | None = None  # kept for the harness, not serialized
@@ -154,6 +171,7 @@ class FusionTrace:
             "q_len": self.q_len,
             "selected": [int(i) for i in self.selected],
             "clamped": self.clamped,
+            "prefix_rows": self.prefix_rows,
             "durations_s": {k: float(v) for k, v in self.durations.items()},
             "flops": {k: float(v) for k, v in self.flops.items()},
         }
@@ -240,6 +258,20 @@ def hit_rate(selected: RecomputeSet, oracle_topk: RecomputeSet) -> float:
 # Fused prefill
 
 
+@dataclass(frozen=True)
+class _SystemPrefix:
+    """Layers 0-1 of the system's whole-tile prefix, rows [0, pre)."""
+
+    key: tuple[bytes, bytes]  # (model fingerprint, the prefix's int64 token bytes)
+    keys: np.ndarray  # (2, H, pre, hd) float32, as the loop wrote them
+    values: np.ndarray  # (2, H, pre, hd) float32
+    k1: np.ndarray  # (H, pre, hd) float64, layer 1's rotated keys, which scoring reads
+
+
+# The one memo entry; a miss replaces it.
+_prefix_memo: _SystemPrefix | None = None
+
+
 def fused_prefill(
     model: Model, segments: InputSegments, plan: FusionPlan, store_dir
 ) -> tuple[PatchedCache, np.ndarray, FusionTrace]:
@@ -277,6 +309,8 @@ def fused_prefill(
     pos = np.arange(n, dtype=np.int64)
     cos, sin = _rope_table(pos, cfg)
 
+    global _prefix_memo
+    memo, first = None, 0  # the memo entry in use; the first carried row at layers 0-1
     if full:
         # Only the question is carried; the chunk rows all precede it, so
         # causality follows from the row offsets.
@@ -286,7 +320,12 @@ def fused_prefill(
         t0 = time.perf_counter()
         recover_positions(fused, cfg)
         durations["recover"] = time.perf_counter() - t0
-        rows, ids = pos, np.concatenate([fused.token_ids.astype(np.int64), q_ids])
+        ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
+        pre = len(segments.system) // _TILE_ROWS * _TILE_ROWS
+        memo_key = (fp, ids[:pre].tobytes())
+        if pre and _prefix_memo is not None and _prefix_memo.key == memo_key:
+            memo, first = _prefix_memo, pre
+        rows, ids = pos[first:], ids[first:]
 
     # The one layer loop: the carried rows write their keys and values into
     # the stored layer, then attend over it. The selection, after layer 1's
@@ -295,19 +334,27 @@ def fused_prefill(
     x, rope = model.weights.embedding[ids], (cos[rows], sin[rows])
     for l in range(cfg.n_layers):
         q, k, _, v = block_qkv(model, l, x, rope)
-        if rows.size < n:  # else every stored entry is overwritten below
+        if memo is not None and l < 2:  # the rows before `first` come from the memo
+            keys[l, :, :first] = memo.keys[l]
+            values[l, :, :first] = memo.values[l]
+        elif rows.size < n:  # else every stored entry is overwritten below
             keys[l, :, :n_ctx] = fused.keys[l]
             values[l, :, :n_ctx] = fused.values[l]
         keys[l][:, rows] = k.astype(DTYPE)
         values[l][:, rows] = v.astype(DTYPE)
         question_queries[l] = q[:, -q_len:].astype(DTYPE)
         if l == 1 and not full:
+            if memo is not None:
+                k = np.concatenate([memo.k1, k], axis=1)
+            elif pre:
+                _prefix_memo = _SystemPrefix(memo_key, keys[:2, :, :pre].copy(),
+                                             values[:2, :, :pre].copy(), k[:, :pre].copy())
             durations["layer01"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             # Scores are recorded for every selective strategy so the harness
             # can compare any selection against the attention oracle at
             # matched budget.
-            scores_doc = score_tokens(q[:, n_ctx:], k, segmap)
+            scores_doc = score_tokens(q[:, -q_len:], k, segmap)
             if plan.strategy == "attention_aware":
                 rset = select_recompute(scores_doc, plan.r, n, segmap)
             elif plan.strategy == "kv_diff":
@@ -323,10 +370,11 @@ def fused_prefill(
             else:  # none
                 rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
             rows = np.concatenate([rset.indices, question_rows])
-            q, x, rope = q[:, rows], x[rows], (cos[rows], sin[rows])
+            # Selected rows are documents or question, all at `first` or later.
+            q, x, rope = q[:, rows - first], x[rows - first], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-        x = block_out(model, l, x, attention(q, keys[l], values[l], rows, pos))
+        x = _attend_out(model, l, x, q, keys[l], values[l], rows, pos)
     durations["patch"] = time.perf_counter() - t0
 
     patched = PatchedCache(
@@ -335,7 +383,8 @@ def fused_prefill(
     )
     trace = FusionTrace(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
-        selected=[int(i) for i in rset.indices], clamped=rset.clamped, durations=durations,
+        selected=[int(i) for i in rset.indices], clamped=rset.clamped, prefix_rows=first,
+        durations=durations,
         flops={
             "prefill": F.prefill_flops(cfg, n, rows.size, 0 if full else 2),
             "vanilla": F.vanilla_flops(cfg, n),

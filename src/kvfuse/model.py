@@ -14,7 +14,9 @@ set of rows, the caller decides which keys they attend to, and `block_out`
 finishes the layer. `prefill_forward` (rows attend to each other),
 `decode_step` (one row over a growing cache) and the fused pipeline in
 `fusion` (rows patched into stored chunk caches) are all loops over it;
-`final_logits` ends each of them. Each layer holds its Q, K and V weights
+`final_logits` ends each of them. The two prefill loops read only their
+last row's output, so their last layer finishes that row alone
+(`_attend_out`). Each layer holds its Q, K and V weights
 stacked in one (3, d_model, d_model) array, of which `wq`, `wk` and `wv`
 are views, so `block_qkv` runs one projection product and rotates the q
 and k heads in one call; the weights take no more memory than three
@@ -287,11 +289,15 @@ def attention(
     materializes at full n x n and a tile's scores stay in cache. A tile
     scores only the keys up to the last one some row of it can see, since
     every later key is hidden from all its rows (the block skipping of
-    FlashAttention). After the shared max shift and exponential, one
-    product with the extended values gives both the unnormalised outputs
-    and, from the ones column, the row sums, so a tile divides once over
-    (rows, head_dim) and never sums or scales its score block. Returns
-    float64.
+    FlashAttention), and masks only the band from the first key hidden
+    from some row of it. The call plans every tile's key cut and band at
+    once, with two `searchsorted` calls over the suffix minimum and the
+    prefix maximum of the key positions, which holds for keys in any
+    order, and checks once that every row sees a key. After the shared max
+    shift and exponential, one product with the extended values gives both
+    the unnormalised outputs and, from the ones column, the row sums, so a
+    tile divides once over (rows, head_dim) and never sums or scales its
+    score block. Returns float64.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys)
@@ -302,6 +308,22 @@ def attention(
         raise ShapeError(f"head counts differ: {q.shape[0]}, {k.shape[0]}, {v.shape[0]}")
     if k.shape[1] != v.shape[1] or k.shape[2] != q.shape[2] or v.shape[2] != q.shape[2]:
         raise ShapeError("keys/values misaligned with queries")
+    out = np.empty_like(q)
+    if q.shape[1] == 0:
+        return out
+    qpos = np.asarray(q_positions, dtype=np.int64)
+    kpos = np.asarray(k_positions, dtype=np.int64)
+    # Row r sees a key exactly when some key position is <= qpos[r].
+    if kpos.size == 0 or qpos.min() < kpos.min():
+        raise ContractViolation("a query row has no visible key")
+    starts = np.arange(0, q.shape[1], _TILE_ROWS)
+    # A tile's cut is one past the last key at or before its latest row,
+    # the count of suffix minima <= that row; its band starts at the first
+    # key after its earliest row, the count of prefix maxima <= that row.
+    cuts = np.searchsorted(np.minimum.accumulate(kpos[::-1])[::-1],
+                           np.maximum.reduceat(qpos, starts), "right")
+    bands = np.searchsorted(np.maximum.accumulate(kpos),
+                            np.minimum.reduceat(qpos, starts), "right")
     h, n, hd = k.shape
     q = q * (1.0 / np.sqrt(hd))
     # Contiguous (h, hd, n) keys: a tile's product then reads a row-major
@@ -310,15 +332,12 @@ def attention(
     v_ext = np.empty((h, n, hd + 1), dtype=_F64)
     v_ext[:, :, :hd] = v
     v_ext[:, :, hd] = 1.0
-    qpos = np.asarray(q_positions, dtype=np.int64)
-    kpos = np.asarray(k_positions, dtype=np.int64)
-    out = np.empty_like(q)
-    for start in range(0, q.shape[1], _TILE_ROWS):
+    for start, cut, band in zip(starts.tolist(), cuts.tolist(), bands.tolist()):
         tile = slice(start, start + _TILE_ROWS)
-        seen = np.flatnonzero(kpos <= qpos[tile].max())
-        cut = int(seen[-1]) + 1 if seen.size else 0
         scores = np.matmul(q[:, tile], k_t[:, :, :cut])
-        _mask_hidden(scores, qpos[tile], kpos[:cut])
+        if band < cut:
+            hidden = kpos[None, band:cut] > qpos[tile, None]
+            np.copyto(scores[..., band:], -np.inf, where=hidden)
         ext = _softmax_exp(scores) @ v_ext[:, :cut]
         np.divide(ext[:, :, :hd], ext[:, :, hd:], out=out[:, tile])
     return out
@@ -441,6 +460,28 @@ def block_out(model: Model, layer: int, x64: np.ndarray, attn: np.ndarray) -> np
     return out.astype(DTYPE).astype(_F64)
 
 
+def _attend_out(model: Model, layer: int, x64: np.ndarray, q: np.ndarray, keys: np.ndarray,
+                values: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) -> np.ndarray:
+    """`attention` of the rows' queries `q` over `keys`/`values`, then
+    `block_out`, for the layers before the last. At the last layer only the
+    last row's output is read (`final_logits` takes it), so only the tile
+    that holds it attends and only that row runs `block_out`; the result is
+    then that one row.
+
+    The tile stays whole, so its products are the full call's, bit for bit.
+    A one-row product takes NumPy's matrix-vector path, whose float64 sums
+    may differ from the matrix product's in the last place. `block_out`
+    over the last row alone takes that path, but rounds its output to
+    float32, which hid the difference on all 3000 random rows tried at the
+    rag_shared shape.
+    """
+    if layer < model.config.n_layers - 1:
+        return block_out(model, layer, x64, attention(q, keys, values, q_pos, k_pos))
+    tail = (q.shape[1] - 1) // _TILE_ROWS * _TILE_ROWS
+    attn = attention(q[:, tail:], keys, values, q_pos[tail:], k_pos)
+    return block_out(model, layer, x64[-1:], attn[:, -1:])
+
+
 def final_logits(model: Model, x64: np.ndarray) -> np.ndarray:
     """Final norm and unembedding of the given rows; (rows, vocab) float32."""
     w = model.weights
@@ -478,7 +519,13 @@ def prefill_forward(
     record_raw_keys: bool = False,
     record_queries: bool = False,
 ) -> PrefillResult:
-    """Full forward over a token sequence at positions 0..n-1."""
+    """Full forward over a token sequence at positions 0..n-1.
+
+    Every layer writes the keys and values of every row (and, when asked,
+    its raw keys and rotated queries). Only the last row's logits are
+    returned, so at the last layer `_attend_out` attends with the final
+    32-row tile alone and finishes only the last row.
+    """
     cfg = model.config
     ids = _check_tokens(cfg, token_ids)
     n = ids.shape[0]
@@ -497,7 +544,7 @@ def prefill_forward(
             raw_keys.append(k_raw.astype(DTYPE))
         if record_queries:
             queries.append(q_rot.astype(DTYPE))
-        x64 = block_out(model, l, x64, attention(q_rot, k_rot, v, pos, pos))
+        x64 = _attend_out(model, l, x64, q_rot, k_rot, v, pos, pos)
     return PrefillResult(caches=caches, logits=final_logits(model, x64[-1:])[0],
                          raw_keys=raw_keys if record_raw_keys else None,
                          queries=queries if record_queries else None)

@@ -140,3 +140,27 @@ def test_row_without_visible_key_raises_in_a_later_tile(n_heads, head_dim, n, se
         attention(q, k, v, q_pos, k_pos)
     with pytest.raises(ContractViolation):
         attention_weights(q, k, q_pos, k_pos)
+
+
+@SETTINGS
+@given(heads, head_dims, st.integers(0, 40), seeds)
+def test_zero_query_rows_give_an_empty_result(n_heads, head_dim, n_k, seed):
+    q, k, v = arrays(seed, n_heads, 0, n_k, head_dim)
+    out = attention(q, k, v, np.zeros(0, dtype=np.int64), np.arange(n_k))
+    assert out.shape == (n_heads, 0, head_dim) and out.dtype == np.float64
+
+
+@SETTINGS
+@given(heads, head_dims, st.integers(1, 400), seeds, st.booleans(), st.data())
+def test_row_without_visible_key_raises_in_the_first_tile(n_heads, head_dim, n, seed, shuffle,
+                                                         data):
+    k_pos = np.arange(1, n + 1)
+    if shuffle:
+        k_pos = np.random.default_rng(seed).permutation(k_pos)
+    q_pos = np.arange(1, n + 1)
+    q_pos[data.draw(st.integers(0, min(n, _TILE_ROWS) - 1), label="blind row")] = 0
+    q, k, v = arrays(seed, n_heads, n, n, head_dim)
+    with pytest.raises(ContractViolation):
+        attention(q, k, v, q_pos, k_pos)
+    with pytest.raises(ContractViolation):
+        attention_weights(q, k, q_pos, k_pos)

@@ -165,6 +165,7 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
     assert trace["eviction"]["kept_per_layer_head"] == 60 < trace["n"]
     assert "kernel" not in trace["eviction"]
     assert trace["p"] == len(trace["selected"])
+    assert trace["prefix_rows"] == 0  # a 24-token system holds no whole tile
     capsys.readouterr()
     for flags in (["--evict"], ["--evict", "--evict-capacity", "60"], ["--evict-kernel", "7"]):
         rc = main([

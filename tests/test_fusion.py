@@ -422,7 +422,105 @@ def test_fusion_trace_serializes(tmp_path):
     assert data["strategy"] == "attention_aware"
     assert data["p"] == len(data["selected"]) == trace.p
     assert set(data["durations_s"]) == {"load", "concat", "recover", "layer01", "select", "patch"}
+    assert data["prefix_rows"] == 0  # an 8-token system holds no whole tile
     assert data["flops"]["prefill"] < data["flops"]["vanilla"]
+
+
+# ---------------------------------------------------------------------------
+# System prefix memo
+
+SELECTIVE = ("attention_aware", "kv_diff", "head_tail", "none")
+
+
+def run_prefill(model, segments, strategy, store):
+    plan = FU.FusionPlan(strategy, r=0.3, head_tail_k=3)
+    return FU.fused_prefill(model, segments, plan, store)
+
+
+def assert_same_prefill(a, b):
+    (pa, la, ta), (pb, lb, tb) = a, b
+    assert la.tobytes() == lb.tobytes()
+    assert pa.keys.tobytes() == pb.keys.tobytes()
+    assert pa.values.tobytes() == pb.values.tobytes()
+    assert pa.question_queries.tobytes() == pb.question_queries.tobytes()
+    assert ta.scores_doc.tobytes() == tb.scores_doc.tobytes()
+    assert ta.selected == tb.selected
+    assert np.array_equal(pa.patched_offsets, pb.patched_offsets)
+
+
+@pytest.mark.parametrize("sys_len, reused", [(70, 64), (20, 0)])
+def test_prefix_memo_hit_is_bitwise_a_miss(tmp_path, monkeypatch, sys_len, reused):
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(31), sys_len=sys_len,
+                             doc_lens=(40, 30), q_len=6)
+    populate_store(model, segments, tmp_path)
+    for strategy in SELECTIVE:
+        monkeypatch.setattr(FU, "_prefix_memo", None)
+        miss = run_prefill(model, segments, strategy, tmp_path)
+        hit = run_prefill(model, segments, strategy, tmp_path)
+        assert (miss[2].prefix_rows, hit[2].prefix_rows) == (0, reused)
+        assert_same_prefill(hit, miss)
+
+
+def test_prefix_memo_is_not_reused_stale(tmp_path, monkeypatch):
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(32), sys_len=70,
+                             doc_lens=(40, 30), q_len=6)
+    vocab = model.config.vocab_size
+    # Changed inside the reused prefix but after its first tile, and only
+    # after the prefix, where the memo still holds.
+    inside, after = segments.system.copy(), segments.system.copy()
+    inside[40] = (inside[40] + 1) % vocab
+    after[66] = (after[66] + 1) % vocab
+    other_seed = make_model(seed=22)
+    cases = [
+        (model, FU.InputSegments(inside, segments.documents, segments.question), 0),
+        (model, FU.InputSegments(after, segments.documents, segments.question), 64),
+        (other_seed, segments, 0),
+    ]
+    for m, segs, _ in [(model, segments, 0)] + cases:
+        populate_store(m, segs, tmp_path)
+    for strategy in SELECTIVE:
+        for m, segs, reused in cases:
+            monkeypatch.setattr(FU, "_prefix_memo", None)
+            cleared = run_prefill(m, segs, strategy, tmp_path)
+            run_prefill(model, segments, strategy, tmp_path)  # fills the memo
+            after_other = run_prefill(m, segs, strategy, tmp_path)
+            assert after_other[2].prefix_rows == reused
+            assert_same_prefill(after_other, cleared)
+
+
+def test_prefix_memo_holds_one_entry(tmp_path, monkeypatch):
+    model = make_model()
+    monkeypatch.setattr(FU, "_prefix_memo", None)
+    cfg = model.config
+    for seed in (33, 34):
+        segments = make_instance(model, np.random.default_rng(seed), sys_len=70,
+                                 doc_lens=(40, 30), q_len=6)
+        populate_store(model, segments, tmp_path)
+        run_prefill(model, segments, "attention_aware", tmp_path)
+        memo = FU._prefix_memo
+        assert isinstance(memo, FU._SystemPrefix)
+        assert memo.key == (cfg.fingerprint(), segments.system[:64].astype(np.int64).tobytes())
+        assert memo.keys.shape == memo.values.shape == (2, cfg.n_heads, 64, cfg.head_dim)
+        assert memo.k1.shape == (cfg.n_heads, 64, cfg.head_dim)
+    # `full` neither reads nor replaces the entry.
+    _, _, trace = run_prefill(model, segments, "full", tmp_path)
+    assert trace.prefix_rows == 0 and FU._prefix_memo is memo
+
+
+def test_trace_reports_the_rows_taken_from_the_memo(tmp_path, monkeypatch):
+    import json
+
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(35), sys_len=70,
+                             doc_lens=(40, 30), q_len=6)
+    populate_store(model, segments, tmp_path)
+    monkeypatch.setattr(FU, "_prefix_memo", None)
+    rows = [json.loads(json.dumps(run_prefill(model, segments, "attention_aware",
+                                              tmp_path)[2].to_json_dict()))["prefix_rows"]
+            for _ in range(2)]
+    assert rows == [0, 64]
 
 
 def test_monotone_fidelity_in_r(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kvfuse import model as M
 from kvfuse.errors import ConfigError, ContractViolation, InputError, ShapeError
@@ -249,6 +251,45 @@ def test_prefill_causality():
                                    b.caches[l].values[:, : t + 1], atol=1e-6)
         np.testing.assert_allclose(a.queries[l][:, : t + 1], b.queries[l][:, : t + 1], atol=1e-6)
     assert not np.allclose(a.caches[0].keys[:, t + 1 :], b.caches[0].keys[:, t + 1 :])
+
+
+def reference_prefill(model, ids):
+    """Every row of every layer through block_qkv, attention and block_out."""
+    pos = np.arange(len(ids), dtype=np.int64)
+    rope = M._rope_table(pos, model.config)
+    x = model.weights.embedding[ids]
+    keys, values, raw_keys, queries = [], [], [], []
+    for l in range(model.config.n_layers):
+        q, k, k_raw, v = M.block_qkv(model, l, x, rope)
+        keys.append(k.astype(M.DTYPE))
+        values.append(v.astype(M.DTYPE))
+        raw_keys.append(k_raw.astype(M.DTYPE))
+        queries.append(q.astype(M.DTYPE))
+        x = M.block_out(model, l, x, M.attention(q, k, v, pos, pos))
+    return M.final_logits(model, x[-1:])[0], keys, values, raw_keys, queries
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 100), st.integers(0, 2**32 - 1))
+@example(n=31, seed=0)
+@example(n=32, seed=0)
+@example(n=33, seed=0)
+@example(n=64, seed=0)
+def test_prefill_finishing_only_the_last_row_matches_every_row(n, seed):
+    # At the last layer prefill attends with the final tile alone and runs
+    # block_out for the last row only; every output keeps the bits of the
+    # forward that finishes every row.
+    cfg = small_config()
+    model = M.build_model(cfg)
+    ids = np.random.default_rng(seed).integers(0, cfg.vocab_size, size=n)
+    res = M.prefill_forward(model, ids, record_raw_keys=True, record_queries=True)
+    logits, keys, values, raw_keys, queries = reference_prefill(model, ids)
+    assert res.logits.tobytes() == logits.tobytes()
+    for l in range(cfg.n_layers):
+        assert res.caches[l].keys.tobytes() == keys[l].tobytes()
+        assert res.caches[l].values.tobytes() == values[l].tobytes()
+        assert res.raw_keys[l].tobytes() == raw_keys[l].tobytes()
+        assert res.queries[l].tobytes() == queries[l].tobytes()
 
 
 def test_prefill_bitwise_deterministic():
