@@ -14,7 +14,9 @@ FLOP figures of the trace), greedy decoding with and without eviction, and
 the pooled eviction scores (`snap_scores`) of the four strategies that
 recover positions, at a small test shape and at the rag_shared shape; the
 logits of every step of a long greedy decode at the test shape, with and
-without eviction, long enough that the decode cache grows three times; then
+without eviction, long enough that the decode cache grows three times; the
+logits of greedy decodes that start far past the context, at positions
+100,000 and 1,000,000, with and without eviction, at both shapes; then
 every `run_bench` report row for a 3-seed needle config with two r values
 and eviction. The timing columns that older trees still report are left
 out, so those trees hash the same rows.
@@ -45,6 +47,8 @@ SHAPES = {
 RATIOS = (0.0, 0.15, 1.0)
 GEN_LEN = 8
 LONG_DECODE = 256  # steps: from 35 rows (24 after eviction) past three cache growths
+FAR_STARTS = (100_000, 1_000_000)  # decode positions where the rotation angles are large
+FAR_DECODE = 16  # steps from each far start
 BENCH_CONFIG = {
     "model": SHAPES["test"][0],
     "recipe": {"n_doc_chunks": 2, "chunk_len": 24, "system_len": 12, "question_len": 6,
@@ -66,16 +70,17 @@ def emit(label: str, array) -> None:
     print(f"{label} {digest(array)}")
 
 
-def emit_long_decode(model, segments, store, capacity: int) -> None:
+def emit_decode(tag: str, model, segments, store, capacity: int, start: int,
+                steps: int) -> None:
     plan = fusion.FusionPlan("attention_aware", r=0.15)
     for evicted in (False, True):
         patched, logits, _ = fusion.fused_prefill(model, segments, plan, store)
         cache = (evict(patched, EvictionPolicy(capacity=capacity)) if evicted
                  else patched.to_decode_cache())
-        for step in range(LONG_DECODE):
-            logits = M.decode_step(model, cache, M.greedy_token(logits), segments.n + step)
-            emit(f"test long decode evict={evicted} step {step} logits", logits)
-        emit(f"test long decode evict={evicted} cache",
+        for step in range(steps):
+            logits = M.decode_step(model, cache, M.greedy_token(logits), start + step)
+            emit(f"{tag} evict={evicted} step {step} logits", logits)
+        emit(f"{tag} evict={evicted} cache",
              np.stack([cache.keys_view(l) for l in range(model.config.n_layers)]))
 
 
@@ -124,7 +129,11 @@ def main() -> None:
                 emit(f"{name} {strategy} evicted cache",
                      np.stack([run.cache.keys_view(l) for l in range(model.config.n_layers)]))
             if name == "test":
-                emit_long_decode(model, segments, store, capacity)
+                emit_decode("test long decode", model, segments, store, capacity,
+                            segments.n, LONG_DECODE)
+            for start in FAR_STARTS:
+                emit_decode(f"{name} decode from {start}", model, segments, store, capacity,
+                            start, FAR_DECODE)
     report = bench.run_bench(bench.BenchConfig.from_dict(BENCH_CONFIG))
     for row in report.rows:
         kept = {k: v for k, v in row.items() if k not in TIMING_COLUMNS}

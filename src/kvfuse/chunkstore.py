@@ -69,6 +69,12 @@ class ChunkKV:
     def rope_applied(self) -> bool:
         return self.layers[0].rope_applied
 
+    @property
+    def file_bytes(self) -> int:
+        """The size of this chunk's file, which a load reads and verifies whole."""
+        n_heads, n, head_dim = self.layers[0].keys.shape
+        return _file_size(len(self.layers), n_heads, n, head_dim)
+
 
 def precompute_chunk(token_ids, model: Model) -> ChunkKV:
     """Standalone forward of one chunk; keys stored pre-rotation.
@@ -82,7 +88,7 @@ def precompute_chunk(token_ids, model: Model) -> ChunkKV:
         raise InputError("cannot precompute an empty chunk")
     res = prefill_forward(model, ids, record_raw_keys=True)
     layers = [
-        LayerKV(keys=raw, values=cache.values.copy(), rope_applied=False)
+        LayerKV(keys=raw, values=cache.values, rope_applied=False)
         for raw, cache in zip(res.raw_keys, res.caches)
     ]
     fp = model.config.fingerprint()
@@ -151,41 +157,39 @@ def remove_orphaned_temps(directory) -> list[str]:
     return removed
 
 
+def _file_size(n_layers: int, n_heads: int, n: int, head_dim: int) -> int:
+    # Header, token ids, keys and values, digest.
+    return _HEADER.size + 4 * n + 2 * 4 * n_layers * n_heads * n * head_dim + _DIGEST_LEN
+
+
 def store_chunk(chunk: ChunkKV, directory) -> str:
-    """Atomically persist a chunk; returns the file path."""
+    """Atomically persist a chunk; returns the file path.
+
+    Each layer is copied once, into one buffer laid out as the file; the
+    digest is taken over a view of it and the buffer written as it stands.
+    """
     n_layers = len(chunk.layers)
     n_heads, n, head_dim = chunk.layers[0].keys.shape
     flags = 1 if chunk.rope_applied else 0
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        chunk.model_fingerprint,
-        chunk.chunk_id,
-        n_layers,
-        n_heads,
-        head_dim,
-        n,
-        0,
-        flags,
-        0,
-    )
-    keys = np.stack([l.keys for l in chunk.layers])
-    values = np.stack([l.values for l in chunk.layers])
-    body = b"".join(
-        (
-            header,
-            np.ascontiguousarray(chunk.token_ids, dtype="<u4").tobytes(),
-            np.ascontiguousarray(keys, dtype="<f4").tobytes(),
-            np.ascontiguousarray(values, dtype="<f4").tobytes(),
-        )
-    )
-    digest = hashlib.sha256(body).digest()
+    buf = bytearray(_file_size(n_layers, n_heads, n, head_dim))
+    _HEADER.pack_into(buf, 0, MAGIC, VERSION, chunk.model_fingerprint, chunk.chunk_id,
+                      n_layers, n_heads, head_dim, n, 0, flags, 0)
+    offset = _HEADER.size
+    np.frombuffer(buf, dtype="<u4", count=n, offset=offset)[:] = chunk.token_ids
+    offset += 4 * n
+    count = n_layers * n_heads * n * head_dim
+    for part in ("keys", "values"):
+        dst = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
+        dst = dst.reshape(n_layers, n_heads, n, head_dim)
+        for l, layer in enumerate(chunk.layers):
+            dst[l] = getattr(layer, part)
+        offset += 4 * count
+    buf[offset:] = hashlib.sha256(memoryview(buf)[:offset]).digest()
     path = _chunk_path(directory, chunk.chunk_id)
     fd, tmp = tempfile.mkstemp(dir=os.fspath(directory), prefix=f"{_TMP_PREFIX}{os.getpid()}-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(body)
-            fh.write(digest)
+            fh.write(buf)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -269,8 +273,7 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
         )
     n_layers, n_heads, n, head_dim = h["n_layers"], h["n_heads"], h["chunk_len"], h["head_dim"]
     offset = _HEADER.size
-    expect = offset + 4 * n + 2 * (n_layers * n_heads * n * head_dim * 4)
-    if len(body) != expect:
+    if len(raw) != _file_size(n_layers, n_heads, n, head_dim):
         raise IntegrityError(f"chunk file {path} has wrong payload size")
     token_ids = np.frombuffer(raw, dtype="<u4", count=n, offset=offset)
     offset += 4 * n

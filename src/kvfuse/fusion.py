@@ -156,6 +156,7 @@ class FusionTrace:
     selected: list[int]
     clamped: bool
     prefix_rows: int = 0  # system rows whose layers 0-1 came from the prefix memo
+    chunk_bytes: int = 0  # bytes of the chunk files the loads read and verified
     durations: dict[str, float] = field(default_factory=dict)
     flops: dict[str, float] = field(default_factory=dict)
     scores_doc: np.ndarray | None = None  # kept for the harness, not serialized
@@ -172,6 +173,7 @@ class FusionTrace:
             "selected": [int(i) for i in self.selected],
             "clamped": self.clamped,
             "prefix_rows": self.prefix_rows,
+            "chunk_bytes": self.chunk_bytes,
             "durations_s": {k: float(v) for k, v in self.durations.items()},
             "flops": {k: float(v) for k, v in self.flops.items()},
         }
@@ -291,6 +293,7 @@ def fused_prefill(
     t0 = time.perf_counter()
     fp = cfg.fingerprint()
     chunks = [load_chunk(chunk_id(part, fp), store_dir) for part in segments.context_chunks()]
+    chunk_bytes = sum(chunk.file_bytes for chunk in chunks)
     if full:
         chunks = [rotate_chunk_local(chunk, cfg) for chunk in chunks]
     durations["load"] = time.perf_counter() - t0
@@ -384,7 +387,7 @@ def fused_prefill(
     trace = FusionTrace(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
         selected=[int(i) for i in rset.indices], clamped=rset.clamped, prefix_rows=first,
-        durations=durations,
+        chunk_bytes=chunk_bytes, durations=durations,
         flops={
             "prefill": F.prefill_flops(cfg, n, rows.size, 0 if full else 2),
             "vanilla": F.vanilla_flops(cfg, n),

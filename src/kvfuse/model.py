@@ -21,13 +21,24 @@ stacked in one (3, d_model, d_model) array, of which `wq`, `wk` and `wv`
 are views, so `block_qkv` runs one projection product and rotates the q
 and k heads in one call; the weights take no more memory than three
 separate matrices.
+
+The rotation has two forms with the same bits, picked by how many rows
+a table serves. A forward over many rows builds a (cos, sin) table and
+`_rotate` works on strided even and odd views, whose per-call cost is
+spread over the rows. A decode step rotates one row, where that per-call
+cost is most of the work, so it builds its table interleaved (`_RopeRow`)
+and `_rotate_row` needs three array operations. Over many rows the
+interleaved form is the slower one, so prefill keeps `_rotate`. The
+frequencies theta_i are computed once per (rope_base, head_dim).
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import hashlib
+import json
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,16 +244,44 @@ def rope_rotate(vectors: np.ndarray, positions, config: ModelConfig) -> np.ndarr
     return _rotate(v, *_rope_table(positions, config))
 
 
+@functools.lru_cache(maxsize=16)
+def _theta(rope_base: float, head_dim: int) -> np.ndarray:
+    # theta_i = rope_base ** (-2i / head_dim), a function of the config
+    # alone, so it is computed once per (rope_base, head_dim). Read-only,
+    # since every table of that config shares it.
+    i = np.arange(head_dim // 2, dtype=_F64)
+    theta = np.asarray(rope_base, dtype=_F64) ** (-2.0 * i / head_dim)
+    theta.setflags(write=False)
+    return theta
+
+
 def _rope_table(positions, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     # cos and sin of m * theta_i, (..., n, head_dim / 2) float64.
     pos = np.asarray(positions, dtype=_F64)
-    if np.any(pos < 0):
+    if (pos < 0).any():
         raise InputError("positions must be >= 0")
-    half = config.head_dim // 2
-    i = np.arange(half, dtype=_F64)
-    theta = np.asarray(config.rope_base, dtype=_F64) ** (-2.0 * i / config.head_dim)
-    angles = pos[..., None] * theta
+    angles = pos[..., None] * _theta(config.rope_base, config.head_dim)
     return np.cos(angles), np.sin(angles)
+
+
+class _RopeRow(NamedTuple):
+    """The table of one position in interleaved form, for `_rotate_row`:
+    `c` (1, head_dim) holds cos_i at both coordinates of pair i, and `s`
+    (1, head_dim / 2, 2) holds the pair (-sin_i, +sin_i)."""
+
+    c: np.ndarray
+    s: np.ndarray
+
+
+# Signs of the (-sin, +sin) pair; multiplying by -1.0 negates exactly.
+_PAIR_SIGNS = np.array([-1.0, 1.0])
+
+
+def _rope_row(position: int, config: ModelConfig) -> _RopeRow:
+    # From `_rope_table`'s own cos and sin, so both forms rotate by the
+    # same values.
+    cos, sin = _rope_table([position], config)
+    return _RopeRow(cos.repeat(2, axis=-1), sin[..., None] * _PAIR_SIGNS)
 
 
 def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -257,6 +296,19 @@ def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     out_even -= np.multiply(odd, sin, out=out_odd)
     np.multiply(odd, cos, out=out_odd)
     out_odd += even * sin
+    return out
+
+
+def _rotate_row(v: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # `_rotate` by a `_RopeRow` table in three array operations:
+    # out_even = even * cos + odd * (-sin) and out_odd = odd * cos +
+    # even * sin, the same rounded products and sums, since a + (-b) is
+    # a - b and a sum does not depend on the order of its two terms. The
+    # pair axis reversed makes NumPy loop over runs of two, which costs
+    # more than `_rotate`'s calls over many rows but less for one.
+    out = v * c
+    pairs = out.reshape(out.shape[:-1] + s.shape[-2:])  # a view: the last axis split
+    pairs += v.reshape(pairs.shape)[..., ::-1] * s
     return out
 
 
@@ -433,8 +485,10 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def block_qkv(model: Model, layer: int, x64: np.ndarray, rope: tuple[np.ndarray, np.ndarray]):
     """First half of a pre-norm block over the given rows: norm1, one
     product with the stacked Q/K/V weights, and one rotation of the q and k
-    heads by `rope`, the rows' (cos, sin) `_rope_table`, which a forward
-    builds once for all its layers.
+    heads by `rope`, the rows' table, which a forward builds once for all
+    its layers: the (cos, sin) `_rope_table` of many rows, rotated by
+    `_rotate`, or the `_RopeRow` of a decode step's one row, rotated by
+    `_rotate_row`. Both give the same bits.
 
     Returns (q_rot, k_rot, k_raw, v), each (n_heads, rows, head_dim) float64.
     What the rows attend to is the caller's choice; `block_out` finishes.
@@ -443,7 +497,8 @@ def block_qkv(model: Model, layer: int, x64: np.ndarray, rope: tuple[np.ndarray,
     # (3, rows, d_model): q, k and v each one contiguous block, the layout
     # of three separate products, so the rotation reads them as fast.
     qkv = _split_heads(_rmsnorm(x64, lw.attn_gain) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
-    q_rot, k_rot = _rotate(qkv[:2], *rope)
+    rotate = _rotate_row if isinstance(rope, _RopeRow) else _rotate
+    q_rot, k_rot = rotate(qkv[:2], *rope)
     return q_rot, k_rot, qkv[1], qkv[2]
 
 
@@ -580,6 +635,7 @@ class DecodeCache:
         self._keys = [self._buffer(k) for k in keys]
         self._values = [self._buffer(v) for v in values]
         self._max_pos = self._count - 1
+        self._scale = 1.0 / np.sqrt(self._keys[0].shape[2])  # the attention scale 1/sqrt(hd)
         self._next_layer = 0  # layer the step in progress appends next
         self._step_pos = -1  # position of the step in progress
 
@@ -665,7 +721,7 @@ class DecodeCache:
             raise ContractViolation(f"layer {layer} has no row appended at position {position}")
         k = self._keys[layer][:, :upto]
         scores = np.matmul(k, q_heads[:, :, None])[:, :, 0]
-        scores *= 1.0 / np.sqrt(k.shape[2])
+        scores *= self._scale
         exp = _softmax_exp(scores)
         sums = exp.sum(axis=-1, keepdims=True)
         return np.matmul(exp[:, None, :], self._values[layer][:, :upto])[:, 0] / sums
@@ -685,7 +741,7 @@ def decode_step(model: Model, cache: DecodeCache, last_token: int, position: int
     if not (0 <= int(last_token) < cfg.vocab_size):
         raise InputError(f"token id {last_token} out of vocabulary")
     x = model.weights.embedding[int(last_token)][None, :]
-    rope = _rope_table([position], cfg)  # before any append: a bad position changes nothing
+    rope = _rope_row(position, cfg)  # before any append: a bad position changes nothing
     for l in range(cfg.n_layers):
         q_rot, k_rot, _, v = block_qkv(model, l, x, rope)
         cache.append(l, k_rot[:, 0], v[:, 0], position)

@@ -1,5 +1,7 @@
+import hashlib
 import multiprocessing
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -114,6 +116,26 @@ def test_store_load_round_trip_bitwise(tmp_path):
         assert np.array_equal(a.keys, b.keys)
         assert np.array_equal(a.values, b.values)
         assert a.rope_applied == b.rope_applied
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_store_writes_the_documented_layout(tmp_path, rotated):
+    model = make_model(n_layers=3)
+    cfg = model.config
+    chunk = CS.precompute_chunk(random_ids(np.random.default_rng(5), 13), model)
+    if rotated:
+        chunk = CS.rotate_chunk_local(chunk, cfg)
+    path = CS.store_chunk(chunk, tmp_path)
+    # The layout of the Persistence comment in chunkstore, assembled by hand.
+    header = struct.pack("<4sI32s32sIIIIBBH", b"A3KV", 1, chunk.model_fingerprint,
+                         chunk.chunk_id, cfg.n_layers, cfg.n_heads, cfg.head_dim, 13,
+                         0, int(rotated), 0)
+    body = b"".join([header, chunk.token_ids.astype("<u4").tobytes()]
+                    + [l.keys.astype("<f4").tobytes() for l in chunk.layers]
+                    + [l.values.astype("<f4").tobytes() for l in chunk.layers])
+    with open(path, "rb") as fh:
+        assert fh.read() == body + hashlib.sha256(body).digest()
+    assert chunk.file_bytes == len(body) + 32 == os.path.getsize(path)
 
 
 def test_load_unknown_id(tmp_path):

@@ -166,6 +166,8 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
     assert "kernel" not in trace["eviction"]
     assert trace["p"] == len(trace["selected"])
     assert trace["prefix_rows"] == 0  # a 24-token system holds no whole tile
+    # The question is answered from every stored chunk, each read once.
+    assert trace["chunk_bytes"] == sum(f.stat().st_size for f in (tmp_path / "store").iterdir())
     capsys.readouterr()
     for flags in (["--evict"], ["--evict", "--evict-capacity", "60"], ["--evict-kernel", "7"]):
         rc = main([

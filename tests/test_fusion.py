@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -424,6 +425,19 @@ def test_fusion_trace_serializes(tmp_path):
     assert set(data["durations_s"]) == {"load", "concat", "recover", "layer01", "select", "patch"}
     assert data["prefix_rows"] == 0  # an 8-token system holds no whole tile
     assert data["flops"]["prefill"] < data["flops"]["vanilla"]
+
+
+@pytest.mark.parametrize("strategy", ["full", "attention_aware"])
+def test_trace_counts_the_bytes_of_the_chunk_files_loaded(tmp_path, strategy):
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(13))
+    populate_store(model, segments, tmp_path)
+    fp = model.config.fingerprint()
+    sizes = [os.path.getsize(tmp_path / CS.chunk_id(part, fp).hex())
+             for part in segments.context_chunks()]
+    _, _, trace = FU.fused_prefill(model, segments, FU.FusionPlan(strategy, r=0.2), tmp_path)
+    assert trace.chunk_bytes == sum(sizes) > 0
+    assert trace.to_json_dict()["chunk_bytes"] == trace.chunk_bytes
 
 
 # ---------------------------------------------------------------------------

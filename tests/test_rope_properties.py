@@ -8,7 +8,9 @@ A forward builds one cos/sin table and every layer's `block_qkv` reads it;
 the fused prefill slices the table of all positions at its carried rows.
 A sliced table must rotate bit for bit like a table built on those rows,
 and `_rotate`, which builds its result in place, must give the bits of the
-plain two-line expression.
+plain two-line expression. A decode step's one row is rotated by its
+interleaved `_RopeRow` table instead, which must give `rope_rotate`'s bits,
+signed zeros included, at every position a long decode reaches.
 `block_qkv` runs one product with a layer's stacked Q/K/V weights and one
 rotation of the q and k heads; each part must equal its own product, and
 the stacked array must be the one float64 copy of those weights.
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from kvfuse import model as M
 from kvfuse.errors import InputError
@@ -81,6 +84,34 @@ def test_rotate_gives_the_bits_of_the_plain_expression(case):
     assert np.array_equal(M._rotate(x, cos, sin), expect)
 
 
+# Finite values of every magnitude, the signed zeros and the subnormals
+# among them, bounded so that no product or sum overflows.
+row_values = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+                       st.floats(-1e300, 1e300, allow_subnormal=True))
+
+
+@st.composite
+def one_row_cases(draw):
+    """A config with random head_dim and rope_base, the q and k heads of one
+    row, (2, H, 1, head_dim), and its position."""
+    head_dim = 2 * draw(st.integers(1, 32), label="head_dim / 2")
+    config = ModelConfig(n_layers=1, n_heads=1, head_dim=head_dim, d_ff=4, vocab_size=8,
+                         seed=0, rope_base=draw(st.floats(1.5, 1e6), label="rope_base"))
+    n_heads = draw(st.integers(1, 4), label="n_heads")
+    v = draw(npst.arrays(np.float64, (2, n_heads, 1, head_dim), elements=row_values))
+    return config, v, draw(st.integers(0, 10**7), label="position")
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_row_cases())
+@example((ModelConfig(n_layers=1, n_heads=1, head_dim=4, d_ff=4, vocab_size=8, seed=0),
+          np.array([-0.0, 5e-324, 1e300, -2.5]).reshape(1, 1, 1, 4), 10**7))
+def test_one_row_rotation_gives_the_bits_of_rope_rotate(case):
+    config, v, position = case
+    got = M._rotate_row(v, *M._rope_row(position, config))
+    assert got.tobytes() == rope_rotate(v, position, config).tobytes()
+
+
 MODEL = M.build_model(ModelConfig(n_layers=2, n_heads=2, head_dim=8, d_ff=16, vocab_size=32,
                                   seed=5))
 
@@ -135,6 +166,9 @@ def test_one_qkv_product_equals_the_three_products(rows, layer, seed):
     assert np.array_equal(v, heads(h1 @ lw.wv))
     assert np.array_equal(q_rot, rope_rotate(heads(h1 @ lw.wq), positions, cfg))
     assert np.array_equal(k_rot, rope_rotate(k_raw, positions, cfg))
+    if rows == 1:  # a decode step's table rotates to the same bits
+        step = M.block_qkv(MODEL, layer, x, M._rope_row(int(positions[0]), cfg))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(step, (q_rot, k_rot, k_raw, v)))
     # Wq, Wk and Wv are views of the stacked float64 array, which holds
     # exactly the drawn float32 values.
     drawn = M.init_model(cfg).layers[layer]
