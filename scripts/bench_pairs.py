@@ -17,6 +17,13 @@ and medians, every run, the count of pairs the change won and a verdict by
 `VERDICT_RULE`. `--section NAME` stores the result under NAME in an existing
 `--out` file instead of writing a new one, which is how a traced section
 joins an untraced comparison. Every run's last line also goes to stderr.
+
+Before the pairs, the script runs the change tree's
+`scripts/output_hashes.py` against each tree's `src/` and writes, under
+`output_hashes`, how many lines the change printed, how many of them the
+parent printed the same, and the label of every line that differs or is
+printed by one side only, so that a claim of identical outputs is read
+from the file.
 """
 
 from __future__ import annotations
@@ -60,6 +67,26 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: i
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     first = json_lines(proc.stdout)[0]
     return {**last_json_line(proc.stdout), "tokens_sha256": first["checks"]["tokens_sha256"]}
+
+
+def run_output_hashes(script: Path, src: Path) -> list[str]:
+    """The lines `script` (scripts/output_hashes.py) prints for the source tree `src`."""
+    cmd = [sys.executable, str(script), str(src)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout.splitlines()
+
+
+def compare_output_hashes(parent_lines: list[str], change_lines: list[str]) -> dict:
+    """Lines are 'label value'; a label printed differently or by one side only differs."""
+    parent = dict(line.rsplit(" ", 1) for line in parent_lines)
+    change = dict(line.rsplit(" ", 1) for line in change_lines)
+    differing = [label for label in {**change, **parent} if parent.get(label) != change.get(label)]
+    return {"script": "the change tree's scripts/output_hashes.py, run on each tree's src/",
+            "lines": len(change_lines), "parent_lines": len(parent_lines),
+            "identical": sum(parent.get(label) == value for label, value in change.items()),
+            "differing": differing}
 
 
 def json_lines(stdout: str) -> list[dict]:
@@ -164,7 +191,7 @@ def bench_pairs(benchmark: dict, parent: Path, change: Path, workloads: list[str
     return out
 
 
-def main(argv=None, runner=run_perfbench) -> int:
+def main(argv=None, runner=run_perfbench, hashes=run_output_hashes) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
@@ -178,6 +205,9 @@ def main(argv=None, runner=run_perfbench) -> int:
     seeds = parse_seeds(args.seeds)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = float(benchmark["run_seconds"])
+    script = args.change / "scripts" / "output_hashes.py"
+    output_hashes = compare_output_hashes(hashes(script, args.parent / "src"),
+                                          hashes(script, args.change / "src"))
     workloads = bench_pairs(benchmark, args.parent, args.change, args.workloads.split(","),
                             seeds, seconds, args.trace, runner)
     result = {
@@ -190,6 +220,7 @@ def main(argv=None, runner=run_perfbench) -> int:
         "scaling": "end-to-end timings are perfbench's scaled values (reference host speed); "
                    "per-layer figures are wall-clock",
         "verdict_rule": VERDICT_RULE,
+        "output_hashes": output_hashes,
         "workloads": workloads,
     }
     if args.section:

@@ -287,12 +287,14 @@ def fused_prefill(
     if cfg.n_layers < 2:
         raise ConfigError("the selective pipeline needs at least 2 layers")
     q_ids = _check_tokens(cfg, segments.question)
+    # Before any load: `chunk_id` hashes ids as uint32, unchecked.
+    parts = [_check_tokens(cfg, part) for part in segments.context_chunks()]
     full = plan.strategy == "full"
 
     durations: dict[str, float] = {}
     t0 = time.perf_counter()
     fp = cfg.fingerprint()
-    chunks = [load_chunk(chunk_id(part, fp), store_dir) for part in segments.context_chunks()]
+    chunks = [load_chunk(chunk_id(part, fp), store_dir) for part in parts]
     chunk_bytes = sum(chunk.file_bytes for chunk in chunks)
     if full:
         chunks = [rotate_chunk_local(chunk, cfg) for chunk in chunks]

@@ -17,19 +17,20 @@ finishes the layer. `prefill_forward` (rows attend to each other),
 `final_logits` ends each of them. The two prefill loops read only their
 last row's output, so their last layer finishes that row alone
 (`_attend_out`). Each layer holds its Q, K and V weights
-stacked in one (3, d_model, d_model) array, of which `wq`, `wk` and `wv`
-are views, so `block_qkv` runs one projection product and rotates the q
-and k heads in one call; the weights take no more memory than three
-separate matrices.
+stacked in one (3, d_model, d_model) array, so `block_qkv` runs one
+projection product and rotates the q and k heads in one call; the weights
+take no more memory than three separate matrices.
 
-The rotation has two forms with the same bits, picked by how many rows
-a table serves. A forward over many rows builds a (cos, sin) table and
-`_rotate` works on strided even and odd views, whose per-call cost is
-spread over the rows. A decode step rotates one row, where that per-call
-cost is most of the work, so it builds its table interleaved (`_RopeRow`)
-and `_rotate_row` needs three array operations. Over many rows the
-interleaved form is the slower one, so prefill keeps `_rotate`. The
-frequencies theta_i are computed once per (rope_base, head_dim).
+The norm and the rotation each have two forms with the same bits, picked
+by the row count, since one row pays each array call's fixed cost in full.
+The RMS norm has no gain (a unit gain multiplies by 1.0, which is exact).
+Many rows finish `_rmsnorm` in array calls; one row finishes its divide,
+add and square root on a Python float, an IEEE double with the same
+correctly rounded operations, then needs one array divide. Many rows get a
+(cos, sin) table that `_rotate` applies over strided even and odd views; a
+decode step's one row gets an interleaved `_RopeRow`, which `_rotate_row`
+applies in three array operations and which is the slower form over many
+rows. The frequencies theta_i are computed once per (rope_base, head_dim).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -144,20 +146,12 @@ class LayerWeights:
     wo: np.ndarray
     w_in: np.ndarray
     w_out: np.ndarray
-    attn_gain: np.ndarray
-    ffn_gain: np.ndarray
-
-    # Views of `wqkv`, not copies.
-    wq = property(lambda self: self.wqkv[0])
-    wk = property(lambda self: self.wqkv[1])
-    wv = property(lambda self: self.wqkv[2])
 
 
 @dataclass
 class ModelWeights:
     embedding: np.ndarray  # (vocab, d_model)
     layers: list[LayerWeights]
-    final_gain: np.ndarray  # (d_model,)
     unembed: np.ndarray  # (d_model, vocab)
 
 
@@ -181,9 +175,7 @@ def _draw_uniform(seed: int, stream: int, shape: tuple[int, ...], scale: float) 
 def init_model(config: ModelConfig) -> ModelWeights:
     """Draw all projection matrices uniform in [-1/sqrt(d_model), +1/sqrt(d_model)].
 
-    Normalization gains start at 1 (a random gain would just rescale the
-    stream). The result is float32 and a pure function of the config, seed
-    included.
+    The result is float32 and a pure function of the config, seed included.
     """
     return _init_weights(config, DTYPE)
 
@@ -206,14 +198,11 @@ def _init_weights(config: ModelConfig, dtype) -> ModelWeights:
                 wo=draw(base + 3, (d, d)),
                 w_in=draw(base + 4, (d, config.d_ff)),
                 w_out=draw(base + 5, (config.d_ff, d)),
-                attn_gain=np.ones(d, dtype=dtype),
-                ffn_gain=np.ones(d, dtype=dtype),
             )
         )
     return ModelWeights(
         embedding=draw(_STREAM_EMBED, (config.vocab_size, d)),
         layers=layers,
-        final_gain=np.ones(d, dtype=dtype),
         unembed=draw(_STREAM_UNEMBED, (d, config.vocab_size)),
     )
 
@@ -266,8 +255,8 @@ def _rope_table(positions, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]
 
 class _RopeRow(NamedTuple):
     """The table of one position in interleaved form, for `_rotate_row`:
-    `c` (1, head_dim) holds cos_i at both coordinates of pair i, and `s`
-    (1, head_dim / 2, 2) holds the pair (-sin_i, +sin_i)."""
+    `c` (head_dim,) holds cos_i at both coordinates of pair i, and `s`
+    (head_dim / 2, 2) holds the pair (-sin_i, +sin_i)."""
 
     c: np.ndarray
     s: np.ndarray
@@ -278,10 +267,12 @@ _PAIR_SIGNS = np.array([-1.0, 1.0])
 
 
 def _rope_row(position: int, config: ModelConfig) -> _RopeRow:
-    # From `_rope_table`'s own cos and sin, so both forms rotate by the
-    # same values.
-    cos, sin = _rope_table([position], config)
-    return _RopeRow(cos.repeat(2, axis=-1), sin[..., None] * _PAIR_SIGNS)
+    # `_rope_table([position])`'s check and angles without its arrays: the
+    # same double position and rounded products, so the same values.
+    if position < 0:
+        raise InputError("positions must be >= 0")
+    angles = float(position) * _theta(config.rope_base, config.head_dim)
+    return _RopeRow(np.cos(angles).repeat(2), np.sin(angles)[:, None] * _PAIR_SIGNS)
 
 
 def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -456,11 +447,14 @@ class LayerKV:
         return self.keys.shape[1]
 
 
-def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    # np.mean is this reduction followed by the divide; called directly it
-    # gives the same bits without mean's per-call dispatch.
-    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
-    return x / np.sqrt(ms + _NORM_EPS) * gain
+def _rmsnorm(x: np.ndarray) -> np.ndarray:
+    # Over float64 rows. np.mean is this reduction and the divide; called
+    # directly it gives the same bits without mean's dispatch. One row
+    # finishes on a Python float, with the same bits (see the module doc).
+    ss = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+    if ss.size == 1:
+        return x / math.sqrt(ss.item() / x.shape[-1] + _NORM_EPS)
+    return x / np.sqrt(ss / x.shape[-1] + _NORM_EPS)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -496,7 +490,7 @@ def block_qkv(model: Model, layer: int, x64: np.ndarray, rope: tuple[np.ndarray,
     cfg, lw = model.config, model.weights.layers[layer]
     # (3, rows, d_model): q, k and v each one contiguous block, the layout
     # of three separate products, so the rotation reads them as fast.
-    qkv = _split_heads(_rmsnorm(x64, lw.attn_gain) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
+    qkv = _split_heads(_rmsnorm(x64) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
     rotate = _rotate_row if isinstance(rope, _RopeRow) else _rotate
     q_rot, k_rot = rotate(qkv[:2], *rope)
     return q_rot, k_rot, qkv[1], qkv[2]
@@ -511,7 +505,7 @@ def block_out(model: Model, layer: int, x64: np.ndarray, attn: np.ndarray) -> np
     """
     lw = model.weights.layers[layer]
     t = x64 + _merge_heads(attn) @ lw.wo
-    out = t + _silu(_rmsnorm(t, lw.ffn_gain) @ lw.w_in) @ lw.w_out
+    out = t + _silu(_rmsnorm(t) @ lw.w_in) @ lw.w_out
     return out.astype(DTYPE).astype(_F64)
 
 
@@ -540,7 +534,7 @@ def _attend_out(model: Model, layer: int, x64: np.ndarray, q: np.ndarray, keys: 
 def final_logits(model: Model, x64: np.ndarray) -> np.ndarray:
     """Final norm and unembedding of the given rows; (rows, vocab) float32."""
     w = model.weights
-    return (_rmsnorm(x64, w.final_gain) @ w.unembed).astype(DTYPE)
+    return (_rmsnorm(x64) @ w.unembed).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------

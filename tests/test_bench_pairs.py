@@ -1,4 +1,5 @@
-"""scripts/bench_pairs.py on a fake runner: run order, layout and pair counts."""
+"""scripts/bench_pairs.py on fake runners: run order, layout, pair counts and
+the output-hash comparison."""
 
 import importlib.util
 import json
@@ -47,6 +48,27 @@ class FakeRunner:
                 "metrics": metrics, "tokens_sha256": tokens}
 
 
+class FakeHashes:
+    """scripts/output_hashes.py's lines, 'label value'; records the calls.
+
+    The parent's tree prints `PARENT`; the change's prints `PARENT` with
+    `changed` applied, a label mapped to None left out.
+    """
+
+    PARENT = ["prefill logits 1a", "decode step 0 logits 2b", "bench none r=0.1 3c"]
+
+    def __init__(self, changed=None):
+        self.changed = changed or {}
+        self.calls = []
+
+    def __call__(self, script, src):
+        self.calls.append((script, src))
+        lines = dict(line.rsplit(" ", 1) for line in self.PARENT)
+        if src.parent.name == "change":
+            lines.update(self.changed)
+        return [f"{label} {value}" for label, value in lines.items() if value is not None]
+
+
 @pytest.fixture
 def trees(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
@@ -60,11 +82,12 @@ def trees(tmp_path):
 
 def test_pairs_alternate_and_every_metric_is_compared(trees, tmp_path):
     parent, change = trees
-    runner = FakeRunner()
+    runner, hashes = FakeRunner(), FakeHashes()
     out = tmp_path / "BENCH_fake.json"
     assert bench_pairs.main(
         ["--parent", str(parent), "--change", str(change), "--workloads", "rag_shared,long_answer",
-         "--seeds", "21-30", "--out", str(out), "--title", "fake"], runner=runner) == 0
+         "--seeds", "21-30", "--out", str(out), "--title", "fake"], runner=runner,
+        hashes=hashes) == 0
 
     # Odd seeds run the parent first, even seeds the change first.
     expected = [(w, s, side, 3.0, 0)
@@ -75,6 +98,11 @@ def test_pairs_alternate_and_every_metric_is_compared(trees, tmp_path):
     data = json.loads(out.read_text())
     assert data["title"] == "fake"
     assert {"command", "pairs", "host", "scaling", "verdict_rule"} <= set(data)
+    # The change tree's script runs against each tree's src/.
+    script = change / "scripts" / "output_hashes.py"
+    assert hashes.calls == [(script, parent / "src"), (script, change / "src")]
+    assert {k: v for k, v in data["output_hashes"].items() if k != "script"} == {
+        "lines": 3, "parent_lines": 3, "identical": 3, "differing": []}
     assert set(data["workloads"]) == {"rag_shared", "long_answer"}
     section = data["workloads"]["long_answer"]
     assert section["correct"] == {"parent": True, "change": True}
@@ -114,7 +142,7 @@ def test_traced_section_joins_an_existing_file(trees, tmp_path):
     bench_pairs.main(
         ["--parent", str(parent), "--change", str(change), "--workloads", "long_answer",
          "--seeds", "1,2", "--trace", "1", "--section", "traced_long_answer",
-         "--out", str(out)], runner=runner)
+         "--out", str(out)], runner=runner, hashes=FakeHashes())
     assert [call[1:] for call in runner.calls] == [
         (1, "parent", 3.0, 1), (1, "change", 3.0, 1), (2, "change", 3.0, 1), (2, "parent", 3.0, 1)]
     data = json.loads(out.read_text())
@@ -124,6 +152,22 @@ def test_traced_section_joins_an_existing_file(trees, tmp_path):
     assert all(entry["bound"] is None and entry["pairs"] == 2 for entry in traced.values())
     assert data["traced_long_answer"]["command"] == (
         "python3 perfbench/run.py --workload W --seed S --seconds 3 --trace 1")
+
+
+def test_output_hash_lines_that_differ_are_named(trees, tmp_path):
+    # One line printed differently, one printed by the change only and one
+    # by the parent only.
+    parent, change = trees
+    out = tmp_path / "BENCH_fake.json"
+    hashes = FakeHashes({"decode step 0 logits": "ff", "bench none r=0.1": None,
+                         "decode step 1 logits": "4d"})
+    bench_pairs.main(
+        ["--parent", str(parent), "--change", str(change), "--workloads", "long_answer",
+         "--seeds", "1", "--out", str(out)], runner=FakeRunner(), hashes=hashes)
+    entry = json.loads(out.read_text())["output_hashes"]
+    assert (entry["lines"], entry["parent_lines"], entry["identical"]) == (3, 3, 1)
+    assert sorted(entry["differing"]) == ["bench none r=0.1", "decode step 0 logits",
+                                          "decode step 1 logits"]
 
 
 def test_last_json_line_and_seed_ranges():

@@ -67,7 +67,7 @@ def test_precompute_single_token_key_is_projection():
     # layer 0 explicitly: rms-normed embedding through W^k
     x = model.weights.embedding[9].astype(np.float64)
     h = x / np.sqrt(np.mean(x**2) + 1e-6)
-    k = (h @ model.weights.layers[0].wk.astype(np.float64)).astype(np.float32)
+    k = (h @ model.weights.layers[0].wqkv[1].astype(np.float64)).astype(np.float32)
     stored = chunk.layers[0].keys.transpose(1, 0, 2).reshape(1, -1)[0]
     np.testing.assert_array_equal(stored, k)
 

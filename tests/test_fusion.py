@@ -7,6 +7,7 @@ import pytest
 from kvfuse import chunkstore as CS
 from kvfuse import fusion as FU
 from kvfuse import model as M
+from kvfuse.bench import run_strategy
 from kvfuse.errors import (
     ChunkNotFoundError,
     ConfigError,
@@ -381,6 +382,33 @@ def test_fused_prefill_requires_question_and_chunks(tmp_path):
         FU.FusionPlan("bogus")
     with pytest.raises(ConfigError):
         FU.FusionPlan("none", r=1.5)
+
+
+@pytest.mark.parametrize("bad", [5 + 2**32, -1])
+def test_context_ids_are_checked_before_any_chunk_file_opens(tmp_path, monkeypatch, bad):
+    # Chunk ids hash token ids as uint32: unchecked, 5 + 2**32 would load
+    # and serve the stored chunk that holds 5, and -1 would look for a
+    # chunk that no valid input can name.
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(12))
+    segments.documents[0][3] = 5
+    populate_store(model, segments, tmp_path)
+    doc = segments.documents[0].astype(np.int64)
+    doc[3] = bad
+    wrong = FU.InputSegments(segments.system, [doc] + segments.documents[1:], segments.question)
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    with pytest.raises(InputError):
+        FU.fused_prefill(model, wrong, FU.FusionPlan("attention_aware"), tmp_path)
+    with pytest.raises(InputError):
+        run_strategy(model, wrong, "attention_aware", tmp_path, gen_len=1)
+    assert not [path for path in opened if path.startswith(str(tmp_path))]
 
 
 def test_fused_prefill_causal_consistency(tmp_path):

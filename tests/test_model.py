@@ -69,7 +69,7 @@ def test_init_deterministic_bitwise():
     w1, w2 = M.init_model(cfg), M.init_model(cfg)
     assert np.array_equal(w1.embedding, w2.embedding)
     for a, b in zip(w1.layers, w2.layers):
-        for name in ("wq", "wk", "wv", "wo", "w_in", "w_out"):
+        for name in ("wqkv", "wo", "w_in", "w_out"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(w1.unembed, w2.unembed)
 
@@ -86,7 +86,6 @@ def test_init_range_and_dtype():
     bound = 1.0 / np.sqrt(cfg.d_model)
     assert w.embedding.dtype == np.float32
     assert np.all(np.abs(w.embedding) <= bound)
-    assert np.all(w.layers[0].attn_gain == 1.0)
 
 
 def test_init_golden_first_embedding_entry():

@@ -1,0 +1,61 @@
+"""Property checks of the RMS norm over random shapes and values.
+
+`_rmsnorm` has two forms, picked by the row count: many rows finish the
+norm in array calls, and one row finishes it on a Python float. A row
+must normalise to the same bits whichever form runs, so the one row that
+a decode step or a prefill's last layer normalises is the row a
+many-row call would give, and `final_logits` of one row unembeds that
+row. The values take in the signed zeros, the subnormals and magnitudes
+up to 1e150, mixed within a row.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
+
+from kvfuse import model as M
+from kvfuse.model import ModelConfig
+
+# Finite values of every magnitude, the signed zeros and the subnormals
+# among them, bounded so that no square or sum of squares overflows.
+values = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+                   st.floats(-1e150, 1e150, allow_subnormal=True))
+
+
+@st.composite
+def row_sets(draw, d_model=None):
+    """(rows, d_model) float64 values, rows >= 2, and one row index."""
+    rows = draw(st.integers(2, 6), label="rows")
+    d = d_model or draw(st.integers(1, 96), label="d_model")
+    x = draw(npst.arrays(np.float64, (rows, d), elements=values))
+    return x, draw(st.integers(0, rows - 1), label="row")
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    # tobytes, so that -0.0 and 0.0 count as different.
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sets())
+@example((np.array([[0.0, -0.0, 5e-324], [1e150, -1e-300, 2.5]]), 0))
+@example((np.array([[3.0, -0.0, 5e-324], [1e150, -1e-300, 2.5]]), 1))
+def test_one_row_norm_gives_the_bits_of_the_many_row_norm(case):
+    x, i = case
+    assert bits_equal(M._rmsnorm(x)[i:i + 1], M._rmsnorm(x[i:i + 1]))
+
+
+MODEL = M.build_model(ModelConfig(n_layers=1, n_heads=2, head_dim=8, d_ff=16, vocab_size=64,
+                                  seed=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_sets(d_model=MODEL.config.d_model))
+def test_one_row_logits_are_those_of_the_many_row_norm(case):
+    # Both sides unembed one row, since a one-row product takes NumPy's
+    # matrix-vector path, whose sums may differ from a many-row product's
+    # in the last place (see `_attend_out`).
+    x, i = case
+    expect = (M._rmsnorm(x)[i:i + 1] @ MODEL.weights.unembed).astype(M.DTYPE)
+    assert bits_equal(M.final_logits(MODEL, x[i:i + 1]), expect)

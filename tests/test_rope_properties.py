@@ -157,24 +157,24 @@ def test_one_qkv_product_equals_the_three_products(rows, layer, seed):
     x = rng.normal(size=(rows, cfg.d_model))
     positions = rng.integers(0, 50_000, size=rows)
     q_rot, k_rot, k_raw, v = M.block_qkv(MODEL, layer, x, M._rope_table(positions, cfg))
-    h1 = M._rmsnorm(x, lw.attn_gain)
+    h1 = M._rmsnorm(x)
 
     def heads(y):
         return M._split_heads(y, cfg.n_heads, cfg.head_dim)
 
-    assert np.array_equal(k_raw, heads(h1 @ lw.wk))
-    assert np.array_equal(v, heads(h1 @ lw.wv))
-    assert np.array_equal(q_rot, rope_rotate(heads(h1 @ lw.wq), positions, cfg))
+    assert np.array_equal(k_raw, heads(h1 @ lw.wqkv[1]))
+    assert np.array_equal(v, heads(h1 @ lw.wqkv[2]))
+    assert np.array_equal(q_rot, rope_rotate(heads(h1 @ lw.wqkv[0]), positions, cfg))
     assert np.array_equal(k_rot, rope_rotate(k_raw, positions, cfg))
     if rows == 1:  # a decode step's table rotates to the same bits
         step = M.block_qkv(MODEL, layer, x, M._rope_row(int(positions[0]), cfg))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(step, (q_rot, k_rot, k_raw, v)))
-    # Wq, Wk and Wv are views of the stacked float64 array, which holds
+    # Wq, Wk and Wv are slices of the stacked float64 array, which holds
     # exactly the drawn float32 values.
     drawn = M.init_model(cfg).layers[layer]
     assert lw.wqkv.dtype == np.float64
-    assert np.array_equal(lw.wqkv, np.stack([drawn.wq, drawn.wk, drawn.wv]))
-    for w in (lw.wq, lw.wk, lw.wv):
+    assert np.array_equal(lw.wqkv, np.stack([drawn.wqkv[0], drawn.wqkv[1], drawn.wqkv[2]]))
+    for w in (lw.wqkv[0], lw.wqkv[1], lw.wqkv[2]):
         assert np.shares_memory(w, lw.wqkv)
 
 
