@@ -10,8 +10,11 @@ kept every result bit for bit:
 Covers `prefill_forward` (caches, raw keys, queries, last-row logits), every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
 queries, selection, scores, first logits, and the prefill, vanilla and scoring
-FLOP figures of the trace), greedy decoding with and without eviction, and
-the pooled eviction scores (`snap_scores`) of the four strategies that
+FLOP figures of the trace), every strategy at r=0.15 run twice on one
+fresh `ChunkStore`, first reading its chunk files and then serving them
+resident (keys, values, question queries, scores, first logits; a tree
+without a `ChunkStore` is given the directory), greedy decoding with and
+without eviction, and the pooled eviction scores (`snap_scores`) of the four strategies that
 recover positions, at a small test shape and at the rag_shared shape; the
 logits of every step of a long greedy decode at the test shape, with and
 without eviction, long enough that the decode cache grows three times; the
@@ -33,7 +36,7 @@ import numpy as np
 
 sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else "src")
 
-from kvfuse import bench, fusion  # noqa: E402
+from kvfuse import bench, chunkstore, fusion  # noqa: E402
 from kvfuse import model as M  # noqa: E402
 from kvfuse.eviction import EvictionPolicy, evict, snap_scores  # noqa: E402
 
@@ -118,6 +121,19 @@ def main() -> None:
                     emit(f"{tag} first_logits", logits)
                     for kind in ("prefill", "vanilla", "scoring"):
                         print(f"{tag} flops_{kind} {trace.flops[kind]!r}")
+            for strategy in fusion.STRATEGIES:
+                fresh = (chunkstore.ChunkStore(store) if hasattr(chunkstore, "ChunkStore")
+                         else store)
+                for run in ("miss", "hit"):
+                    plan = fusion.FusionPlan(strategy, r=0.15)
+                    patched, logits, trace = fusion.fused_prefill(model, segments, plan, fresh)
+                    tag = f"{name} {strategy} r=0.15 store {run}"
+                    emit(f"{tag} keys", patched.keys)
+                    emit(f"{tag} values", patched.values)
+                    emit(f"{tag} question_queries", patched.question_queries)
+                    scores = trace.scores_doc
+                    emit(f"{tag} scores", np.zeros(0) if scores is None else scores)
+                    emit(f"{tag} first_logits", logits)
             for strategy in bench.ALL_STRATEGIES:
                 run = bench.run_strategy(model, segments, strategy, store, gen_len=GEN_LEN)
                 emit(f"{name} {strategy} tokens", run.tokens)

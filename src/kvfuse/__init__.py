@@ -2,7 +2,8 @@
 
 Modules:
   model      toy decoder-only transformer (the no-reuse oracle)
-  chunkstore per-chunk KV precompute, binary persistence, position recovery
+  chunkstore per-chunk KV precompute, binary persistence, resident chunks,
+             position recovery
   fusion     selective recomputation pipeline and the reuse baselines
   eviction   capacity-bounded cache compaction after the first token
   bench      quality metrics, FLOP accounting, and report generation
@@ -23,6 +24,7 @@ from .errors import (
 from .bench import BenchConfig, InputRecipe, run_bench
 from .chunkstore import (
     ChunkKV,
+    ChunkStore,
     concat_chunks,
     load_chunk,
     precompute_chunk,
@@ -56,6 +58,7 @@ __all__ = [
     "BenchConfig",
     "ChunkKV",
     "ChunkNotFoundError",
+    "ChunkStore",
     "CompactedCache",
     "ConfigError",
     "ContractViolation",

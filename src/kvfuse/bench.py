@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import flops as F
-from .chunkstore import precompute_chunk, store_chunk
+from .chunkstore import ChunkStore, precompute_chunk, store_chunk
 from .errors import ConfigError, InputError
 from .eviction import CompactedCache, EvictionPolicy, evict
 from .fusion import (
@@ -218,7 +218,7 @@ def run_strategy(
     model: Model,
     segments: InputSegments,
     strategy: str,
-    store_dir,
+    store,
     *,
     r: float = 0.15,
     head_tail_k: int = 20,
@@ -226,7 +226,8 @@ def run_strategy(
     eviction: EvictionPolicy | None = None,
 ) -> StrategyRun:
     """Prefill under one strategy, optionally evict after the first token
-    (fused strategies only), then greedy-decode `gen_len` tokens in total."""
+    (fused strategies only), then greedy-decode `gen_len` tokens in total.
+    `store` is a `ChunkStore` or a directory path, as for `fused_prefill`."""
     plan = check_run_args(strategy, r=r, head_tail_k=head_tail_k, gen_len=gen_len,
                           eviction=eviction)
     if eviction is not None:
@@ -242,7 +243,7 @@ def run_strategy(
         first_logits = res.logits
     else:
         t0 = time.perf_counter()
-        patched, first_logits, trace = fused_prefill(model, segments, plan, store_dir)
+        patched, first_logits, trace = fused_prefill(model, segments, plan, store)
         prefill_s = time.perf_counter() - t0
         cache = patched.to_decode_cache()
     if eviction is not None:
@@ -407,8 +408,9 @@ def _seed_metrics(model: Model, config: BenchConfig, recipe: InputRecipe, row_ke
     segments = build_instance(recipe, model_cfg)
     n = segments.n
     out: dict = {}
-    with tempfile.TemporaryDirectory() as store:
-        populate_store(model, segments, store)
+    with tempfile.TemporaryDirectory() as directory:
+        populate_store(model, segments, directory)
+        store = ChunkStore(directory)  # this instance's own, not the process's store
         oracle = prefill_forward(model, segments.all_ids(), record_queries=True)
         van_cache = DecodeCache.from_layer_kvs(model_cfg, oracle.caches)
         vanilla_tokens, _ = _decode_loop(model, van_cache, oracle.logits, n, config.gen_len)

@@ -14,6 +14,7 @@ import os
 import re
 import struct
 import tempfile
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +300,105 @@ def load_chunk(cid: bytes | str, directory) -> ChunkKV:
     if not os.path.exists(path):
         raise ChunkNotFoundError(f"no chunk {cid.hex()} in {directory}")
     return verify_chunk_file(path, expect_id=cid)
+
+
+# ---------------------------------------------------------------------------
+# Residency
+
+# Bytes the process's chunk store keeps resident: verified chunks (a
+# chunk's file size, 1.97 MB at the benchmark shape) plus the system-prefix
+# entry `fusion` keeps there (0.74 MB).
+RESIDENT_BYTES = 26 * 2**20
+
+
+def _signature(path: str) -> tuple[int, int, int, int] | None:
+    """(inode, size, mtime, ctime) of the file at `path`, None if it is gone.
+
+    A write in place moves the ctime and `os.replace` the inode. With
+    multigrain timestamps (Linux 6.13 and later on ext4, xfs, btrfs and
+    tmpfs) the first change after a `stat` gets a fine-grained ctime, so a
+    write within one clock tick of the previous change is seen too; an
+    older kernel may stamp such a write with the ctime it already had.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+class ChunkStore:
+    """A chunk directory plus one LRU of resident entries under `RESIDENT_BYTES`.
+
+    `load` serves a chunk from memory while its file's stat signature is
+    the one taken before the read that verified it; a changed signature
+    drops the entry and reads and verifies the file again, and a missing
+    file raises `ChunkNotFoundError` even while resident. So every byte
+    served has passed this process's SHA-256 check of the file as it
+    stands. A failed verification caches nothing. Resident arrays are
+    read-only, and callers copy before they write. Other entries (the
+    system prefix of `fusion`) share the LRU and the budget through
+    `get` and `put`.
+    """
+
+    _process_store: ChunkStore | None = None
+
+    def __init__(self, directory):
+        self.directory = os.fspath(directory)
+        # key -> (value, nbytes), the least recently used first; a chunk's
+        # value is the pair (chunk, signature).
+        self._entries: OrderedDict = OrderedDict()
+        self.resident_bytes = 0
+
+    @classmethod
+    def of(cls, directory) -> ChunkStore:
+        """The process's one store, for `directory` by its real path; a
+        store for another directory replaces it."""
+        real = os.path.realpath(directory)
+        if cls._process_store is None or cls._process_store.directory != real:
+            cls._process_store = cls(real)
+        return cls._process_store
+
+    def get(self, key):
+        """The entry under `key`, now the most recently used; None if absent."""
+        if key not in self._entries:
+            return None
+        self._entries.move_to_end(key)
+        return self._entries[key][0]
+
+    def put(self, key, value, nbytes: int) -> None:
+        """Keep `value` under `key` as the most recently used entry, then
+        drop the least recently used ones until the budget holds."""
+        self._drop(key)
+        self._entries[key] = (value, nbytes)
+        self.resident_bytes += nbytes
+        while self.resident_bytes > RESIDENT_BYTES:
+            self.resident_bytes -= self._entries.popitem(last=False)[1][1]
+
+    def _drop(self, key) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self.resident_bytes -= entry[1]
+
+    def load(self, cid: bytes | str) -> tuple[ChunkKV, bool]:
+        """The verified chunk `cid` with read-only arrays, and whether it was
+        served resident rather than read from its file."""
+        if isinstance(cid, str):
+            cid = bytes.fromhex(cid)
+        signature = _signature(_chunk_path(self.directory, cid))
+        resident = self._entries.get(cid)
+        if resident is not None:
+            chunk, held = resident[0]
+            if held == signature:
+                self._entries.move_to_end(cid)
+                return chunk, True
+            self._drop(cid)
+        chunk = load_chunk(cid, self.directory)  # the module attribute, which tracers wrap
+        for array in [chunk.token_ids] + [a for l in chunk.layers for a in (l.keys, l.values)]:
+            array.flags.writeable = False
+        if signature is not None:
+            self.put(cid, (chunk, signature), chunk.file_bytes)
+        return chunk, False
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 from .bench import BenchConfig, check_run_args, evaluate_acceptance, run_bench, run_strategy
 from .chunkstore import (
     DEFAULT_CHUNK_LEN,
+    ChunkStore,
     chunk_id,
-    load_chunk,
     precompute_chunk,
     read_header,
     remove_orphaned_temps,
@@ -176,7 +176,7 @@ def cmd_generate(args) -> int:
     manifest = _load_manifest(args.manifest)
     config = ModelConfig.from_dict(manifest["model"])
     model = build_model(config)
-    store = manifest["store"]
+    store = ChunkStore.of(manifest["store"])
 
     if args.question_text is not None:
         question = encode_bytes(args.question_text.encode("utf-8"), config, eos=True)
@@ -193,8 +193,10 @@ def cmd_generate(args) -> int:
         eviction.check_protected(system_len + len(question))
 
     # Context token ids always come from the store; the vanilla baseline
-    # ignores the cached KV but reads the same files.
-    parts = [load_chunk(entry["id"], store).token_ids.astype(np.int64)
+    # ignores the cached KV but reads the same files. The fused prefill then
+    # takes the chunks read here from the same store, so each file is read
+    # and verified once while they fit in `chunkstore.RESIDENT_BYTES`.
+    parts = [store.load(entry["id"])[0].token_ids.astype(np.int64)
              for entry in manifest["chunks"]]
     segments = InputSegments(system=parts[0], documents=parts[1:], question=question)
 

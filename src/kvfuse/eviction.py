@@ -14,13 +14,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .errors import ConfigError, ContractViolation
 from .fusion import PatchedCache, _top_p, question_attention
 from .model import DecodeCache, _is_int
 
 POOL_KERNEL = 7  # max-pool width over positions, in rows
+
+
+def _max_pool(x: np.ndarray) -> np.ndarray:
+    """Max over a centred window of `POOL_KERNEL` positions along the last
+    axis, with the edge values repeated past either end. A maximum is one of
+    its inputs, so the result holds the input's bits."""
+    half, n = POOL_KERNEL // 2, x.shape[-1]
+    padded = np.concatenate([np.repeat(x[..., :1], half, axis=-1), x,
+                             np.repeat(x[..., -1:], half, axis=-1)], axis=-1)
+    out = padded[..., :n].copy()
+    for shift in range(1, POOL_KERNEL):
+        np.maximum(out, padded[..., shift:shift + n], out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,11 +88,10 @@ def snap_scores(cache: PatchedCache) -> np.ndarray:
     if not cache.rope_recovered:
         raise ContractViolation("eviction scoring needs a position-recovered cache")
     window = cache.question_queries
-    out = np.empty((window.shape[0], window.shape[1], cache.n))
+    summed = np.empty((window.shape[0], window.shape[1], cache.n))
     for l in range(window.shape[0]):
-        summed = question_attention(window[l], cache.keys[l], cache.segments).sum(axis=1)
-        out[l] = maximum_filter1d(summed, size=POOL_KERNEL, axis=-1, mode="nearest")
-    return out
+        summed[l] = question_attention(window[l], cache.keys[l], cache.segments).sum(axis=1)
+    return _max_pool(summed)
 
 
 def evict(cache: PatchedCache, policy: EvictionPolicy) -> CompactedCache:

@@ -15,19 +15,28 @@ and only that row is finished (`model._attend_out`). The trace charges
 when selecting), so a clamped budget pays for them; `flops.fused_flops`
 models the unclamped budget.
 
+Chunks come from a `chunkstore.ChunkStore`, which keeps verified chunks
+resident under one LRU and byte budget (`chunkstore.RESIDENT_BYTES`) and
+serves one again while its file's stat signature is unchanged. A path
+stands for the process's one store for that directory. The loop only
+reads the resident arrays: concat copies them, and `full` rotates copies.
+
 The system prefix is computed once. The system rows attend only to each
 other, so their layer 0-1 keys and values depend only on the system
-tokens and the model. A one-entry module-level memo, keyed by the model
+tokens and the model. One entry in the same store, keyed by the model
 fingerprint and the token bytes of the system's whole-tile prefix (its
 first len(system) // 32 * 32 rows), holds those rows' float32 layer 0-1
 keys and values and layer 1's float64 rotated keys, which scoring reads.
 On a hit the selective strategies carry rows from the end of the prefix
-at layers 0-1 and fill the prefix rows from the memo; on a miss they
+at layers 0-1 and fill the prefix rows from the entry; on a miss they
 store copies after layer 1's projections, replacing the old entry. Only
 whole 32-row attention tiles are reused: a tile that straddled the
 system's end would run its value product over a longer key range, which
 may sum in another order, so reusing it could change bits. `full` never
-uses the memo. At the rag_shared shape an entry is 0.74 MB.
+uses the entry. At the rag_shared shape it is 0.74 MB and counts against
+the store's budget. The selective strategies recover positions from
+layer 2 on: the loop overwrites every stored key of layers 0-1 or takes
+it from the entry.
 
 Question relevance (`question_attention`) and the top-p rule (`_top_p`)
 are written once, here; eviction and the harness call them too.
@@ -44,16 +53,16 @@ Strategies:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import flops as F
 from .chunkstore import (
+    ChunkStore,
     SegmentMap,
     chunk_id,
     concat_chunks,
-    load_chunk,
     recover_positions,
     rotate_chunk_local,
 )
@@ -155,8 +164,10 @@ class FusionTrace:
     q_len: int
     selected: list[int]
     clamped: bool
-    prefix_rows: int = 0  # system rows whose layers 0-1 came from the prefix memo
-    chunk_bytes: int = 0  # bytes of the chunk files the loads read and verified
+    prefix_rows: int = 0  # system rows whose layers 0-1 came from the prefix entry
+    chunk_bytes: int = 0  # bytes of the chunk files served, each verified when it was read
+    chunk_hits: int = 0  # chunks served resident
+    chunk_bytes_read: int = 0  # bytes of the chunk files this call read and verified
     durations: dict[str, float] = field(default_factory=dict)
     flops: dict[str, float] = field(default_factory=dict)
     scores_doc: np.ndarray | None = None  # kept for the harness, not serialized
@@ -174,6 +185,8 @@ class FusionTrace:
             "clamped": self.clamped,
             "prefix_rows": self.prefix_rows,
             "chunk_bytes": self.chunk_bytes,
+            "chunk_hits": self.chunk_hits,
+            "chunk_bytes_read": self.chunk_bytes_read,
             "durations_s": {k: float(v) for k, v in self.durations.items()},
             "flops": {k: float(v) for k, v in self.flops.items()},
         }
@@ -269,19 +282,24 @@ class _SystemPrefix:
     values: np.ndarray  # (2, H, pre, hd) float32
     k1: np.ndarray  # (H, pre, hd) float64, layer 1's rotated keys, which scoring reads
 
+    @property
+    def nbytes(self) -> int:
+        return self.keys.nbytes + self.values.nbytes + self.k1.nbytes
 
-# The one memo entry; a miss replaces it.
-_prefix_memo: _SystemPrefix | None = None
+
+# The store key of the one system-prefix entry; a miss replaces it.
+_PREFIX_ENTRY = "system prefix"
 
 
 def fused_prefill(
-    model: Model, segments: InputSegments, plan: FusionPlan, store_dir
+    model: Model, segments: InputSegments, plan: FusionPlan, store
 ) -> tuple[PatchedCache, np.ndarray, FusionTrace]:
     """Run the selective-recomputation prefill; returns first-token logits.
 
-    The system and document chunks must already be in the store. The
-    question is always computed fresh. See the module docstring for what
-    each strategy does.
+    The system and document chunks must already be in `store`, a
+    `ChunkStore` or a directory path (`ChunkStore.of`). The question is
+    always computed fresh. See the module docstring for what each strategy
+    does.
     """
     cfg = model.config
     if cfg.n_layers < 2:
@@ -291,11 +309,16 @@ def fused_prefill(
     parts = [_check_tokens(cfg, part) for part in segments.context_chunks()]
     full = plan.strategy == "full"
 
+    if not isinstance(store, ChunkStore):
+        store = ChunkStore.of(store)
+
     durations: dict[str, float] = {}
     t0 = time.perf_counter()
     fp = cfg.fingerprint()
-    chunks = [load_chunk(chunk_id(part, fp), store_dir) for part in parts]
+    loads = [store.load(chunk_id(part, fp)) for part in parts]
+    chunks = [chunk for chunk, _ in loads]
     chunk_bytes = sum(chunk.file_bytes for chunk in chunks)
+    chunk_bytes_read = sum(chunk.file_bytes for chunk, hit in loads if not hit)
     if full:
         chunks = [rotate_chunk_local(chunk, cfg) for chunk in chunks]
     durations["load"] = time.perf_counter() - t0
@@ -314,8 +337,7 @@ def fused_prefill(
     pos = np.arange(n, dtype=np.int64)
     cos, sin = _rope_table(pos, cfg)
 
-    global _prefix_memo
-    memo, first = None, 0  # the memo entry in use; the first carried row at layers 0-1
+    prefix, first = None, 0  # the prefix entry in use; the first carried row at layers 0-1
     if full:
         # Only the question is carried; the chunk rows all precede it, so
         # causality follows from the row offsets.
@@ -323,13 +345,15 @@ def fused_prefill(
         scores_doc, rows, ids = None, question_rows, q_ids
     else:
         t0 = time.perf_counter()
-        recover_positions(fused, cfg)
+        # Layers 0-1 of every stored key are overwritten or come from the prefix entry.
+        recover_positions(replace(fused, keys=fused.keys[2:]), cfg)
         durations["recover"] = time.perf_counter() - t0
         ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
         pre = len(segments.system) // _TILE_ROWS * _TILE_ROWS
-        memo_key = (fp, ids[:pre].tobytes())
-        if pre and _prefix_memo is not None and _prefix_memo.key == memo_key:
-            memo, first = _prefix_memo, pre
+        prefix_key = (fp, ids[:pre].tobytes())
+        entry = store.get(_PREFIX_ENTRY) if pre else None
+        if entry is not None and entry.key == prefix_key:
+            prefix, first = entry, pre
         rows, ids = pos[first:], ids[first:]
 
     # The one layer loop: the carried rows write their keys and values into
@@ -339,9 +363,9 @@ def fused_prefill(
     x, rope = model.weights.embedding[ids], (cos[rows], sin[rows])
     for l in range(cfg.n_layers):
         q, k, _, v = block_qkv(model, l, x, rope)
-        if memo is not None and l < 2:  # the rows before `first` come from the memo
-            keys[l, :, :first] = memo.keys[l]
-            values[l, :, :first] = memo.values[l]
+        if prefix is not None and l < 2:  # the rows before `first` come from the entry
+            keys[l, :, :first] = prefix.keys[l]
+            values[l, :, :first] = prefix.values[l]
         elif rows.size < n:  # else every stored entry is overwritten below
             keys[l, :, :n_ctx] = fused.keys[l]
             values[l, :, :n_ctx] = fused.values[l]
@@ -349,11 +373,12 @@ def fused_prefill(
         values[l][:, rows] = v.astype(DTYPE)
         question_queries[l] = q[:, -q_len:].astype(DTYPE)
         if l == 1 and not full:
-            if memo is not None:
-                k = np.concatenate([memo.k1, k], axis=1)
+            if prefix is not None:
+                k = np.concatenate([prefix.k1, k], axis=1)
             elif pre:
-                _prefix_memo = _SystemPrefix(memo_key, keys[:2, :, :pre].copy(),
-                                             values[:2, :, :pre].copy(), k[:, :pre].copy())
+                made = _SystemPrefix(prefix_key, keys[:2, :, :pre].copy(),
+                                     values[:2, :, :pre].copy(), k[:, :pre].copy())
+                store.put(_PREFIX_ENTRY, made, made.nbytes)
             durations["layer01"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             # Scores are recorded for every selective strategy so the harness
@@ -389,7 +414,8 @@ def fused_prefill(
     trace = FusionTrace(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
         selected=[int(i) for i in rset.indices], clamped=rset.clamped, prefix_rows=first,
-        chunk_bytes=chunk_bytes, durations=durations,
+        chunk_bytes=chunk_bytes, chunk_hits=sum(hit for _, hit in loads),
+        chunk_bytes_read=chunk_bytes_read, durations=durations,
         flops={
             "prefill": F.prefill_flops(cfg, n, rows.size, 0 if full else 2),
             "vanilla": F.vanilla_flops(cfg, n),

@@ -517,12 +517,13 @@ def _attend_out(model: Model, layer: int, x64: np.ndarray, q: np.ndarray, keys: 
     that holds it attends and only that row runs `block_out`; the result is
     then that one row.
 
-    The tile stays whole, so its products are the full call's, bit for bit.
-    A one-row product takes NumPy's matrix-vector path, whose float64 sums
-    may differ from the matrix product's in the last place. `block_out`
-    over the last row alone takes that path, but rounds its output to
-    float32, which hid the difference on all 3000 random rows tried at the
-    rag_shared shape.
+    The tile stays whole, so its attention products are the full call's,
+    bit for bit. `block_out` over the last row alone takes NumPy's
+    matrix-vector path, whose float64 sums may differ from a many-row
+    product's in the last place, and rounding to float32 does not always
+    hide that: for some inputs the row differs from what a many-row
+    `block_out` would give it. So neither prefill loop promises the bits
+    that finishing every row would give its last row.
     """
     if layer < model.config.n_layers - 1:
         return block_out(model, layer, x64, attention(q, keys, values, q_pos, k_pos))

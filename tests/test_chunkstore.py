@@ -388,3 +388,106 @@ def test_system_prefix_exact_at_every_layer():
     for l in range(model.config.n_layers):
         np.testing.assert_allclose(fused.keys[l][:, :10], oracle[l].keys[:, :10], atol=1e-6)
         np.testing.assert_allclose(fused.values[l][:, :10], oracle[l].values[:, :10], atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Resident chunks
+
+
+def stored_chunks(directory, count, n=12, seed=41):
+    rng = np.random.default_rng(seed)
+    model = make_model(n_layers=2)
+    chunks = [CS.precompute_chunk(random_ids(rng, n), model) for _ in range(count)]
+    for chunk in chunks:
+        CS.store_chunk(chunk, directory)
+    return chunks
+
+
+def test_resident_chunks_are_read_only_and_the_bits_of_a_load(tmp_path):
+    chunk, = stored_chunks(tmp_path, 1)
+    store = CS.ChunkStore(tmp_path)
+    miss, hit = store.load(chunk.chunk_id), store.load(chunk.chunk_id.hex())
+    assert (miss[1], hit[1]) == (False, True) and hit[0] is miss[0]
+    fresh = CS.load_chunk(chunk.chunk_id, tmp_path)
+    resident = [hit[0].token_ids] + [a for l in hit[0].layers for a in (l.keys, l.values)]
+    loaded = [fresh.token_ids] + [a for l in fresh.layers for a in (l.keys, l.values)]
+    for a, b in zip(resident, loaded):
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
+        assert not a.flags.writeable and b.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    assert store.resident_bytes == chunk.file_bytes == os.path.getsize(
+        tmp_path / chunk.chunk_id.hex())
+
+
+def test_resident_bytes_hold_in_lru_order(tmp_path, monkeypatch):
+    chunks = stored_chunks(tmp_path, 4)
+    size = chunks[0].file_bytes
+    monkeypatch.setattr(CS, "RESIDENT_BYTES", 3 * size)
+    store = CS.ChunkStore(tmp_path)
+
+    def load(i):
+        hit = store.load(chunks[i].chunk_id)[1]
+        assert store.resident_bytes <= CS.RESIDENT_BYTES
+        return hit
+
+    assert [load(i) for i in (0, 1, 2, 0)] == [False, False, False, True]
+    assert load(3) is False  # drops 1, the least recently used
+    # Any other entry shares the budget and the order: this one drops 2.
+    entry = object()
+    store.put("entry", entry, size // 2)
+    assert store.resident_bytes == 2 * size + size // 2
+    assert store.get("entry") is entry  # now the most recently used
+    assert [load(i) for i in (0, 3, 2)] == [True, True, False]  # drops the entry
+    assert store.get("entry") is None and store.resident_bytes == 3 * size
+    assert [load(i) for i in (0, 3, 2, 1)] == [True, True, True, False]
+
+
+def test_a_changed_file_is_read_again(tmp_path):
+    chunk, other = stored_chunks(tmp_path, 2)
+    store = CS.ChunkStore(tmp_path)
+    path = tmp_path / chunk.chunk_id.hex()
+    assert store.load(chunk.chunk_id)[1] is False
+    # Replaced by a new file of the same bytes: another inode, read again.
+    CS.store_chunk(chunk, tmp_path)
+    assert [store.load(chunk.chunk_id)[1] for _ in range(2)] == [False, True]
+    # Rewritten in place, one byte flipped: same inode and size, new ctime.
+    with open(path, "r+b") as fh:
+        fh.seek(200)
+        byte = fh.read(1)
+        fh.seek(200)
+        fh.write(bytes([byte[0] ^ 1]))
+    for _ in range(2):  # the failure cached nothing
+        with pytest.raises(IntegrityError):
+            store.load(chunk.chunk_id)
+    assert store.resident_bytes == 0
+    # Replaced by another chunk's file: its id is not the name's.
+    os.replace(tmp_path / other.chunk_id.hex(), path)
+    with pytest.raises(IntegrityError):
+        store.load(chunk.chunk_id)
+
+
+def test_a_deleted_file_is_not_served_while_resident(tmp_path):
+    chunk, = stored_chunks(tmp_path, 1)
+    store = CS.ChunkStore(tmp_path)
+    store.load(chunk.chunk_id)
+    os.unlink(tmp_path / chunk.chunk_id.hex())
+    with pytest.raises(ChunkNotFoundError):
+        store.load(chunk.chunk_id)
+    assert store.resident_bytes == 0
+
+
+def test_a_path_maps_to_the_one_process_store(tmp_path, monkeypatch):
+    monkeypatch.setattr(CS.ChunkStore, "_process_store", None)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (tmp_path / "link").symlink_to(a)
+    chunk, = stored_chunks(a, 1)
+    store = CS.ChunkStore.of(a)
+    assert CS.ChunkStore.of(str(tmp_path / "link")) is store
+    assert store.directory == os.path.realpath(a)
+    store.load(chunk.chunk_id)
+    assert CS.ChunkStore.of(b) is not store  # another directory replaces it
+    cold = CS.ChunkStore.of(a)
+    assert cold is not store and cold.load(chunk.chunk_id)[1] is False

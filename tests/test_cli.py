@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from kvfuse import chunkstore
 from kvfuse.bench import run_strategy
 from kvfuse.cli import BOS, EOS, decode_bytes, encode_bytes, main
 from kvfuse.errors import ConfigError
@@ -191,8 +192,7 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
 def test_capacity_below_protected_rows_refused_before_any_work(tmp_path, capsys, monkeypatch):
     # The README store: a 24-token system chunk; "fox?" encodes to 5 ids.
     manifest = setup_store(tmp_path)
-    monkeypatch.setattr("kvfuse.cli.load_chunk", never)
-    monkeypatch.setattr("kvfuse.fusion.load_chunk", never)
+    monkeypatch.setattr("kvfuse.chunkstore.load_chunk", never)  # every chunk read
     monkeypatch.setattr("kvfuse.bench.fused_prefill", never)
     capsys.readouterr()
     rc = main([
@@ -215,6 +215,28 @@ def test_capacity_below_protected_rows_refused_before_any_work(tmp_path, capsys,
         with pytest.raises(ConfigError, match="protected span size 29"):
             run_strategy(model, segments, "attention_aware", tmp_path / "store",
                          eviction=EvictionPolicy(capacity))
+
+
+@pytest.mark.parametrize("strategy", ["attention_aware", "full"])
+def test_generate_verifies_each_chunk_file_once(tmp_path, monkeypatch, strategy):
+    manifest = setup_store(tmp_path)
+    monkeypatch.setattr(chunkstore.ChunkStore, "_process_store", None)
+    verified = []
+    real = chunkstore.verify_chunk_file
+
+    def counting(path, *args, **kwargs):
+        verified.append(os.path.basename(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(chunkstore, "verify_chunk_file", counting)
+    trace_path = tmp_path / "trace.json"
+    rc = main(["generate", "--manifest", str(manifest), "--question-text", "fox?",
+               "--strategy", strategy, "--gen-len", "2", "--trace-out", str(trace_path)])
+    assert rc == 0
+    assert sorted(verified) == sorted(e["id"] for e in json.loads(manifest.read_text())["chunks"])
+    # The token ids were read through the store, so the prefill read nothing.
+    trace = json.loads(trace_path.read_text())
+    assert (trace["chunk_hits"], trace["chunk_bytes_read"]) == (len(verified), 0)
 
 
 def test_generate_vanilla_trace(tmp_path):

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +63,15 @@ def test_snap_scores_pools_summed_question_attention(tmp_path):
         np.testing.assert_array_equal(
             maximum_filter1d(raw, size=EV.POOL_KERNEL, axis=-1, mode="nearest"), pooled[l]
         )
+
+
+def test_importing_the_package_leaves_scipy_out():
+    # scipy serves the tests as an oracle only; the package pools with NumPy.
+    code = "import sys, kvfuse, kvfuse.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(EV.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_snap_scores_matches_loop_reference(tmp_path):

@@ -10,6 +10,7 @@ decoding are never dropped.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d
 
 from kvfuse import chunkstore as CS
 from kvfuse import eviction as EV
@@ -52,6 +53,25 @@ def instances(draw):
         rope_recovered=True,
     )
     return cache, capacity, steps
+
+
+# Few distinct values, so windows hold ties; zeros of both signs included.
+POOL_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.25, 0.5, 0.5 + 2**-53, 1.0, 3.0])
+
+
+@st.composite
+def pool_inputs(draw):
+    """Rows of one length in 1-40, so some are shorter than the window."""
+    n = draw(st.integers(1, 40), label="length")
+    row = st.lists(POOL_VALUES | st.floats(0.0, 2.0), min_size=n, max_size=n)
+    return np.asarray(draw(st.lists(row, min_size=1, max_size=3), label="rows"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_inputs())
+def test_max_pool_has_the_bits_of_scipy(x):
+    expect = maximum_filter1d(x, size=EV.POOL_KERNEL, axis=-1, mode="nearest")
+    assert EV._max_pool(x).tobytes() == expect.tobytes()
 
 
 @SETTINGS

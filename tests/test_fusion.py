@@ -13,6 +13,7 @@ from kvfuse.errors import (
     ConfigError,
     ContractViolation,
     InputError,
+    IntegrityError,
     ShapeError,
 )
 
@@ -491,20 +492,20 @@ def assert_same_prefill(a, b):
 
 
 @pytest.mark.parametrize("sys_len, reused", [(70, 64), (20, 0)])
-def test_prefix_memo_hit_is_bitwise_a_miss(tmp_path, monkeypatch, sys_len, reused):
+def test_prefix_memo_hit_is_bitwise_a_miss(tmp_path, sys_len, reused):
     model = make_model()
     segments = make_instance(model, np.random.default_rng(31), sys_len=sys_len,
                              doc_lens=(40, 30), q_len=6)
     populate_store(model, segments, tmp_path)
     for strategy in SELECTIVE:
-        monkeypatch.setattr(FU, "_prefix_memo", None)
-        miss = run_prefill(model, segments, strategy, tmp_path)
-        hit = run_prefill(model, segments, strategy, tmp_path)
+        store = CS.ChunkStore(tmp_path)
+        miss = run_prefill(model, segments, strategy, store)
+        hit = run_prefill(model, segments, strategy, store)
         assert (miss[2].prefix_rows, hit[2].prefix_rows) == (0, reused)
         assert_same_prefill(hit, miss)
 
 
-def test_prefix_memo_is_not_reused_stale(tmp_path, monkeypatch):
+def test_prefix_memo_is_not_reused_stale(tmp_path):
     model = make_model()
     segments = make_instance(model, np.random.default_rng(32), sys_len=70,
                              doc_lens=(40, 30), q_len=6)
@@ -524,45 +525,111 @@ def test_prefix_memo_is_not_reused_stale(tmp_path, monkeypatch):
         populate_store(m, segs, tmp_path)
     for strategy in SELECTIVE:
         for m, segs, reused in cases:
-            monkeypatch.setattr(FU, "_prefix_memo", None)
-            cleared = run_prefill(m, segs, strategy, tmp_path)
-            run_prefill(model, segments, strategy, tmp_path)  # fills the memo
-            after_other = run_prefill(m, segs, strategy, tmp_path)
+            store = CS.ChunkStore(tmp_path)
+            cleared = run_prefill(m, segs, strategy, store)
+            run_prefill(model, segments, strategy, store)  # fills the memo
+            after_other = run_prefill(m, segs, strategy, store)
             assert after_other[2].prefix_rows == reused
             assert_same_prefill(after_other, cleared)
 
 
-def test_prefix_memo_holds_one_entry(tmp_path, monkeypatch):
+def test_prefix_memo_holds_one_entry(tmp_path):
     model = make_model()
-    monkeypatch.setattr(FU, "_prefix_memo", None)
+    store = CS.ChunkStore(tmp_path)
     cfg = model.config
     for seed in (33, 34):
         segments = make_instance(model, np.random.default_rng(seed), sys_len=70,
                                  doc_lens=(40, 30), q_len=6)
         populate_store(model, segments, tmp_path)
-        run_prefill(model, segments, "attention_aware", tmp_path)
-        memo = FU._prefix_memo
+        run_prefill(model, segments, "attention_aware", store)
+        memo = store.get(FU._PREFIX_ENTRY)
         assert isinstance(memo, FU._SystemPrefix)
         assert memo.key == (cfg.fingerprint(), segments.system[:64].astype(np.int64).tobytes())
         assert memo.keys.shape == memo.values.shape == (2, cfg.n_heads, 64, cfg.head_dim)
         assert memo.k1.shape == (cfg.n_heads, 64, cfg.head_dim)
     # `full` neither reads nor replaces the entry.
-    _, _, trace = run_prefill(model, segments, "full", tmp_path)
-    assert trace.prefix_rows == 0 and FU._prefix_memo is memo
+    _, _, trace = run_prefill(model, segments, "full", store)
+    assert trace.prefix_rows == 0 and store.get(FU._PREFIX_ENTRY) is memo
 
 
-def test_trace_reports_the_rows_taken_from_the_memo(tmp_path, monkeypatch):
+def test_trace_reports_the_rows_taken_from_the_memo(tmp_path):
     import json
 
     model = make_model()
     segments = make_instance(model, np.random.default_rng(35), sys_len=70,
                              doc_lens=(40, 30), q_len=6)
     populate_store(model, segments, tmp_path)
-    monkeypatch.setattr(FU, "_prefix_memo", None)
+    store = CS.ChunkStore(tmp_path)
     rows = [json.loads(json.dumps(run_prefill(model, segments, "attention_aware",
-                                              tmp_path)[2].to_json_dict()))["prefix_rows"]
+                                              store)[2].to_json_dict()))["prefix_rows"]
             for _ in range(2)]
     assert rows == [0, 64]
+
+
+# ---------------------------------------------------------------------------
+# Resident chunks
+
+
+@pytest.mark.parametrize("strategy", FU.STRATEGIES)
+def test_resident_chunks_give_the_bits_of_a_read(tmp_path, strategy):
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(36), sys_len=40,
+                             doc_lens=(40, 30), q_len=6)
+    populate_store(model, segments, tmp_path)
+    files = {part.tobytes(): CS.load_chunk(CS.chunk_id(part, model.config.fingerprint()),
+                                            tmp_path) for part in segments.context_chunks()}
+    store = CS.ChunkStore(tmp_path)
+    miss, hit = (run_prefill(model, segments, strategy, store) for _ in range(2))
+    size = sum(chunk.file_bytes for chunk in files.values())
+    assert (miss[2].chunk_hits, miss[2].chunk_bytes_read, miss[2].chunk_bytes) == (0, size, size)
+    assert (hit[2].chunk_hits, hit[2].chunk_bytes_read, hit[2].chunk_bytes) == (3, 0, size)
+    assert {k: hit[2].to_json_dict()[k] for k in ("chunk_hits", "chunk_bytes_read")} == {
+        "chunk_hits": 3, "chunk_bytes_read": 0}
+    (pa, la, ta), (pb, lb, tb) = miss, hit
+    assert la.tobytes() == lb.tobytes()
+    assert pa.keys.tobytes() == pb.keys.tobytes()
+    assert pa.values.tobytes() == pb.values.tobytes()
+    assert pa.question_queries.tobytes() == pb.question_queries.tobytes()
+    assert (ta.scores_doc is None) == (strategy == "full")
+    if ta.scores_doc is not None:
+        assert ta.scores_doc.tobytes() == tb.scores_doc.tobytes()
+    # The prefill only read the resident arrays: they still hold the files' bits.
+    for part in segments.context_chunks():
+        chunk, _ = store.load(CS.chunk_id(part, model.config.fingerprint()))
+        for a, b in zip(chunk.layers, files[part.tobytes()].layers):
+            assert a.keys.tobytes() == b.keys.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_prefill_rereads_a_changed_file_and_counts_the_prefix_entry(tmp_path, monkeypatch):
+    monkeypatch.setattr(CS.ChunkStore, "_process_store", None)
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(37), sys_len=70,
+                             doc_lens=(40, 30), q_len=6)
+    populate_store(model, segments, tmp_path)
+    fp = model.config.fingerprint()
+    paths = [tmp_path / CS.chunk_id(part, fp).hex() for part in segments.context_chunks()]
+    _, _, trace = run_prefill(model, segments, "attention_aware", tmp_path)
+    store = CS.ChunkStore.of(tmp_path)  # the store the path stood for
+    assert store.resident_bytes == trace.chunk_bytes + store.get(FU._PREFIX_ENTRY).nbytes
+    # A document replaced by `os.replace` (a new store of the same chunk).
+    CS.store_chunk(CS.precompute_chunk(segments.documents[0], model), tmp_path)
+    _, _, trace = run_prefill(model, segments, "attention_aware", tmp_path)
+    assert (trace.chunk_hits, trace.chunk_bytes_read) == (2, os.path.getsize(paths[1]))
+    # The system file rewritten in place with one byte flipped.
+    raw = bytearray(paths[0].read_bytes())
+    raw[-40] ^= 0x10
+    with open(paths[0], "r+b") as fh:
+        fh.write(raw)
+    for strategy in ("attention_aware", "full"):
+        with pytest.raises(IntegrityError):
+            run_prefill(model, segments, strategy, tmp_path)
+    # A resident document deleted.
+    CS.store_chunk(CS.precompute_chunk(segments.system, model), tmp_path)
+    run_prefill(model, segments, "none", tmp_path)
+    paths[2].unlink()
+    with pytest.raises(ChunkNotFoundError):
+        run_prefill(model, segments, "none", tmp_path)
 
 
 def test_monotone_fidelity_in_r(tmp_path):
