@@ -19,7 +19,12 @@ recover positions, at a small test shape and at the rag_shared shape; the
 logits of every step of a long greedy decode at the test shape, with and
 without eviction, long enough that the decode cache grows three times; the
 logits of greedy decodes that start far past the context, at positions
-100,000 and 1,000,000, with and without eviction, at both shapes; then
+100,000 and 1,000,000, with and without eviction, at both shapes; the
+same arrays as the resident runs, for every strategy on one more fresh
+store, over a 3-document request read twice and then over a request that
+shares only its first document with it, so that the second read reuses
+the layer-0 rows of every cached context prefix and the third only some
+of them; then
 every `run_bench` report row for a 3-seed needle config with two r values
 and eviction. The timing columns that older trees still report are left
 out, so those trees hash the same rows.
@@ -52,6 +57,7 @@ GEN_LEN = 8
 LONG_DECODE = 256  # steps: from 35 rows (24 after eviction) past three cache growths
 FAR_STARTS = (100_000, 1_000_000)  # decode positions where the rotation angles are large
 FAR_DECODE = 16  # steps from each far start
+CHAIN_DOC_LEN = {"test": 40, "rag_shared": 480}  # whole tiles at either shape
 BENCH_CONFIG = {
     "model": SHAPES["test"][0],
     "recipe": {"n_doc_chunks": 2, "chunk_len": 24, "system_len": 12, "question_len": 6,
@@ -85,6 +91,33 @@ def emit_decode(tag: str, model, segments, store, capacity: int, start: int,
             emit(f"{tag} evict={evicted} step {step} logits", logits)
         emit(f"{tag} evict={evicted} cache",
              np.stack([cache.keys_view(l) for l in range(model.config.n_layers)]))
+
+
+def emit_prefill(tag: str, model, segments, strategy: str, store) -> None:
+    plan = fusion.FusionPlan(strategy, r=0.15)
+    patched, logits, trace = fusion.fused_prefill(model, segments, plan, store)
+    emit(f"{tag} keys", patched.keys)
+    emit(f"{tag} values", patched.values)
+    emit(f"{tag} question_queries", patched.question_queries)
+    scores = trace.scores_doc
+    emit(f"{tag} scores", np.zeros(0) if scores is None else scores)
+    emit(f"{tag} first_logits", logits)
+
+
+def emit_chain(name: str, model, segments, store) -> None:
+    vocab = model.config.vocab_size
+    a, b, c = (bench._draw_ids(7, 10 + i, CHAIN_DOC_LEN[name], vocab) for i in range(3))
+    three = fusion.InputSegments(segments.system, [a, b, c], segments.question)
+    first_shared = fusion.InputSegments(segments.system, [a, c, b], segments.question)
+    bench.populate_store(model, three, store)
+    for strategy in fusion.STRATEGIES:
+        fresh = (chunkstore.ChunkStore(store) if hasattr(chunkstore, "ChunkStore")
+                 else store)
+        for run in ("miss", "hit"):
+            emit_prefill(f"{name} {strategy} r=0.15 3 documents {run}", model, three, strategy,
+                         fresh)
+        emit_prefill(f"{name} {strategy} r=0.15 first document shared", model, first_shared,
+                     strategy, fresh)
 
 
 def main() -> None:
@@ -125,15 +158,8 @@ def main() -> None:
                 fresh = (chunkstore.ChunkStore(store) if hasattr(chunkstore, "ChunkStore")
                          else store)
                 for run in ("miss", "hit"):
-                    plan = fusion.FusionPlan(strategy, r=0.15)
-                    patched, logits, trace = fusion.fused_prefill(model, segments, plan, fresh)
-                    tag = f"{name} {strategy} r=0.15 store {run}"
-                    emit(f"{tag} keys", patched.keys)
-                    emit(f"{tag} values", patched.values)
-                    emit(f"{tag} question_queries", patched.question_queries)
-                    scores = trace.scores_doc
-                    emit(f"{tag} scores", np.zeros(0) if scores is None else scores)
-                    emit(f"{tag} first_logits", logits)
+                    emit_prefill(f"{name} {strategy} r=0.15 store {run}", model, segments,
+                                 strategy, fresh)
             for strategy in bench.ALL_STRATEGIES:
                 run = bench.run_strategy(model, segments, strategy, store, gen_len=GEN_LEN)
                 emit(f"{name} {strategy} tokens", run.tokens)
@@ -150,6 +176,7 @@ def main() -> None:
             for start in FAR_STARTS:
                 emit_decode(f"{name} decode from {start}", model, segments, store, capacity,
                             start, FAR_DECODE)
+            emit_chain(name, model, segments, store)
     report = bench.run_bench(bench.BenchConfig.from_dict(BENCH_CONFIG))
     for row in report.rows:
         kept = {k: v for k, v in row.items() if k not in TIMING_COLUMNS}

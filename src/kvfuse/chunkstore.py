@@ -306,8 +306,9 @@ def load_chunk(cid: bytes | str, directory) -> ChunkKV:
 # Residency
 
 # Bytes the process's chunk store keeps resident: verified chunks (a
-# chunk's file size, 1.97 MB at the benchmark shape) plus the system-prefix
-# entry `fusion` keeps there (0.74 MB).
+# chunk's file size, 1.97 MB at the benchmark shape) plus the prefix
+# entries `fusion` keeps there, counted at their arrays' bytes: a system's
+# layers 0-1 (0.74 MB) and a document prefix's layer-1 inputs (0.12 MB).
 RESIDENT_BYTES = 26 * 2**20
 
 
@@ -337,7 +338,7 @@ class ChunkStore:
     served has passed this process's SHA-256 check of the file as it
     stands. A failed verification caches nothing. Resident arrays are
     read-only, and callers copy before they write. Other entries (the
-    system prefix of `fusion`) share the LRU and the budget through
+    prefix entries of `fusion`) share the LRU and the budget through
     `get` and `put`.
     """
 

@@ -21,22 +21,33 @@ serves one again while its file's stat signature is unchanged. A path
 stands for the process's one store for that directory. The loop only
 reads the resident arrays: concat copies them, and `full` rotates copies.
 
-The system prefix is computed once. The system rows attend only to each
-other, so their layer 0-1 keys and values depend only on the system
-tokens and the model. One entry in the same store, keyed by the model
-fingerprint and the token bytes of the system's whole-tile prefix (its
-first len(system) // 32 * 32 rows), holds those rows' float32 layer 0-1
-keys and values and layer 1's float64 rotated keys, which scoring reads.
-On a hit the selective strategies carry rows from the end of the prefix
-at layers 0-1 and fill the prefix rows from the entry; on a miss they
-store copies after layer 1's projections, replacing the old entry. Only
-whole 32-row attention tiles are reused: a tile that straddled the
-system's end would run its value product over a longer key range, which
-may sum in another order, so reusing it could change bits. `full` never
-uses the entry. At the rag_shared shape it is 0.74 MB and counts against
-the store's budget. The selective strategies recover positions from
-layer 2 on: the loop overwrites every stored key of layers 0-1 or takes
-it from the entry.
+Every cached context prefix skips layer 0's attention and block, and the
+system's also skips the projections of layers 0-1. A row attends only to
+the rows before it, so what layers 0-1 give it depends only on the tokens
+up to it and the model, and repeats whenever that prefix does. A chain of
+entries in the same store holds them: one for the system and one per
+document boundary but the last (the full context rarely repeats), each
+keyed by the model fingerprint and the token bytes before its end, the
+boundary rounded down to a whole 32-row tile. The system's entry covers
+its whole tiles, rows [0, pre), and holds their float32 layer 0-1 keys
+and values and layer 1's float64 rotated keys, which scoring reads. A
+document's entry covers the rows from the previous entry's end and holds
+only their float32 layer-1 inputs, exact because `block_out` rounds
+through float32; a document row may be selected, and then needs its input
+at layer 1. On a hit the selective strategies carry rows from `pre` at
+layers 0-1 and fill the system rows from its entry. Over the unbroken
+chain of document entries that hit after it they still run layer 0's
+projections, which depend only on each token and its position, but take
+the layer-1 inputs from the entries and run layer 0's attention and block
+from the chain's end only. A miss stores the entries from the first one
+missed on. Only whole attention tiles are reused: a tile that straddled a
+boundary would run its value product over a longer key range, which may
+sum in another order, so reusing it could change bits. `full` never uses
+the entries. At the rag_shared shape the system's entry is 0.74 MB and a
+document's 0.12 MB, against a chunk's 1.97 MB; all count against the
+store's budget. The selective strategies recover positions from layer 2
+on: the loop overwrites every stored key of layers 0-1 or takes it from
+the system's entry.
 
 Question relevance (`question_attention`) and the top-p rule (`_top_p`)
 are written once, here; eviction and the harness call them too.
@@ -164,7 +175,8 @@ class FusionTrace:
     q_len: int
     selected: list[int]
     clamped: bool
-    prefix_rows: int = 0  # system rows whose layers 0-1 came from the prefix entry
+    prefix_rows: int = 0  # system rows whose layers 0-1 came from the system's entry
+    reused_rows: int = 0  # rows whose layer-0 attention and block came from document entries
     chunk_bytes: int = 0  # bytes of the chunk files served, each verified when it was read
     chunk_hits: int = 0  # chunks served resident
     chunk_bytes_read: int = 0  # bytes of the chunk files this call read and verified
@@ -184,6 +196,7 @@ class FusionTrace:
             "selected": [int(i) for i in self.selected],
             "clamped": self.clamped,
             "prefix_rows": self.prefix_rows,
+            "reused_rows": self.reused_rows,
             "chunk_bytes": self.chunk_bytes,
             "chunk_hits": self.chunk_hits,
             "chunk_bytes_read": self.chunk_bytes_read,
@@ -277,7 +290,6 @@ def hit_rate(selected: RecomputeSet, oracle_topk: RecomputeSet) -> float:
 class _SystemPrefix:
     """Layers 0-1 of the system's whole-tile prefix, rows [0, pre)."""
 
-    key: tuple[bytes, bytes]  # (model fingerprint, the prefix's int64 token bytes)
     keys: np.ndarray  # (2, H, pre, hd) float32, as the loop wrote them
     values: np.ndarray  # (2, H, pre, hd) float32
     k1: np.ndarray  # (H, pre, hd) float64, layer 1's rotated keys, which scoring reads
@@ -287,8 +299,23 @@ class _SystemPrefix:
         return self.keys.nbytes + self.values.nbytes + self.k1.nbytes
 
 
-# The store key of the one system-prefix entry; a miss replaces it.
-_PREFIX_ENTRY = "system prefix"
+def _entry_key(kind: str, fp: bytes, ids: np.ndarray, end: int) -> tuple:
+    # A store key of a prefix entry: what it holds, the model, and the
+    # int64 token bytes of rows [0, end), which determine it.
+    return (kind, fp, ids[:end].tobytes())
+
+
+def _document_chain(fp: bytes, ids: np.ndarray, lengths: list[int], pre: int) -> list[tuple]:
+    """The document entries of a context whose chunks have `lengths`, after
+    the system's whole tiles [0, pre): (store key, first row, end row) for
+    every document boundary but the last, rounded down to a whole tile. A
+    span with no whole tile is left out."""
+    chain, start = [], pre
+    for end in (np.cumsum(lengths[:-1]) // _TILE_ROWS * _TILE_ROWS).tolist()[1:]:
+        if end > start:
+            chain.append((_entry_key("layer-1 inputs", fp, ids, end), start, end))
+            start = end
+    return chain
 
 
 def fused_prefill(
@@ -337,7 +364,12 @@ def fused_prefill(
     pos = np.arange(n, dtype=np.int64)
     cos, sin = _rope_table(pos, cfg)
 
-    prefix, first = None, 0  # the prefix entry in use; the first carried row at layers 0-1
+    # The prefix entries in use: `prefix`, the system's, fills layers 0-1
+    # of rows [0, first); `reused`, the unbroken chain of document entries
+    # that hit after it, the layer-1 inputs of rows [first, attend). Layer
+    # 0's attention and block run from `attend`; a miss stores `chain`'s
+    # entries from the first one missed on.
+    prefix, chain, reused, first, attend = None, [], [], 0, 0
     if full:
         # Only the question is carried; the chunk rows all precede it, so
         # causality follows from the row offsets.
@@ -345,15 +377,22 @@ def fused_prefill(
         scores_doc, rows, ids = None, question_rows, q_ids
     else:
         t0 = time.perf_counter()
-        # Layers 0-1 of every stored key are overwritten or come from the prefix entry.
+        # Layers 0-1 of every stored key are overwritten or come from the system's entry.
         recover_positions(replace(fused, keys=fused.keys[2:]), cfg)
         durations["recover"] = time.perf_counter() - t0
         ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
         pre = len(segments.system) // _TILE_ROWS * _TILE_ROWS
-        prefix_key = (fp, ids[:pre].tobytes())
-        entry = store.get(_PREFIX_ENTRY) if pre else None
-        if entry is not None and entry.key == prefix_key:
-            prefix, first = entry, pre
+        prefix_key = _entry_key("layers 0-1", fp, ids, pre)
+        prefix = store.get(prefix_key) if pre else None
+        first = pre if prefix is not None else 0
+        chain = _document_chain(fp, ids, [chunk.length for chunk in chunks], pre)
+        if first == pre:  # the system's entry hit, or there is none
+            for key, _, _ in chain:
+                inputs = store.get(key)
+                if inputs is None:
+                    break
+                reused.append(inputs)
+        attend = chain[len(reused) - 1][2] if reused else first
         rows, ids = pos[first:], ids[first:]
 
     # The one layer loop: the carried rows write their keys and values into
@@ -376,9 +415,9 @@ def fused_prefill(
             if prefix is not None:
                 k = np.concatenate([prefix.k1, k], axis=1)
             elif pre:
-                made = _SystemPrefix(prefix_key, keys[:2, :, :pre].copy(),
-                                     values[:2, :, :pre].copy(), k[:, :pre].copy())
-                store.put(_PREFIX_ENTRY, made, made.nbytes)
+                made = _SystemPrefix(keys[:2, :, :pre].copy(), values[:2, :, :pre].copy(),
+                                     k[:, :pre].copy())
+                store.put(prefix_key, made, made.nbytes)
             durations["layer01"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             # Scores are recorded for every selective strategy so the harness
@@ -404,7 +443,18 @@ def fused_prefill(
             q, x, rope = q[:, rows - first], x[rows - first], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-        x = _attend_out(model, l, x, q, keys[l], values[l], rows, pos)
+        if l == 0 and attend > first:  # rows [first, attend) take their inputs from `reused`
+            skip = attend - first
+            out = _attend_out(model, l, x[skip:], q[:, skip:], keys[l], values[l],
+                              rows[skip:], pos)
+            x = np.concatenate(reused + [out])
+        else:
+            x = _attend_out(model, l, x, q, keys[l], values[l], rows, pos)
+        if l == 0:
+            for key, start, end in chain[len(reused):]:
+                inputs = x[start - first:end - first].astype(DTYPE)
+                inputs.flags.writeable = False
+                store.put(key, inputs, inputs.nbytes)
     durations["patch"] = time.perf_counter() - t0
 
     patched = PatchedCache(
@@ -414,6 +464,7 @@ def fused_prefill(
     trace = FusionTrace(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
         selected=[int(i) for i in rset.indices], clamped=rset.clamped, prefix_rows=first,
+        reused_rows=attend - first,
         chunk_bytes=chunk_bytes, chunk_hits=sum(hit for _, hit in loads),
         chunk_bytes_read=chunk_bytes_read, durations=durations,
         flops={

@@ -453,6 +453,7 @@ def test_fusion_trace_serializes(tmp_path):
     assert data["p"] == len(data["selected"]) == trace.p
     assert set(data["durations_s"]) == {"load", "concat", "recover", "layer01", "select", "patch"}
     assert data["prefix_rows"] == 0  # an 8-token system holds no whole tile
+    assert data["reused_rows"] == 0
     assert data["flops"]["prefill"] < data["flops"]["vanilla"]
 
 
@@ -470,7 +471,7 @@ def test_trace_counts_the_bytes_of_the_chunk_files_loaded(tmp_path, strategy):
 
 
 # ---------------------------------------------------------------------------
-# System prefix memo
+# Layer-0 entries of the cached context prefixes
 
 SELECTIVE = ("attention_aware", "kv_diff", "head_tail", "none")
 
@@ -525,31 +526,109 @@ def test_prefix_memo_is_not_reused_stale(tmp_path):
         populate_store(m, segs, tmp_path)
     for strategy in SELECTIVE:
         for m, segs, reused in cases:
+            cleared = run_prefill(m, segs, strategy, CS.ChunkStore(tmp_path))
             store = CS.ChunkStore(tmp_path)
-            cleared = run_prefill(m, segs, strategy, store)
-            run_prefill(model, segments, strategy, store)  # fills the memo
+            run_prefill(model, segments, strategy, store)  # fills the entries
             after_other = run_prefill(m, segs, strategy, store)
-            assert after_other[2].prefix_rows == reused
+            # The document entry's key holds every token up to row 96.
+            assert (after_other[2].prefix_rows, after_other[2].reused_rows) == (reused, 0)
             assert_same_prefill(after_other, cleared)
 
 
-def test_prefix_memo_holds_one_entry(tmp_path):
+def context_ids(segments):
+    return np.concatenate(segments.context_chunks()).astype(np.int64)
+
+
+def test_prefix_entries_form_a_chain(tmp_path):
     model = make_model()
     store = CS.ChunkStore(tmp_path)
     cfg = model.config
-    for seed in (33, 34):
-        segments = make_instance(model, np.random.default_rng(seed), sys_len=70,
-                                 doc_lens=(40, 30), q_len=6)
+    fp, d_model = cfg.fingerprint(), cfg.d_model
+    rng = np.random.default_rng(33)
+    first = make_instance(model, rng, sys_len=70, doc_lens=(40, 30), q_len=6)
+    # Another first document; the system is shared.
+    second = FU.InputSegments(first.system, [rng.integers(0, 64, size=40), first.documents[1]],
+                              first.question)
+    held = {}
+    for segments in (first, second):
         populate_store(model, segments, tmp_path)
         run_prefill(model, segments, "attention_aware", store)
-        memo = store.get(FU._PREFIX_ENTRY)
-        assert isinstance(memo, FU._SystemPrefix)
-        assert memo.key == (cfg.fingerprint(), segments.system[:64].astype(np.int64).tobytes())
-        assert memo.keys.shape == memo.values.shape == (2, cfg.n_heads, 64, cfg.head_dim)
-        assert memo.k1.shape == (cfg.n_heads, 64, cfg.head_dim)
-    # `full` neither reads nor replaces the entry.
-    _, _, trace = run_prefill(model, segments, "full", store)
-    assert trace.prefix_rows == 0 and store.get(FU._PREFIX_ENTRY) is memo
+        ids = context_ids(segments)
+        # The system's whole tiles, rows [0, 64), hold layers 0-1.
+        prefix = store.get(("layers 0-1", fp, ids[:64].tobytes()))
+        assert isinstance(prefix, FU._SystemPrefix)
+        assert prefix.keys.shape == prefix.values.shape == (2, cfg.n_heads, 64, cfg.head_dim)
+        assert prefix.k1.shape == (cfg.n_heads, 64, cfg.head_dim)
+        # Then one entry per document boundary but the last, rounded down
+        # to a whole tile: the layer-1 inputs of rows [64, 96).
+        inputs = store.get(("layer-1 inputs", fp, ids[:96].tobytes()))
+        assert inputs.shape == (32, d_model) and inputs.dtype == M.DTYPE
+        assert not inputs.flags.writeable
+        assert store.get(("layer-1 inputs", fp, ids[:96 + 32].tobytes())) is None
+        held[ids[:64].tobytes()], held[ids[:96].tobytes()] = prefix, inputs
+    assert len(held) == 3  # the system's entry is shared
+    chunk_bytes = sum(os.path.getsize(tmp_path / CS.chunk_id(part, fp).hex())
+                      for part in [first.system] + first.documents + second.documents[:1])
+    # Per row: float32 keys and values of 2 layers and float64 layer-1 keys,
+    # or the float32 layer-1 input.
+    entry_bytes = 64 * d_model * (2 * 2 * 4 + 8) + 2 * 32 * d_model * 4
+    assert store.resident_bytes == chunk_bytes + entry_bytes
+    # `full` neither reads nor replaces the entries.
+    _, _, trace = run_prefill(model, first, "full", store)
+    assert (trace.prefix_rows, trace.reused_rows) == (0, 0)
+    for segments in (first, second):
+        ids = context_ids(segments)
+        assert store.get(("layers 0-1", fp, ids[:64].tobytes())) is held[ids[:64].tobytes()]
+        assert store.get(("layer-1 inputs", fp, ids[:96].tobytes())) is held[ids[:96].tobytes()]
+    assert store.resident_bytes == chunk_bytes + entry_bytes
+
+
+@pytest.mark.parametrize("sys_len, doc_lens, prefix_rows, reused_rows", [
+    (64, (64, 32), 64, 64),  # every boundary on a tile edge
+    (70, (40, 30), 64, 32),
+    (20, (40, 30), 0, 32),  # the first entry covers the system and part of document 1
+    (70, (40, 50, 30), 64, 96),
+])
+def test_document_entries_hit_is_bitwise_a_miss(tmp_path, sys_len, doc_lens, prefix_rows,
+                                                reused_rows):
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(38), sys_len=sys_len,
+                             doc_lens=doc_lens, q_len=6)
+    populate_store(model, segments, tmp_path)
+    for strategy in SELECTIVE:
+        store = CS.ChunkStore(tmp_path)
+        miss = run_prefill(model, segments, strategy, store)
+        hit = run_prefill(model, segments, strategy, store)
+        assert (miss[2].prefix_rows, miss[2].reused_rows) == (0, 0)
+        assert (hit[2].prefix_rows, hit[2].reused_rows) == (prefix_rows, reused_rows)
+        assert_same_prefill(hit, miss)
+
+
+def test_document_entries_reuse_only_an_equal_prefix(tmp_path):
+    # Whole-tile documents, so entries cover rows [64, 128) and [128, 192).
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(39), sys_len=64,
+                             doc_lens=(64, 64, 32), q_len=6)
+    first, second, last = segments.documents
+    inside, later = first.copy(), second.copy()
+    inside[10] = (inside[10] + 1) % 64
+    later[10] = (later[10] + 1) % 64
+    cases = [
+        (FU.InputSegments(segments.system, [inside, second, last], segments.question), 0),
+        # Rows [64, 128) hold the tokens that rows [128, 192) held, over another prefix.
+        (FU.InputSegments(segments.system, [second, first, last], segments.question), 0),
+        (FU.InputSegments(segments.system, [first, later, last], segments.question), 64),
+    ]
+    for segs, _ in [(segments, 0)] + cases:
+        populate_store(model, segs, tmp_path)
+    for strategy in SELECTIVE:
+        for segs, reused_rows in cases:
+            cold = run_prefill(model, segs, strategy, CS.ChunkStore(tmp_path))
+            store = CS.ChunkStore(tmp_path)
+            run_prefill(model, segments, strategy, store)
+            warm = run_prefill(model, segs, strategy, store)
+            assert (warm[2].prefix_rows, warm[2].reused_rows) == (64, reused_rows)
+            assert_same_prefill(warm, cold)
 
 
 def test_trace_reports_the_rows_taken_from_the_memo(tmp_path):
@@ -561,9 +640,9 @@ def test_trace_reports_the_rows_taken_from_the_memo(tmp_path):
     populate_store(model, segments, tmp_path)
     store = CS.ChunkStore(tmp_path)
     rows = [json.loads(json.dumps(run_prefill(model, segments, "attention_aware",
-                                              store)[2].to_json_dict()))["prefix_rows"]
+                                              store)[2].to_json_dict()))
             for _ in range(2)]
-    assert rows == [0, 64]
+    assert [(r["prefix_rows"], r["reused_rows"]) for r in rows] == [(0, 0), (64, 32)]
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +690,11 @@ def test_prefill_rereads_a_changed_file_and_counts_the_prefix_entry(tmp_path, mo
     paths = [tmp_path / CS.chunk_id(part, fp).hex() for part in segments.context_chunks()]
     _, _, trace = run_prefill(model, segments, "attention_aware", tmp_path)
     store = CS.ChunkStore.of(tmp_path)  # the store the path stood for
-    assert store.resident_bytes == trace.chunk_bytes + store.get(FU._PREFIX_ENTRY).nbytes
+    # The chunks, then layers 0-1 of rows [0, 64) (float32 keys and values,
+    # float64 layer-1 keys) and the float32 layer-1 inputs of rows [64, 96).
+    d_model = model.config.d_model
+    assert store.resident_bytes == (trace.chunk_bytes + 64 * d_model * (2 * 2 * 4 + 8)
+                                    + 32 * d_model * 4)
     # A document replaced by `os.replace` (a new store of the same chunk).
     CS.store_chunk(CS.precompute_chunk(segments.documents[0], model), tmp_path)
     _, _, trace = run_prefill(model, segments, "attention_aware", tmp_path)
