@@ -27,8 +27,9 @@ the rows before it, so what layers 0-1 give it depends only on the tokens
 up to it and the model, and repeats whenever that prefix does. A chain of
 entries in the same store holds them: one for the system and one per
 document boundary but the last (the full context rarely repeats), each
-keyed by the model fingerprint and the token bytes before its end, the
-boundary rounded down to a whole 32-row tile. The system's entry covers
+keyed by the model fingerprint, its first row and the token bytes before
+its end, the boundary rounded down to a whole 32-row tile; the first row
+depends on how the context is cut into chunks. The system's entry covers
 its whole tiles, rows [0, pre), and holds their float32 layer 0-1 keys
 and values and layer 1's float64 rotated keys, which scoring reads. A
 document's entry covers the rows from the previous entry's end and holds
@@ -299,10 +300,12 @@ class _SystemPrefix:
         return self.keys.nbytes + self.values.nbytes + self.k1.nbytes
 
 
-def _entry_key(kind: str, fp: bytes, ids: np.ndarray, end: int) -> tuple:
-    # A store key of a prefix entry: what it holds, the model, and the
-    # int64 token bytes of rows [0, end), which determine it.
-    return (kind, fp, ids[:end].tobytes())
+def _entry_key(kind: str, fp: bytes, ids: np.ndarray, start: int, end: int) -> tuple:
+    # A store key of a prefix entry for rows [start, end): what it holds,
+    # the model, its first row, and the int64 token bytes of rows [0, end),
+    # which determine it. The first row depends on the chunking, not on
+    # the tokens, so the same tokens split otherwise get other entries.
+    return (kind, fp, start, ids[:end].tobytes())
 
 
 def _document_chain(fp: bytes, ids: np.ndarray, lengths: list[int], pre: int) -> list[tuple]:
@@ -313,7 +316,7 @@ def _document_chain(fp: bytes, ids: np.ndarray, lengths: list[int], pre: int) ->
     chain, start = [], pre
     for end in (np.cumsum(lengths[:-1]) // _TILE_ROWS * _TILE_ROWS).tolist()[1:]:
         if end > start:
-            chain.append((_entry_key("layer-1 inputs", fp, ids, end), start, end))
+            chain.append((_entry_key("layer-1 inputs", fp, ids, start, end), start, end))
             start = end
     return chain
 
@@ -382,7 +385,7 @@ def fused_prefill(
         durations["recover"] = time.perf_counter() - t0
         ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
         pre = len(segments.system) // _TILE_ROWS * _TILE_ROWS
-        prefix_key = _entry_key("layers 0-1", fp, ids, pre)
+        prefix_key = _entry_key("layers 0-1", fp, ids, 0, pre)
         prefix = store.get(prefix_key) if pre else None
         first = pre if prefix is not None else 0
         chain = _document_chain(fp, ids, [chunk.length for chunk in chunks], pre)
@@ -399,6 +402,9 @@ def fused_prefill(
     # the stored layer, then attend over it. The selection, after layer 1's
     # projections, shrinks the carried rows to Re plus the question.
     t0 = time.perf_counter()
+    # Layer 0 attends from `attend`; the rows before it take their layer-1
+    # inputs from `reused`. Later layers attend from every carried row.
+    skip = attend - first
     x, rope = model.weights.embedding[ids], (cos[rows], sin[rows])
     for l in range(cfg.n_layers):
         q, k, _, v = block_qkv(model, l, x, rope)
@@ -443,18 +449,14 @@ def fused_prefill(
             q, x, rope = q[:, rows - first], x[rows - first], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-        if l == 0 and attend > first:  # rows [first, attend) take their inputs from `reused`
-            skip = attend - first
-            out = _attend_out(model, l, x[skip:], q[:, skip:], keys[l], values[l],
-                              rows[skip:], pos)
-            x = np.concatenate(reused + [out])
-        else:
-            x = _attend_out(model, l, x, q, keys[l], values[l], rows, pos)
+        out = _attend_out(model, l, x[skip:], q[:, skip:], keys[l], values[l], rows[skip:], pos)
+        x = np.concatenate(reused + [out]) if reused else out
         if l == 0:
             for key, start, end in chain[len(reused):]:
                 inputs = x[start - first:end - first].astype(DTYPE)
                 inputs.flags.writeable = False
                 store.put(key, inputs, inputs.nbytes)
+            skip, reused = 0, []
     durations["patch"] = time.perf_counter() - t0
 
     patched = PatchedCache(

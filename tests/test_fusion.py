@@ -555,16 +555,16 @@ def test_prefix_entries_form_a_chain(tmp_path):
         run_prefill(model, segments, "attention_aware", store)
         ids = context_ids(segments)
         # The system's whole tiles, rows [0, 64), hold layers 0-1.
-        prefix = store.get(("layers 0-1", fp, ids[:64].tobytes()))
+        prefix = store.get(("layers 0-1", fp, 0, ids[:64].tobytes()))
         assert isinstance(prefix, FU._SystemPrefix)
         assert prefix.keys.shape == prefix.values.shape == (2, cfg.n_heads, 64, cfg.head_dim)
         assert prefix.k1.shape == (cfg.n_heads, 64, cfg.head_dim)
         # Then one entry per document boundary but the last, rounded down
         # to a whole tile: the layer-1 inputs of rows [64, 96).
-        inputs = store.get(("layer-1 inputs", fp, ids[:96].tobytes()))
+        inputs = store.get(("layer-1 inputs", fp, 64, ids[:96].tobytes()))
         assert inputs.shape == (32, d_model) and inputs.dtype == M.DTYPE
         assert not inputs.flags.writeable
-        assert store.get(("layer-1 inputs", fp, ids[:96 + 32].tobytes())) is None
+        assert store.get(("layer-1 inputs", fp, 96, ids[:96 + 32].tobytes())) is None
         held[ids[:64].tobytes()], held[ids[:96].tobytes()] = prefix, inputs
     assert len(held) == 3  # the system's entry is shared
     chunk_bytes = sum(os.path.getsize(tmp_path / CS.chunk_id(part, fp).hex())
@@ -578,8 +578,8 @@ def test_prefix_entries_form_a_chain(tmp_path):
     assert (trace.prefix_rows, trace.reused_rows) == (0, 0)
     for segments in (first, second):
         ids = context_ids(segments)
-        assert store.get(("layers 0-1", fp, ids[:64].tobytes())) is held[ids[:64].tobytes()]
-        assert store.get(("layer-1 inputs", fp, ids[:96].tobytes())) is held[ids[:96].tobytes()]
+        assert store.get(("layers 0-1", fp, 0, ids[:64].tobytes())) is held[ids[:64].tobytes()]
+        assert store.get(("layer-1 inputs", fp, 64, ids[:96].tobytes())) is held[ids[:96].tobytes()]
     assert store.resident_bytes == chunk_bytes + entry_bytes
 
 
@@ -629,6 +629,35 @@ def test_document_entries_reuse_only_an_equal_prefix(tmp_path):
             warm = run_prefill(model, segs, strategy, store)
             assert (warm[2].prefix_rows, warm[2].reused_rows) == (64, reused_rows)
             assert_same_prefill(warm, cold)
+
+
+def test_document_entries_of_another_chunking_are_not_confused(tmp_path):
+    # The same context tokens split into chunks at other boundaries: an
+    # entry's key ends where another chunking's entry ends, but the entries
+    # start at other rows.
+    model = make_model()
+    rng = np.random.default_rng(40)
+    system, a, b, c = (rng.integers(0, 64, size=k) for k in (64, 40, 60, 30))
+    question = rng.integers(0, 64, size=6)
+    runs = [
+        # Entries [64, 96) and [96, 160).
+        FU.InputSegments(system, [a, b, c], question),
+        # One entry [64, 160), over the same tokens.
+        FU.InputSegments(system, [np.concatenate([a, b]), c], question),
+        # A longer system, whose whole tiles are rows [0, 96): entry [96, 160).
+        FU.InputSegments(np.concatenate([system, a]), [b, c], question),
+    ]
+    for segs in runs:
+        populate_store(model, segs, tmp_path)
+    for strategy in SELECTIVE:
+        cold = [run_prefill(model, segs, strategy, CS.ChunkStore(tmp_path)) for segs in runs]
+        for order in itertools.permutations(range(len(runs))):
+            store = CS.ChunkStore(tmp_path)
+            for i in order + order:
+                warm = run_prefill(model, runs[i], strategy, store)
+                assert_same_prefill(warm, cold[i])
+            # Each chunking ran before, so its own chain hits to row 160.
+            assert (warm[2].prefix_rows, warm[2].reused_rows) == [(64, 96), (64, 96), (96, 64)][i]
 
 
 def test_trace_reports_the_rows_taken_from_the_memo(tmp_path):

@@ -1,13 +1,16 @@
 """Property check of the layer-0 entries that `fused_prefill` keeps in its store.
 
 A run of requests with random chunk lengths, document counts, document
-orders and strategies goes through one warm `ChunkStore`, under a budget
-that is either the real one or small enough to evict entries and chunks
-between and inside the requests. Every request must give, bit for bit,
-what it gives on a cold store. Chunks of up to 80 tokens put chunk edges
-on both sides of the 32-row attention tile edges and on them, so entries
-cover whole documents, parts of them and nothing at all, and the same
-tile-aligned document lands at more than one position.
+orders, chunk edges and strategies goes through one warm `ChunkStore`,
+under a budget that is either the real one or small enough to evict
+entries and chunks between and inside the requests. Every request must
+give, bit for bit, what it gives on a cold store. Pieces of up to 80
+tokens put chunk edges on both sides of the 32-row attention tile edges
+and on them, so entries cover whole documents, parts of them and nothing
+at all, and the same tile-aligned piece lands at more than one position.
+Requests cut the same leading tokens at other offsets too, so one entry
+end is reached from other starts and under systems of other lengths;
+100 examples build that case in most runs.
 """
 
 import tempfile
@@ -21,7 +24,7 @@ from kvfuse import chunkstore as CS
 from kvfuse import fusion as FU
 from kvfuse import model as M
 
-SETTINGS = settings(max_examples=40, deadline=None)
+SETTINGS = settings(max_examples=100, deadline=None)
 
 MODEL = M.build_model(M.ModelConfig(n_layers=3, n_heads=2, head_dim=8, d_ff=32,
                                     vocab_size=64, seed=23))
@@ -29,23 +32,30 @@ MODEL = M.build_model(M.ModelConfig(n_layers=3, n_heads=2, head_dim=8, d_ff=32,
 
 @st.composite
 def request_runs(draw):
-    """A system chunk, a library of 1 to 3 documents, and 2 to 6 requests
-    of 1 to 3 distinct library documents in any order, each with its own
-    question and strategy; plus the store's budget."""
+    """A library of 3 token pieces, one or two orders of it, and 2 to 6
+    requests, each with its own question and strategy; plus the store's
+    budget. A request takes the leading tokens of one order's pieces and
+    cuts them into 2 to 4 chunks, mostly at piece edges: the first chunk
+    is the system, the others are documents. Few orders make requests
+    share their leading tokens often, cut at the same places or others."""
     length = st.integers(1, 31) | st.integers(32, 80) | st.sampled_from([32, 64])
-    lengths = draw(st.lists(length, min_size=2, max_size=4), label="lengths")
+    lengths = draw(st.lists(length, min_size=3, max_size=3), label="lengths")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="ids seed"))
-    system, *library = [rng.integers(0, MODEL.config.vocab_size, size=n) for n in lengths]
-    picks = st.permutations(range(len(library))).flatmap(
-        lambda order: st.integers(1, min(3, len(order))).map(lambda k: order[:k]))
-    requests = draw(st.lists(st.tuples(picks, st.integers(1, 8), st.sampled_from(FU.STRATEGIES)),
-                             min_size=2, max_size=6), label="requests")
-    runs = [(FU.InputSegments(system, [library[i] for i in order],
-                              rng.integers(0, MODEL.config.vocab_size, size=q_len)),
-             FU.FusionPlan(strategy, r=0.3, head_tail_k=3))
-            for order, q_len, strategy in requests]
+    library = [rng.integers(0, MODEL.config.vocab_size, size=n) for n in lengths]
+    orders = draw(st.lists(st.permutations(library), min_size=1, max_size=2), label="orders")
+    runs = []
+    for _ in range(draw(st.integers(2, 6), label="requests")):
+        pieces = draw(st.sampled_from(orders))
+        tokens = np.concatenate(pieces)
+        n = tokens.size
+        edges = [int(e) for e in np.cumsum([len(p) for p in pieces]) if e < n]
+        cut = st.sampled_from(edges) | st.integers(1, n - 1) if edges else st.integers(1, n - 1)
+        chunks = np.split(tokens[:n], sorted(draw(st.sets(cut, min_size=1, max_size=3))))
+        question = rng.integers(0, MODEL.config.vocab_size, size=draw(st.integers(1, 8)))
+        plan = FU.FusionPlan(draw(st.sampled_from(FU.STRATEGIES)), r=0.3, head_tail_k=3)
+        runs.append((FU.InputSegments(chunks[0], chunks[1:], question), plan))
     budget = draw(st.sampled_from([CS.RESIDENT_BYTES, 40_000, 100_000]), label="budget")
-    return [system] + library, runs, budget
+    return runs, budget
 
 
 def same_prefill(a, b) -> bool:
@@ -61,11 +71,12 @@ def same_prefill(a, b) -> bool:
 @SETTINGS
 @given(request_runs())
 def test_a_warm_store_gives_the_bits_of_a_cold_one(case):
-    chunks, runs, budget = case
+    runs, budget = case
     with tempfile.TemporaryDirectory() as directory, \
             mock.patch.object(CS, "RESIDENT_BYTES", budget):
-        for ids in chunks:
-            CS.store_chunk(CS.precompute_chunk(ids, MODEL), directory)
+        for segments, _ in runs:
+            for ids in segments.context_chunks():
+                CS.store_chunk(CS.precompute_chunk(ids, MODEL), directory)
         warm = CS.ChunkStore(directory)
         for segments, plan in runs:
             got = FU.fused_prefill(MODEL, segments, plan, warm)
