@@ -24,7 +24,12 @@ same arrays as the resident runs, for every strategy on one more fresh
 store, over a 3-document request read twice and then over a request that
 shares only its first document with it, so that the second read reuses
 the layer-0 rows of every cached context prefix and the third only some
-of them; then
+of them; for every strategy at r=0.15, the same arrays for an ingest-shaped
+request, whose two new documents are written into one fresh store by
+`store_chunk` and served from it as written, without a read ("ingest
+written"), and then read from their files by another fresh store ("ingest
+read"), at both shapes: each written line must equal its read line (a
+tree whose `store_chunk` takes only a directory writes them there); then
 every `run_bench` report row for a 3-seed needle config with two r values
 and eviction. The timing columns that older trees still report are left
 out, so those trees hash the same rows.
@@ -33,6 +38,7 @@ out, so those trees hash the same rows.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import sys
 import tempfile
@@ -120,6 +126,22 @@ def emit_chain(name: str, model, segments, store) -> None:
                      strategy, fresh)
 
 
+def emit_ingest(name: str, model, segments, store) -> None:
+    vocab = model.config.vocab_size
+    docs = [bench._draw_ids(7, 20 + i, len(d), vocab) for i, d in enumerate(segments.documents)]
+    ingest = fusion.InputSegments(segments.system, docs, segments.question)
+    writes_through = "store" in inspect.signature(chunkstore.store_chunk).parameters
+    for strategy in fusion.STRATEGIES:
+        written = chunkstore.ChunkStore(store)
+        for part in ingest.context_chunks():
+            chunkstore.store_chunk(chunkstore.precompute_chunk(part, model),
+                                   written if writes_through else store)
+        emit_prefill(f"{name} {strategy} r=0.15 ingest written", model, ingest, strategy,
+                     written)
+        emit_prefill(f"{name} {strategy} r=0.15 ingest read", model, ingest, strategy,
+                     chunkstore.ChunkStore(store))
+
+
 def main() -> None:
     for name, (cfg, sys_len, doc_lens, q_len, capacity) in SHAPES.items():
         model = M.build_model(M.ModelConfig(**cfg))
@@ -177,6 +199,8 @@ def main() -> None:
                 emit_decode(f"{name} decode from {start}", model, segments, store, capacity,
                             start, FAR_DECODE)
             emit_chain(name, model, segments, store)
+            if hasattr(chunkstore, "ChunkStore"):
+                emit_ingest(name, model, segments, store)
     report = bench.run_bench(bench.BenchConfig.from_dict(BENCH_CONFIG))
     for row in report.rows:
         kept = {k: v for k, v in row.items() if k not in TIMING_COLUMNS}

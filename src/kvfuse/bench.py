@@ -125,12 +125,14 @@ def build_instance(recipe: InputRecipe, config: ModelConfig) -> InputSegments:
     return InputSegments(system=system, documents=docs, question=question)
 
 
-def populate_store(model: Model, segments: InputSegments, store_dir) -> list[str]:
-    """Precompute and persist every context chunk; returns hex ids in order."""
+def populate_store(model: Model, segments: InputSegments, store) -> list[str]:
+    """Precompute and persist every context chunk into `store`, a
+    `ChunkStore` or a directory path, as for `store_chunk`; returns hex ids
+    in order."""
     ids = []
     for part in segments.context_chunks():
         chunk = precompute_chunk(part, model)
-        store_chunk(chunk, store_dir)
+        store_chunk(chunk, store)
         ids.append(chunk.chunk_id.hex())
     return ids
 
@@ -409,8 +411,8 @@ def _seed_metrics(model: Model, config: BenchConfig, recipe: InputRecipe, row_ke
     n = segments.n
     out: dict = {}
     with tempfile.TemporaryDirectory() as directory:
-        populate_store(model, segments, directory)
         store = ChunkStore(directory)  # this instance's own, not the process's store
+        populate_store(model, segments, store)
         oracle = prefill_forward(model, segments.all_ids(), record_queries=True)
         van_cache = DecodeCache.from_layer_kvs(model_cfg, oracle.caches)
         vanilla_tokens, _ = _decode_loop(model, van_cache, oracle.logits, n, config.gen_len)

@@ -163,39 +163,51 @@ def _file_size(n_layers: int, n_heads: int, n: int, head_dim: int) -> int:
     return _HEADER.size + 4 * n + 2 * 4 * n_layers * n_heads * n * head_dim + _DIGEST_LEN
 
 
-def store_chunk(chunk: ChunkKV, directory) -> str:
-    """Atomically persist a chunk; returns the file path.
+def store_chunk(chunk: ChunkKV, store) -> str:
+    """Atomically persist a chunk into `store`, a `ChunkStore` or a
+    directory path (`ChunkStore.of`), and keep it resident there; returns
+    the file path.
 
     Each layer is copied once, into one buffer laid out as the file; the
     digest is taken over a view of it and the buffer written as it stands.
+    The resident chunk is read-only views of that buffer, held under the
+    file's stat signature taken after the replace, so a load that follows
+    serves the bytes this call hashed and wrote without reading them back.
+    If the name no longer holds the file as written by then (another
+    writer replaced or rewrote it), nothing is kept.
     """
+    if not isinstance(store, ChunkStore):
+        store = ChunkStore.of(store)
     n_layers = len(chunk.layers)
     n_heads, n, head_dim = chunk.layers[0].keys.shape
     flags = 1 if chunk.rope_applied else 0
     buf = bytearray(_file_size(n_layers, n_heads, n, head_dim))
     _HEADER.pack_into(buf, 0, MAGIC, VERSION, chunk.model_fingerprint, chunk.chunk_id,
                       n_layers, n_heads, head_dim, n, 0, flags, 0)
-    offset = _HEADER.size
-    np.frombuffer(buf, dtype="<u4", count=n, offset=offset)[:] = chunk.token_ids
-    offset += 4 * n
-    count = n_layers * n_heads * n * head_dim
-    for part in ("keys", "values"):
-        dst = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
-        dst = dst.reshape(n_layers, n_heads, n, head_dim)
-        for l, layer in enumerate(chunk.layers):
-            dst[l] = getattr(layer, part)
-        offset += 4 * count
-    buf[offset:] = hashlib.sha256(memoryview(buf)[:offset]).digest()
-    path = _chunk_path(directory, chunk.chunk_id)
-    fd, tmp = tempfile.mkstemp(dir=os.fspath(directory), prefix=f"{_TMP_PREFIX}{os.getpid()}-")
+    written = _chunk_views(buf, _unpack_header(buf))
+    written.token_ids[:] = chunk.token_ids
+    for dst, src in zip(written.layers, chunk.layers):
+        dst.keys[...] = src.keys
+        dst.values[...] = src.values
+    buf[-_DIGEST_LEN:] = hashlib.sha256(memoryview(buf)[:-_DIGEST_LEN]).digest()
+    path = _chunk_path(store.directory, chunk.chunk_id)
+    fd, tmp = tempfile.mkstemp(dir=store.directory, prefix=f"{_TMP_PREFIX}{os.getpid()}-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(buf)
+            fh.flush()
+            st = os.fstat(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    # Kept only while the name holds the file as written: a rename keeps
+    # its inode, size and mtime and moves only the ctime, so another
+    # writer's replace or rewrite since the fstat shows here.
+    signature = _signature(path)
+    if signature is not None and signature[:3] == (st.st_ino, st.st_size, st.st_mtime_ns):
+        store.put(chunk.chunk_id, (_read_only(written), signature), written.file_bytes)
     return path
 
 
@@ -267,15 +279,24 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
         raise IntegrityError(f"chunk file {path} has unsupported version {h['version']}")
     if h["dtype"] != 0:
         raise IntegrityError(f"chunk file {path} has unknown dtype code {h['dtype']}")
-    stored_id, fp = h["chunk_id"], h["model_fingerprint"]
+    stored_id = h["chunk_id"]
     if expect_id is not None and stored_id != expect_id:
         raise IntegrityError(
             f"chunk file {path} holds id {stored_id.hex()}, expected {expect_id.hex()}"
         )
+    if len(raw) != _file_size(h["n_layers"], h["n_heads"], h["chunk_len"], h["head_dim"]):
+        raise IntegrityError(f"chunk file {path} has wrong payload size")
+    chunk = _chunk_views(raw, h)
+    if chunk_id(chunk.token_ids, chunk.model_fingerprint) != chunk.chunk_id:
+        raise IntegrityError(f"chunk file {path} id does not match its own content")
+    return chunk
+
+
+def _chunk_views(raw, h: dict) -> ChunkKV:
+    """The chunk laid out in `raw` as a file whose unpacked header is `h`;
+    its token ids, keys and values are views of `raw`."""
     n_layers, n_heads, n, head_dim = h["n_layers"], h["n_heads"], h["chunk_len"], h["head_dim"]
     offset = _HEADER.size
-    if len(raw) != _file_size(n_layers, n_heads, n, head_dim):
-        raise IntegrityError(f"chunk file {path} has wrong payload size")
     token_ids = np.frombuffer(raw, dtype="<u4", count=n, offset=offset)
     offset += 4 * n
     count = n_layers * n_heads * n * head_dim
@@ -283,13 +304,19 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
     keys = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
     offset += count * 4
     values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
-    if chunk_id(token_ids, fp) != stored_id:
-        raise IntegrityError(f"chunk file {path} id does not match its own content")
     layers = [
         LayerKV(keys=keys[l], values=values[l], rope_applied=h["rope_applied"])
         for l in range(n_layers)
     ]
-    return ChunkKV(chunk_id=stored_id, token_ids=token_ids, layers=layers, model_fingerprint=fp)
+    return ChunkKV(chunk_id=h["chunk_id"], token_ids=token_ids, layers=layers,
+                   model_fingerprint=h["model_fingerprint"])
+
+
+def _read_only(chunk: ChunkKV) -> ChunkKV:
+    """`chunk`, its arrays made read-only, as a store holds it."""
+    for array in [chunk.token_ids] + [a for l in chunk.layers for a in (l.keys, l.values)]:
+        array.flags.writeable = False
+    return chunk
 
 
 def load_chunk(cid: bytes | str, directory) -> ChunkKV:
@@ -305,10 +332,12 @@ def load_chunk(cid: bytes | str, directory) -> ChunkKV:
 # ---------------------------------------------------------------------------
 # Residency
 
-# Bytes the process's chunk store keeps resident: verified chunks (a
-# chunk's file size, 1.97 MB at the benchmark shape) plus the prefix
-# entries `fusion` keeps there, counted at their arrays' bytes: a system's
-# layers 0-1 (0.74 MB) and a document prefix's layer-1 inputs (0.12 MB).
+# Bytes the process's chunk store keeps resident: chunks (a chunk's file
+# size, 1.97 MB at the benchmark shape), whether verified from their files
+# or kept as `store_chunk` wrote them, plus the prefix entries `fusion`
+# keeps there, counted at their arrays' bytes: a system's layers 0-1
+# (0.74 MB) and a document prefix's layer-1 inputs (0.12 MB). An entry
+# larger than the whole budget is never kept.
 RESIDENT_BYTES = 26 * 2**20
 
 
@@ -331,15 +360,20 @@ def _signature(path: str) -> tuple[int, int, int, int] | None:
 class ChunkStore:
     """A chunk directory plus one LRU of resident entries under `RESIDENT_BYTES`.
 
-    `load` serves a chunk from memory while its file's stat signature is
-    the one taken before the read that verified it; a changed signature
-    drops the entry and reads and verifies the file again, and a missing
-    file raises `ChunkNotFoundError` even while resident. So every byte
-    served has passed this process's SHA-256 check of the file as it
-    stands. A failed verification caches nothing. Resident arrays are
-    read-only, and callers copy before they write. Other entries (the
-    prefix entries of `fusion`) share the LRU and the budget through
-    `get` and `put`.
+    A chunk becomes resident when `load` reads and verifies its file, or
+    when `store_chunk` writes it: then the buffer it hashed and wrote is
+    kept, without reading the file back. Each entry is held under its
+    file's stat signature: for a load, the one taken before the read; for
+    a store, the one taken after the replace. `load` serves a resident
+    chunk while the signature is unchanged; a changed one drops the entry
+    and reads and verifies the file again, and a missing file raises
+    `ChunkNotFoundError` even while resident. So each byte served was
+    either verified from the file by this process's SHA-256 check or
+    hashed and written by this process, and the file's signature has not
+    changed since. A failed verification caches nothing. Resident arrays
+    are read-only, and callers copy before they write. Other entries (the
+    prefix entries of `fusion`) share the LRU and the budget through `get`
+    and `put`.
     """
 
     _process_store: ChunkStore | None = None
@@ -369,8 +403,12 @@ class ChunkStore:
 
     def put(self, key, value, nbytes: int) -> None:
         """Keep `value` under `key` as the most recently used entry, then
-        drop the least recently used ones until the budget holds."""
+        drop the least recently used ones until the budget holds. A value
+        larger than the whole budget replaces what `key` held with nothing
+        and drops no other entry."""
         self._drop(key)
+        if nbytes > RESIDENT_BYTES:
+            return
         self._entries[key] = (value, nbytes)
         self.resident_bytes += nbytes
         while self.resident_bytes > RESIDENT_BYTES:
@@ -394,9 +432,8 @@ class ChunkStore:
                 self._entries.move_to_end(cid)
                 return chunk, True
             self._drop(cid)
-        chunk = load_chunk(cid, self.directory)  # the module attribute, which tracers wrap
-        for array in [chunk.token_ids] + [a for l in chunk.layers for a in (l.keys, l.values)]:
-            array.flags.writeable = False
+        # The module attribute `load_chunk`, which tracers wrap.
+        chunk = _read_only(load_chunk(cid, self.directory))
         if signature is not None:
             self.put(cid, (chunk, signature), chunk.file_bytes)
         return chunk, False

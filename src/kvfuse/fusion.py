@@ -15,11 +15,14 @@ and only that row is finished (`model._attend_out`). The trace charges
 when selecting), so a clamped budget pays for them; `flops.fused_flops`
 models the unclamped budget.
 
-Chunks come from a `chunkstore.ChunkStore`, which keeps verified chunks
-resident under one LRU and byte budget (`chunkstore.RESIDENT_BYTES`) and
-serves one again while its file's stat signature is unchanged. A path
-stands for the process's one store for that directory. The loop only
-reads the resident arrays: concat copies them, and `full` rotates copies.
+Chunks come from a `chunkstore.ChunkStore`, which keeps resident, under
+one LRU and byte budget (`chunkstore.RESIDENT_BYTES`), the chunks it
+verified from their files and the ones `chunkstore.store_chunk` wrote
+into it, and serves one again while its file's stat signature is
+unchanged; so documents stored just before a request are served as
+written, without a read. A path stands for the process's one store for
+that directory. The loop only reads the resident arrays: concat copies
+them, and `full` rotates copies.
 
 Every cached context prefix skips layer 0's attention and block, and the
 system's also skips the projections of layers 0-1. A row attends only to

@@ -307,10 +307,15 @@ def _rotate_row(v: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 # Attention
 
 
-# Query rows per attention tile. At the rag_shared shape (4 heads, 1464
-# keys) a 32-row tile's float64 score block is 1.5 MB, so it stays in a
-# 2 MB L2 cache through every pass of the softmax.
+# Query rows per attention tile, and the bytes of float64 scores one pass
+# over a tile may hold. `attention` runs the tiles over groups of heads,
+# the most heads whose tile score blocks fit `_GROUP_BYTES`, at least one,
+# so a pass's scores, keys and values stay in a 2 MB L2 cache through
+# every pass of the softmax. At the rag_shared shape (4 heads, 1464 keys)
+# one head's 32-row block is 366 KiB, so each head runs alone; at 512 keys
+# or fewer all 4 heads run in one pass.
 _TILE_ROWS = 32
+_GROUP_BYTES = 2**19
 
 
 def attention(
@@ -323,24 +328,29 @@ def attention(
     """Causal scaled dot-product attention.
 
     Shapes (n_heads, rows, head_dim); the causal mask admits key position
-    <= query position. Each call lays out its operands once: the queries
-    scaled by 1/sqrt(head_dim), the keys copied into one contiguous float64
-    (n_heads, head_dim, keys) array, and the values into a float64
-    (n_heads, keys, head_dim + 1) array whose last column is ones. The
-    copies upcast float32 keys and values, so callers pass them as stored.
-    Query rows are then processed in tiles of 32, so the score matrix never
-    materializes at full n x n and a tile's scores stay in cache. A tile
-    scores only the keys up to the last one some row of it can see, since
-    every later key is hidden from all its rows (the block skipping of
-    FlashAttention), and masks only the band from the first key hidden
-    from some row of it. The call plans every tile's key cut and band at
-    once, with two `searchsorted` calls over the suffix minimum and the
-    prefix maximum of the key positions, which holds for keys in any
-    order, and checks once that every row sees a key. After the shared max
-    shift and exponential, one product with the extended values gives both
-    the unnormalised outputs and, from the ones column, the row sums, so a
-    tile divides once over (rows, head_dim) and never sums or scales its
-    score block. Returns float64.
+    <= query position. Query rows are processed in tiles of 32, so the
+    score matrix never materializes at full n x n. A tile scores only the
+    keys up to the last one some row of it can see, since every later key
+    is hidden from all its rows (the block skipping of FlashAttention),
+    and masks only the band from the first key hidden from some row of
+    it. The call plans every tile's key cut and band mask at once, with
+    two `searchsorted` calls over the suffix minimum and the prefix
+    maximum of the key positions, which holds for keys in any order, and
+    checks once that every row sees a key.
+
+    The tiles then run over groups of heads: the most heads whose tile
+    score blocks together fit `_GROUP_BYTES`, at least one, so a tile's
+    scores stay in cache. Each group lays out its operands once: the keys
+    copied into one contiguous float64 (heads, head_dim, keys) array, and
+    the values into a float64 (heads, keys, head_dim + 1) array whose last
+    column is ones. The copies upcast float32 keys and values, so callers
+    pass them as stored. Every head makes the same products, with the
+    same shapes and strides, whatever its group, so the grouping never
+    changes a bit. After the shared max shift and exponential, one product
+    with the extended values gives both the unnormalised outputs and, from
+    the ones column, the row sums, so a tile divides once over (rows,
+    head_dim) and never sums or scales its score block. The queries are
+    scaled by 1/sqrt(head_dim) once. Returns float64.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys)
@@ -367,22 +377,27 @@ def attention(
                            np.maximum.reduceat(qpos, starts), "right")
     bands = np.searchsorted(np.maximum.accumulate(kpos),
                             np.minimum.reduceat(qpos, starts), "right")
+    # Each tile's rows, key cut, band start and the mask of its band.
+    tiles = [(slice(start, start + _TILE_ROWS), cut, band,
+              kpos[None, band:cut] > qpos[start:start + _TILE_ROWS, None])
+             for start, cut, band in zip(starts.tolist(), cuts.tolist(), bands.tolist())]
     h, n, hd = k.shape
+    group = max(1, _GROUP_BYTES // (_TILE_ROWS * n * 8))
     q = q * (1.0 / np.sqrt(hd))
-    # Contiguous (h, hd, n) keys: a tile's product then reads a row-major
-    # slice, which BLAS runs faster than a transposed view.
-    k_t = np.ascontiguousarray(k.transpose(0, 2, 1), dtype=_F64)
-    v_ext = np.empty((h, n, hd + 1), dtype=_F64)
-    v_ext[:, :, :hd] = v
-    v_ext[:, :, hd] = 1.0
-    for start, cut, band in zip(starts.tolist(), cuts.tolist(), bands.tolist()):
-        tile = slice(start, start + _TILE_ROWS)
-        scores = np.matmul(q[:, tile], k_t[:, :, :cut])
-        if band < cut:
-            hidden = kpos[None, band:cut] > qpos[tile, None]
-            np.copyto(scores[..., band:], -np.inf, where=hidden)
-        ext = _softmax_exp(scores) @ v_ext[:, :cut]
-        np.divide(ext[:, :, :hd], ext[:, :, hd:], out=out[:, tile])
+    for first in range(0, h, group):
+        heads = slice(first, first + group)
+        # Contiguous (heads, hd, n) keys: a tile's product then reads a
+        # row-major slice, which BLAS runs faster than a transposed view.
+        k_t = np.ascontiguousarray(k[heads].transpose(0, 2, 1), dtype=_F64)
+        v_ext = np.empty((k_t.shape[0], n, hd + 1), dtype=_F64)
+        v_ext[:, :, :hd] = v[heads]
+        v_ext[:, :, hd] = 1.0
+        for tile, cut, band, hidden in tiles:
+            scores = np.matmul(q[heads, tile], k_t[:, :, :cut])
+            if band < cut:
+                np.copyto(scores[..., band:], -np.inf, where=hidden)
+            ext = _softmax_exp(scores) @ v_ext[:, :cut]
+            np.divide(ext[:, :, :hd], ext[:, :, hd:], out=out[heads, tile])
     return out
 
 

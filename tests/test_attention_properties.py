@@ -1,11 +1,14 @@
 """Property checks of the query-tiled causal attention over random shapes."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvfuse.errors import ContractViolation
+from kvfuse import model as M
 from kvfuse.model import _TILE_ROWS, attention, attention_weights
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -96,6 +99,24 @@ def test_unordered_keys_match_untiled(n_heads, head_dim, k_pos, seed, sort_queri
         q_pos = np.sort(q_pos)
     q, k, v = arrays(seed, n_heads, n_q, k_pos.size, head_dim)
     check_against_untiled(q, k, v, q_pos, k_pos)
+
+
+@SETTINGS
+@given(st.integers(1, 6), head_dims, carried_rows(), seeds, st.booleans())
+@example(n_heads=4, head_dim=16, case=RAG_SHARED_CARRIED, seed=0, stored=True)
+def test_output_bits_do_not_depend_on_the_head_group(n_heads, head_dim, case, seed, stored):
+    # The byte cap forced to 1 head, 2 heads and every head per pass; the
+    # keys and values float64 or float32, as stored.
+    k_pos, rows = case
+    q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
+    if stored:
+        k, v = k.astype(np.float32), v.astype(np.float32)
+    head_block = _TILE_ROWS * k_pos.size * 8
+    outs = []
+    for group in (1, 2, n_heads):
+        with mock.patch.object(M, "_GROUP_BYTES", group * head_block):
+            outs.append(attention(q, k, v, k_pos[rows], k_pos))
+    assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
 @SETTINGS

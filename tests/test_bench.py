@@ -14,6 +14,7 @@ from kvfuse.bench import (
     run_bench,
     run_strategy,
 )
+from kvfuse.chunkstore import ChunkStore
 from kvfuse.errors import ConfigError, InputError
 from kvfuse.eviction import EvictionPolicy
 from kvfuse.flops import fused_flops, prefill_flops, row_flops, vanilla_flops
@@ -260,10 +261,15 @@ def test_report_rows_and_csv_columns(tmp_path):
     assert float(by_name["full"]["flops_prefill"]) < float(by_name["none"]["flops_prefill"])
 
 
-def test_report_deterministic_outside_timing():
+def test_report_deterministic_outside_timing(tmp_path, monkeypatch):
+    # Each instance stores into and reads from a store of its own, so the
+    # process's store is neither replaced nor filled.
+    process_store = ChunkStore(tmp_path)
+    monkeypatch.setattr(ChunkStore, "_process_store", process_store)
     a = run_bench(quick_bench_config())
     b = run_bench(quick_bench_config())
     assert a.rows == b.rows
+    assert ChunkStore._process_store is process_store and process_store.resident_bytes == 0
 
 
 def test_report_eviction_and_r_grid_rows(tmp_path):

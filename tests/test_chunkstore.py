@@ -443,6 +443,99 @@ def test_resident_bytes_hold_in_lru_order(tmp_path, monkeypatch):
     assert [load(i) for i in (0, 3, 2, 1)] == [True, True, True, False]
 
 
+def test_an_entry_over_the_whole_budget_is_not_kept(tmp_path, monkeypatch):
+    chunks = stored_chunks(tmp_path, 3)
+    size = chunks[0].file_bytes
+    monkeypatch.setattr(CS, "RESIDENT_BYTES", 2 * size)
+    store = CS.ChunkStore(tmp_path)
+    for chunk in chunks[:2]:
+        store.load(chunk.chunk_id)
+    store.put("big", object(), 2 * size + 1)
+    assert store.get("big") is None and store.resident_bytes == 2 * size
+    assert [store.load(c.chunk_id)[1] for c in chunks[:2]] == [True, True]
+    # It replaces what its key held, with nothing.
+    store.put("entry", object(), 1)
+    held = store.resident_bytes
+    store.put("entry", object(), 2 * size + 1)
+    assert store.get("entry") is None and store.resident_bytes == held - 1
+    # A chunk stored over the budget is written but not kept.
+    monkeypatch.setattr(CS, "RESIDENT_BYTES", 2 * size - 1)
+    store = CS.ChunkStore(tmp_path)
+    store.load(chunks[0].chunk_id)
+    big = CS.precompute_chunk(random_ids(np.random.default_rng(43), 30), make_model(n_layers=2))
+    assert big.file_bytes > CS.RESIDENT_BYTES
+    CS.store_chunk(big, store)
+    assert store.resident_bytes == size and store.load(chunks[0].chunk_id)[1] is True
+    assert store.load(big.chunk_id)[1] is False
+
+
+def test_a_stored_chunk_is_served_resident_with_the_bits_of_a_read(tmp_path, monkeypatch):
+    chunk = CS.precompute_chunk(random_ids(np.random.default_rng(44), 12), make_model(n_layers=2))
+    store = CS.ChunkStore(tmp_path)
+    path = CS.store_chunk(chunk, store)
+    assert store.resident_bytes == chunk.file_bytes == os.path.getsize(path)
+    resident, hit = store.load(chunk.chunk_id)
+    assert hit
+    read = CS.load_chunk(chunk.chunk_id, tmp_path)
+    assert (resident.chunk_id, resident.model_fingerprint) == (read.chunk_id,
+                                                                read.model_fingerprint)
+    arrays = [resident.token_ids] + [a for l in resident.layers for a in (l.keys, l.values)]
+    expect = [read.token_ids] + [a for l in read.layers for a in (l.keys, l.values)]
+    for a, b in zip(arrays, expect):
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype and a.shape == b.shape
+        assert not a.flags.writeable
+    assert [l.rope_applied for l in resident.layers] == [l.rope_applied for l in read.layers]
+    # A path stands for the process's store of that directory.
+    monkeypatch.setattr(CS.ChunkStore, "_process_store", None)
+    CS.store_chunk(chunk, tmp_path)
+    assert CS.ChunkStore.of(tmp_path).load(chunk.chunk_id)[1] is True
+
+
+def test_a_stored_chunk_whose_file_changes_is_read_again(tmp_path, monkeypatch):
+    chunk, other = (CS.precompute_chunk(random_ids(np.random.default_rng(s), 12),
+                                        make_model(n_layers=2)) for s in (45, 46))
+    store = CS.ChunkStore(tmp_path)
+    path = tmp_path / chunk.chunk_id.hex()
+    # Replaced by a copy of its bytes: another inode, read again.
+    CS.store_chunk(chunk, store)
+    copy = tmp_path / "copy"
+    copy.write_bytes(path.read_bytes())
+    os.replace(copy, path)
+    assert [store.load(chunk.chunk_id)[1] for _ in range(2)] == [False, True]
+    # Rewritten in place, one byte flipped: same inode and size, new ctime.
+    CS.store_chunk(chunk, store)
+    with open(path, "r+b") as fh:
+        fh.seek(200)
+        byte = fh.read(1)
+        fh.seek(200)
+        fh.write(bytes([byte[0] ^ 1]))
+    with pytest.raises(IntegrityError):
+        store.load(chunk.chunk_id)
+    # Deleted.
+    CS.store_chunk(chunk, store)
+    path.unlink()
+    with pytest.raises(ChunkNotFoundError):
+        store.load(chunk.chunk_id)
+    assert store.resident_bytes == 0
+    # Replaced by another writer between this one's rename and its stat:
+    # the name no longer holds what this call wrote, so nothing is kept.
+    real_replace = os.replace
+
+    def raced(src, dst):
+        real_replace(src, dst)
+        if os.path.basename(dst) == chunk.chunk_id.hex():
+            CS.store_chunk(other, CS.ChunkStore(tmp_path / "elsewhere"))
+            real_replace(tmp_path / "elsewhere" / other.chunk_id.hex(), dst)
+
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.setattr(CS.os, "replace", raced)
+    CS.store_chunk(chunk, store)
+    monkeypatch.undo()
+    assert store.get(chunk.chunk_id) is None
+    with pytest.raises(IntegrityError):
+        store.load(chunk.chunk_id)
+
+
 def test_a_changed_file_is_read_again(tmp_path):
     chunk, other = stored_chunks(tmp_path, 2)
     store = CS.ChunkStore(tmp_path)

@@ -686,27 +686,39 @@ def test_resident_chunks_give_the_bits_of_a_read(tmp_path, strategy):
     populate_store(model, segments, tmp_path)
     files = {part.tobytes(): CS.load_chunk(CS.chunk_id(part, model.config.fingerprint()),
                                             tmp_path) for part in segments.context_chunks()}
+
+    def assert_resident_bits(resident):
+        # The prefill only read the resident arrays: they still hold the files' bits.
+        for part in segments.context_chunks():
+            chunk, hit = resident.load(CS.chunk_id(part, model.config.fingerprint()))
+            assert hit
+            for a, b in zip(chunk.layers, files[part.tobytes()].layers):
+                assert a.keys.tobytes() == b.keys.tobytes()
+                assert a.values.tobytes() == b.values.tobytes()
+
     store = CS.ChunkStore(tmp_path)
     miss, hit = (run_prefill(model, segments, strategy, store) for _ in range(2))
+    assert_resident_bits(store)
+    # Chunks stored into a store are served as written, without a read.
+    written = CS.ChunkStore(tmp_path)
+    populate_store(model, segments, written)
+    stored = run_prefill(model, segments, strategy, written)
+    assert_resident_bits(written)
     size = sum(chunk.file_bytes for chunk in files.values())
     assert (miss[2].chunk_hits, miss[2].chunk_bytes_read, miss[2].chunk_bytes) == (0, size, size)
-    assert (hit[2].chunk_hits, hit[2].chunk_bytes_read, hit[2].chunk_bytes) == (3, 0, size)
-    assert {k: hit[2].to_json_dict()[k] for k in ("chunk_hits", "chunk_bytes_read")} == {
-        "chunk_hits": 3, "chunk_bytes_read": 0}
-    (pa, la, ta), (pb, lb, tb) = miss, hit
-    assert la.tobytes() == lb.tobytes()
-    assert pa.keys.tobytes() == pb.keys.tobytes()
-    assert pa.values.tobytes() == pb.values.tobytes()
-    assert pa.question_queries.tobytes() == pb.question_queries.tobytes()
-    assert (ta.scores_doc is None) == (strategy == "full")
-    if ta.scores_doc is not None:
-        assert ta.scores_doc.tobytes() == tb.scores_doc.tobytes()
-    # The prefill only read the resident arrays: they still hold the files' bits.
-    for part in segments.context_chunks():
-        chunk, _ = store.load(CS.chunk_id(part, model.config.fingerprint()))
-        for a, b in zip(chunk.layers, files[part.tobytes()].layers):
-            assert a.keys.tobytes() == b.keys.tobytes()
-            assert a.values.tobytes() == b.values.tobytes()
+    for served in (hit, stored):
+        assert (served[2].chunk_hits, served[2].chunk_bytes_read, served[2].chunk_bytes) == (
+            3, 0, size)
+        assert {k: served[2].to_json_dict()[k] for k in ("chunk_hits", "chunk_bytes_read")} == {
+            "chunk_hits": 3, "chunk_bytes_read": 0}
+        (pa, la, ta), (pb, lb, tb) = miss, served
+        assert la.tobytes() == lb.tobytes()
+        assert pa.keys.tobytes() == pb.keys.tobytes()
+        assert pa.values.tobytes() == pb.values.tobytes()
+        assert pa.question_queries.tobytes() == pb.question_queries.tobytes()
+        assert (ta.scores_doc is None) == (strategy == "full")
+        if ta.scores_doc is not None:
+            assert ta.scores_doc.tobytes() == tb.scores_doc.tobytes()
 
 
 def test_prefill_rereads_a_changed_file_and_counts_the_prefix_entry(tmp_path, monkeypatch):
@@ -724,8 +736,11 @@ def test_prefill_rereads_a_changed_file_and_counts_the_prefix_entry(tmp_path, mo
     d_model = model.config.d_model
     assert store.resident_bytes == (trace.chunk_bytes + 64 * d_model * (2 * 2 * 4 + 8)
                                     + 32 * d_model * 4)
-    # A document replaced by `os.replace` (a new store of the same chunk).
-    CS.store_chunk(CS.precompute_chunk(segments.documents[0], model), tmp_path)
+    # A document replaced by `os.replace` with a copy of its bytes, as
+    # another process's store of the same chunk would leave it.
+    copy = tmp_path / "copy"
+    copy.write_bytes(paths[1].read_bytes())
+    os.replace(copy, paths[1])
     _, _, trace = run_prefill(model, segments, "attention_aware", tmp_path)
     assert (trace.chunk_hits, trace.chunk_bytes_read) == (2, os.path.getsize(paths[1]))
     # The system file rewritten in place with one byte flipped.
