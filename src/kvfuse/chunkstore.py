@@ -319,8 +319,23 @@ def _read_only(chunk: ChunkKV) -> ChunkKV:
     return chunk
 
 
-def load_chunk(cid: bytes | str, directory) -> ChunkKV:
-    """Load and verify a chunk by id; integrity failures never return garbage."""
+def load_chunk(cid: bytes | str, store) -> ChunkKV:
+    """The verified chunk `cid` from `store`, a `ChunkStore` or a directory
+    path; integrity failures never return garbage.
+
+    A store serves it as `ChunkStore.load` does: resident while its file's
+    signature is unchanged, otherwise read and verified, with read-only
+    arrays. A path reads and verifies the file and keeps nothing. Every
+    chunk a request takes from a store passes through here, so a tracer
+    that wraps this function sees each one, resident or read.
+    """
+    if isinstance(store, ChunkStore):
+        return store.load(cid)[0]
+    return _read_chunk(cid, store)
+
+
+def _read_chunk(cid: bytes | str, directory) -> ChunkKV:
+    """Read and verify the file of chunk `cid` in `directory`."""
     if isinstance(cid, str):
         cid = bytes.fromhex(cid)
     path = _chunk_path(directory, cid)
@@ -384,6 +399,9 @@ class ChunkStore:
         # value is the pair (chunk, signature).
         self._entries: OrderedDict = OrderedDict()
         self.resident_bytes = 0
+        # Chunk files `load` has read and verified, and their bytes.
+        self.reads = 0
+        self.bytes_read = 0
 
     @classmethod
     def of(cls, directory) -> ChunkStore:
@@ -432,8 +450,9 @@ class ChunkStore:
                 self._entries.move_to_end(cid)
                 return chunk, True
             self._drop(cid)
-        # The module attribute `load_chunk`, which tracers wrap.
-        chunk = _read_only(load_chunk(cid, self.directory))
+        chunk = _read_only(_read_chunk(cid, self.directory))
+        self.reads += 1
+        self.bytes_read += chunk.file_bytes
         if signature is not None:
             self.put(cid, (chunk, signature), chunk.file_bytes)
         return chunk, False

@@ -21,7 +21,9 @@ verified from their files and the ones `chunkstore.store_chunk` wrote
 into it, and serves one again while its file's stat signature is
 unchanged; so documents stored just before a request are served as
 written, without a read. A path stands for the process's one store for
-that directory. The loop only reads the resident arrays: concat copies
+that directory. Each chunk comes through `chunkstore.load_chunk`, resident
+or read, and the store's read counters give the trace's hits and bytes
+read. The loop only reads the resident arrays: concat copies
 them, and `full` rotates copies.
 
 Every cached context prefix skips layer 0's attention and block, and the
@@ -78,6 +80,7 @@ from .chunkstore import (
     SegmentMap,
     chunk_id,
     concat_chunks,
+    load_chunk,
     recover_positions,
     rotate_chunk_local,
 )
@@ -348,10 +351,11 @@ def fused_prefill(
     durations: dict[str, float] = {}
     t0 = time.perf_counter()
     fp = cfg.fingerprint()
-    loads = [store.load(chunk_id(part, fp)) for part in parts]
-    chunks = [chunk for chunk, _ in loads]
+    reads, bytes_read = store.reads, store.bytes_read
+    chunks = [load_chunk(chunk_id(part, fp), store) for part in parts]
+    chunk_hits = len(chunks) - (store.reads - reads)
     chunk_bytes = sum(chunk.file_bytes for chunk in chunks)
-    chunk_bytes_read = sum(chunk.file_bytes for chunk, hit in loads if not hit)
+    chunk_bytes_read = store.bytes_read - bytes_read
     if full:
         chunks = [rotate_chunk_local(chunk, cfg) for chunk in chunks]
     durations["load"] = time.perf_counter() - t0
@@ -470,7 +474,7 @@ def fused_prefill(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
         selected=[int(i) for i in rset.indices], clamped=rset.clamped, prefix_rows=first,
         reused_rows=attend - first,
-        chunk_bytes=chunk_bytes, chunk_hits=sum(hit for _, hit in loads),
+        chunk_bytes=chunk_bytes, chunk_hits=chunk_hits,
         chunk_bytes_read=chunk_bytes_read, durations=durations,
         flops={
             "prefill": F.prefill_flops(cfg, n, rows.size, 0 if full else 2),

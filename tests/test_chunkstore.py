@@ -469,6 +469,24 @@ def test_an_entry_over_the_whole_budget_is_not_kept(tmp_path, monkeypatch):
     assert store.load(big.chunk_id)[1] is False
 
 
+def test_load_chunk_serves_through_a_store_and_reads_a_path(tmp_path):
+    chunk, other = stored_chunks(tmp_path, 2)
+    store = CS.ChunkStore(tmp_path)
+    CS.store_chunk(chunk, store)
+    # A store serves what it holds and reads the rest, counting the reads.
+    assert CS.load_chunk(chunk.chunk_id, store) is store.load(chunk.chunk_id)[0]
+    assert (store.reads, store.bytes_read) == (0, 0)
+    read = CS.load_chunk(other.chunk_id.hex(), store)
+    assert not read.token_ids.flags.writeable
+    assert (store.reads, store.bytes_read) == (1, other.file_bytes)
+    assert CS.load_chunk(other.chunk_id, store) is read and store.reads == 1
+    # A path reads and verifies the file and keeps nothing.
+    fresh = CS.load_chunk(chunk.chunk_id, tmp_path)
+    assert fresh.token_ids.flags.writeable
+    assert fresh.token_ids.tobytes() == chunk.token_ids.astype("<u4").tobytes()
+    assert store.reads == 1
+
+
 def test_a_stored_chunk_is_served_resident_with_the_bits_of_a_read(tmp_path, monkeypatch):
     chunk = CS.precompute_chunk(random_ids(np.random.default_rng(44), 12), make_model(n_layers=2))
     store = CS.ChunkStore(tmp_path)

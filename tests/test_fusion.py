@@ -721,6 +721,30 @@ def test_resident_chunks_give_the_bits_of_a_read(tmp_path, strategy):
             assert ta.scores_doc.tobytes() == tb.scores_doc.tobytes()
 
 
+def test_every_chunk_a_prefill_takes_passes_through_load_chunk(tmp_path, monkeypatch):
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(38), sys_len=40,
+                             doc_lens=(40, 30), q_len=6)
+    fp = model.config.fingerprint()
+    ids = [CS.chunk_id(part, fp) for part in segments.context_chunks()]
+    calls = []
+
+    def counting(cid, store):
+        calls.append((cid, store))
+        return CS.load_chunk(cid, store)
+
+    monkeypatch.setattr(FU, "load_chunk", counting)
+    written = CS.ChunkStore(tmp_path)
+    populate_store(model, segments, written)
+    cold = CS.ChunkStore(tmp_path)
+    for store, hits in ((written, 3), (cold, 0)):
+        calls.clear()
+        trace = run_prefill(model, segments, "attention_aware", store)[2]
+        assert calls == [(cid, store) for cid in ids]
+        assert (trace.chunk_hits, trace.chunk_bytes_read) == (hits, store.bytes_read)
+        assert store.reads == 3 - hits
+
+
 def test_prefill_rereads_a_changed_file_and_counts_the_prefix_entry(tmp_path, monkeypatch):
     monkeypatch.setattr(CS.ChunkStore, "_process_store", None)
     model = make_model()
