@@ -165,19 +165,24 @@ def _file_size(n_layers: int, n_heads: int, n: int, head_dim: int) -> int:
 
 def store_chunk(chunk: ChunkKV, store) -> str:
     """Atomically persist a chunk into `store`, a `ChunkStore` or a
-    directory path (`ChunkStore.of`), and keep it resident there; returns
-    the file path.
+    directory path, and keep it resident there; returns the file path.
+
+    A path keeps it in the process's store when that store is the
+    directory's (`ChunkStore.of`), and otherwise writes it and keeps
+    nothing, so a write never replaces the process's store.
 
     Each layer is copied once, into one buffer laid out as the file; the
     digest is taken over a view of it and the buffer written as it stands.
     The resident chunk is read-only views of that buffer, held under the
     file's stat signature taken after the replace, so a load that follows
     serves the bytes this call hashed and wrote without reading them back.
-    If the name no longer holds the file as written by then (another
-    writer replaced or rewrote it), nothing is kept.
+    Nothing is kept if the name no longer holds the file as written by then
+    (another writer replaced or rewrote it), or if `chunk.chunk_id` is not
+    the id of its token ids, which a read of the file would refuse.
     """
     if not isinstance(store, ChunkStore):
-        store = ChunkStore.of(store)
+        held, real = ChunkStore._process_store, os.path.realpath(store)
+        store = held if held is not None and held.directory == real else ChunkStore(real)
     n_layers = len(chunk.layers)
     n_heads, n, head_dim = chunk.layers[0].keys.shape
     flags = 1 if chunk.rope_applied else 0
@@ -206,7 +211,8 @@ def store_chunk(chunk: ChunkKV, store) -> str:
     # its inode, size and mtime and moves only the ctime, so another
     # writer's replace or rewrite since the fstat shows here.
     signature = _signature(path)
-    if signature is not None and signature[:3] == (st.st_ino, st.st_size, st.st_mtime_ns):
+    if (signature is not None and signature[:3] == (st.st_ino, st.st_size, st.st_mtime_ns)
+            and chunk_id(written.token_ids, written.model_fingerprint) == chunk.chunk_id):
         store.put(chunk.chunk_id, (_read_only(written), signature), written.file_bytes)
     return path
 
@@ -326,11 +332,12 @@ def load_chunk(cid: bytes | str, store) -> ChunkKV:
     A store serves it as `ChunkStore.load` does: resident while its file's
     signature is unchanged, otherwise read and verified, with read-only
     arrays. A path reads and verifies the file and keeps nothing. Every
-    chunk a request takes from a store passes through here, so a tracer
-    that wraps this function sees each one, resident or read.
+    chunk a prefill takes from a store passes through here, so a tracer
+    that wraps this function sees each one, resident or read; the store's
+    `reads` and `bytes_read` count the files among them.
     """
     if isinstance(store, ChunkStore):
-        return store.load(cid)[0]
+        return store.load(cid)
     return _read_chunk(cid, store)
 
 
@@ -384,8 +391,9 @@ class ChunkStore:
     and reads and verifies the file again, and a missing file raises
     `ChunkNotFoundError` even while resident. So each byte served was
     either verified from the file by this process's SHA-256 check or
-    hashed and written by this process, and the file's signature has not
-    changed since. A failed verification caches nothing. Resident arrays
+    hashed and written by this process under the id of its token ids, and
+    the file's signature has not changed since. A failed verification
+    caches nothing. Resident arrays
     are read-only, and callers copy before they write. Other entries (the
     prefix entries of `fusion`) share the LRU and the budget through `get`
     and `put`.
@@ -406,7 +414,8 @@ class ChunkStore:
     @classmethod
     def of(cls, directory) -> ChunkStore:
         """The process's one store, for `directory` by its real path; a
-        store for another directory replaces it."""
+        store for another directory replaces it. `store_chunk` given a path
+        uses the process's store only if it is already that directory's."""
         real = os.path.realpath(directory)
         if cls._process_store is None or cls._process_store.directory != real:
             cls._process_store = cls(real)
@@ -437,9 +446,10 @@ class ChunkStore:
         if entry is not None:
             self.resident_bytes -= entry[1]
 
-    def load(self, cid: bytes | str) -> tuple[ChunkKV, bool]:
-        """The verified chunk `cid` with read-only arrays, and whether it was
-        served resident rather than read from its file."""
+    def load(self, cid: bytes | str) -> ChunkKV:
+        """The verified chunk `cid` with read-only arrays; `reads` and
+        `bytes_read` count it if it was read from its file rather than
+        served resident."""
         if isinstance(cid, str):
             cid = bytes.fromhex(cid)
         signature = _signature(_chunk_path(self.directory, cid))
@@ -448,14 +458,14 @@ class ChunkStore:
             chunk, held = resident[0]
             if held == signature:
                 self._entries.move_to_end(cid)
-                return chunk, True
+                return chunk
             self._drop(cid)
         chunk = _read_only(_read_chunk(cid, self.directory))
         self.reads += 1
         self.bytes_read += chunk.file_bytes
         if signature is not None:
             self.put(cid, (chunk, signature), chunk.file_bytes)
-        return chunk, False
+        return chunk
 
 
 # ---------------------------------------------------------------------------

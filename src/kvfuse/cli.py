@@ -196,7 +196,7 @@ def cmd_generate(args) -> int:
     # ignores the cached KV but reads the same files. The fused prefill then
     # takes the chunks read here from the same store, so each file is read
     # and verified once while they fit in `chunkstore.RESIDENT_BYTES`.
-    parts = [store.load(entry["id"])[0].token_ids.astype(np.int64)
+    parts = [store.load(entry["id"]).token_ids.astype(np.int64)
              for entry in manifest["chunks"]]
     segments = InputSegments(system=parts[0], documents=parts[1:], question=question)
 

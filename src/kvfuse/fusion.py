@@ -21,10 +21,11 @@ verified from their files and the ones `chunkstore.store_chunk` wrote
 into it, and serves one again while its file's stat signature is
 unchanged; so documents stored just before a request are served as
 written, without a read. A path stands for the process's one store for
-that directory. Each chunk comes through `chunkstore.load_chunk`, resident
-or read, and the store's read counters give the trace's hits and bytes
-read. The loop only reads the resident arrays: concat copies
-them, and `full` rotates copies.
+that directory (a write to a path keeps nothing until a load has made
+that directory's store the process's). Each chunk comes through
+`chunkstore.load_chunk`, resident or read, and the store's read counters
+give the trace's hits and bytes read. The loop only reads the resident
+arrays: concat copies them, and `full` rotates copies.
 
 Every cached context prefix skips layer 0's attention and block, and the
 system's also skips the projections of layers 0-1. A row attends only to

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -403,13 +404,22 @@ def stored_chunks(directory, count, n=12, seed=41):
     return chunks
 
 
+def served(store, cid) -> bool:
+    """Whether `store.load(cid)` served the chunk resident rather than read its file."""
+    reads = store.reads
+    store.load(cid)
+    return store.reads == reads
+
+
 def test_resident_chunks_are_read_only_and_the_bits_of_a_load(tmp_path):
     chunk, = stored_chunks(tmp_path, 1)
     store = CS.ChunkStore(tmp_path)
-    miss, hit = store.load(chunk.chunk_id), store.load(chunk.chunk_id.hex())
-    assert (miss[1], hit[1]) == (False, True) and hit[0] is miss[0]
+    miss = store.load(chunk.chunk_id)
+    assert (store.reads, store.bytes_read) == (1, chunk.file_bytes)
+    hit = store.load(chunk.chunk_id.hex())
+    assert store.reads == 1 and hit is miss
     fresh = CS.load_chunk(chunk.chunk_id, tmp_path)
-    resident = [hit[0].token_ids] + [a for l in hit[0].layers for a in (l.keys, l.values)]
+    resident = [hit.token_ids] + [a for l in hit.layers for a in (l.keys, l.values)]
     loaded = [fresh.token_ids] + [a for l in fresh.layers for a in (l.keys, l.values)]
     for a, b in zip(resident, loaded):
         assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
@@ -427,7 +437,7 @@ def test_resident_bytes_hold_in_lru_order(tmp_path, monkeypatch):
     store = CS.ChunkStore(tmp_path)
 
     def load(i):
-        hit = store.load(chunks[i].chunk_id)[1]
+        hit = served(store, chunks[i].chunk_id)
         assert store.resident_bytes <= CS.RESIDENT_BYTES
         return hit
 
@@ -452,7 +462,7 @@ def test_an_entry_over_the_whole_budget_is_not_kept(tmp_path, monkeypatch):
         store.load(chunk.chunk_id)
     store.put("big", object(), 2 * size + 1)
     assert store.get("big") is None and store.resident_bytes == 2 * size
-    assert [store.load(c.chunk_id)[1] for c in chunks[:2]] == [True, True]
+    assert [served(store, c.chunk_id) for c in chunks[:2]] == [True, True]
     # It replaces what its key held, with nothing.
     store.put("entry", object(), 1)
     held = store.resident_bytes
@@ -465,8 +475,8 @@ def test_an_entry_over_the_whole_budget_is_not_kept(tmp_path, monkeypatch):
     big = CS.precompute_chunk(random_ids(np.random.default_rng(43), 30), make_model(n_layers=2))
     assert big.file_bytes > CS.RESIDENT_BYTES
     CS.store_chunk(big, store)
-    assert store.resident_bytes == size and store.load(chunks[0].chunk_id)[1] is True
-    assert store.load(big.chunk_id)[1] is False
+    assert store.resident_bytes == size and served(store, chunks[0].chunk_id) is True
+    assert served(store, big.chunk_id) is False
 
 
 def test_load_chunk_serves_through_a_store_and_reads_a_path(tmp_path):
@@ -474,7 +484,7 @@ def test_load_chunk_serves_through_a_store_and_reads_a_path(tmp_path):
     store = CS.ChunkStore(tmp_path)
     CS.store_chunk(chunk, store)
     # A store serves what it holds and reads the rest, counting the reads.
-    assert CS.load_chunk(chunk.chunk_id, store) is store.load(chunk.chunk_id)[0]
+    assert CS.load_chunk(chunk.chunk_id, store) is store.load(chunk.chunk_id)
     assert (store.reads, store.bytes_read) == (0, 0)
     read = CS.load_chunk(other.chunk_id.hex(), store)
     assert not read.token_ids.flags.writeable
@@ -492,8 +502,8 @@ def test_a_stored_chunk_is_served_resident_with_the_bits_of_a_read(tmp_path, mon
     store = CS.ChunkStore(tmp_path)
     path = CS.store_chunk(chunk, store)
     assert store.resident_bytes == chunk.file_bytes == os.path.getsize(path)
-    resident, hit = store.load(chunk.chunk_id)
-    assert hit
+    resident = store.load(chunk.chunk_id)
+    assert store.reads == 0
     read = CS.load_chunk(chunk.chunk_id, tmp_path)
     assert (resident.chunk_id, resident.model_fingerprint) == (read.chunk_id,
                                                                 read.model_fingerprint)
@@ -503,10 +513,27 @@ def test_a_stored_chunk_is_served_resident_with_the_bits_of_a_read(tmp_path, mon
         assert a.tobytes() == b.tobytes() and a.dtype == b.dtype and a.shape == b.shape
         assert not a.flags.writeable
     assert [l.rope_applied for l in resident.layers] == [l.rope_applied for l in read.layers]
-    # A path stands for the process's store of that directory.
+    # A chunk whose id is not its token ids' is written but not kept, and
+    # a read refuses it, as it refuses the file.
+    forged = dataclasses.replace(chunk, chunk_id=bytes(32))
+    CS.store_chunk(forged, store)
+    assert store.get(forged.chunk_id) is None
+    with pytest.raises(IntegrityError):
+        store.load(forged.chunk_id)
+    # A path stands for the process's store of that directory, if it is
+    # already that directory's; otherwise the write keeps nothing, and the
+    # process's store, with what it holds, stays.
     monkeypatch.setattr(CS.ChunkStore, "_process_store", None)
     CS.store_chunk(chunk, tmp_path)
-    assert CS.ChunkStore.of(tmp_path).load(chunk.chunk_id)[1] is True
+    assert CS.ChunkStore._process_store is None
+    process = CS.ChunkStore.of(tmp_path)
+    CS.store_chunk(chunk, tmp_path)
+    held = process.resident_bytes
+    assert held == chunk.file_bytes
+    (tmp_path / "elsewhere").mkdir()
+    CS.store_chunk(chunk, tmp_path / "elsewhere")
+    assert CS.ChunkStore._process_store is process and process.resident_bytes == held
+    assert served(process, chunk.chunk_id) is True
 
 
 def test_a_stored_chunk_whose_file_changes_is_read_again(tmp_path, monkeypatch):
@@ -519,7 +546,7 @@ def test_a_stored_chunk_whose_file_changes_is_read_again(tmp_path, monkeypatch):
     copy = tmp_path / "copy"
     copy.write_bytes(path.read_bytes())
     os.replace(copy, path)
-    assert [store.load(chunk.chunk_id)[1] for _ in range(2)] == [False, True]
+    assert [served(store, chunk.chunk_id) for _ in range(2)] == [False, True]
     # Rewritten in place, one byte flipped: same inode and size, new ctime.
     CS.store_chunk(chunk, store)
     with open(path, "r+b") as fh:
@@ -558,10 +585,10 @@ def test_a_changed_file_is_read_again(tmp_path):
     chunk, other = stored_chunks(tmp_path, 2)
     store = CS.ChunkStore(tmp_path)
     path = tmp_path / chunk.chunk_id.hex()
-    assert store.load(chunk.chunk_id)[1] is False
+    assert served(store, chunk.chunk_id) is False
     # Replaced by a new file of the same bytes: another inode, read again.
     CS.store_chunk(chunk, tmp_path)
-    assert [store.load(chunk.chunk_id)[1] for _ in range(2)] == [False, True]
+    assert [served(store, chunk.chunk_id) for _ in range(2)] == [False, True]
     # Rewritten in place, one byte flipped: same inode and size, new ctime.
     with open(path, "r+b") as fh:
         fh.seek(200)
@@ -601,4 +628,4 @@ def test_a_path_maps_to_the_one_process_store(tmp_path, monkeypatch):
     store.load(chunk.chunk_id)
     assert CS.ChunkStore.of(b) is not store  # another directory replaces it
     cold = CS.ChunkStore.of(a)
-    assert cold is not store and cold.load(chunk.chunk_id)[1] is False
+    assert cold is not store and served(cold, chunk.chunk_id) is False

@@ -192,7 +192,11 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
 def test_capacity_below_protected_rows_refused_before_any_work(tmp_path, capsys, monkeypatch):
     # The README store: a 24-token system chunk; "fox?" encodes to 5 ids.
     manifest = setup_store(tmp_path)
-    monkeypatch.setattr("kvfuse.chunkstore.load_chunk", never)  # every chunk read
+    # No store the set-up left behind serves a chunk, and every chunk served
+    # or read, resident or not, trips the guard.
+    monkeypatch.setattr(chunkstore.ChunkStore, "_process_store", None)
+    for name in ("load_chunk", "_read_chunk", "ChunkStore.load"):
+        monkeypatch.setattr(f"kvfuse.chunkstore.{name}", never)
     monkeypatch.setattr("kvfuse.bench.fused_prefill", never)
     capsys.readouterr()
     rc = main([

@@ -690,8 +690,9 @@ def test_resident_chunks_give_the_bits_of_a_read(tmp_path, strategy):
     def assert_resident_bits(resident):
         # The prefill only read the resident arrays: they still hold the files' bits.
         for part in segments.context_chunks():
-            chunk, hit = resident.load(CS.chunk_id(part, model.config.fingerprint()))
-            assert hit
+            reads = resident.reads
+            chunk = resident.load(CS.chunk_id(part, model.config.fingerprint()))
+            assert resident.reads == reads
             for a, b in zip(chunk.layers, files[part.tobytes()].layers):
                 assert a.keys.tobytes() == b.keys.tobytes()
                 assert a.values.tobytes() == b.values.tobytes()
