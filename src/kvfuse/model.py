@@ -3,11 +3,14 @@
 Pre-norm RMS blocks with rotary position embeddings and a plain two-matrix
 SiLU feed-forward. Built for reproducibility rather than speed: weights come
 from a counter-based generator keyed per tensor as float32, hidden states
-between layers and the chunk and fused caches are float32, and arithmetic
-inside a layer runs in float64 so the same tokens give the same numbers
-regardless of how the sequence was sliced. A built `Model` holds its weights,
-and `DecodeCache` its rows, as exact float64 upcasts of those float32 values,
-so no layer call converts them again and the results are the same bit for bit.
+between layers and the chunk, fused and decode caches are float32, and
+arithmetic inside a layer runs in float64 so the same tokens give the same
+numbers regardless of how the sequence was sliced. A built `Model` holds its
+weights as exact float64 upcasts of those float32 values, so no layer call
+converts them again. Decode attention alone multiplies in float32: a decode
+step reads the whole cache, so `DecodeCache` keeps its rows as stored, in
+float32, and `attend` runs its products and softmax in float32, then
+divides in float64.
 
 The block is written once, split at the attention: `block_qkv` projects a
 set of rows, the caller decides which keys they attend to, and `block_out`
@@ -47,7 +50,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, InputError, ShapeError
 
 # float32 values at every boundary (drawn weights, hidden states, caches,
-# logits), float64 inside a layer. Keeps cross-path comparisons tight.
+# logits), float64 inside a layer, except decode attention's two products,
+# which read the float32 decode cache as stored.
 DTYPE = np.float32
 _F64 = np.float64
 
@@ -622,12 +626,15 @@ def prefill_forward(
 class DecodeCache:
     """Growable per-layer KV storage for autoregressive decoding.
 
-    Each layer holds one float64 key buffer and one value buffer of shape
-    (n_heads, capacity, head_dim); rows are exact upcasts of float32 rows,
-    so attention reads them without a conversion. A full buffer grows by
-    max(count // 2, 64) rows, one layer at a time, so a growth never holds
-    two copies of the whole cache. Every stored row precedes the decode
-    position, so `attend` runs `attention`'s softmax core unmasked.
+    Each layer holds one float32 key buffer and one value buffer, both
+    transposed to (n_heads, head_dim, capacity), so a stored row is one
+    column. That layout serves both of `attend`'s products: the query row
+    times the keys, and the values times the exponentials, each a
+    matrix-vector product over a row-major (head_dim, rows) block per head.
+    A full buffer grows by max(count // 2, 64) rows, one layer at a time,
+    so a growth never holds two copies of the whole cache. Every stored row
+    precedes the decode position, so `attend` runs the softmax core
+    unmasked.
 
     A step is explicit: `append` takes the layers of one position in order
     0..L-1, and the step commits (`length` and `max_position` move) with
@@ -645,15 +652,15 @@ class DecodeCache:
         self._keys = [self._buffer(k) for k in keys]
         self._values = [self._buffer(v) for v in values]
         self._max_pos = self._count - 1
-        self._scale = 1.0 / np.sqrt(self._keys[0].shape[2])  # the attention scale 1/sqrt(hd)
+        self._scale = 1.0 / np.sqrt(self._keys[0].shape[1])  # the attention scale 1/sqrt(hd)
         self._next_layer = 0  # layer the step in progress appends next
         self._step_pos = -1  # position of the step in progress
 
     @classmethod
     def _buffer(cls, rows: np.ndarray) -> np.ndarray:
         h, n, hd = rows.shape
-        buf = np.empty((h, n + cls._HEADROOM, hd), dtype=_F64)
-        buf[:, :n] = rows.astype(DTYPE, copy=False)
+        buf = np.empty((h, hd, n + cls._HEADROOM), dtype=DTYPE)
+        buf[:, :, :n] = rows.transpose(0, 2, 1)
         return buf
 
     @classmethod
@@ -678,15 +685,15 @@ class DecodeCache:
 
     def keys_view(self, layer: int) -> np.ndarray:
         """The committed keys of `layer`, (n_heads, length, head_dim) float32."""
-        return self._keys[layer][:, : self._count].astype(DTYPE)
+        return self._keys[layer][:, :, : self._count].transpose(0, 2, 1).copy()
 
     def _grow(self, layer: int) -> None:
         count = self._count
         for bufs in (self._keys, self._values):
             old = bufs[layer]
-            grown = np.empty((old.shape[0], old.shape[1] + max(count // 2, self._HEADROOM),
-                              old.shape[2]), dtype=_F64)
-            grown[:, :count] = old[:, :count]
+            grown = np.empty(old.shape[:2] + (old.shape[2] + max(count // 2, self._HEADROOM),),
+                             dtype=DTYPE)
+            grown[:, :, :count] = old[:, :, :count]
             bufs[layer] = grown
 
     def append(self, layer: int, k_row: np.ndarray, v_row: np.ndarray, position: int) -> None:
@@ -704,10 +711,10 @@ class DecodeCache:
             raise ContractViolation(
                 f"layer {layer} appends position {position} inside the step at {self._step_pos}"
             )
-        if self._count == self._keys[layer].shape[1]:
+        if self._count == self._keys[layer].shape[2]:
             self._grow(layer)
-        self._keys[layer][:, self._count] = k_row.astype(DTYPE)
-        self._values[layer][:, self._count] = v_row.astype(DTYPE)
+        self._keys[layer][:, :, self._count] = k_row
+        self._values[layer][:, :, self._count] = v_row
         self._step_pos = position
         if layer == len(self._keys) - 1:
             self._next_layer = 0
@@ -722,6 +729,10 @@ class DecodeCache:
         The layer's row at `position` must be appended: inside the step it
         sits at index `count`, after the commit it is the last row, and the
         query attends to it as well.
+
+        The query is scaled by 1/sqrt(head_dim) and rounded to float32 once;
+        both products and the softmax core run in float32, and the outputs
+        are divided by the sums in float64, which `block_out` takes.
         """
         if self._next_layer > layer and position == self._step_pos:
             upto = self._count + 1
@@ -729,15 +740,15 @@ class DecodeCache:
             upto = self._count
         else:
             raise ContractViolation(f"layer {layer} has no row appended at position {position}")
-        k = self._keys[layer][:, :upto]
-        scores = np.matmul(k, q_heads[:, :, None])[:, :, 0]
-        scores *= self._scale
+        q = (q_heads * self._scale).astype(DTYPE)
+        scores = np.matmul(q[:, None, :], self._keys[layer][:, :, :upto])[:, 0]
         exp = _softmax_exp(scores)
         sums = exp.sum(axis=-1, keepdims=True)
-        return np.matmul(exp[:, None, :], self._values[layer][:, :upto])[:, 0] / sums
+        out = np.matmul(self._values[layer][:, :, :upto], exp[:, :, None])[:, :, 0]
+        return np.divide(out, sums, dtype=_F64)
 
     def resident_floats(self) -> int:
-        h, _, hd = self._keys[0].shape
+        h, hd, _ = self._keys[0].shape
         return len(self._keys) * h * self._count * hd * 2
 
 

@@ -186,6 +186,20 @@ def test_evict_tie_break_toward_low_offsets(tmp_path, monkeypatch):
 # decoding on a compacted cache
 
 
+def greedy_decode_logits(model, cache, token, position, steps):
+    """The logits of `steps` greedy decode steps from `token` at `position`."""
+    out = []
+    for step in range(steps):
+        logits = M.decode_step(model, cache, token, position + step)
+        out.append(logits.tobytes())
+        token = M.greedy_token(logits)
+    return out
+
+
+# Steps enough to cross a decode cache's first growth (64 spare rows).
+LONG_DECODE = 80
+
+
 def test_noop_eviction_decode_matches_unevicted(tmp_path):
     model = make_model()
     rng = np.random.default_rng(8)
@@ -193,9 +207,31 @@ def test_noop_eviction_decode_matches_unevicted(tmp_path):
     plain = patched.to_decode_cache()
     compacted = EV.evict(patched, EV.EvictionPolicy(capacity=patched.n + 1))
     token = M.greedy_token(logits)
-    a = M.decode_step(model, plain, token, patched.n)
-    b = M.decode_step(model, compacted, token, patched.n)
-    np.testing.assert_allclose(a, b, atol=1e-6)
+    a = greedy_decode_logits(model, plain, token, patched.n, LONG_DECODE)
+    b = greedy_decode_logits(model, compacted, token, patched.n, LONG_DECODE)
+    assert a == b
+
+
+@pytest.mark.parametrize("capacity", [None, 24])
+def test_decode_bitwise_deterministic(tmp_path, capacity):
+    # The same request, prefilled and decoded twice from fresh stores, gives
+    # the same logits bit for bit at every step, past the first growth of
+    # the plain cache and (capacity 24 of 42 rows) of the compacted one.
+    model = make_model()
+    runs = []
+    for run in range(2):
+        store = tmp_path / str(run)
+        store.mkdir()
+        rng = np.random.default_rng(10)
+        _, patched, logits, _ = patched_instance(model, store, rng, doc_lens=(16, 16))
+        if capacity is None:
+            cache = patched.to_decode_cache()
+        else:
+            cache = EV.evict(patched, EV.EvictionPolicy(capacity=capacity))
+            assert cache.kept < patched.n
+        runs.append(greedy_decode_logits(model, cache, M.greedy_token(logits), patched.n,
+                                         LONG_DECODE))
+    assert runs[0] == runs[1]
 
 
 def test_evicted_cache_grows_append_only(tmp_path):
