@@ -49,7 +49,6 @@ from .model import (
     build_model,
     decode_step,
     greedy_token,
-    init_model,
     prefill_forward,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "evict",
     "fused_prefill",
     "greedy_token",
-    "init_model",
     "load_chunk",
     "precompute_chunk",
     "prefill_forward",

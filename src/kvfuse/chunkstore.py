@@ -85,8 +85,6 @@ def precompute_chunk(token_ids, model: Model) -> ChunkKV:
     rotation so they can be placed at any global offset later.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size == 0:
-        raise InputError("cannot precompute an empty chunk")
     res = prefill_forward(model, ids, record_raw_keys=True)
     layers = [
         LayerKV(keys=raw, values=cache.values, rope_applied=False)
@@ -345,10 +343,7 @@ def _read_chunk(cid: bytes | str, directory) -> ChunkKV:
     """Read and verify the file of chunk `cid` in `directory`."""
     if isinstance(cid, str):
         cid = bytes.fromhex(cid)
-    path = _chunk_path(directory, cid)
-    if not os.path.exists(path):
-        raise ChunkNotFoundError(f"no chunk {cid.hex()} in {directory}")
-    return verify_chunk_file(path, expect_id=cid)
+    return verify_chunk_file(_chunk_path(directory, cid), expect_id=cid)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,7 @@ def cmd_precompute(args) -> int:
     os.makedirs(args.store, exist_ok=True)
     for name in remove_orphaned_temps(args.store):
         print(f"removed orphaned {name}")
+    store = ChunkStore(args.store)
     entries = []
     fp = config.fingerprint()
     for part in parts:
@@ -130,7 +131,7 @@ def cmd_precompute(args) -> int:
             except IntegrityError:
                 status = "repaired"
         if status != "cached":
-            store_chunk(precompute_chunk(part, model), args.store)
+            store_chunk(precompute_chunk(part, model), store)
         entries.append({"id": hexid, "length": int(len(part))})
         print(f"{status} {hexid} ({len(part)} tokens)")
     manifest = {
@@ -176,7 +177,7 @@ def cmd_generate(args) -> int:
     manifest = _load_manifest(args.manifest)
     config = ModelConfig.from_dict(manifest["model"])
     model = build_model(config)
-    store = ChunkStore.of(manifest["store"])
+    store = ChunkStore(manifest["store"])
 
     if args.question_text is not None:
         question = encode_bytes(args.question_text.encode("utf-8"), config, eos=True)

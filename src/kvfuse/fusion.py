@@ -224,7 +224,9 @@ def question_attention(queries: np.ndarray, keys: np.ndarray,
                        segment_map: SegmentMap) -> np.ndarray:
     """Causal attention weights (H, |Q|, n), float64, of the question rows
     over every position; `queries` are the question's rows at one layer,
-    `keys` cover all n positions. Selection, eviction scoring and the
+    `keys` cover all n positions. A segment map puts the question last, so
+    its rows sit at the last |Q| key positions, the layout
+    `attention_weights` masks. Selection, eviction scoring and the
     attention-map loss all read question relevance from here.
     """
     q_span = segment_map.question_span
@@ -234,8 +236,7 @@ def question_attention(queries: np.ndarray, keys: np.ndarray,
         raise ShapeError(f"expected {q_span.length} question rows, got {queries.shape[1]}")
     if keys.shape[1] != segment_map.n:
         raise ShapeError(f"keys must cover all {segment_map.n} positions, got {keys.shape[1]}")
-    q_pos = np.arange(q_span.start, q_span.stop, dtype=np.int64)
-    return attention_weights(queries, keys, q_pos, np.arange(segment_map.n, dtype=np.int64))
+    return attention_weights(queries, keys)
 
 
 def score_tokens(q_true: np.ndarray, k_true: np.ndarray, segment_map: SegmentMap) -> np.ndarray:

@@ -5,12 +5,12 @@ SiLU feed-forward. Built for reproducibility rather than speed: weights come
 from a counter-based generator keyed per tensor as float32, hidden states
 between layers and the chunk, fused and decode caches are float32, and
 arithmetic inside a layer runs in float64 so the same tokens give the same
-numbers regardless of how the sequence was sliced. A built `Model` holds its
-weights as exact float64 upcasts of those float32 values, so no layer call
-converts them again. Decode attention alone multiplies in float32: a decode
-step reads the whole cache, so `DecodeCache` keeps its rows as stored, in
-float32, and `attend` runs its products and softmax in float32, then
-divides in float64.
+numbers regardless of how the sequence was sliced. `build_model` upcasts
+each drawn tensor to float64 at once, so a `Model` holds exact float64
+copies of the float32 values and no layer call converts them again. Decode
+attention alone multiplies in float32: a decode step reads the whole cache,
+so `DecodeCache` keeps its rows as stored, in float32, and `attend` runs its
+products and softmax in float32, then divides in float64.
 
 The block is written once, split at the attention: `block_qkv` projects a
 set of rows, the caller decides which keys they attend to, and `block_out`
@@ -176,22 +176,19 @@ def _draw_uniform(seed: int, stream: int, shape: tuple[int, ...], scale: float) 
     return gen.uniform(-scale, scale, size=shape).astype(DTYPE)
 
 
-def init_model(config: ModelConfig) -> ModelWeights:
-    """Draw all projection matrices uniform in [-1/sqrt(d_model), +1/sqrt(d_model)].
-
-    The result is float32 and a pure function of the config, seed included.
+def build_model(config: ModelConfig) -> Model:
+    """The model of `config`: every projection matrix drawn uniform in
+    [-1/sqrt(d_model), +1/sqrt(d_model)] as float32, a pure function of the
+    config, seed included, and upcast at once to float64, so float64 weights
+    never sit beside a float32 copy of the whole set. The values are exactly
+    the float32 draws, so every result is the same as with float32 weights
+    converted at each use.
     """
-    return _init_weights(config, DTYPE)
-
-
-def _init_weights(config: ModelConfig, dtype) -> ModelWeights:
-    # Each tensor is drawn as float32 and converted to `dtype` at once, so
-    # float64 weights never sit beside a float32 copy of the whole set.
     d = config.d_model
     scale = 1.0 / np.sqrt(d)
 
     def draw(stream: int, shape: tuple[int, ...]) -> np.ndarray:
-        return _draw_uniform(config.seed, stream, shape, scale).astype(dtype)
+        return _draw_uniform(config.seed, stream, shape, scale).astype(_F64)
 
     layers = []
     for l in range(config.n_layers):
@@ -204,20 +201,12 @@ def _init_weights(config: ModelConfig, dtype) -> ModelWeights:
                 w_out=draw(base + 5, (config.d_ff, d)),
             )
         )
-    return ModelWeights(
+    weights = ModelWeights(
         embedding=draw(_STREAM_EMBED, (config.vocab_size, d)),
         layers=layers,
         unembed=draw(_STREAM_UNEMBED, (d, config.vocab_size)),
     )
-
-
-def build_model(config: ModelConfig) -> Model:
-    """The model of `config`, its weights upcast once to float64.
-
-    The values are exactly `init_model`'s float32 draws, so every result is
-    the same as with float32 weights converted at each use.
-    """
-    return Model(config=config, weights=_init_weights(config, _F64))
+    return Model(config=config, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +394,11 @@ def attention(
     return out
 
 
-def attention_weights(
-    queries: np.ndarray,
-    keys: np.ndarray,
-    q_positions: np.ndarray,
-    k_positions: np.ndarray,
-) -> np.ndarray:
-    """Causal softmax weight matrices (n_heads, rows, keys), float64.
+def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Causal softmax weight matrices (n_heads, rows, keys), float64, of
+    query rows at the last `rows` of key positions 0..keys-1, so every row
+    sees key 0 and the mask is a strict upper triangle over the last
+    `rows` keys.
 
     The masked softmax behind `attention`; `fusion.question_attention`
     reads the weights themselves. It scales the scores and sums their
@@ -422,25 +409,13 @@ def attention_weights(
     k = np.asarray(keys, dtype=_F64)
     if q.shape[0] != k.shape[0]:
         raise ShapeError(f"head counts differ: {q.shape[0]} vs {k.shape[0]}")
+    rows, n = q.shape[1], k.shape[1]
     scores = np.matmul(q, k.transpose(0, 2, 1))
-    _mask_hidden(scores, np.asarray(q_positions), np.asarray(k_positions))
+    np.copyto(scores[..., n - rows:], -np.inf, where=np.triu(np.ones((rows, rows), bool), 1))
     scores *= 1.0 / np.sqrt(q.shape[-1])
     exp = _softmax_exp(scores)
     exp /= exp.sum(axis=-1, keepdims=True)
     return exp
-
-
-def _mask_hidden(scores: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) -> None:
-    # Set the scores (..., rows, keys) of keys hidden from their row to
-    # -inf, in place. Keys before the first one hidden from some row are
-    # visible to every row, so only the band from that key on is masked.
-    if q_pos.size and (k_pos.size == 0 or q_pos.min() < k_pos.min()):
-        raise ContractViolation("a query row has no visible key")
-    partly = np.flatnonzero(k_pos > q_pos.min()) if q_pos.size else k_pos[:0]
-    if partly.size:
-        band = slice(int(partly[0]), None)
-        hidden = k_pos[None, band] > q_pos[:, None]
-        np.copyto(scores[..., band], -np.inf, where=hidden)
 
 
 def _softmax_exp(scores: np.ndarray) -> np.ndarray:

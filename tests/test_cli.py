@@ -192,9 +192,7 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
 def test_capacity_below_protected_rows_refused_before_any_work(tmp_path, capsys, monkeypatch):
     # The README store: a 24-token system chunk; "fox?" encodes to 5 ids.
     manifest = setup_store(tmp_path)
-    # No store the set-up left behind serves a chunk, and every chunk served
-    # or read, resident or not, trips the guard.
-    monkeypatch.setattr(chunkstore.ChunkStore, "_process_store", None)
+    # Every chunk served or read, resident or not, trips the guard.
     for name in ("load_chunk", "_read_chunk", "ChunkStore.load"):
         monkeypatch.setattr(f"kvfuse.chunkstore.{name}", never)
     monkeypatch.setattr("kvfuse.bench.fused_prefill", never)
@@ -224,7 +222,6 @@ def test_capacity_below_protected_rows_refused_before_any_work(tmp_path, capsys,
 @pytest.mark.parametrize("strategy", ["attention_aware", "full"])
 def test_generate_verifies_each_chunk_file_once(tmp_path, monkeypatch, strategy):
     manifest = setup_store(tmp_path)
-    monkeypatch.setattr(chunkstore.ChunkStore, "_process_store", None)
     verified = []
     real = chunkstore.verify_chunk_file
 

@@ -21,6 +21,15 @@ def tiny_rope_config():
     return M.ModelConfig(n_layers=1, n_heads=1, head_dim=2, d_ff=4, vocab_size=8, seed=0)
 
 
+def test_every_export_resolves_and_init_model_is_gone():
+    import kvfuse
+
+    for name in kvfuse.__all__:
+        assert hasattr(kvfuse, name), name
+    assert "init_model" not in kvfuse.__all__
+    assert not hasattr(kvfuse, "init_model") and not hasattr(M, "init_model")
+
+
 # ---------------------------------------------------------------------------
 # Config
 
@@ -64,32 +73,40 @@ def test_fingerprint_covers_seed():
 # Init
 
 
+def all_weights(weights):
+    yield weights.embedding
+    for layer in weights.layers:
+        yield from (layer.wqkv, layer.wo, layer.w_in, layer.w_out)
+    yield weights.unembed
+
+
 def test_init_deterministic_bitwise():
     cfg = small_config()
-    w1, w2 = M.init_model(cfg), M.init_model(cfg)
-    assert np.array_equal(w1.embedding, w2.embedding)
-    for a, b in zip(w1.layers, w2.layers):
-        for name in ("wqkv", "wo", "w_in", "w_out"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert np.array_equal(w1.unembed, w2.unembed)
+    w1, w2 = M.build_model(cfg).weights, M.build_model(cfg).weights
+    for a, b in zip(all_weights(w1), all_weights(w2), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_init_seed_sensitivity():
-    w7 = M.init_model(small_config())
-    w8 = M.init_model(small_config(seed=8))
-    assert not np.array_equal(w7.embedding, w8.embedding)
+    w7 = M.build_model(small_config()).weights
+    w8 = M.build_model(small_config(seed=8)).weights
+    for a, b in zip(all_weights(w7), all_weights(w8), strict=True):
+        assert not np.array_equal(a, b)
 
 
 def test_init_range_and_dtype():
+    # Every weight is float64 holding a float32 value exactly, within the
+    # draw's bound.
     cfg = small_config()
-    w = M.init_model(cfg)
     bound = 1.0 / np.sqrt(cfg.d_model)
-    assert w.embedding.dtype == np.float32
-    assert np.all(np.abs(w.embedding) <= bound)
+    for w in all_weights(M.build_model(cfg).weights):
+        assert w.dtype == np.float64
+        assert w.astype(np.float32).astype(np.float64).tobytes() == w.tobytes()
+        assert np.all(np.abs(w) <= bound)
 
 
 def test_init_golden_first_embedding_entry():
-    w = M.init_model(small_config())
+    w = M.build_model(small_config()).weights
     assert w.embedding[0, 0] == np.float32(GOLDEN_EMBED_00)
 
 

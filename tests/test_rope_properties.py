@@ -170,10 +170,13 @@ def test_one_qkv_product_equals_the_three_products(rows, layer, seed):
         step = M.block_qkv(MODEL, layer, x, M._rope_row(int(positions[0]), cfg))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(step, (q_rot, k_rot, k_raw, v)))
     # Wq, Wk and Wv are slices of the stacked float64 array, which holds
-    # exactly the drawn float32 values.
-    drawn = M.init_model(cfg).layers[layer]
+    # exactly the float32 values drawn at the layer's first three streams.
+    base = M._LAYER_BASE + M._STREAMS_PER_LAYER * layer
+    drawn = [M._draw_uniform(cfg.seed, base + i, (cfg.d_model, cfg.d_model),
+                             1.0 / np.sqrt(cfg.d_model)) for i in range(3)]
+    assert all(w.dtype == np.float32 for w in drawn)
     assert lw.wqkv.dtype == np.float64
-    assert np.array_equal(lw.wqkv, np.stack([drawn.wqkv[0], drawn.wqkv[1], drawn.wqkv[2]]))
+    assert np.array_equal(lw.wqkv, np.stack(drawn))
     for w in (lw.wqkv[0], lw.wqkv[1], lw.wqkv[2]):
         assert np.shares_memory(w, lw.wqkv)
 
