@@ -21,10 +21,12 @@ without eviction, long enough that the decode cache grows three times; the
 logits of greedy decodes that start far past the context, at positions
 100,000 and 1,000,000, with and without eviction, at both shapes; the
 same arrays as the resident runs, for every strategy on one more fresh
-store, over a 3-document request read twice and then over a request that
-shares only its first document with it, so that the second read reuses
-the layer-0 rows of every cached context prefix and the third only some
-of them; for every strategy at r=0.15, the same arrays for an ingest-shaped
+store, over a 3-document request read twice, then over a request that
+shares only its first document with it and then over one that shares
+only its system chunk, so that the second read reuses the layer-0 rows of
+every cached context prefix, the third only some of them and the fourth
+only the system's (a system hit with a first-document miss, as in
+ingest_cold); for every strategy at r=0.15, the same arrays for an ingest-shaped
 request, whose two new documents are written into one fresh store by
 `store_chunk` and served from it as written, without a read ("ingest
 written"), and then read from their files by another fresh store ("ingest
@@ -115,6 +117,7 @@ def emit_chain(name: str, model, segments, store) -> None:
     a, b, c = (bench._draw_ids(7, 10 + i, CHAIN_DOC_LEN[name], vocab) for i in range(3))
     three = fusion.InputSegments(segments.system, [a, b, c], segments.question)
     first_shared = fusion.InputSegments(segments.system, [a, c, b], segments.question)
+    system_shared = fusion.InputSegments(segments.system, [b, a, c], segments.question)
     bench.populate_store(model, three, store)
     for strategy in fusion.STRATEGIES:
         fresh = (chunkstore.ChunkStore(store) if hasattr(chunkstore, "ChunkStore")
@@ -123,6 +126,8 @@ def emit_chain(name: str, model, segments, store) -> None:
             emit_prefill(f"{name} {strategy} r=0.15 3 documents {run}", model, three, strategy,
                          fresh)
         emit_prefill(f"{name} {strategy} r=0.15 first document shared", model, first_shared,
+                     strategy, fresh)
+        emit_prefill(f"{name} {strategy} r=0.15 system shared", model, system_shared,
                      strategy, fresh)
 
 

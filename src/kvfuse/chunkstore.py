@@ -33,6 +33,7 @@ from .model import (
     Model,
     ModelConfig,
     _F64,
+    _check_tokens,
     _rope_table,
     _rotate,
     prefill_forward,
@@ -84,7 +85,7 @@ def precompute_chunk(token_ids, model: Model) -> ChunkKV:
     makes deeper layers approximate), but the persisted keys carry no
     rotation so they can be placed at any global offset later.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
+    ids = _check_tokens(model.config, token_ids)
     res = prefill_forward(model, ids, record_raw_keys=True)
     layers = [
         LayerKV(keys=raw, values=cache.values, rope_applied=False)
@@ -352,9 +353,9 @@ def _read_chunk(cid: bytes | str, directory) -> ChunkKV:
 # Bytes the process's chunk store keeps resident: chunks (a chunk's file
 # size, 1.97 MB at the benchmark shape), whether verified from their files
 # or kept as `store_chunk` wrote them, plus the prefix entries `fusion`
-# keeps there, counted at their arrays' bytes: a system's layers 0-1
-# (0.74 MB) and a document prefix's layer-1 inputs (0.12 MB). An entry
-# larger than the whole budget is never kept.
+# keeps there, counted at their arrays' bytes: a context prefix's layer-1
+# inputs (0.12 MB for 480 rows). An entry larger than the whole budget is
+# never kept.
 RESIDENT_BYTES = 26 * 2**20
 
 

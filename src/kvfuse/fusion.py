@@ -27,34 +27,27 @@ that directory's store the process's). Each chunk comes through
 give the trace's hits and bytes read. The loop only reads the resident
 arrays: concat copies them, and `full` rotates copies.
 
-Every cached context prefix skips layer 0's attention and block, and the
-system's also skips the projections of layers 0-1. A row attends only to
-the rows before it, so what layers 0-1 give it depends only on the tokens
-up to it and the model, and repeats whenever that prefix does. A chain of
-entries in the same store holds them: one for the system and one per
-document boundary but the last (the full context rarely repeats), each
+Every cached context prefix skips layer 0's attention and block. A row
+attends only to the rows before it, so its layer-1 input depends only on
+the tokens up to it and the model, and repeats whenever that prefix does.
+A chain of entries in the same store holds them, from row 0: one for the
+system's whole tiles and one per document boundary but the last (the full
+context rarely repeats), each rounded down to a whole 32-row tile and
 keyed by the model fingerprint, its first row and the token bytes before
-its end, the boundary rounded down to a whole 32-row tile; the first row
-depends on how the context is cut into chunks. The system's entry covers
-its whole tiles, rows [0, pre), and holds their float32 layer 0-1 keys
-and values and layer 1's float64 rotated keys, which scoring reads. A
-document's entry covers the rows from the previous entry's end and holds
-only their float32 layer-1 inputs, exact because `block_out` rounds
-through float32; a document row may be selected, and then needs its input
-at layer 1. On a hit the selective strategies carry rows from `pre` at
-layers 0-1 and fill the system rows from its entry. Over the unbroken
-chain of document entries that hit after it they still run layer 0's
-projections, which depend only on each token and its position, but take
-the layer-1 inputs from the entries and run layer 0's attention and block
-from the chain's end only. A miss stores the entries from the first one
-missed on. Only whole attention tiles are reused: a tile that straddled a
-boundary would run its value product over a longer key range, which may
-sum in another order, so reusing it could change bits. `full` never uses
-the entries. At the rag_shared shape the system's entry is 0.74 MB and a
-document's 0.12 MB, against a chunk's 1.97 MB; all count against the
+its end; the first row depends on how the context is cut into chunks. An
+entry holds only its rows' float32 layer-1 inputs, exact because
+`block_out` rounds through float32. The selective strategies still run
+the projections of layers 0-1 over every row, which depend only on each
+token, its position and its layer input, but take the layer-1 inputs of
+the unbroken chain of entries that hit from row 0 and run layer 0's
+attention and block from the chain's end only. A miss stores the entries
+from the first one missed on. Only whole attention tiles are reused: a
+tile that straddled a boundary would run its value product over a longer
+key range, which may sum in another order, so reusing it could change
+bits. `full` never uses the entries. At the rag_shared shape an entry is
+0.12 MB (480 rows), against a chunk's 1.97 MB; both count against the
 store's budget. The selective strategies recover positions from layer 2
-on: the loop overwrites every stored key of layers 0-1 or takes it from
-the system's entry.
+on: the loop overwrites every stored key of layers 0-1.
 
 Question relevance (`question_attention`) and the top-p rule (`_top_p`)
 are written once, here; eviction and the harness call them too.
@@ -183,8 +176,7 @@ class FusionTrace:
     q_len: int
     selected: list[int]
     clamped: bool
-    prefix_rows: int = 0  # system rows whose layers 0-1 came from the system's entry
-    reused_rows: int = 0  # rows whose layer-0 attention and block came from document entries
+    reused_rows: int = 0  # rows whose layer-0 attention and block came from prefix entries
     chunk_bytes: int = 0  # bytes of the chunk files served, each verified when it was read
     chunk_hits: int = 0  # chunks served resident
     chunk_bytes_read: int = 0  # bytes of the chunk files this call read and verified
@@ -203,7 +195,6 @@ class FusionTrace:
             "q_len": self.q_len,
             "selected": [int(i) for i in self.selected],
             "clamped": self.clamped,
-            "prefix_rows": self.prefix_rows,
             "reused_rows": self.reused_rows,
             "chunk_bytes": self.chunk_bytes,
             "chunk_hits": self.chunk_hits,
@@ -295,36 +286,18 @@ def hit_rate(selected: RecomputeSet, oracle_topk: RecomputeSet) -> float:
 # Fused prefill
 
 
-@dataclass(frozen=True)
-class _SystemPrefix:
-    """Layers 0-1 of the system's whole-tile prefix, rows [0, pre)."""
-
-    keys: np.ndarray  # (2, H, pre, hd) float32, as the loop wrote them
-    values: np.ndarray  # (2, H, pre, hd) float32
-    k1: np.ndarray  # (H, pre, hd) float64, layer 1's rotated keys, which scoring reads
-
-    @property
-    def nbytes(self) -> int:
-        return self.keys.nbytes + self.values.nbytes + self.k1.nbytes
-
-
-def _entry_key(kind: str, fp: bytes, ids: np.ndarray, start: int, end: int) -> tuple:
-    # A store key of a prefix entry for rows [start, end): what it holds,
-    # the model, its first row, and the int64 token bytes of rows [0, end),
-    # which determine it. The first row depends on the chunking, not on
-    # the tokens, so the same tokens split otherwise get other entries.
-    return (kind, fp, start, ids[:end].tobytes())
-
-
-def _document_chain(fp: bytes, ids: np.ndarray, lengths: list[int], pre: int) -> list[tuple]:
-    """The document entries of a context whose chunks have `lengths`, after
-    the system's whole tiles [0, pre): (store key, first row, end row) for
-    every document boundary but the last, rounded down to a whole tile. A
-    span with no whole tile is left out."""
-    chain, start = [], pre
-    for end in (np.cumsum(lengths[:-1]) // _TILE_ROWS * _TILE_ROWS).tolist()[1:]:
+def _prefix_chain(fp: bytes, ids: np.ndarray, lengths: list[int]) -> list[tuple]:
+    """The prefix entries of a context whose chunks have `lengths`: (store
+    key, first row, end row) for the system's boundary and every document
+    boundary but the last, each rounded down to a whole tile. A span with
+    no whole tile is left out. A key holds the model, the first row and the
+    int64 token bytes of rows [0, end), which determine the entry; the
+    first row depends on the chunking, not on the tokens, so the same
+    tokens cut otherwise get other entries."""
+    chain, start = [], 0
+    for end in (np.cumsum(lengths[:1] + lengths[1:-1]) // _TILE_ROWS * _TILE_ROWS).tolist():
         if end > start:
-            chain.append((_entry_key("layer-1 inputs", fp, ids, start, end), start, end))
+            chain.append(((fp, start, ids[:end].tobytes()), start, end))
             start = end
     return chain
 
@@ -376,12 +349,11 @@ def fused_prefill(
     pos = np.arange(n, dtype=np.int64)
     cos, sin = _rope_table(pos, cfg)
 
-    # The prefix entries in use: `prefix`, the system's, fills layers 0-1
-    # of rows [0, first); `reused`, the unbroken chain of document entries
-    # that hit after it, the layer-1 inputs of rows [first, attend). Layer
-    # 0's attention and block run from `attend`; a miss stores `chain`'s
-    # entries from the first one missed on.
-    prefix, chain, reused, first, attend = None, [], [], 0, 0
+    # `reused`, the unbroken chain of entries that hit from row 0, holds the
+    # layer-1 inputs of rows [0, attend); layer 0's attention and block run
+    # from `attend`. A miss stores `chain`'s entries from the first one
+    # missed on.
+    chain, reused, attend = [], [], 0
     if full:
         # Only the question is carried; the chunk rows all precede it, so
         # causality follows from the row offsets.
@@ -389,50 +361,34 @@ def fused_prefill(
         scores_doc, rows, ids = None, question_rows, q_ids
     else:
         t0 = time.perf_counter()
-        # Layers 0-1 of every stored key are overwritten or come from the system's entry.
+        # Layers 0-1 of every stored key are overwritten.
         recover_positions(replace(fused, keys=fused.keys[2:]), cfg)
         durations["recover"] = time.perf_counter() - t0
         ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
-        pre = len(segments.system) // _TILE_ROWS * _TILE_ROWS
-        prefix_key = _entry_key("layers 0-1", fp, ids, 0, pre)
-        prefix = store.get(prefix_key) if pre else None
-        first = pre if prefix is not None else 0
-        chain = _document_chain(fp, ids, [chunk.length for chunk in chunks], pre)
-        if first == pre:  # the system's entry hit, or there is none
-            for key, _, _ in chain:
-                inputs = store.get(key)
-                if inputs is None:
-                    break
-                reused.append(inputs)
-        attend = chain[len(reused) - 1][2] if reused else first
-        rows, ids = pos[first:], ids[first:]
+        chain = _prefix_chain(fp, ids, [chunk.length for chunk in chunks])
+        for key, _, end in chain:
+            inputs = store.get(key)
+            if inputs is None:
+                break
+            reused.append(inputs)
+            attend = end
+        rows = pos
 
     # The one layer loop: the carried rows write their keys and values into
     # the stored layer, then attend over it. The selection, after layer 1's
     # projections, shrinks the carried rows to Re plus the question.
     t0 = time.perf_counter()
-    # Layer 0 attends from `attend`; the rows before it take their layer-1
-    # inputs from `reused`. Later layers attend from every carried row.
-    skip = attend - first
+    skip = attend  # later layers attend from every carried row
     x, rope = model.weights.embedding[ids], (cos[rows], sin[rows])
     for l in range(cfg.n_layers):
         q, k, _, v = block_qkv(model, l, x, rope)
-        if prefix is not None and l < 2:  # the rows before `first` come from the entry
-            keys[l, :, :first] = prefix.keys[l]
-            values[l, :, :first] = prefix.values[l]
-        elif rows.size < n:  # else every stored entry is overwritten below
+        if rows.size < n:  # else every stored entry is overwritten below
             keys[l, :, :n_ctx] = fused.keys[l]
             values[l, :, :n_ctx] = fused.values[l]
         keys[l][:, rows] = k.astype(DTYPE)
         values[l][:, rows] = v.astype(DTYPE)
         question_queries[l] = q[:, -q_len:].astype(DTYPE)
         if l == 1 and not full:
-            if prefix is not None:
-                k = np.concatenate([prefix.k1, k], axis=1)
-            elif pre:
-                made = _SystemPrefix(keys[:2, :, :pre].copy(), values[:2, :, :pre].copy(),
-                                     k[:, :pre].copy())
-                store.put(prefix_key, made, made.nbytes)
             durations["layer01"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             # Scores are recorded for every selective strategy so the harness
@@ -454,15 +410,14 @@ def fused_prefill(
             else:  # none
                 rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
             rows = np.concatenate([rset.indices, question_rows])
-            # Selected rows are documents or question, all at `first` or later.
-            q, x, rope = q[:, rows - first], x[rows - first], (cos[rows], sin[rows])
+            q, x, rope = q[:, rows], x[rows], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
         out = _attend_out(model, l, x[skip:], q[:, skip:], keys[l], values[l], rows[skip:], pos)
         x = np.concatenate(reused + [out]) if reused else out
         if l == 0:
             for key, start, end in chain[len(reused):]:
-                inputs = x[start - first:end - first].astype(DTYPE)
+                inputs = x[start:end].astype(DTYPE)
                 inputs.flags.writeable = False
                 store.put(key, inputs, inputs.nbytes)
             skip, reused = 0, []
@@ -474,8 +429,7 @@ def fused_prefill(
     )
     trace = FusionTrace(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
-        selected=[int(i) for i in rset.indices], clamped=rset.clamped, prefix_rows=first,
-        reused_rows=attend - first,
+        selected=[int(i) for i in rset.indices], clamped=rset.clamped, reused_rows=attend,
         chunk_bytes=chunk_bytes, chunk_hits=chunk_hits,
         chunk_bytes_read=chunk_bytes_read, durations=durations,
         flops={

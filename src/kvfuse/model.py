@@ -544,16 +544,23 @@ class PrefillResult:
     queries: list[np.ndarray] | None = None  # per layer (H, n, hd) float32, rotated
 
 
-def _check_tokens(config: ModelConfig, token_ids: np.ndarray) -> np.ndarray:
-    ids = np.asarray(token_ids, dtype=np.int64)
+def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
+    # A sequence stays Python objects until checked: NumPy would truncate
+    # 1.7 to 1, turn [-1, 2**63] into floats and raise OverflowError on an
+    # id beyond 64 bits.
+    ids = token_ids if isinstance(token_ids, np.ndarray) else np.array(token_ids, dtype=object)
     if ids.ndim != 1 or ids.shape[0] < 1:
         raise InputError("token_ids must be a non-empty 1-D sequence")
+    integers = ids.dtype.kind in "iu" or (
+        ids.dtype == object and all(_is_int(i) or isinstance(i, np.integer) for i in ids))
+    if not integers:
+        raise InputError("token ids must be integers, not booleans, floats or strings")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise InputError(
             f"token id out of vocabulary [0, {config.vocab_size}): "
             f"min={ids.min()}, max={ids.max()}"
         )
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def prefill_forward(

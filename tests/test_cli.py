@@ -36,6 +36,17 @@ def setup_store(tmp_path):
     return manifest
 
 
+@pytest.mark.parametrize("token", ["99999999999999999999999", "-99999999999999999999999"])
+def test_precompute_refuses_an_id_beyond_64_bits(tmp_path, capsys, token):
+    (tmp_path / "model.json").write_text(json.dumps(MODEL))
+    (tmp_path / "context.txt").write_text(" ".join(["7"] * 40 + [token] + ["7"] * 40))
+    argv = precompute_argv(tmp_path, tmp_path / "manifest.json") + ["--format", "ids"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: token id out of vocabulary") and "Traceback" not in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_tokenizer_round_trip():
     cfg = ModelConfig(**MODEL)
     ids = encode_bytes(b"hi", cfg, bos=True, eos=True)
@@ -166,7 +177,8 @@ def test_generate_trace_and_eviction(tmp_path, capsys):
     assert trace["eviction"]["kept_per_layer_head"] == 60 < trace["n"]
     assert "kernel" not in trace["eviction"]
     assert trace["p"] == len(trace["selected"])
-    assert trace["prefix_rows"] == 0  # a 24-token system holds no whole tile
+    assert "prefix_rows" not in trace
+    assert trace["reused_rows"] == 0  # the first prefill of the CLI's store
     # The question is answered from every stored chunk, each read once.
     assert trace["chunk_bytes"] == sum(f.stat().st_size for f in (tmp_path / "store").iterdir())
     capsys.readouterr()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kvfuse import chunkstore as CS
 from kvfuse import model as M
 from kvfuse.errors import ConfigError, ContractViolation, InputError, ShapeError
 
@@ -246,6 +247,29 @@ def test_full_prefill_shapes_and_vocab_check():
         M.prefill_forward(model, [cfg.vocab_size])
     with pytest.raises(InputError):
         M.prefill_forward(model, [])
+
+
+@pytest.mark.parametrize("ids", [
+    [1.7, 2.9], [1.0], np.array([1.0, 2.0]), ["3"], np.array(["3"]), [True], [3, False],
+    np.array([True, False]), [1, None],
+], ids=repr)
+def test_token_ids_that_are_not_integers_are_refused(ids):
+    model = M.build_model(small_config())
+    with pytest.raises(InputError, match="must be integers"):
+        M.prefill_forward(model, ids)
+    with pytest.raises(InputError, match="must be integers"):
+        CS.precompute_chunk(ids, model)
+
+
+def test_integer_token_ids_of_any_width_are_checked_against_the_vocabulary():
+    cfg = small_config()
+    for ids in ([1, np.int64(2), 3], (1, 2, 3), np.array([1, 2, 3], np.uint32)):
+        got = M._check_tokens(cfg, ids)
+        assert got.dtype == np.int64 and got.tolist() == [1, 2, 3]
+    # Beyond int64 and uint64, and a mix that NumPy would turn into floats.
+    for ids in ([10**23], [-(10**23)], [1, 10**23], [-1, 2**63], np.array([2**63], np.uint64)):
+        with pytest.raises(InputError, match="out of vocabulary"):
+            M._check_tokens(cfg, ids)
 
 
 def test_prefill_causality():

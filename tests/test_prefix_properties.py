@@ -83,4 +83,4 @@ def test_a_warm_store_gives_the_bits_of_a_cold_one(case):
             assert warm.resident_bytes <= budget
             expect = FU.fused_prefill(MODEL, segments, plan, CS.ChunkStore(directory))
             assert same_prefill(got, expect)
-            assert expect[2].prefix_rows == expect[2].reused_rows == 0
+            assert expect[2].reused_rows == 0
