@@ -3,14 +3,17 @@
 Pre-norm RMS blocks with rotary position embeddings and a plain two-matrix
 SiLU feed-forward. Built for reproducibility rather than speed: weights come
 from a counter-based generator keyed per tensor as float32, hidden states
-between layers and the chunk, fused and decode caches are float32, and
-arithmetic inside a layer runs in float64 so the same tokens give the same
-numbers regardless of how the sequence was sliced. `build_model` upcasts
-each drawn tensor to float64 at once, so a `Model` holds exact float64
-copies of the float32 values and no layer call converts them again. Decode
-attention alone multiplies in float32: a decode step reads the whole cache,
-so `DecodeCache` keeps its rows as stored, in float32, and `attend` runs its
-products and softmax in float32, then divides in float64.
+between layers and the chunk, fused and decode caches are float32, and the
+projections, norms and feed-forward inside a layer run in float64, so the
+same tokens give the same numbers regardless of how the sequence was
+sliced. `build_model` upcasts each drawn tensor to float64 at once, so a
+`Model` holds exact float64 copies of the float32 values and no layer call
+converts them again. Attention, prefill and decode alike, multiplies the
+float32 cache as stored: `attention` and `DecodeCache.attend` round the
+scaled queries to float32 once, run both products and the softmax core in
+float32 and divide by the sums in float64. So a fused cache and a full
+prefill attend over the same float32 rows. Only `attention_weights`, the
+question-relevance scorer, runs in float64.
 
 The block is written once, split at the attention: `block_qkv` projects a
 set of rows, the caller decides which keys they attend to, and `block_out`
@@ -50,8 +53,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, InputError, ShapeError
 
 # float32 values at every boundary (drawn weights, hidden states, caches,
-# logits), float64 inside a layer, except decode attention's two products,
-# which read the float32 decode cache as stored.
+# logits) and in attention's products and softmax, which read the cache as
+# stored; float64 in the rest of a layer.
 DTYPE = np.float32
 _F64 = np.float64
 
@@ -300,13 +303,14 @@ def _rotate_row(v: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 # Attention
 
 
-# Query rows per attention tile, and the bytes of float64 scores one pass
+# Query rows per attention tile, and the bytes of float32 scores one pass
 # over a tile may hold. `attention` runs the tiles over groups of heads,
 # the most heads whose tile score blocks fit `_GROUP_BYTES`, at least one,
 # so a pass's scores, keys and values stay in a 2 MB L2 cache through
 # every pass of the softmax. At the rag_shared shape (4 heads, 1464 keys)
-# one head's 32-row block is 366 KiB, so each head runs alone; at 512 keys
-# or fewer all 4 heads run in one pass.
+# one head's 32-row block is 183 KiB, so two heads share a pass, which
+# beat one head a pass there; at 1024 keys or fewer all 4 heads run in
+# one pass.
 _TILE_ROWS = 32
 _GROUP_BYTES = 2**19
 
@@ -334,16 +338,19 @@ def attention(
     The tiles then run over groups of heads: the most heads whose tile
     score blocks together fit `_GROUP_BYTES`, at least one, so a tile's
     scores stay in cache. Each group lays out its operands once: the keys
-    copied into one contiguous float64 (heads, head_dim, keys) array, and
-    the values into a float64 (heads, keys, head_dim + 1) array whose last
-    column is ones. The copies upcast float32 keys and values, so callers
-    pass them as stored. Every head makes the same products, with the
-    same shapes and strides, whatever its group, so the grouping never
-    changes a bit. After the shared max shift and exponential, one product
-    with the extended values gives both the unnormalised outputs and, from
-    the ones column, the row sums, so a tile divides once over (rows,
-    head_dim) and never sums or scales its score block. The queries are
-    scaled by 1/sqrt(head_dim) once. Returns float64.
+    copied into one contiguous float32 (heads, head_dim, keys) array, and
+    the values into a float32 (heads, keys, head_dim + 1) array whose last
+    column is ones. Callers pass float32 keys and values as stored; float64
+    ones give the bits of their float32 roundings. Every head makes the
+    same products, with the same shapes and strides, whatever its group,
+    so the grouping never changes a bit. The queries are scaled by
+    1/sqrt(head_dim) and rounded to float32 once. The score product, the
+    shared max shift and exponential and the product with the extended
+    values run in float32; that product gives both the unnormalised
+    outputs and, from the ones column, the row sums, so a tile divides
+    once over (rows, head_dim), in float64, and never sums or scales its
+    score block. This is `DecodeCache.attend`'s precision rule. Returns
+    float64.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys)
@@ -375,14 +382,14 @@ def attention(
               kpos[None, band:cut] > qpos[start:start + _TILE_ROWS, None])
              for start, cut, band in zip(starts.tolist(), cuts.tolist(), bands.tolist())]
     h, n, hd = k.shape
-    group = max(1, _GROUP_BYTES // (_TILE_ROWS * n * 8))
-    q = q * (1.0 / np.sqrt(hd))
+    group = max(1, _GROUP_BYTES // (_TILE_ROWS * n * np.dtype(DTYPE).itemsize))
+    q = (q * (1.0 / np.sqrt(hd))).astype(DTYPE)
     for first in range(0, h, group):
         heads = slice(first, first + group)
         # Contiguous (heads, hd, n) keys: a tile's product then reads a
         # row-major slice, which BLAS runs faster than a transposed view.
-        k_t = np.ascontiguousarray(k[heads].transpose(0, 2, 1), dtype=_F64)
-        v_ext = np.empty((k_t.shape[0], n, hd + 1), dtype=_F64)
+        k_t = np.ascontiguousarray(k[heads].transpose(0, 2, 1), dtype=DTYPE)
+        v_ext = np.empty((k_t.shape[0], n, hd + 1), dtype=DTYPE)
         v_ext[:, :, :hd] = v[heads]
         v_ext[:, :, hd] = 1.0
         for tile, cut, band, hidden in tiles:
@@ -390,7 +397,7 @@ def attention(
             if band < cut:
                 np.copyto(scores[..., band:], -np.inf, where=hidden)
             ext = _softmax_exp(scores) @ v_ext[:, :cut]
-            np.divide(ext[:, :, :hd], ext[:, :, hd:], out=out[heads, tile])
+            np.divide(ext[:, :, :hd], ext[:, :, hd:], out=out[heads, tile], dtype=_F64)
     return out
 
 
@@ -400,10 +407,11 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     sees key 0 and the mask is a strict upper triangle over the last
     `rows` keys.
 
-    The masked softmax behind `attention`; `fusion.question_attention`
-    reads the weights themselves. It scales the scores and sums their
-    exponentials itself, so the weights are bit for bit those of one
-    `np.where` mask over the whole scaled score matrix.
+    The masked softmax of `attention`, kept in float64 since the weights
+    decide the selection; `fusion.question_attention` reads them. It
+    scales the scores and sums their exponentials itself, so the weights
+    are bit for bit those of one `np.where` mask over the whole scaled
+    score matrix.
     """
     q = np.asarray(queries, dtype=_F64)
     k = np.asarray(keys, dtype=_F64)
@@ -588,14 +596,13 @@ def prefill_forward(
     queries: list[np.ndarray] = []
     for l in range(cfg.n_layers):
         q_rot, k_rot, k_raw, v = block_qkv(model, l, x64, rope)
-        caches.append(
-            LayerKV(keys=k_rot.astype(DTYPE), values=v.astype(DTYPE), rope_applied=True)
-        )
+        layer = LayerKV(keys=k_rot.astype(DTYPE), values=v.astype(DTYPE), rope_applied=True)
+        caches.append(layer)
         if record_raw_keys:
             raw_keys.append(k_raw.astype(DTYPE))
         if record_queries:
             queries.append(q_rot.astype(DTYPE))
-        x64 = _attend_out(model, l, x64, q_rot, k_rot, v, pos, pos)
+        x64 = _attend_out(model, l, x64, q_rot, layer.keys, layer.values, pos, pos)
     return PrefillResult(caches=caches, logits=final_logits(model, x64[-1:])[0],
                          raw_keys=raw_keys if record_raw_keys else None,
                          queries=queries if record_queries else None)

@@ -11,22 +11,13 @@ from kvfuse.errors import ContractViolation
 from kvfuse import model as M
 from kvfuse.model import _TILE_ROWS, attention, attention_weights
 
+from attention_reference import float32_error_bound, where_attention, where_weights
+
 SETTINGS = settings(max_examples=30, deadline=None)
 
 heads = st.integers(1, 4)
 head_dims = st.sampled_from([2, 4, 8, 16])
 seeds = st.integers(0, 2**32 - 1)
-
-
-def where_weights(q, k, q_pos, k_pos):
-    """The masked softmax written as one np.where over the whole matrix."""
-    scores = np.matmul(q, k.transpose(0, 2, 1)) * (1.0 / np.sqrt(q.shape[2]))
-    hidden = k_pos[None, :] > q_pos[:, None]
-    scores = np.where(hidden[None, :, :], -np.inf, scores)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
 
 
 def arrays(seed, n_heads, n_q, n_k, head_dim):
@@ -45,9 +36,12 @@ def ascending_positions(draw, min_size=1):
 
 
 def check_against_untiled(q, k, v, q_pos, k_pos):
+    # Within float32 round-off of the float64 untiled formulation, per head
+    # and row.
     out = attention(q, k, v, q_pos, k_pos)
-    expect = where_weights(q, k, q_pos, k_pos) @ v
-    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12)
+    error = np.abs(out - where_attention(q, k, v, q_pos, k_pos)).max(axis=-1)
+    assert out.dtype == np.float64
+    assert np.all(error <= float32_error_bound(q, k, v, q_pos, k_pos))
 
 
 @SETTINGS
@@ -105,13 +99,14 @@ def test_unordered_keys_match_untiled(n_heads, head_dim, k_pos, seed, sort_queri
 @given(st.integers(1, 6), head_dims, carried_rows(), seeds, st.booleans())
 @example(n_heads=4, head_dim=16, case=RAG_SHARED_CARRIED, seed=0, stored=True)
 def test_output_bits_do_not_depend_on_the_head_group(n_heads, head_dim, case, seed, stored):
-    # The byte cap forced to 1 head, 2 heads and every head per pass; the
-    # keys and values float64 or float32, as stored.
+    # The byte cap forced to 1 head, 2 heads and every head per pass, at
+    # the size of one head's tile of float32 scores; the keys and values
+    # float64 or float32, as stored.
     k_pos, rows = case
     q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
     if stored:
         k, v = k.astype(np.float32), v.astype(np.float32)
-    head_block = _TILE_ROWS * k_pos.size * 8
+    head_block = _TILE_ROWS * k_pos.size * np.dtype(M.DTYPE).itemsize
     outs = []
     for group in (1, 2, n_heads):
         with mock.patch.object(M, "_GROUP_BYTES", group * head_block):
@@ -122,14 +117,15 @@ def test_output_bits_do_not_depend_on_the_head_group(n_heads, head_dim, case, se
 @SETTINGS
 @given(heads, head_dims, carried_rows(), seeds)
 @example(n_heads=4, head_dim=16, case=RAG_SHARED_CARRIED, seed=0)
-def test_float32_keys_and_values_give_the_bits_of_their_upcasts(n_heads, head_dim, case, seed):
-    # `fused_prefill` passes its float32 layers as stored; the copies that
-    # `attention` makes upcast them exactly.
+def test_float64_keys_and_values_give_the_bits_of_their_float32_roundings(n_heads, head_dim,
+                                                                        case, seed):
+    # `attention` multiplies float32 keys and values, so float64 ones give
+    # the bits of their roundings: `prefill_forward` passes the float32
+    # layers it stores, where it could pass the float64 rows they round.
     k_pos, rows = case
     q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
-    k32, v32 = k.astype(np.float32), v.astype(np.float32)
-    got = attention(q, k32, v32, k_pos[rows], k_pos)
-    expect = attention(q, k32.astype(np.float64), v32.astype(np.float64), k_pos[rows], k_pos)
+    got = attention(q, k, v, k_pos[rows], k_pos)
+    expect = attention(q, k.astype(np.float32), v.astype(np.float32), k_pos[rows], k_pos)
     assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
 
 

@@ -150,6 +150,27 @@ def test_attention_loss_zero_against_self(tmp_path):
         assert attention_l2_loss(sandwich, oracle, layer) == 0.0
 
 
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "full"])
+def test_layers_0_and_1_match_vanilla_exactly_cold_and_warm(tmp_path, strategy):
+    # Every selective strategy carries every row through layers 0-1, and
+    # prefill attention multiplies the float32 rows it is given, so the
+    # fused layers 0-1 are vanilla's bit for bit, at the acceptance shape,
+    # whether layer 0's prefix entries are computed (cold store) or reused
+    # (warm store).
+    cfg = ModelConfig(n_layers=8, n_heads=4, head_dim=16, d_ff=256, vocab_size=512, seed=101)
+    model = build_model(cfg)
+    recipe = InputRecipe(n_doc_chunks=2, chunk_len=480, system_len=480, question_len=24,
+                         data_seed=0)
+    segments = build_instance(recipe, cfg)
+    store = ChunkStore(tmp_path)
+    populate_store(model, segments, store)
+    oracle = prefill_forward(model, segments.all_ids(), record_queries=True)
+    for reused in (0, 960):
+        run = run_strategy(model, segments, strategy, store, gen_len=1)
+        assert run.trace.reused_rows == reused
+        assert [attention_l2_loss(run.patched, oracle, l) for l in (0, 1)] == [0.0, 0.0]
+
+
 def test_attention_loss_requires_queries(tmp_path):
     cfg, model, segments = setup_instance(tmp_path)
     oracle = prefill_forward(model, segments.all_ids())

@@ -7,9 +7,9 @@ steps, so that runs cross several growth boundaries, the cache must hand
 back exactly the float32 rows it was given and appended, in order. Its
 `attend` must give, bit for bit, what a cache built in one piece from the
 same rows gives, so growth never shows in a result; and it must stay
-within a derived float32 round-off bound of the float64 `model.attention`
-over those rows, the prefill kernel. A step's layer order is a checked
-contract.
+within the derived float32 round-off bound of `attention_reference` of the
+float64 untiled attention over those rows. A step's layer order is a
+checked contract.
 """
 
 import numpy as np
@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from kvfuse import eviction as EV
 from kvfuse import model as M
 from kvfuse.errors import ContractViolation
+
+from attention_reference import float32_error_bound, where_attention
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -44,12 +46,15 @@ def make_cache(kind: str, rng, n: int):
     return EV.CompactedCache(keys, values, index_map, original), keys, values
 
 
-def prefill_attention(q, k, v, position):
-    """`model.attention` of the query at `position` over the rows k, v. Every
-    stored row precedes the query, and the newest one is at `position`."""
-    k_pos = position - np.arange(k.shape[1])[::-1]
-    out = M.attention(q[:, None, :], k, v, np.array([position]), k_pos)
-    return out[:, 0]
+def reference_attention(q, k, v, position):
+    """The float64 untiled attention of the query at `position` over the
+    rows k, v, and the float32 round-off bound on `attend`'s distance from
+    it, per head. Every stored row precedes the query, and the newest one is
+    at `position`."""
+    q_pos, k_pos = np.array([position]), position - np.arange(k.shape[1])[::-1]
+    q = q[:, None, :]
+    return (where_attention(q, k, v, q_pos, k_pos)[:, 0],
+            float32_error_bound(q, k, v, q_pos, k_pos)[:, 0])
 
 
 def one_piece_attend(q, k, v):
@@ -57,38 +62,6 @@ def one_piece_attend(q, k, v):
     at its newest row."""
     cache = M.DecodeCache([k], [v])
     return cache.attend(0, q, cache.max_position)
-
-
-def attend_error_bound(q, k, v):
-    """Per head, a bound on |attend - prefill_attention| for the rows k, v.
-
-    To first order in u = eps32 / 2, with V = max|v| and n rows:
-    `attend` rounds the scaled query q' = q / sqrt(hd) to float32 and forms
-    each score in float32 over hd products, so a score is off by at most
-    (hd + 1) u S, with S = max_i sum_d |q'_d k_id|. The max shift rounds
-    t_i = s_i - max by at most u |t_i|, and float32 `exp` is within
-    3 eps32 relative (NumPy's read at most 1.8 eps32 over 2e7 arguments in
-    [-90, 0]). These perturb each weight w_i by a relative rho_i, and the
-    output sum_i w_i v_i by at most sum_i w_i |rho_i| |v_i - out|, which
-    is at most 2 V sum_i w_i |rho_i|. There sum_i w_i |t_i| <= ln n: it
-    equals the entropy of w, at most ln n, less ln sum_i exp(t_i), which
-    is >= 0 as the largest t_i is 0. The sum of the exponentials and the
-    product with the values are each a float32 sum of n terms, off in any
-    order by at most (n - 1) u times the sum of the magnitudes, itself at
-    most V times the sum of the exponentials. The float64 divide and the
-    float64 reference add only multiples of 2**-53. In units of eps32 V:
-
-        (hd + 1) S + 6 + ln n + (n - 1).
-
-    The n - 1 term bounds every summation order and dominates at large n.
-    Over 12,864 `attend` calls of 60 draws of this test the largest error
-    was 1.5 units.
-    """
-    hd, n = q.shape[-1], k.shape[1]
-    scaled = np.abs(q / np.sqrt(hd))[:, None, :]
-    s = (scaled * np.abs(k)).sum(axis=-1).max(axis=-1)
-    units = (hd + 1) * s + 6 + np.log(n) + (n - 1)
-    return np.finfo(M.DTYPE).eps * np.abs(v).max(axis=(1, 2)) * units
 
 
 @SETTINGS
@@ -124,8 +97,8 @@ def test_cache_returns_its_rows_across_growth(kind, n, steps, seed):
             out = cache.attend(l, q, position)
             assert out.dtype == np.float64
             assert out.tobytes() == one_piece_attend(q, keys[l], values[l]).tobytes()
-            error = np.abs(out - prefill_attention(q, keys[l], values[l], position)).max(axis=1)
-            assert np.all(error <= attend_error_bound(q, keys[l], values[l]))
+            expect, bound = reference_attention(q, keys[l], values[l], position)
+            assert np.all(np.abs(out - expect).max(axis=1) <= bound)
         assert cache.length == n + step + 1
         assert cache.max_position == position
         check_rows()

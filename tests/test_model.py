@@ -7,6 +7,8 @@ from kvfuse import chunkstore as CS
 from kvfuse import model as M
 from kvfuse.errors import ConfigError, ContractViolation, InputError, ShapeError
 
+from attention_reference import float32_error_bound
+
 # Pinned by running the init generator once; guards the weight scheme
 # against accidental reordering of tensor streams.
 GOLDEN_EMBED_00 = 0.18603672087192535
@@ -208,7 +210,8 @@ def test_attention_matches_loop_reference():
     pos = np.arange(n)
     out = M.attention(q, k, v, pos, pos)
     ref = ref_attention(q, k, v, pos, pos, 1.0 / np.sqrt(hd))
-    np.testing.assert_allclose(out, ref, atol=1e-10)
+    # Within float32 round-off of the float64 loop, per head and row.
+    assert np.all(np.abs(out - ref).max(axis=-1) <= float32_error_bound(q, k, v, pos, pos))
 
 
 def test_attention_rows_sum_to_one_via_constant_values():
