@@ -526,11 +526,6 @@ class SegmentMap:
     def protected_offsets(self) -> np.ndarray:
         return np.sort(np.concatenate([self.offsets("system"), self.offsets("question")]))
 
-    def with_question_length(self, q_len: int) -> "SegmentMap":
-        head = self.spans[:-1]
-        q = self.spans[-1]
-        return SegmentMap(head + [Span("question", q.start, q_len)])
-
 
 @dataclass
 class FusedCache:
@@ -539,19 +534,20 @@ class FusedCache:
     segments: SegmentMap
     rope_recovered: bool
     local_rotation: bool
-    token_ids: np.ndarray  # (n,) uint32, system + documents
+    token_ids: np.ndarray  # (n - question rows,) uint32, system + documents
 
     @property
     def n(self) -> int:
         return int(self.keys.shape[2])
 
 
-def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
-    """Concatenate system + document chunks along the token axis.
+def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:
+    """Lay system + document chunks, then `q_len` question rows, into one
+    (L, H, n, hd) buffer whose row i is position i.
 
     The first chunk is the system span; the rest are documents in order.
-    Question tokens are never cached: the question span enters as a
-    zero-length placeholder until fused prefill appends fresh rows.
+    Question tokens are never cached: the question span holds `q_len`
+    zeroed rows, into which fused prefill writes the fresh ones.
     """
     if not chunks:
         raise InputError("need at least one chunk (the system span)")
@@ -566,8 +562,10 @@ def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
     n_layers = len(chunks[0].layers)
     n_heads, _, head_dim = chunks[0].layers[0].keys.shape
     n = sum(c.length for c in chunks)
-    keys = np.empty((n_layers, n_heads, n, head_dim), dtype=DTYPE)
+    keys = np.empty((n_layers, n_heads, n + q_len, head_dim), dtype=DTYPE)
     values = np.empty_like(keys)
+    keys[:, :, n:] = 0
+    values[:, :, n:] = 0
     spans, offset = [], 0
     for c in chunks:
         if len(c.layers) != n_layers:
@@ -578,7 +576,7 @@ def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
             values[l, :, span] = layer.values
         spans.append(Span("document" if spans else "system", offset, c.length))
         offset += c.length
-    spans.append(Span("question", offset, 0))
+    spans.append(Span("question", offset, q_len))
     token_ids = np.concatenate([c.token_ids for c in chunks]).astype(np.uint32)
     return FusedCache(
         keys=keys,
@@ -591,7 +589,8 @@ def concat_chunks(chunks: list[ChunkKV]) -> FusedCache:
 
 
 def recover_positions(fused: FusedCache, config: ModelConfig) -> FusedCache:
-    """Rotate every key row at its global offset; values untouched.
+    """Rotate every chunk key row at its global offset in place; values
+    and the question rows untouched.
 
     Only valid once, and only on caches built from unrotated chunks:
     rotations compose additively, so a second application would encode
@@ -606,9 +605,10 @@ def recover_positions(fused: FusedCache, config: ModelConfig) -> FusedCache:
     # One table for every layer, and one layer rotated at a time, written
     # back rounded to float32: the bits of `rope_rotate` over the whole
     # cache, without its float64 copy of every layer at once.
-    rope = _rope_table(np.arange(fused.n, dtype=np.int64), config)
+    n_ctx = fused.segments.question_span.start
+    rope = _rope_table(np.arange(n_ctx, dtype=np.int64), config)
     for layer in fused.keys:
-        layer[...] = _rotate(np.asarray(layer, dtype=_F64), *rope)
+        layer[:, :n_ctx] = _rotate(np.asarray(layer[:, :n_ctx], dtype=_F64), *rope)
     fused.rope_recovered = True
     return fused
 

@@ -35,7 +35,8 @@ class IntegrityError(KVFuseError):
 
 
 class FingerprintError(KVFuseError):
-    """Chunks built against different model configurations were mixed."""
+    """Chunks built against different model configurations were mixed, or
+    a chunk's shape does not fit the model it is used with."""
 
 
 class AssertionFailure(KVFuseError):

@@ -1,15 +1,17 @@
 """Selective recomputation over a fused chunk cache, plus the reuse baselines.
 
-Every strategy runs one loop over the model's block from layer 0. At each
-layer the carried rows write fresh keys and values into the stored layer,
+Every strategy runs one loop over the model's block from layer 0, over
+one (L, H, n, hd) float32 buffer whose row i is position i: the one
+`concat_chunks` lays out, the chunks followed by zeroed question rows.
+At each layer the carried rows write fresh keys and values into it,
 whose other rows keep the stored chunk entries bitwise, and attend over
-that float32 layer, so decode continues from the cache the prefill
-attended to. Then one `PatchedCache`, one final-logits call and one
-`FusionTrace`. Only the row schedule differs. The selective strategies
-recover global positions and carry every row until layer 1's projections,
-which the selection criteria read; then the selected rows (Re) plus the
-question. `full` rotates each chunk locally and carries the question
-alone. At the last layer only the tile that holds the last row attends,
+that layer, so decode continues from the cache the prefill attended to.
+Then one `PatchedCache`, which holds that buffer, one final-logits call
+and one `FusionTrace`. Only the row schedule differs. The selective
+strategies recover global positions and carry every row until layer 1's
+projections, which the selection criteria read; then the selected rows
+(Re) plus the question. `full` rotates each chunk locally and carries the
+question alone. At the last layer only the tile that holds the last row attends,
 and only that row is finished (`model._attend_out`). The trace charges
 `flops.prefill_flops` for the rows that ran (every row at layers 0-1
 when selecting), so a clamped budget pays for them; `flops.fused_flops`
@@ -25,7 +27,7 @@ that directory (a write to a path keeps nothing until a load has made
 that directory's store the process's). Each chunk comes through
 `chunkstore.load_chunk`, resident or read, and the store's read counters
 give the trace's hits and bytes read. The loop only reads the resident
-arrays: concat copies them, and `full` rotates copies.
+arrays: concat copies them into the buffer, and `full` rotates copies.
 
 Every cached context prefix skips layer 0's attention and block. A row
 attends only to the rows before it, so its layer-1 input depends only on
@@ -47,7 +49,8 @@ key range, which may sum in another order, so reusing it could change
 bits. `full` never uses the entries. At the rag_shared shape an entry is
 0.12 MB (480 rows), against a chunk's 1.97 MB; both count against the
 store's budget. The selective strategies recover positions from layer 2
-on: the loop overwrites every stored key of layers 0-1.
+on: the loop overwrites every stored key and value of layers 0-1, so
+`kv_diff` copies the stored layer-1 document values before the loop.
 
 Question relevance (`question_attention`) and the top-p rule (`_top_p`)
 are written once, here; eviction and the harness call them too.
@@ -78,7 +81,7 @@ from .chunkstore import (
     recover_positions,
     rotate_chunk_local,
 )
-from .errors import ConfigError, ContractViolation, InputError, ShapeError
+from .errors import ConfigError, ContractViolation, FingerprintError, InputError, ShapeError
 from .model import (
     _TILE_ROWS,
     DTYPE,
@@ -329,6 +332,11 @@ def fused_prefill(
     reads, bytes_read = store.reads, store.bytes_read
     chunks = [load_chunk(chunk_id(part, fp), store) for part in parts]
     chunk_hits = len(chunks) - (store.reads - reads)
+    want = (cfg.n_layers, cfg.n_heads, cfg.head_dim)  # a digest and id vouch for no shape
+    for chunk in chunks:
+        if (len(chunk.layers),) + chunk.layers[0].keys.shape[::2] != want:
+            raise FingerprintError(f"chunk {chunk.chunk_id.hex()} does not have the model's "
+                                   f"(layers, heads, head_dim) {want}")
     chunk_bytes = sum(chunk.file_bytes for chunk in chunks)
     chunk_bytes_read = store.bytes_read - bytes_read
     if full:
@@ -336,14 +344,12 @@ def fused_prefill(
     durations["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fused = concat_chunks(chunks)
+    fused = concat_chunks(chunks, q_ids.size)
     durations["concat"] = time.perf_counter() - t0
 
-    n_ctx, q_len = fused.n, int(q_ids.size)
-    n = n_ctx + q_len
-    segmap = fused.segments.with_question_length(q_len)
-    keys = np.empty((cfg.n_layers, cfg.n_heads, n, cfg.head_dim), dtype=DTYPE)
-    values = np.empty_like(keys)
+    keys, values, segmap = fused.keys, fused.values, fused.segments
+    n, q_len = fused.n, int(q_ids.size)
+    n_ctx = n - q_len
     question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
     question_rows = np.arange(n_ctx, n, dtype=np.int64)
     pos = np.arange(n, dtype=np.int64)
@@ -362,8 +368,11 @@ def fused_prefill(
     else:
         t0 = time.perf_counter()
         # Layers 0-1 of every stored key are overwritten.
-        recover_positions(replace(fused, keys=fused.keys[2:]), cfg)
+        recover_positions(replace(fused, keys=keys[2:]), cfg)
         durations["recover"] = time.perf_counter() - t0
+        if plan.strategy == "kv_diff":
+            # Layer 1's write below overwrites the stored values.
+            stored = np.asarray(values[1][:, segmap.document_offsets()], dtype=_F64)
         ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
         chain = _prefix_chain(fp, ids, [chunk.length for chunk in chunks])
         for key, _, end in chain:
@@ -382,9 +391,6 @@ def fused_prefill(
     x, rope = model.weights.embedding[ids], (cos[rows], sin[rows])
     for l in range(cfg.n_layers):
         q, k, _, v = block_qkv(model, l, x, rope)
-        if rows.size < n:  # else every stored entry is overwritten below
-            keys[l, :, :n_ctx] = fused.keys[l]
-            values[l, :, :n_ctx] = fused.values[l]
         keys[l][:, rows] = k.astype(DTYPE)
         values[l][:, rows] = v.astype(DTYPE)
         question_queries[l] = q[:, -q_len:].astype(DTYPE)
@@ -400,9 +406,7 @@ def fused_prefill(
             elif plan.strategy == "kv_diff":
                 # Euclidean deviation of the stored layer-1 values from the
                 # true ones, heads concatenated.
-                doc = segmap.document_offsets()
-                diff = (np.asarray(fused.values[1][:, doc], dtype=_F64)
-                        - np.asarray(values[1][:, doc], dtype=_F64))
+                diff = stored - np.asarray(values[1][:, segmap.document_offsets()], dtype=_F64)
                 deviation = np.sqrt(np.sum(np.square(diff), axis=(0, 2)))
                 rset = select_recompute(deviation, plan.r, n, segmap)
             elif plan.strategy == "head_tail":
@@ -413,7 +417,7 @@ def fused_prefill(
             q, x, rope = q[:, rows], x[rows], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-        out = _attend_out(model, l, x[skip:], q[:, skip:], keys[l], values[l], rows[skip:], pos)
+        out = _attend_out(model, l, x[skip:], q[:, skip:], keys[l], values[l], rows[skip:])
         x = np.concatenate(reused + [out]) if reused else out
         if l == 0:
             for key, start, end in chain[len(reused):]:

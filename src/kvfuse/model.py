@@ -320,20 +320,18 @@ def attention(
     keys: np.ndarray,
     values: np.ndarray,
     q_positions: np.ndarray,
-    k_positions: np.ndarray,
 ) -> np.ndarray:
-    """Causal scaled dot-product attention.
+    """Causal scaled dot-product attention over keys at positions 0..n-1.
 
-    Shapes (n_heads, rows, head_dim); the causal mask admits key position
-    <= query position. Query rows are processed in tiles of 32, so the
-    score matrix never materializes at full n x n. A tile scores only the
-    keys up to the last one some row of it can see, since every later key
-    is hidden from all its rows (the block skipping of FlashAttention),
-    and masks only the band from the first key hidden from some row of
-    it. The call plans every tile's key cut and band mask at once, with
-    two `searchsorted` calls over the suffix minimum and the prefix
-    maximum of the key positions, which holds for keys in any order, and
-    checks once that every row sees a key.
+    Shapes (n_heads, rows, head_dim); key row j sits at position j, and
+    the causal mask admits j <= query position. Query rows are processed
+    in tiles of 32, so the score matrix never materializes at full n x n.
+    A tile scores only the keys up to the last one some row of it can
+    see, min(latest row + 1, n), since every later key is hidden from all
+    its rows (the block skipping of FlashAttention), and masks only the
+    band from the first key hidden from some row of it, min(earliest row
+    + 1, n). The call checks once that every row sees a key: that there
+    is one and no position is negative.
 
     The tiles then run over groups of heads: the most heads whose tile
     score blocks together fit `_GROUP_BYTES`, at least one, so a tile's
@@ -365,23 +363,16 @@ def attention(
     if q.shape[1] == 0:
         return out
     qpos = np.asarray(q_positions, dtype=np.int64)
-    kpos = np.asarray(k_positions, dtype=np.int64)
-    # Row r sees a key exactly when some key position is <= qpos[r].
-    if kpos.size == 0 or qpos.min() < kpos.min():
+    h, n, hd = k.shape
+    if n == 0 or qpos.min() < 0:
         raise ContractViolation("a query row has no visible key")
     starts = np.arange(0, q.shape[1], _TILE_ROWS)
-    # A tile's cut is one past the last key at or before its latest row,
-    # the count of suffix minima <= that row; its band starts at the first
-    # key after its earliest row, the count of prefix maxima <= that row.
-    cuts = np.searchsorted(np.minimum.accumulate(kpos[::-1])[::-1],
-                           np.maximum.reduceat(qpos, starts), "right")
-    bands = np.searchsorted(np.maximum.accumulate(kpos),
-                            np.minimum.reduceat(qpos, starts), "right")
+    cuts = np.minimum(np.maximum.reduceat(qpos, starts) + 1, n)
+    bands = np.minimum(np.minimum.reduceat(qpos, starts) + 1, n)
     # Each tile's rows, key cut, band start and the mask of its band.
     tiles = [(slice(start, start + _TILE_ROWS), cut, band,
-              kpos[None, band:cut] > qpos[start:start + _TILE_ROWS, None])
+              np.arange(band, cut)[None, :] > qpos[start:start + _TILE_ROWS, None])
              for start, cut, band in zip(starts.tolist(), cuts.tolist(), bands.tolist())]
-    h, n, hd = k.shape
     group = max(1, _GROUP_BYTES // (_TILE_ROWS * n * np.dtype(DTYPE).itemsize))
     q = (q * (1.0 / np.sqrt(hd))).astype(DTYPE)
     for first in range(0, h, group):
@@ -512,12 +503,12 @@ def block_out(model: Model, layer: int, x64: np.ndarray, attn: np.ndarray) -> np
 
 
 def _attend_out(model: Model, layer: int, x64: np.ndarray, q: np.ndarray, keys: np.ndarray,
-                values: np.ndarray, q_pos: np.ndarray, k_pos: np.ndarray) -> np.ndarray:
-    """`attention` of the rows' queries `q` over `keys`/`values`, then
-    `block_out`, for the layers before the last. At the last layer only the
-    last row's output is read (`final_logits` takes it), so only the tile
-    that holds it attends and only that row runs `block_out`; the result is
-    then that one row.
+                values: np.ndarray, q_pos: np.ndarray) -> np.ndarray:
+    """`attention` of the rows' queries `q` at `q_pos` over `keys`/`values`,
+    then `block_out`, for the layers before the last. At the last layer
+    only the last row's output is read (`final_logits` takes it), so only
+    the tile that holds it attends and only that row runs `block_out`; the
+    result is then that one row.
 
     The tile stays whole, so its attention products are the full call's,
     bit for bit. `block_out` over the last row alone takes NumPy's
@@ -528,9 +519,9 @@ def _attend_out(model: Model, layer: int, x64: np.ndarray, q: np.ndarray, keys: 
     that finishing every row would give its last row.
     """
     if layer < model.config.n_layers - 1:
-        return block_out(model, layer, x64, attention(q, keys, values, q_pos, k_pos))
+        return block_out(model, layer, x64, attention(q, keys, values, q_pos))
     tail = (q.shape[1] - 1) // _TILE_ROWS * _TILE_ROWS
-    attn = attention(q[:, tail:], keys, values, q_pos[tail:], k_pos)
+    attn = attention(q[:, tail:], keys, values, q_pos[tail:])
     return block_out(model, layer, x64[-1:], attn[:, -1:])
 
 
@@ -602,7 +593,7 @@ def prefill_forward(
             raw_keys.append(k_raw.astype(DTYPE))
         if record_queries:
             queries.append(q_rot.astype(DTYPE))
-        x64 = _attend_out(model, l, x64, q_rot, layer.keys, layer.values, pos, pos)
+        x64 = _attend_out(model, l, x64, q_rot, layer.keys, layer.values, pos)
     return PrefillResult(caches=caches, logits=final_logits(model, x64[-1:])[0],
                          raw_keys=raw_keys if record_raw_keys else None,
                          queries=queries if record_queries else None)

@@ -1,4 +1,9 @@
-"""Property checks of the query-tiled causal attention over random shapes."""
+"""Property checks of the query-tiled causal attention over random shapes.
+
+`attention` takes its keys at positions 0..n-1, so every check below lays
+them out so; the untiled reference in `attention_reference` still takes
+key positions.
+"""
 
 from unittest import mock
 
@@ -27,43 +32,39 @@ def arrays(seed, n_heads, n_q, n_k, head_dim):
             rng.normal(size=(n_heads, n_k, head_dim)))
 
 
-@st.composite
-def ascending_positions(draw, min_size=1):
-    """1 to 400 strictly ascending key positions with gaps of 1 to 3."""
-    n = draw(st.integers(min_size, 400), label="n")
-    gaps = np.random.default_rng(draw(seeds, label="gap seed")).integers(1, 4, size=n)
-    return draw(st.integers(0, 5), label="start") + np.cumsum(gaps)
+key_counts = st.integers(1, 400)
 
 
-def check_against_untiled(q, k, v, q_pos, k_pos):
+def check_against_untiled(q, k, v, q_pos):
     # Within float32 round-off of the float64 untiled formulation, per head
     # and row.
-    out = attention(q, k, v, q_pos, k_pos)
+    out = attention(q, k, v, q_pos)
+    k_pos = np.arange(k.shape[1])
     error = np.abs(out - where_attention(q, k, v, q_pos, k_pos)).max(axis=-1)
     assert out.dtype == np.float64
     assert np.all(error <= float32_error_bound(q, k, v, q_pos, k_pos))
 
 
 @SETTINGS
-@given(heads, head_dims, ascending_positions(), seeds)
-@example(n_heads=2, head_dim=4, k_pos=np.arange(3, 303), seed=0)  # three tiles
-def test_self_attention_matches_untiled(n_heads, head_dim, k_pos, seed):
-    q, k, v = arrays(seed, n_heads, k_pos.size, k_pos.size, head_dim)
-    check_against_untiled(q, k, v, k_pos, k_pos)
+@given(heads, head_dims, key_counts, seeds)
+@example(n_heads=2, head_dim=4, n=300, seed=0)  # ten tiles, the last one partly filled
+def test_self_attention_matches_untiled(n_heads, head_dim, n, seed):
+    q, k, v = arrays(seed, n_heads, n, n, head_dim)
+    check_against_untiled(q, k, v, np.arange(n))
 
 
 @st.composite
 def carried_rows(draw):
-    """Key positions and a sorted subset of row indices into them."""
-    k_pos = draw(ascending_positions())
-    n_q = draw(st.integers(1, k_pos.size), label="n_q")
+    """A key count n and a sorted subset of the rows 0..n-1."""
+    n = draw(key_counts, label="n")
+    n_q = draw(st.integers(1, n), label="n_q")
     rng = np.random.default_rng(draw(seeds, label="row seed"))
-    return k_pos, np.sort(rng.choice(k_pos.size, size=n_q, replace=False))
+    return n, np.sort(rng.choice(n, size=n_q, replace=False))
 
 
 # The carried rows of rag_shared (480 system rows, two 480-row documents,
 # 24 question rows; n=1464): 220 sorted document rows plus the question.
-RAG_SHARED_CARRIED = (np.arange(1464), np.concatenate([
+RAG_SHARED_CARRIED = (1464, np.concatenate([
     np.sort(np.random.default_rng(8).choice(np.arange(480, 1440), size=220, replace=False)),
     np.arange(1440, 1464),
 ]))
@@ -75,24 +76,23 @@ RAG_SHARED_CARRIED = (np.arange(1464), np.concatenate([
 def test_carried_rows_match_untiled(n_heads, head_dim, case, seed):
     # A sorted subset of rows attends over every key, as the carried rows
     # of the fused pipeline do.
-    k_pos, rows = case
-    q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
-    check_against_untiled(q, k, v, k_pos[rows], k_pos)
+    n, rows = case
+    q, k, v = arrays(seed, n_heads, rows.size, n, head_dim)
+    check_against_untiled(q, k, v, rows)
 
 
 @SETTINGS
-@given(heads, head_dims, ascending_positions(min_size=2), seeds, st.booleans(), st.data())
-def test_unordered_keys_match_untiled(n_heads, head_dim, k_pos, seed, sort_queries, data):
-    # Keys out of order; queries sit anywhere at or after the earliest key,
-    # sorted or not, so a tile may still stop short of the last key.
+@given(heads, head_dims, key_counts, seeds, st.booleans(), st.data())
+def test_unordered_queries_match_untiled(n_heads, head_dim, n, seed, sort_queries, data):
+    # Queries sit anywhere from the first key to one past the last, sorted
+    # or not, so a tile may still stop short of the last key.
     rng = np.random.default_rng(seed)
-    k_pos = rng.permutation(k_pos)
     n_q = data.draw(st.integers(1, 400), label="n_q")
-    q_pos = rng.integers(k_pos.min(), k_pos.max() + 2, size=n_q)
+    q_pos = rng.integers(0, n + 1, size=n_q)
     if sort_queries:
         q_pos = np.sort(q_pos)
-    q, k, v = arrays(seed, n_heads, n_q, k_pos.size, head_dim)
-    check_against_untiled(q, k, v, q_pos, k_pos)
+    q, k, v = arrays(seed, n_heads, n_q, n, head_dim)
+    check_against_untiled(q, k, v, q_pos)
 
 
 @SETTINGS
@@ -102,15 +102,15 @@ def test_output_bits_do_not_depend_on_the_head_group(n_heads, head_dim, case, se
     # The byte cap forced to 1 head, 2 heads and every head per pass, at
     # the size of one head's tile of float32 scores; the keys and values
     # float64 or float32, as stored.
-    k_pos, rows = case
-    q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
+    n, rows = case
+    q, k, v = arrays(seed, n_heads, rows.size, n, head_dim)
     if stored:
         k, v = k.astype(np.float32), v.astype(np.float32)
-    head_block = _TILE_ROWS * k_pos.size * np.dtype(M.DTYPE).itemsize
+    head_block = _TILE_ROWS * n * np.dtype(M.DTYPE).itemsize
     outs = []
     for group in (1, 2, n_heads):
         with mock.patch.object(M, "_GROUP_BYTES", group * head_block):
-            outs.append(attention(q, k, v, k_pos[rows], k_pos))
+            outs.append(attention(q, k, v, rows))
     assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
@@ -122,10 +122,10 @@ def test_float64_keys_and_values_give_the_bits_of_their_float32_roundings(n_head
     # `attention` multiplies float32 keys and values, so float64 ones give
     # the bits of their roundings: `prefill_forward` passes the float32
     # layers it stores, where it could pass the float64 rows they round.
-    k_pos, rows = case
-    q, k, v = arrays(seed, n_heads, rows.size, k_pos.size, head_dim)
-    got = attention(q, k, v, k_pos[rows], k_pos)
-    expect = attention(q, k.astype(np.float32), v.astype(np.float32), k_pos[rows], k_pos)
+    n, rows = case
+    q, k, v = arrays(seed, n_heads, rows.size, n, head_dim)
+    got = attention(q, k, v, rows)
+    expect = attention(q, k.astype(np.float32), v.astype(np.float32), rows)
     assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
 
 
@@ -151,36 +151,37 @@ def test_weights_bitwise_equal_to_where_formulation(n_heads, head_dim, case, see
 
 
 @SETTINGS
-@given(heads, head_dims, st.integers(_TILE_ROWS + 1, 400), seeds, st.booleans(), st.data())
-def test_row_without_visible_key_raises_in_a_later_tile(n_heads, head_dim, n, seed, shuffle,
-                                                       data):
-    k_pos = np.arange(1, n + 1)
-    if shuffle:
-        k_pos = np.random.default_rng(seed).permutation(k_pos)
-    q_pos = np.arange(1, n + 1)
-    q_pos[data.draw(st.integers(_TILE_ROWS, n - 1), label="blind row")] = 0
+@given(heads, head_dims, st.integers(_TILE_ROWS + 1, 400), seeds, st.data())
+def test_row_without_visible_key_raises_in_a_later_tile(n_heads, head_dim, n, seed, data):
+    # Position -1 precedes key 0, so that row sees no key.
+    q_pos = np.arange(n)
+    q_pos[data.draw(st.integers(_TILE_ROWS, n - 1), label="blind row")] = -1
     q, k, v = arrays(seed, n_heads, n, n, head_dim)
     with pytest.raises(ContractViolation):
-        attention(q, k, v, q_pos, k_pos)
+        attention(q, k, v, q_pos)
 
 
 @SETTINGS
 @given(heads, head_dims, st.integers(0, 40), seeds)
 def test_zero_query_rows_give_an_empty_result(n_heads, head_dim, n_k, seed):
     q, k, v = arrays(seed, n_heads, 0, n_k, head_dim)
-    out = attention(q, k, v, np.zeros(0, dtype=np.int64), np.arange(n_k))
+    out = attention(q, k, v, np.zeros(0, dtype=np.int64))
     assert out.shape == (n_heads, 0, head_dim) and out.dtype == np.float64
 
 
 @SETTINGS
-@given(heads, head_dims, st.integers(1, 400), seeds, st.booleans(), st.data())
-def test_row_without_visible_key_raises_in_the_first_tile(n_heads, head_dim, n, seed, shuffle,
-                                                         data):
-    k_pos = np.arange(1, n + 1)
-    if shuffle:
-        k_pos = np.random.default_rng(seed).permutation(k_pos)
-    q_pos = np.arange(1, n + 1)
-    q_pos[data.draw(st.integers(0, min(n, _TILE_ROWS) - 1), label="blind row")] = 0
+@given(heads, head_dims, st.integers(1, 400), seeds, st.data())
+def test_row_without_visible_key_raises_in_the_first_tile(n_heads, head_dim, n, seed, data):
+    q_pos = np.arange(n)
+    q_pos[data.draw(st.integers(0, min(n, _TILE_ROWS) - 1), label="blind row")] = -1
     q, k, v = arrays(seed, n_heads, n, n, head_dim)
     with pytest.raises(ContractViolation):
-        attention(q, k, v, q_pos, k_pos)
+        attention(q, k, v, q_pos)
+
+
+@SETTINGS
+@given(heads, head_dims, st.integers(1, 40), seeds)
+def test_rows_over_no_keys_raise(n_heads, head_dim, n_q, seed):
+    q, k, v = arrays(seed, n_heads, n_q, 0, head_dim)
+    with pytest.raises(ContractViolation):
+        attention(q, k, v, np.arange(n_q))

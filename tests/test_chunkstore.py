@@ -281,6 +281,29 @@ def test_concat_shapes_and_spans():
     assert fused.keys.shape == (2, model.config.n_heads, 45, model.config.head_dim)
 
 
+def test_concat_lays_out_zeroed_question_rows_that_recovery_leaves_zero():
+    # With the question's length, concat lays out the one buffer that fused
+    # prefill patches: the chunk rows as without it, then that many rows of
+    # +0.0, which recovery leaves as they are, since they hold no cached key.
+    model = make_model(n_layers=2)
+    rng = np.random.default_rng(3)
+    chunks = [CS.precompute_chunk(random_ids(rng, n), model) for n in (10, 20)]
+    bare, fused = CS.concat_chunks(chunks), CS.concat_chunks(chunks, 7)
+    assert fused.n == 37 and fused.segments.spans[-1] == CS.Span("question", 30, 7)
+    assert np.array_equal(fused.token_ids, bare.token_ids)
+    zeros = np.zeros((2, model.config.n_heads, 7, model.config.head_dim), dtype=M.DTYPE)
+
+    def check():
+        for got, want in ((fused.keys, bare.keys), (fused.values, bare.values)):
+            assert got[:, :, :30].tobytes() == want.tobytes()
+            assert got[:, :, 30:].tobytes() == zeros.tobytes()
+
+    check()
+    CS.recover_positions(bare, model.config)
+    CS.recover_positions(fused, model.config)
+    check()
+
+
 def test_concat_rejects_bad_inputs():
     model = make_model(n_layers=2)
     other = make_model(n_layers=2, seed=99)

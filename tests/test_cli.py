@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,27 @@ def test_generate_verifies_each_chunk_file_once(tmp_path, monkeypatch, strategy)
     # The token ids were read through the store, so the prefill read nothing.
     trace = json.loads(trace_path.read_text())
     assert (trace["chunk_hits"], trace["chunk_bytes_read"]) == (len(verified), 0)
+
+
+@pytest.mark.parametrize("strategy", ["attention_aware", "full"])
+def test_generate_refuses_a_verified_chunk_of_another_shape(tmp_path, capsys, strategy):
+    # The first document recomputed with one head of 16 dims and stored under
+    # the manifest model's fingerprint (two heads of 8): its digest and id
+    # verify, but its cache cannot serve the model.
+    manifest = setup_store(tmp_path)
+    data = json.loads(manifest.read_text())
+    chunk = chunkstore.load_chunk(data["chunks"][1]["id"], data["store"])
+    other = build_model(ModelConfig(**{**MODEL, "n_heads": 1, "head_dim": 16}))
+    misfit = chunkstore.precompute_chunk(chunk.token_ids, other)
+    chunkstore.store_chunk(replace(misfit, chunk_id=chunk.chunk_id,
+                                   model_fingerprint=chunk.model_fingerprint), data["store"])
+    capsys.readouterr()
+    argv = ["generate", "--manifest", str(manifest), "--question-text", "fox?", "--gen-len", "2"]
+    assert main(argv + ["--strategy", strategy]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: chunk ") and "Traceback" not in err
+    # Vanilla reads only the chunks' token ids.
+    assert main(argv + ["--strategy", "vanilla"]) == 0
 
 
 def test_generate_vanilla_trace(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kvfuse.errors import (
     ChunkNotFoundError,
     ConfigError,
     ContractViolation,
+    FingerprintError,
     InputError,
     IntegrityError,
     ShapeError,
@@ -272,8 +274,7 @@ def test_prefill_attends_over_the_cache_it_returns(tmp_path, strategy):
     populate_store(model, segments, tmp_path)
     plan = FU.FusionPlan(strategy, r=0.3, head_tail_k=2)
     patched, logits, _ = FU.fused_prefill(model, segments, plan, tmp_path)
-    pos = np.arange(patched.n, dtype=np.int64)
-    rows = pos
+    rows = np.arange(patched.n, dtype=np.int64)
     x = np.asarray(model.weights.embedding[segments.all_ids()], dtype=np.float64)
     for l in range(model.config.n_layers):
         if l == 2:
@@ -281,9 +282,44 @@ def test_prefill_attends_over_the_cache_it_returns(tmp_path, strategy):
             x = x[rows]
         q, _, _, _ = M.block_qkv(model, l, x, M._rope_table(rows, model.config))
         attn = M.attention(q, np.asarray(patched.keys[l], dtype=np.float64),
-                           np.asarray(patched.values[l], dtype=np.float64), rows, pos)
+                           np.asarray(patched.values[l], dtype=np.float64), rows)
         x = M.block_out(model, l, x, attn)
     assert np.array_equal(M.final_logits(model, x[-1:])[0], logits)
+
+
+@pytest.mark.parametrize("strategy", ["attention_aware", "full"])
+@pytest.mark.parametrize("other", [dict(n_heads=1, head_dim=16), dict(n_layers=3)])
+def test_a_verified_chunk_of_another_shape_is_refused(tmp_path, strategy, other):
+    # A document computed by another model and stored under this model's
+    # fingerprint: its digest and id verify, its shape does not fit.
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(5))
+    populate_store(model, segments, tmp_path)
+    fp = model.config.fingerprint()
+    doc = CS.precompute_chunk(segments.documents[0], make_model(**other))
+    CS.store_chunk(replace(doc, chunk_id=CS.chunk_id(doc.token_ids, fp), model_fingerprint=fp),
+                   tmp_path)
+    with pytest.raises(FingerprintError, match="does not have the model's"):
+        FU.fused_prefill(model, segments, FU.FusionPlan(strategy), tmp_path)
+
+
+def test_prefill_patches_the_buffer_concat_laid_out(tmp_path, monkeypatch):
+    # The returned cache is concat's own (L, H, n, hd) pair, question rows
+    # included: the pipeline allocates no cache of its own.
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(14))
+    populate_store(model, segments, tmp_path)
+    laid_out = []
+
+    def concat(*args, **kwargs):
+        laid_out.append(CS.concat_chunks(*args, **kwargs))
+        return laid_out[-1]
+
+    monkeypatch.setattr(FU, "concat_chunks", concat)
+    for strategy in FU.STRATEGIES:
+        patched, _, _ = FU.fused_prefill(model, segments, FU.FusionPlan(strategy), tmp_path)
+        assert patched.keys is laid_out[-1].keys and patched.values is laid_out[-1].values
+        assert patched.segments is laid_out[-1].segments and patched.n == segments.n
 
 
 def test_fused_prefill_r0_identical_to_none(tmp_path):
