@@ -36,11 +36,13 @@ from .model import (
     _check_tokens,
     _rope_table,
     _rotate,
+    kv_buffers,
+    kv_rows,
     prefill_forward,
 )
 
 MAGIC = b"A3KV"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sI32s32sIIIIBBH")
 _DIGEST_LEN = 32
 
@@ -114,7 +116,9 @@ def split_into_chunks(token_ids, chunk_len: int = DEFAULT_CHUNK_LEN) -> list[np.
 #   magic "A3KV", version u32, model_fingerprint 32B, chunk_id 32B,
 #   n_layers u32, n_heads u32, head_dim u32, chunk_len u32,
 #   dtype u8 (0 = f32), flags u8 (bit0 = rope_applied), reserved u16,
-#   token ids (chunk_len x u32), K then V as [layer][head][token][dim] f32,
+#   token ids (chunk_len x u32), K then V as [layer][head][dim][token] f32
+#   (version 2: the head_dim-major layout of `model.kv_buffers`, which
+#   concat copies as it lies; version 1 files, [token][dim], are refused),
 #   then a 32-byte SHA-256 digest over all preceding bytes. Every payload
 #   byte is covered, so any single-byte corruption is detected.
 # File name = lowercase hex of chunk_id.
@@ -284,6 +288,9 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
         raise IntegrityError(f"chunk file {path} has unsupported version {h['version']}")
     if h["dtype"] != 0:
         raise IntegrityError(f"chunk file {path} has unknown dtype code {h['dtype']}")
+    # No writer makes these, and the size check passes them.
+    if 0 in (h["n_layers"], h["n_heads"], h["chunk_len"], h["head_dim"]) or h["head_dim"] % 2:
+        raise IntegrityError(f"chunk file {path} has an impossible shape")
     stored_id = h["chunk_id"]
     if expect_id is not None and stored_id != expect_id:
         raise IntegrityError(
@@ -305,12 +312,13 @@ def _chunk_views(raw, h: dict) -> ChunkKV:
     token_ids = np.frombuffer(raw, dtype="<u4", count=n, offset=offset)
     offset += 4 * n
     count = n_layers * n_heads * n * head_dim
-    shape = (n_layers, n_heads, n, head_dim)
+    shape = (n_layers, n_heads, head_dim, n)
     keys = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
     offset += count * 4
     values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
     layers = [
-        LayerKV(keys=keys[l], values=values[l], rope_applied=h["rope_applied"])
+        LayerKV(keys=keys[l].swapaxes(1, 2), values=values[l].swapaxes(1, 2),
+                rope_applied=h["rope_applied"])
         for l in range(n_layers)
     ]
     return ChunkKV(chunk_id=h["chunk_id"], token_ids=token_ids, layers=layers,
@@ -527,23 +535,38 @@ class SegmentMap:
         return np.sort(np.concatenate([self.offsets("system"), self.offsets("question")]))
 
 
+class CacheRows:
+    """A cache held in `model.kv_buffers` `key_buffer` and `value_buffer`,
+    column i at position i; `keys` and `values` are (L, H, n, hd) views."""
+
+    @property
+    def n(self) -> int:
+        return self.segments.n
+
+    @property
+    def keys(self) -> np.ndarray:
+        return kv_rows(self.key_buffer, self.n, self.key_buffer.shape[2])
+
+    @property
+    def values(self) -> np.ndarray:
+        return kv_rows(self.value_buffer, self.n, self.key_buffer.shape[2])
+
+
 @dataclass
-class FusedCache:
-    keys: np.ndarray  # (L, H, n, hd) float32
-    values: np.ndarray  # (L, H, n, hd) float32
+class FusedCache(CacheRows):
+    key_buffer: np.ndarray  # (L, H, hd, n + headroom) float32
+    value_buffer: np.ndarray  # (L, H, hd + 1, n + headroom) float32, ones row last
     segments: SegmentMap
     rope_recovered: bool
     local_rotation: bool
     token_ids: np.ndarray  # (n - question rows,) uint32, system + documents
 
-    @property
-    def n(self) -> int:
-        return int(self.keys.shape[2])
-
 
 def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:
     """Lay system + document chunks, then `q_len` question rows, into one
-    (L, H, n, hd) buffer whose row i is position i.
+    pair of `model.kv_buffers`, column i at position i, which prefill
+    attention reads and a decode cache adopts; a chunk read from its file
+    is in that layout already, so each layer is copied as it lies.
 
     The first chunk is the system span; the rest are documents in order.
     Question tokens are never cached: the question span holds `q_len`
@@ -562,25 +585,24 @@ def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:
     n_layers = len(chunks[0].layers)
     n_heads, _, head_dim = chunks[0].layers[0].keys.shape
     n = sum(c.length for c in chunks)
-    keys = np.empty((n_layers, n_heads, n + q_len, head_dim), dtype=DTYPE)
-    values = np.empty_like(keys)
-    keys[:, :, n:] = 0
-    values[:, :, n:] = 0
+    keys, values = kv_buffers(n_layers, n_heads, head_dim, n + q_len)
+    keys[..., n:n + q_len] = 0
+    values[:, :, :head_dim, n:n + q_len] = 0
     spans, offset = [], 0
     for c in chunks:
         if len(c.layers) != n_layers:
             raise ShapeError(f"chunks disagree on layer count: {len(c.layers)} vs {n_layers}")
         span = slice(offset, offset + c.length)
         for l, layer in enumerate(c.layers):
-            keys[l, :, span] = layer.keys
-            values[l, :, span] = layer.values
+            keys[l, :, :, span] = layer.keys.swapaxes(1, 2)
+            values[l, :, :head_dim, span] = layer.values.swapaxes(1, 2)
         spans.append(Span("document" if spans else "system", offset, c.length))
         offset += c.length
     spans.append(Span("question", offset, q_len))
     token_ids = np.concatenate([c.token_ids for c in chunks]).astype(np.uint32)
     return FusedCache(
-        keys=keys,
-        values=values,
+        key_buffer=keys,
+        value_buffer=values,
         segments=SegmentMap(spans),
         rope_recovered=False,
         local_rotation=local_rotation,
@@ -602,13 +624,16 @@ def recover_positions(fused: FusedCache, config: ModelConfig) -> FusedCache:
         raise ContractViolation("locally rotated chunks cannot be position-recovered")
     if fused.keys.shape[-1] != config.head_dim:
         raise ShapeError(f"last axis {fused.keys.shape[-1]} != head_dim {config.head_dim}")
-    # One table for every layer, and one layer rotated at a time, written
-    # back rounded to float32: the bits of `rope_rotate` over the whole
-    # cache, without its float64 copy of every layer at once.
+    # One (head_dim / 2, rows) table for every layer, and one layer rotated
+    # at a time by `_rotate`'s products and sums, so the bits of
+    # `rope_rotate`, without its float64 copy of every layer at once.
     n_ctx = fused.segments.question_span.start
-    rope = _rope_table(np.arange(n_ctx, dtype=np.int64), config)
-    for layer in fused.keys:
-        layer[:, :n_ctx] = _rotate(np.asarray(layer[:, :n_ctx], dtype=_F64), *rope)
+    cos, sin = (t.T.copy() for t in _rope_table(np.arange(n_ctx, dtype=np.int64), config))
+    for layer in fused.key_buffer:
+        even, odd = layer[:, 0::2, :n_ctx], layer[:, 1::2, :n_ctx]
+        e, o = even.astype(_F64), odd.astype(_F64)
+        even[...] = e * cos - o * sin
+        odd[...] = o * cos + e * sin
     fused.rope_recovered = True
     return fused
 

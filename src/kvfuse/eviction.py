@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .fusion import PatchedCache, _top_p, question_attention
-from .model import DecodeCache, _is_int
+from .model import DecodeCache, _is_int, kv_buffers
 
 POOL_KERNEL = 7  # max-pool width over positions, in rows
 
@@ -63,7 +63,8 @@ class CompactedCache(DecodeCache):
     """
 
     def __init__(self, keys, values, index_map, original_length):
-        super().__init__(keys, values)
+        # keys/values: `kv_buffers` holding the kept rows, adopted.
+        super().__init__(keys, values, index_map.shape[2])
         self._max_pos = original_length - 1
         self.index_map = index_map  # (L, H, kept) int64
         self.kept = int(index_map.shape[2])
@@ -109,10 +110,10 @@ def evict(cache: PatchedCache, policy: EvictionPolicy) -> CompactedCache:
     budget = policy.capacity - protected.size
     kept = min(n, policy.capacity)
     scores = snap_scores(cache) if budget < doc.size else None
-    n_layers, n_heads = cache.keys.shape[0], cache.keys.shape[1]
+    n_layers, n_heads, hd = cache.key_buffer.shape[:3]
     index_map = np.empty((n_layers, n_heads, kept), dtype=np.int64)
-    keys = np.empty((n_layers, n_heads, kept, cache.keys.shape[3]), dtype=cache.keys.dtype)
-    values = np.empty_like(keys)
+    # The kept rows go straight into the decode layout, column by column.
+    keys, values = kv_buffers(n_layers, n_heads, hd, kept)
     everything = np.arange(n, dtype=np.int64)
     for l in range(n_layers):
         for h in range(n_heads):
@@ -122,6 +123,6 @@ def evict(cache: PatchedCache, policy: EvictionPolicy) -> CompactedCache:
                 top = _top_p(scores[l, h, doc], doc, budget)
                 retained = np.sort(np.concatenate([protected, top]))
             index_map[l, h] = retained
-            keys[l, h] = cache.keys[l, h, retained]
-            values[l, h] = cache.values[l, h, retained]
+            np.take(cache.key_buffer[l, h], retained, axis=1, out=keys[l, h, :, :kept])
+            np.take(cache.value_buffer[l, h, :hd], retained, axis=1, out=values[l, h, :hd, :kept])
     return CompactedCache(keys, values, index_map, n)

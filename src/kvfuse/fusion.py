@@ -1,13 +1,16 @@
 """Selective recomputation over a fused chunk cache, plus the reuse baselines.
 
 Every strategy runs one loop over the model's block from layer 0, over
-one (L, H, n, hd) float32 buffer whose row i is position i: the one
-`concat_chunks` lays out, the chunks followed by zeroed question rows.
-At each layer the carried rows write fresh keys and values into it,
-whose other rows keep the stored chunk entries bitwise, and attend over
-that layer, so decode continues from the cache the prefill attended to.
-Then one `PatchedCache`, which holds that buffer, one final-logits call
-and one `FusionTrace`. Only the row schedule differs. The selective
+the one pair of float32 buffers `concat_chunks` lays out in
+`model.kv_buffers`' layout (column i is position i): the chunks, then
+zeroed question rows. At each layer the carried rows write fresh keys and
+values into it, whose other rows keep the stored chunk entries bitwise,
+and attend over that layer as it lies; the decode cache adopts the same
+buffers, so decode continues from the cache the prefill attended to.
+Then one `PatchedCache`, which holds those buffers, one final-logits
+call and one `FusionTrace`. Only the row schedule differs. A layer's
+projections run a block of rows at a time (`model._project`), so a
+request holds the cache once plus one layer's scratch. The selective
 strategies recover global positions and carry every row until layer 1's
 projections, which the selection criteria read; then the selected rows
 (Re) plus the question. `full` rotates each chunk locally and carries the
@@ -73,6 +76,7 @@ import numpy as np
 
 from . import flops as F
 from .chunkstore import (
+    CacheRows,
     ChunkStore,
     SegmentMap,
     chunk_id,
@@ -90,9 +94,9 @@ from .model import (
     _F64,
     _attend_out,
     _check_tokens,
+    _project,
     _rope_table,
     attention_weights,
-    block_qkv,
     final_logits,
 )
 
@@ -147,26 +151,23 @@ class RecomputeSet:
 
 
 @dataclass
-class PatchedCache:
+class PatchedCache(CacheRows):
     """Fused cache after the pipeline ran: stored chunk entries patched at the
     carried rows (selective: every row at layers 0-1, Re and the question at
     layers >= 2; `full`: the question rows at every layer). Each layer is
-    exactly what the carried rows attended to."""
+    exactly what the carried rows attended to, in concat's buffers."""
 
-    keys: np.ndarray  # (L, H, n, hd) float32
-    values: np.ndarray  # (L, H, n, hd) float32
+    key_buffer: np.ndarray  # (L, H, hd, n + headroom) float32, `model.kv_buffers`
+    value_buffer: np.ndarray  # (L, H, hd + 1, n + headroom) float32
     segments: SegmentMap
     recompute: RecomputeSet
     patched_offsets: np.ndarray  # carried rows (Re plus question)
     question_queries: np.ndarray  # (L, H, |Q|, hd) float32, rotated true queries
     rope_recovered: bool  # False only for `full`, whose chunks keep local rotation
 
-    @property
-    def n(self) -> int:
-        return int(self.keys.shape[2])
-
     def to_decode_cache(self) -> DecodeCache:
-        return DecodeCache(self.keys, self.values)
+        """A decode cache that adopts these buffers; one may decode at a time."""
+        return DecodeCache(self.key_buffer, self.value_buffer, self.n)
 
 
 @dataclass
@@ -332,11 +333,12 @@ def fused_prefill(
     reads, bytes_read = store.reads, store.bytes_read
     chunks = [load_chunk(chunk_id(part, fp), store) for part in parts]
     chunk_hits = len(chunks) - (store.reads - reads)
-    want = (cfg.n_layers, cfg.n_heads, cfg.head_dim)  # a digest and id vouch for no shape
+    # A digest and id vouch for no shape, and a stored chunk is unrotated.
+    want = (cfg.n_layers, cfg.n_heads, cfg.head_dim, False)
     for chunk in chunks:
-        if (len(chunk.layers),) + chunk.layers[0].keys.shape[::2] != want:
+        if (len(chunk.layers),) + chunk.layers[0].keys.shape[::2] + (chunk.rope_applied,) != want:
             raise FingerprintError(f"chunk {chunk.chunk_id.hex()} does not have the model's "
-                                   f"(layers, heads, head_dim) {want}")
+                                   f"(layers, heads, head_dim) {want[:3]} and unrotated keys")
     chunk_bytes = sum(chunk.file_bytes for chunk in chunks)
     chunk_bytes_read = store.bytes_read - bytes_read
     if full:
@@ -347,7 +349,7 @@ def fused_prefill(
     fused = concat_chunks(chunks, q_ids.size)
     durations["concat"] = time.perf_counter() - t0
 
-    keys, values, segmap = fused.keys, fused.values, fused.segments
+    k_buf, v_buf, segmap = fused.key_buffer, fused.value_buffer, fused.segments
     n, q_len = fused.n, int(q_ids.size)
     n_ctx = n - q_len
     question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
@@ -365,14 +367,15 @@ def fused_prefill(
         # causality follows from the row offsets.
         rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
         scores_doc, rows, ids = None, question_rows, q_ids
+        rope = cos[rows], sin[rows]
     else:
         t0 = time.perf_counter()
         # Layers 0-1 of every stored key are overwritten.
-        recover_positions(replace(fused, keys=keys[2:]), cfg)
+        recover_positions(replace(fused, key_buffer=k_buf[2:]), cfg)
         durations["recover"] = time.perf_counter() - t0
         if plan.strategy == "kv_diff":
             # Layer 1's write below overwrites the stored values.
-            stored = np.asarray(values[1][:, segmap.document_offsets()], dtype=_F64)
+            stored = np.asarray(fused.values[1][:, segmap.document_offsets()], _F64, order="C")
         ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
         chain = _prefix_chain(fp, ids, [chunk.length for chunk in chunks])
         for key, _, end in chain:
@@ -381,44 +384,51 @@ def fused_prefill(
                 break
             reused.append(inputs)
             attend = end
-        rows = pos
+        rows, rope = pos, (cos, sin)
 
     # The one layer loop: the carried rows write their keys and values into
-    # the stored layer, then attend over it. The selection, after layer 1's
-    # projections, shrinks the carried rows to Re plus the question.
+    # the stored layer, a block at a time, then attend over it. Only the
+    # queries that are read (layer 0: from `skip`; layer 1: documents and
+    # question) and layer 1's float64 keys, until the selection, outlive the
+    # projections. The selection shrinks the carried rows to Re plus the
+    # question.
     t0 = time.perf_counter()
     skip = attend  # later layers attend from every carried row
-    x, rope = model.weights.embedding[ids], (cos[rows], sin[rows])
+    x = model.weights.embedding[ids].astype(DTYPE)  # exact: the weights are float32 draws
     for l in range(cfg.n_layers):
-        q, k, _, v = block_qkv(model, l, x, rope)
-        keys[l][:, rows] = k.astype(DTYPE)
-        values[l][:, rows] = v.astype(DTYPE)
-        question_queries[l] = q[:, -q_len:].astype(DTYPE)
-        if l == 1 and not full:
+        select = l == 1 and not full
+        first = skip if l == 0 else (len(segments.system) if select else 0)
+        k = np.empty((cfg.n_heads, n, cfg.head_dim)) if select else None
+        q = _project(model, l, x, rope, k_buf[l], v_buf[l], rows, first, k64=k)
+        question_queries[l] = q[:, -q_len:]
+        if select:
             durations["layer01"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             # Scores are recorded for every selective strategy so the harness
             # can compare any selection against the attention oracle at
             # matched budget.
             scores_doc = score_tokens(q[:, -q_len:], k, segmap)
+            k = None
             if plan.strategy == "attention_aware":
                 rset = select_recompute(scores_doc, plan.r, n, segmap)
             elif plan.strategy == "kv_diff":
                 # Euclidean deviation of the stored layer-1 values from the
                 # true ones, heads concatenated.
-                diff = stored - np.asarray(values[1][:, segmap.document_offsets()], dtype=_F64)
-                deviation = np.sqrt(np.sum(np.square(diff), axis=(0, 2)))
+                fresh = np.asarray(fused.values[1][:, segmap.document_offsets()], _F64, order="C")
+                deviation = np.sqrt(np.sum(np.square(stored - fresh), axis=(0, 2)))
                 rset = select_recompute(deviation, plan.r, n, segmap)
             elif plan.strategy == "head_tail":
                 rset = select_head_tail(segmap, plan.head_tail_k)
             else:  # none
                 rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
             rows = np.concatenate([rset.indices, question_rows])
-            q, x, rope = q[:, rows], x[rows], (cos[rows], sin[rows])
+            q, x, rope = q[:, rows - first], x[rows], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-        out = _attend_out(model, l, x[skip:], q[:, skip:], keys[l], values[l], rows[skip:])
-        x = np.concatenate(reused + [out]) if reused else out
+        x = _attend_out(model, l, x[skip:], q, k_buf[l][:, :, :n], v_buf[l][:, :, :n], rows[skip:])
+        del q  # only the layer's output outlives it
+        if reused:
+            x = np.concatenate(reused + [x])
         if l == 0:
             for key, start, end in chain[len(reused):]:
                 inputs = x[start:end].astype(DTYPE)
@@ -428,8 +438,8 @@ def fused_prefill(
     durations["patch"] = time.perf_counter() - t0
 
     patched = PatchedCache(
-        keys=keys, values=values, segments=segmap, recompute=rset, patched_offsets=rows,
-        question_queries=question_queries, rope_recovered=not full,
+        key_buffer=k_buf, value_buffer=v_buf, segments=segmap, recompute=rset,
+        patched_offsets=rows, question_queries=question_queries, rope_recovered=not full,
     )
     trace = FusionTrace(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,

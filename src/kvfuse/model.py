@@ -9,10 +9,12 @@ same tokens give the same numbers regardless of how the sequence was
 sliced. `build_model` upcasts each drawn tensor to float64 at once, so a
 `Model` holds exact float64 copies of the float32 values and no layer call
 converts them again. Attention, prefill and decode alike, multiplies the
-float32 cache as stored: `attention` and `DecodeCache.attend` round the
-scaled queries to float32 once, run both products and the softmax core in
-float32 and divide by the sums in float64. So a fused cache and a full
-prefill attend over the same float32 rows. Only `attention_weights`, the
+float32 cache as stored, in the one layout of `kv_buffers` that a
+prefill writes and a `DecodeCache` adopts: `attention` and
+`DecodeCache.attend` round the scaled queries to float32 once, run both
+products and the softmax core in float32 and divide by the sums, from
+the values' ones row, in float64. So a fused cache and a full prefill
+attend over the same float32 rows. Only `attention_weights`, the
 question-relevance scorer, runs in float64.
 
 The block is written once, split at the attention: `block_qkv` projects a
@@ -20,9 +22,11 @@ set of rows, the caller decides which keys they attend to, and `block_out`
 finishes the layer. `prefill_forward` (rows attend to each other),
 `decode_step` (one row over a growing cache) and the fused pipeline in
 `fusion` (rows patched into stored chunk caches) are all loops over it;
-`final_logits` ends each of them. The two prefill loops read only their
-last row's output, so their last layer finishes that row alone
-(`_attend_out`). Each layer holds its Q, K and V weights
+`final_logits` ends each of them. The two prefill loops project and
+finish rows in blocks (`_project`, `_attend_out`), so a layer's scratch
+stays one block's and its projections are gone before the next layer;
+they read only their last row's output, so their last layer finishes
+that row alone (`_attend_out`). Each layer holds its Q, K and V weights
 stacked in one (3, d_model, d_model) array, so `block_qkv` runs one
 projection product and rotates the q and k heads in one call; the weights
 take no more memory than three separate matrices.
@@ -314,6 +318,34 @@ def _rotate_row(v: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 _TILE_ROWS = 32
 _GROUP_BYTES = 2**19
 
+_HEADROOM = 64  # spare rows of a new cache buffer, and a decode cache's least growth
+
+
+def kv_buffers(n_layers: int, n_heads: int, head_dim: int, rows: int):
+    """Empty float32 buffers for `rows` rows and `_HEADROOM` spare, in the one
+    layout prefill and decode attention read, a row per column: keys (L, H,
+    head_dim, capacity) and values (L, H, head_dim + 1, capacity) whose last
+    row is ones, so one product gives the outputs and their sums."""
+    keys = np.empty((n_layers, n_heads, head_dim, rows + _HEADROOM), dtype=DTYPE)
+    values = np.empty((n_layers, n_heads, head_dim + 1, rows + _HEADROOM), dtype=DTYPE)
+    values[:, :, head_dim] = 1.0
+    return keys, values
+
+
+def kv_rows(buffer: np.ndarray, n: int, head_dim: int) -> np.ndarray:
+    """The first `n` rows of a `kv_buffers` buffer, a (..., n, head_dim) view."""
+    return buffer[..., :head_dim, :n].swapaxes(-1, -2)
+
+
+def kv_layout(keys, values):
+    """New `kv_buffers` holding the (L, H, n, hd) rows `keys`/`values`."""
+    h, n, hd = keys[0].shape
+    k_buf, v_buf = kv_buffers(len(keys), h, hd, n)
+    for l in range(len(keys)):
+        kv_rows(k_buf[l], n, hd)[...] = keys[l]
+        kv_rows(v_buf[l], n, hd)[...] = values[l]
+    return k_buf, v_buf
+
 
 def attention(
     queries: np.ndarray,
@@ -323,47 +355,44 @@ def attention(
 ) -> np.ndarray:
     """Causal scaled dot-product attention over keys at positions 0..n-1.
 
-    Shapes (n_heads, rows, head_dim); key row j sits at position j, and
-    the causal mask admits j <= query position. Query rows are processed
-    in tiles of 32, so the score matrix never materializes at full n x n.
-    A tile scores only the keys up to the last one some row of it can
-    see, min(latest row + 1, n), since every later key is hidden from all
-    its rows (the block skipping of FlashAttention), and masks only the
-    band from the first key hidden from some row of it, min(earliest row
-    + 1, n). The call checks once that every row sees a key: that there
-    is one and no position is negative.
+    Queries are (n_heads, rows, head_dim); keys (n_heads, head_dim, n) and
+    values (n_heads, head_dim + 1, n) are one layer of the cache as
+    `kv_buffers` lays it out, float32, read where they are: key row j sits
+    at position j, and the causal mask admits j <= query position. Query
+    rows are processed in tiles of 32, so the score matrix never
+    materializes at full n x n. A tile scores only the keys up to the last
+    one some row of it can see, min(latest row + 1, n), since every later
+    key is hidden from all its rows (the block skipping of FlashAttention),
+    and masks only the band from the first key hidden from some row of it,
+    min(earliest row + 1, n). The call checks once that every row sees a
+    key: that there is one and no position is negative.
 
     The tiles then run over groups of heads: the most heads whose tile
     score blocks together fit `_GROUP_BYTES`, at least one, so a tile's
-    scores stay in cache. Each group lays out its operands once: the keys
-    copied into one contiguous float32 (heads, head_dim, keys) array, and
-    the values into a float32 (heads, keys, head_dim + 1) array whose last
-    column is ones. Callers pass float32 keys and values as stored; float64
-    ones give the bits of their float32 roundings. Every head makes the
-    same products, with the same shapes and strides, whatever its group,
-    so the grouping never changes a bit. The queries are scaled by
-    1/sqrt(head_dim) and rounded to float32 once. The score product, the
-    shared max shift and exponential and the product with the extended
-    values run in float32; that product gives both the unnormalised
-    outputs and, from the ones column, the row sums, so a tile divides
-    once over (rows, head_dim), in float64, and never sums or scales its
-    score block. This is `DecodeCache.attend`'s precision rule. Returns
-    float64.
+    scores stay in cache. Every head makes the same products, with the same
+    shapes and strides, whatever its group, so the grouping never changes a
+    bit. The queries are scaled by 1/sqrt(head_dim) and rounded to float32
+    once. The score product, the shared max shift and exponential and the
+    product with the values, ones row included, run in float32; that
+    product gives both the unnormalised outputs and, from the ones row, the
+    row sums, so a tile divides once over (rows, head_dim), in float64, and
+    never sums or scales its score block. This is `DecodeCache.attend`'s
+    precision rule. Returns float64.
     """
     q = np.asarray(queries, dtype=_F64)
-    k = np.asarray(keys)
-    v = np.asarray(values)
+    k = np.asarray(keys, dtype=DTYPE)
+    v = np.asarray(values, dtype=DTYPE)
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
-        raise ShapeError("queries/keys/values must be (n_heads, rows, head_dim)")
+        raise ShapeError("queries, keys and values must be 3-D")
     if not (q.shape[0] == k.shape[0] == v.shape[0]):
         raise ShapeError(f"head counts differ: {q.shape[0]}, {k.shape[0]}, {v.shape[0]}")
-    if k.shape[1] != v.shape[1] or k.shape[2] != q.shape[2] or v.shape[2] != q.shape[2]:
+    if k.shape[2] != v.shape[2] or k.shape[1] != q.shape[2] or v.shape[1] != q.shape[2] + 1:
         raise ShapeError("keys/values misaligned with queries")
     out = np.empty_like(q)
     if q.shape[1] == 0:
         return out
     qpos = np.asarray(q_positions, dtype=np.int64)
-    h, n, hd = k.shape
+    h, hd, n = k.shape
     if n == 0 or qpos.min() < 0:
         raise ContractViolation("a query row has no visible key")
     starts = np.arange(0, q.shape[1], _TILE_ROWS)
@@ -377,17 +406,11 @@ def attention(
     q = (q * (1.0 / np.sqrt(hd))).astype(DTYPE)
     for first in range(0, h, group):
         heads = slice(first, first + group)
-        # Contiguous (heads, hd, n) keys: a tile's product then reads a
-        # row-major slice, which BLAS runs faster than a transposed view.
-        k_t = np.ascontiguousarray(k[heads].transpose(0, 2, 1), dtype=DTYPE)
-        v_ext = np.empty((k_t.shape[0], n, hd + 1), dtype=DTYPE)
-        v_ext[:, :, :hd] = v[heads]
-        v_ext[:, :, hd] = 1.0
         for tile, cut, band, hidden in tiles:
-            scores = np.matmul(q[heads, tile], k_t[:, :, :cut])
+            scores = np.matmul(q[heads, tile], k[heads, :, :cut])
             if band < cut:
                 np.copyto(scores[..., band:], -np.inf, where=hidden)
-            ext = _softmax_exp(scores) @ v_ext[:, :cut]
+            ext = _softmax_exp(scores) @ v[heads, :, :cut].swapaxes(1, 2)
             np.divide(ext[:, :, :hd], ext[:, :, hd:], out=out[heads, tile], dtype=_F64)
     return out
 
@@ -404,8 +427,10 @@ def attention_weights(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     are bit for bit those of one `np.where` mask over the whole scaled
     score matrix.
     """
-    q = np.asarray(queries, dtype=_F64)
-    k = np.asarray(keys, dtype=_F64)
+    # C order: a cache's row view converts in its buffer's order otherwise,
+    # and the product would read other strides.
+    q = np.asarray(queries, dtype=_F64, order="C")
+    k = np.asarray(keys, dtype=_F64, order="C")
     if q.shape[0] != k.shape[0]:
         raise ShapeError(f"head counts differ: {q.shape[0]} vs {k.shape[0]}")
     rows, n = q.shape[1], k.shape[1]
@@ -469,7 +494,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * d)
 
 
-def block_qkv(model: Model, layer: int, x64: np.ndarray, rope: tuple[np.ndarray, np.ndarray]):
+def block_qkv(model: Model, layer: int, x: np.ndarray, rope: tuple[np.ndarray, np.ndarray]):
     """First half of a pre-norm block over the given rows: norm1, one
     product with the stacked Q/K/V weights, and one rotation of the q and k
     heads by `rope`, the rows' table, which a forward builds once for all
@@ -483,29 +508,68 @@ def block_qkv(model: Model, layer: int, x64: np.ndarray, rope: tuple[np.ndarray,
     cfg, lw = model.config, model.weights.layers[layer]
     # (3, rows, d_model): q, k and v each one contiguous block, the layout
     # of three separate products, so the rotation reads them as fast.
-    qkv = _split_heads(_rmsnorm(x64) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
+    qkv = _split_heads(_rmsnorm(np.asarray(x, dtype=_F64)) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
     rotate = _rotate_row if isinstance(rope, _RopeRow) else _rotate
     q_rot, k_rot = rotate(qkv[:2], *rope)
     return q_rot, k_rot, qkv[1], qkv[2]
 
 
-def block_out(model: Model, layer: int, x64: np.ndarray, attn: np.ndarray) -> np.ndarray:
+def block_out(model: Model, layer: int, x: np.ndarray, attn: np.ndarray) -> np.ndarray:
     """Second half of the block: t = x + Wo(attn); out = t + FFN(norm2(t)).
 
     `attn` is (n_heads, rows, head_dim). The result is rounded through
     float32, the boundary between layers, so every path that carries a row
-    sees the same layer inputs.
+    sees the same layer inputs, and has the dtype of `x`: the prefills hold
+    their rows' states as float32, a decode step keeps its one row in
+    float64 and converts nothing.
     """
     lw = model.weights.layers[layer]
-    t = x64 + _merge_heads(attn) @ lw.wo
+    t = x + _merge_heads(attn) @ lw.wo
     out = t + _silu(_rmsnorm(t) @ lw.w_in) @ lw.w_out
-    return out.astype(DTYPE).astype(_F64)
+    return out.astype(DTYPE).astype(x.dtype, copy=False)
 
 
-def _attend_out(model: Model, layer: int, x64: np.ndarray, q: np.ndarray, keys: np.ndarray,
+# Rows per block of `_project` and `_attend_out`. A row's products have the
+# bits of one product over every row unless its block has one row, which
+# takes NumPy's matrix-vector path (`_attend_out`), so no block has one.
+_BLOCK_ROWS = 128
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    ends = list(range(_BLOCK_ROWS, rows, _BLOCK_ROWS))
+    if ends and rows - ends[-1] == 1:
+        ends.pop()
+    return [slice(a, b) for a, b in zip([0] + ends, ends + [rows])]
+
+
+def _project(model: Model, layer: int, x: np.ndarray, rope, keys: np.ndarray,
+             values: np.ndarray, cols, first: int = 0, k64: np.ndarray | None = None,
+             raw: np.ndarray | None = None) -> np.ndarray:
+    """`block_qkv` over `_row_blocks` of `x`, each block's rotated keys and
+    values written into the cache layer `keys`/`values` at columns `cols`
+    and then dropped. Returns the rotated queries (H, rows - first, hd) of
+    the rows from `first` on; `k64` and `raw` take the rotated keys in
+    float64 and the raw keys, when given."""
+    hd = keys.shape[1]
+    q = np.empty((keys.shape[0], x.shape[0] - first, hd))
+    for b in _row_blocks(x.shape[0]):
+        q_rot, k, k_raw, v = block_qkv(model, layer, x[b], (rope[0][b], rope[1][b]))
+        if b.stop > first:
+            q[:, max(b.start - first, 0):b.stop - first] = q_rot[:, max(first - b.start, 0):]
+        keys[:, :, cols[b]] = k.swapaxes(1, 2)
+        values[:, :hd, cols[b]] = v.swapaxes(1, 2)
+        for dst, src in ((k64, k), (raw, k_raw)):
+            if dst is not None:
+                dst[:, b] = src
+    return q
+
+
+def _attend_out(model: Model, layer: int, x: np.ndarray, q: np.ndarray, keys: np.ndarray,
                 values: np.ndarray, q_pos: np.ndarray) -> np.ndarray:
     """`attention` of the rows' queries `q` at `q_pos` over `keys`/`values`,
-    then `block_out`, for the layers before the last. At the last layer
+    then `block_out` over `_row_blocks`, so the feed-forward holds (rows,
+    d_ff) arrays of one block at a time, for the layers before the last.
+    At the last layer
     only the last row's output is read (`final_logits` takes it), so only
     the tile that holds it attends and only that row runs `block_out`; the
     result is then that one row.
@@ -519,16 +583,19 @@ def _attend_out(model: Model, layer: int, x64: np.ndarray, q: np.ndarray, keys: 
     that finishing every row would give its last row.
     """
     if layer < model.config.n_layers - 1:
-        return block_out(model, layer, x64, attention(q, keys, values, q_pos))
+        attn, out = attention(q, keys, values, q_pos), np.empty_like(x)
+        for b in _row_blocks(x.shape[0]):
+            out[b] = block_out(model, layer, x[b], attn[:, b])
+        return out
     tail = (q.shape[1] - 1) // _TILE_ROWS * _TILE_ROWS
     attn = attention(q[:, tail:], keys, values, q_pos[tail:])
-    return block_out(model, layer, x64[-1:], attn[:, -1:])
+    return block_out(model, layer, x[-1:], attn[:, -1:])
 
 
-def final_logits(model: Model, x64: np.ndarray) -> np.ndarray:
+def final_logits(model: Model, x: np.ndarray) -> np.ndarray:
     """Final norm and unembedding of the given rows; (rows, vocab) float32."""
     w = model.weights
-    return (_rmsnorm(x64) @ w.unembed).astype(DTYPE)
+    return (_rmsnorm(np.asarray(x, dtype=_F64)) @ w.unembed).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -571,32 +638,32 @@ def prefill_forward(
 ) -> PrefillResult:
     """Full forward over a token sequence at positions 0..n-1.
 
-    Every layer writes the keys and values of every row (and, when asked,
-    its raw keys and rotated queries). Only the last row's logits are
-    returned, so at the last layer `_attend_out` attends with the final
+    Every layer writes the keys and values of every row into one
+    `kv_buffers` pair (and, when asked, records its raw keys and rotated
+    queries); the caches are row views of it. Only the last row's logits
+    are returned, so at the last layer `_attend_out` attends with the final
     32-row tile alone and finishes only the last row.
     """
     cfg = model.config
     ids = _check_tokens(cfg, token_ids)
-    n = ids.shape[0]
+    n, h, hd = ids.shape[0], cfg.n_heads, cfg.head_dim
     pos = np.arange(n, dtype=np.int64)
     rope = _rope_table(pos, cfg)
-    x64 = model.weights.embedding[ids]
-    caches: list[LayerKV] = []
-    raw_keys: list[np.ndarray] = []
-    queries: list[np.ndarray] = []
+    x = model.weights.embedding[ids].astype(DTYPE)  # exact: the weights are float32 draws
+    keys, values = kv_buffers(cfg.n_layers, h, hd, n)
+    raw_keys = np.empty((cfg.n_layers, h, n, hd), dtype=DTYPE) if record_raw_keys else None
+    queries = np.empty((cfg.n_layers, h, n, hd), dtype=DTYPE) if record_queries else None
     for l in range(cfg.n_layers):
-        q_rot, k_rot, k_raw, v = block_qkv(model, l, x64, rope)
-        layer = LayerKV(keys=k_rot.astype(DTYPE), values=v.astype(DTYPE), rope_applied=True)
-        caches.append(layer)
-        if record_raw_keys:
-            raw_keys.append(k_raw.astype(DTYPE))
-        if record_queries:
-            queries.append(q_rot.astype(DTYPE))
-        x64 = _attend_out(model, l, x64, q_rot, layer.keys, layer.values, pos)
-    return PrefillResult(caches=caches, logits=final_logits(model, x64[-1:])[0],
-                         raw_keys=raw_keys if record_raw_keys else None,
-                         queries=queries if record_queries else None)
+        q = _project(model, l, x, rope, keys[l], values[l], pos,
+                     raw=None if raw_keys is None else raw_keys[l])
+        if queries is not None:
+            queries[l] = q
+        x = _attend_out(model, l, x, q, keys[l][:, :, :n], values[l][:, :, :n], pos)
+    caches = [LayerKV(keys=kv_rows(keys[l], n, hd), values=kv_rows(values[l], n, hd),
+                      rope_applied=True) for l in range(cfg.n_layers)]
+    return PrefillResult(caches=caches, logits=final_logits(model, x[-1:])[0],
+                         raw_keys=None if raw_keys is None else list(raw_keys),
+                         queries=None if queries is None else list(queries))
 
 
 # ---------------------------------------------------------------------------
@@ -606,42 +673,32 @@ def prefill_forward(
 class DecodeCache:
     """Growable per-layer KV storage for autoregressive decoding.
 
-    Each layer holds one float32 key buffer and one value buffer, both
-    transposed to (n_heads, head_dim, capacity), so a stored row is one
-    column. That layout serves both of `attend`'s products: the query row
-    times the keys, and the values times the exponentials, each a
-    matrix-vector product over a row-major (head_dim, rows) block per head.
-    A full buffer grows by max(count // 2, 64) rows, one layer at a time,
-    so a growth never holds two copies of the whole cache. Every stored row
-    precedes the decode position, so `attend` runs the softmax core
-    unmasked.
+    It adopts a `kv_buffers` pair, whose first `length` rows are the cache.
+    That layout serves both of `attend`'s products, each a matrix-vector
+    product over a row-major block per head: the query row times the keys,
+    and the values times the exponentials, which gives the sums from the
+    values' ones row as well. A full buffer grows by
+    max(count // 2, `_HEADROOM`) rows, one layer at a time, so a growth
+    never holds two copies of the whole cache. Every stored row precedes
+    the decode position, so `attend` runs the softmax core unmasked.
 
     A step is explicit: `append` takes the layers of one position in order
     0..L-1, and the step commits (`length` and `max_position` move) with
     the last layer. `attend` for a layer needs that layer's row at
     `position` already appended. Layer count, head count and head_dim come
-    from the array shapes.
+    from the array shapes. Appends write the buffers' spare rows, so two
+    caches that adopt one pair must not both decode.
     """
 
-    _HEADROOM = 64  # spare rows per layer at construction, and least growth
-
-    def __init__(self, keys, values):
-        # keys/values: per layer (n_heads, n, head_dim) float32, as a
-        # (L, H, n, hd) array or a sequence of layers.
-        self._count = keys[0].shape[1]
-        self._keys = [self._buffer(k) for k in keys]
-        self._values = [self._buffer(v) for v in values]
-        self._max_pos = self._count - 1
+    def __init__(self, keys, values, length: int):
+        # Per layer buffers, an (L, ...) array or a sequence; adopted.
+        self._count = length
+        self._keys = list(keys)
+        self._values = list(values)
+        self._max_pos = length - 1
         self._scale = 1.0 / np.sqrt(self._keys[0].shape[1])  # the attention scale 1/sqrt(hd)
         self._next_layer = 0  # layer the step in progress appends next
         self._step_pos = -1  # position of the step in progress
-
-    @classmethod
-    def _buffer(cls, rows: np.ndarray) -> np.ndarray:
-        h, n, hd = rows.shape
-        buf = np.empty((h, hd, n + cls._HEADROOM), dtype=DTYPE)
-        buf[:, :, :n] = rows.transpose(0, 2, 1)
-        return buf
 
     @classmethod
     def from_layer_kvs(cls, config: ModelConfig, caches: list[LayerKV]) -> "DecodeCache":
@@ -653,7 +710,7 @@ class DecodeCache:
                 raise ContractViolation("decode requires rotated caches")
             if c.length != n:
                 raise ShapeError("layers disagree on cache length")
-        return cls([c.keys for c in caches], [c.values for c in caches])
+        return cls(*kv_layout([c.keys for c in caches], [c.values for c in caches]), n)
 
     @property
     def length(self) -> int:
@@ -665,14 +722,16 @@ class DecodeCache:
 
     def keys_view(self, layer: int) -> np.ndarray:
         """The committed keys of `layer`, (n_heads, length, head_dim) float32."""
-        return self._keys[layer][:, :, : self._count].transpose(0, 2, 1).copy()
+        keys = self._keys[layer]
+        return kv_rows(keys, self._count, keys.shape[1]).copy()
 
     def _grow(self, layer: int) -> None:
         count = self._count
         for bufs in (self._keys, self._values):
             old = bufs[layer]
-            grown = np.empty(old.shape[:2] + (old.shape[2] + max(count // 2, self._HEADROOM),),
-                             dtype=DTYPE)
+            # Ones, so the values' ones row runs on through the new rows.
+            grown = np.ones(old.shape[:2] + (old.shape[2] + max(count // 2, _HEADROOM),),
+                            dtype=DTYPE)
             grown[:, :, :count] = old[:, :, :count]
             bufs[layer] = grown
 
@@ -694,7 +753,7 @@ class DecodeCache:
         if self._count == self._keys[layer].shape[2]:
             self._grow(layer)
         self._keys[layer][:, :, self._count] = k_row
-        self._values[layer][:, :, self._count] = v_row
+        self._values[layer][:, :-1, self._count] = v_row
         self._step_pos = position
         if layer == len(self._keys) - 1:
             self._next_layer = 0
@@ -712,7 +771,8 @@ class DecodeCache:
 
         The query is scaled by 1/sqrt(head_dim) and rounded to float32 once;
         both products and the softmax core run in float32, and the outputs
-        are divided by the sums in float64, which `block_out` takes.
+        are divided by the sums, from the values' ones row, in float64,
+        which `block_out` takes.
         """
         if self._next_layer > layer and position == self._step_pos:
             upto = self._count + 1
@@ -722,10 +782,8 @@ class DecodeCache:
             raise ContractViolation(f"layer {layer} has no row appended at position {position}")
         q = (q_heads * self._scale).astype(DTYPE)
         scores = np.matmul(q[:, None, :], self._keys[layer][:, :, :upto])[:, 0]
-        exp = _softmax_exp(scores)
-        sums = exp.sum(axis=-1, keepdims=True)
-        out = np.matmul(self._values[layer][:, :, :upto], exp[:, :, None])[:, :, 0]
-        return np.divide(out, sums, dtype=_F64)
+        ext = np.matmul(self._values[layer][:, :, :upto], _softmax_exp(scores)[:, :, None])
+        return np.divide(ext[:, :-1, 0], ext[:, -1:, 0], dtype=_F64)
 
     def resident_floats(self) -> int:
         h, hd, _ = self._keys[0].shape

@@ -13,6 +13,15 @@ import numpy as np
 EPS32 = float(np.finfo(np.float32).eps)
 
 
+def cache_layer(keys, values, dtype=np.float32):
+    """Rows (H, n, hd) laid out as one layer of the cache `model.attention`
+    reads: keys (H, hd, n) and values (H, hd + 1, n) whose last row is ones."""
+    ones = np.ones(values.shape[:1] + (1,) + values.shape[1:2])
+    return (np.ascontiguousarray(np.swapaxes(keys, 1, 2), dtype=dtype),
+            np.ascontiguousarray(np.concatenate([np.swapaxes(values, 1, 2), ones], axis=1),
+                                 dtype=dtype))
+
+
 def where_weights(q, k, q_pos, k_pos):
     """The masked softmax written as one np.where over the whole matrix."""
     scores = np.matmul(q, k.transpose(0, 2, 1)) * (1.0 / np.sqrt(q.shape[2]))

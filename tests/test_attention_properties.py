@@ -1,8 +1,9 @@
 """Property checks of the query-tiled causal attention over random shapes.
 
-`attention` takes its keys at positions 0..n-1, so every check below lays
-them out so; the untiled reference in `attention_reference` still takes
-key positions.
+`attention` takes its keys at positions 0..n-1, as one layer of the
+cache layout (`cache_layer`), so every check below lays them out so; the
+untiled reference in `attention_reference` still takes rows and key
+positions.
 """
 
 from unittest import mock
@@ -16,7 +17,7 @@ from kvfuse.errors import ContractViolation
 from kvfuse import model as M
 from kvfuse.model import _TILE_ROWS, attention, attention_weights
 
-from attention_reference import float32_error_bound, where_attention, where_weights
+from attention_reference import cache_layer, float32_error_bound, where_attention, where_weights
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -38,7 +39,7 @@ key_counts = st.integers(1, 400)
 def check_against_untiled(q, k, v, q_pos):
     # Within float32 round-off of the float64 untiled formulation, per head
     # and row.
-    out = attention(q, k, v, q_pos)
+    out = attention(q, *cache_layer(k, v), q_pos)
     k_pos = np.arange(k.shape[1])
     error = np.abs(out - where_attention(q, k, v, q_pos, k_pos)).max(axis=-1)
     assert out.dtype == np.float64
@@ -101,16 +102,19 @@ def test_unordered_queries_match_untiled(n_heads, head_dim, n, seed, sort_querie
 def test_output_bits_do_not_depend_on_the_head_group(n_heads, head_dim, case, seed, stored):
     # The byte cap forced to 1 head, 2 heads and every head per pass, at
     # the size of one head's tile of float32 scores; the keys and values
-    # float64 or float32, as stored.
+    # float64, or float32 as stored, in buffers with spare rows.
     n, rows = case
     q, k, v = arrays(seed, n_heads, rows.size, n, head_dim)
     if stored:
-        k, v = k.astype(np.float32), v.astype(np.float32)
+        k_buf, v_buf = M.kv_layout([k], [v])
+        layer = k_buf[0][:, :, :n], v_buf[0][:, :, :n]
+    else:
+        layer = cache_layer(k, v, np.float64)
     head_block = _TILE_ROWS * n * np.dtype(M.DTYPE).itemsize
     outs = []
     for group in (1, 2, n_heads):
         with mock.patch.object(M, "_GROUP_BYTES", group * head_block):
-            outs.append(attention(q, k, v, rows))
+            outs.append(attention(q, *layer, rows))
     assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
@@ -124,8 +128,8 @@ def test_float64_keys_and_values_give_the_bits_of_their_float32_roundings(n_head
     # layers it stores, where it could pass the float64 rows they round.
     n, rows = case
     q, k, v = arrays(seed, n_heads, rows.size, n, head_dim)
-    got = attention(q, k, v, rows)
-    expect = attention(q, k.astype(np.float32), v.astype(np.float32), rows)
+    got = attention(q, *cache_layer(k, v, np.float64), rows)
+    expect = attention(q, *cache_layer(k, v), rows)
     assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
 
 
@@ -158,14 +162,14 @@ def test_row_without_visible_key_raises_in_a_later_tile(n_heads, head_dim, n, se
     q_pos[data.draw(st.integers(_TILE_ROWS, n - 1), label="blind row")] = -1
     q, k, v = arrays(seed, n_heads, n, n, head_dim)
     with pytest.raises(ContractViolation):
-        attention(q, k, v, q_pos)
+        attention(q, *cache_layer(k, v), q_pos)
 
 
 @SETTINGS
 @given(heads, head_dims, st.integers(0, 40), seeds)
 def test_zero_query_rows_give_an_empty_result(n_heads, head_dim, n_k, seed):
     q, k, v = arrays(seed, n_heads, 0, n_k, head_dim)
-    out = attention(q, k, v, np.zeros(0, dtype=np.int64))
+    out = attention(q, *cache_layer(k, v), np.zeros(0, dtype=np.int64))
     assert out.shape == (n_heads, 0, head_dim) and out.dtype == np.float64
 
 
@@ -176,7 +180,7 @@ def test_row_without_visible_key_raises_in_the_first_tile(n_heads, head_dim, n, 
     q_pos[data.draw(st.integers(0, min(n, _TILE_ROWS) - 1), label="blind row")] = -1
     q, k, v = arrays(seed, n_heads, n, n, head_dim)
     with pytest.raises(ContractViolation):
-        attention(q, k, v, q_pos)
+        attention(q, *cache_layer(k, v), q_pos)
 
 
 @SETTINGS
@@ -184,4 +188,4 @@ def test_row_without_visible_key_raises_in_the_first_tile(n_heads, head_dim, n, 
 def test_rows_over_no_keys_raise(n_heads, head_dim, n_q, seed):
     q, k, v = arrays(seed, n_heads, n_q, 0, head_dim)
     with pytest.raises(ContractViolation):
-        attention(q, k, v, np.arange(n_q))
+        attention(q, *cache_layer(k, v), np.arange(n_q))

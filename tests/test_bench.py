@@ -26,7 +26,7 @@ from kvfuse.fusion import (
     fused_prefill,
     hit_rate,
 )
-from kvfuse.model import ModelConfig, build_model, greedy_token, prefill_forward
+from kvfuse.model import ModelConfig, build_model, greedy_token, kv_layout, prefill_forward
 
 
 def make_config(seed=11, n_layers=4):
@@ -137,9 +137,11 @@ def test_attention_loss_zero_against_self(tmp_path):
     # up to the float32 cache boundary.
     assert attention_l2_loss(run.patched, oracle, 0) <= 1e-6
     assert attention_l2_loss(run.patched, oracle, 1) <= 1e-6
+    key_buffer, value_buffer = kv_layout([c.keys for c in oracle.caches],
+                                         [c.values for c in oracle.caches])
     sandwich = PatchedCache(
-        keys=np.stack([c.keys for c in oracle.caches]),
-        values=np.stack([c.values for c in oracle.caches]),
+        key_buffer=key_buffer,
+        value_buffer=value_buffer,
         segments=run.patched.segments,
         recompute=run.patched.recompute,
         patched_offsets=np.zeros(0, dtype=np.int64),

@@ -18,6 +18,8 @@ from kvfuse.errors import (
     IntegrityError,
 )
 
+from forged_chunks import forge_chunk_file
+
 
 def make_model(**over):
     base = dict(n_layers=4, n_heads=2, head_dim=8, d_ff=32, vocab_size=64, seed=11)
@@ -128,15 +130,34 @@ def test_store_writes_the_documented_layout(tmp_path, rotated):
         chunk = CS.rotate_chunk_local(chunk, cfg)
     path = CS.store_chunk(chunk, tmp_path)
     # The layout of the Persistence comment in chunkstore, assembled by hand.
-    header = struct.pack("<4sI32s32sIIIIBBH", b"A3KV", 1, chunk.model_fingerprint,
+    header = struct.pack("<4sI32s32sIIIIBBH", b"A3KV", 2, chunk.model_fingerprint,
                          chunk.chunk_id, cfg.n_layers, cfg.n_heads, cfg.head_dim, 13,
                          0, int(rotated), 0)
     body = b"".join([header, chunk.token_ids.astype("<u4").tobytes()]
-                    + [l.keys.astype("<f4").tobytes() for l in chunk.layers]
-                    + [l.values.astype("<f4").tobytes() for l in chunk.layers])
+                    + [l.keys.swapaxes(1, 2).astype("<f4").tobytes() for l in chunk.layers]
+                    + [l.values.swapaxes(1, 2).astype("<f4").tobytes() for l in chunk.layers])
     with open(path, "rb") as fh:
         assert fh.read() == body + hashlib.sha256(body).digest()
     assert chunk.file_bytes == len(body) + 32 == os.path.getsize(path)
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_layers=0), dict(n_heads=0), dict(length=0), dict(head_dim=0), dict(head_dim=7),
+])
+def test_impossible_headers_are_refused(tmp_path, shape):
+    # No writer makes a chunk of no layers, heads or tokens, or with a
+    # head_dim RoPE cannot rotate in pairs; each such file's size, digest
+    # and id are consistent, so the header check alone refuses it.
+    fp = make_model().config.fingerprint()
+    fields = dict(n_layers=2, n_heads=2, head_dim=8, length=3) | shape
+    cid = forge_chunk_file(tmp_path, fp, list(range(fields.pop("length"))), **fields)
+    with pytest.raises(IntegrityError, match="impossible shape"):
+        CS.verify_chunk_file(tmp_path / cid, expect_id=bytes.fromhex(cid))
+    with pytest.raises(IntegrityError):
+        CS.ChunkStore(tmp_path).load(cid)
+    # The same file with a possible header loads.
+    cid = forge_chunk_file(tmp_path, fp, [0, 1, 2], n_layers=2, n_heads=2, head_dim=8)
+    assert CS.ChunkStore(tmp_path).load(cid).file_bytes == os.path.getsize(tmp_path / cid)
 
 
 def test_load_unknown_id(tmp_path):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from kvfuse import chunkstore
 from kvfuse.bench import run_strategy
@@ -14,6 +16,8 @@ from kvfuse.errors import ConfigError
 from kvfuse.eviction import EvictionPolicy
 from kvfuse.fusion import InputSegments
 from kvfuse.model import ModelConfig, build_model
+
+from forged_chunks import forge_chunk_file
 
 MODEL = {"n_layers": 4, "n_heads": 2, "head_dim": 8, "d_ff": 32,
          "vocab_size": 300, "seed": 9}
@@ -272,6 +276,69 @@ def test_generate_refuses_a_verified_chunk_of_another_shape(tmp_path, capsys, st
     assert err.startswith("data error: chunk ") and "Traceback" not in err
     # Vanilla reads only the chunks' token ids.
     assert main(argv + ["--strategy", "vanilla"]) == 0
+
+
+STRATEGIES = ("vanilla", "attention_aware", "kv_diff", "head_tail", "none", "full")
+
+
+@pytest.fixture(scope="module")
+def stored_system(tmp_path_factory):
+    """A store that holds the manifest model's system chunk, and the entry
+    that names it."""
+    tmp_path = tmp_path_factory.mktemp("forged")
+    data = json.loads(setup_store(tmp_path).read_text())
+    return data["store"], data["chunks"][0]
+
+
+# The manifest model's shape in a file this version reads; the first value
+# of each field drawn below is this one's.
+VALID_FORGERY = dict(n_layers=4, n_heads=2, head_dim=8, token_ids=[5, 6, 7], flags=0,
+                     version=chunkstore.VERSION, dtype=0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n_layers=st.sampled_from([4, 0, 1, 5]),
+    n_heads=st.sampled_from([2, 0, 1]),
+    head_dim=st.sampled_from([8, 0, 3, 16]),
+    token_ids=st.lists(st.integers(0, MODEL["vocab_size"] + 3), max_size=6),
+    flags=st.sampled_from([0, 1, 2]),
+    version=st.sampled_from([chunkstore.VERSION, chunkstore.VERSION - 1]),
+    dtype=st.sampled_from([0, 1]),
+)
+@example(**VALID_FORGERY)
+@example(**{**VALID_FORGERY, "flags": 1})
+@example(**{**VALID_FORGERY, "n_layers": 0})
+@example(**{**VALID_FORGERY, "token_ids": []})
+@example(**{**VALID_FORGERY, "n_layers": 1})
+@example(**{**VALID_FORGERY, "token_ids": [5, 999]})
+def test_generate_maps_every_forged_document_to_an_exit_code(
+        stored_system, n_layers, n_heads, head_dim, token_ids, flags, version, dtype):
+    # A document file with any header, whose digest and content id are
+    # valid, run through `generate` under every strategy: the run returns 0,
+    # 1 or 2 and never raises; a file the reader refuses, or one no writer
+    # makes, is exit 2, and so is one the fused strategies cannot use: a
+    # shape other than the model's, or rotated keys.
+    store, system = stored_system
+    manifest = os.path.join(store, "forged-manifest.json")
+    fp = ModelConfig(**MODEL).fingerprint()
+    cid = forge_chunk_file(store, fp, token_ids, n_layers, n_heads, head_dim, flags=flags,
+                           version=version, dtype=dtype)
+    with open(manifest, "w") as fh:
+        json.dump({"model": MODEL, "store": store, "chunks": [system, {"id": cid}]}, fh)
+    try:
+        chunkstore.verify_chunk_file(os.path.join(store, cid))
+        refused = False
+    except chunkstore.IntegrityError:
+        refused = True
+    impossible = 0 in (n_layers, n_heads, len(token_ids), head_dim) or head_dim % 2 == 1
+    misfit = (n_layers, n_heads, head_dim) != (4, 2, 8) or flags & 1
+    for strategy in STRATEGIES:
+        rc = main(["generate", "--manifest", manifest, "--question-text", "fox?",
+                   "--strategy", strategy, "--gen-len", "2"])
+        assert rc in (0, 1, 2)
+        if refused or impossible or (misfit and strategy != "vanilla"):
+            assert rc == 2, (strategy, rc)
 
 
 def test_generate_vanilla_trace(tmp_path):

@@ -1,8 +1,8 @@
 """Property checks of the decode cache over random lengths and long decodes.
 
 A `DecodeCache` holds each layer in transposed float32 buffers with spare
-rows and grows them layer by layer; a `CompactedCache` is the same storage
-after eviction. Over initial lengths of 1-300 rows and up to 200 appended
+rows (`kv_layout` lays the drawn rows out so) and grows them layer by
+layer; a `CompactedCache` is the same storage after eviction. Over initial lengths of 1-300 rows and up to 200 appended
 steps, so that runs cross several growth boundaries, the cache must hand
 back exactly the float32 rows it was given and appended, in order. Its
 `attend` must give, bit for bit, what a cache built in one piece from the
@@ -35,7 +35,7 @@ def make_cache(kind: str, rng, n: int):
     keys = rng.normal(size=shape).astype(M.DTYPE)
     values = rng.normal(size=shape).astype(M.DTYPE)
     if kind == "plain":
-        return M.DecodeCache(keys, values), keys, values
+        return M.DecodeCache(*M.kv_layout(keys, values), n), keys, values
     # Eviction kept n of a longer original cache, at different offsets per
     # layer and head.
     original = n + int(rng.integers(0, 20))
@@ -43,7 +43,7 @@ def make_cache(kind: str, rng, n: int):
         np.stack([np.sort(rng.choice(original, size=n, replace=False)) for _ in range(N_HEADS)])
         for _ in range(N_LAYERS)
     ])
-    return EV.CompactedCache(keys, values, index_map, original), keys, values
+    return EV.CompactedCache(*M.kv_layout(keys, values), index_map, original), keys, values
 
 
 def reference_attention(q, k, v, position):
@@ -60,7 +60,7 @@ def reference_attention(q, k, v, position):
 def one_piece_attend(q, k, v):
     """`attend` of a one-layer cache built in one piece from the rows k, v,
     at its newest row."""
-    cache = M.DecodeCache([k], [v])
+    cache = M.DecodeCache(*M.kv_layout([k], [v]), k.shape[1])
     return cache.attend(0, q, cache.max_position)
 
 

@@ -43,9 +43,10 @@ def instances(draw):
     cfg = MODEL.config
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
     shape = (cfg.n_layers, cfg.n_heads, n, cfg.head_dim)
+    key_buffer, value_buffer = M.kv_layout(rng.normal(size=shape), rng.normal(size=shape))
     cache = FU.PatchedCache(
-        keys=rng.normal(size=shape).astype(M.DTYPE),
-        values=rng.normal(size=shape).astype(M.DTYPE),
+        key_buffer=key_buffer,
+        value_buffer=value_buffer,
         segments=segments,
         recompute=FU.RecomputeSet(np.zeros(0, dtype=np.int64), 0),
         patched_offsets=segments.offsets("question"),

@@ -1,5 +1,6 @@
 import itertools
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -281,8 +282,8 @@ def test_prefill_attends_over_the_cache_it_returns(tmp_path, strategy):
             rows = patched.patched_offsets
             x = x[rows]
         q, _, _, _ = M.block_qkv(model, l, x, M._rope_table(rows, model.config))
-        attn = M.attention(q, np.asarray(patched.keys[l], dtype=np.float64),
-                           np.asarray(patched.values[l], dtype=np.float64), rows)
+        attn = M.attention(q, patched.key_buffer[l][:, :, :patched.n],
+                           patched.value_buffer[l][:, :, :patched.n], rows)
         x = M.block_out(model, l, x, attn)
     assert np.array_equal(M.final_logits(model, x[-1:])[0], logits)
 
@@ -303,8 +304,72 @@ def test_a_verified_chunk_of_another_shape_is_refused(tmp_path, strategy, other)
         FU.fused_prefill(model, segments, FU.FusionPlan(strategy), tmp_path)
 
 
+@pytest.mark.parametrize("strategy", ["attention_aware", "full"])
+def test_a_verified_chunk_stored_rotated_is_refused(tmp_path, strategy):
+    # A file may hold rotated keys (the format keeps the flag), but a stored
+    # chunk the pipeline reads is unrotated: such a document is bad stored
+    # data, refused as one whose shape does not fit.
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(5))
+    populate_store(model, segments, tmp_path)
+    doc = CS.precompute_chunk(segments.documents[0], model)
+    CS.store_chunk(CS.rotate_chunk_local(doc, model.config), tmp_path)
+    with pytest.raises(FingerprintError, match="and unrotated keys"):
+        FU.fused_prefill(model, segments, FU.FusionPlan(strategy), tmp_path)
+
+
+def test_prefill_and_decode_cache_hold_the_cache_once_plus_one_layer_of_scratch(tmp_path):
+    # The traced peak of a prefill and of the decode cache built from it, at
+    # a shape of many tiles and row blocks, cold (the prefix entries made)
+    # and warm (reused): the cache buffers once, with their 64 spare rows and
+    # the values' ones row, plus at most seven (n, d_model) float64 arrays
+    # of one layer's scratch. A second copy of the cache, or the
+    # projections of one layer kept while the next layer runs, exceeds it.
+    model = make_model(n_layers=3, n_heads=4, head_dim=16, d_ff=256)
+    segments = make_instance(model, np.random.default_rng(3), sys_len=64,
+                             doc_lens=(192, 192, 192), q_len=16)
+    store = CS.ChunkStore(tmp_path)
+    populate_store(model, segments, store)
+    cfg, n = model.config, segments.n
+    bound = (cfg.n_layers * cfg.n_heads * (2 * cfg.head_dim + 1) * (n + 64) * 4
+             + 7 * n * cfg.d_model * 8)
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            patched, _, _ = FU.fused_prefill(model, segments, FU.FusionPlan("attention_aware"),
+                                             store)
+            cache = patched.to_decode_cache()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        del patched, cache
+
+
+def test_decode_cache_adopts_the_prefill_buffers(tmp_path):
+    # The decode cache is the prefill's buffers, not a copy, and decoding
+    # from it, past its first growth, gives the bits of decoding from a copy.
+    model = make_model()
+    segments = make_instance(model, np.random.default_rng(15))
+    populate_store(model, segments, tmp_path)
+    patched, logits, _ = FU.fused_prefill(model, segments, FU.FusionPlan("attention_aware"),
+                                          tmp_path)
+    adopted = patched.to_decode_cache()
+    copied = M.DecodeCache(*M.kv_layout(patched.keys, patched.values), patched.n)
+    for l in range(model.config.n_layers):
+        assert np.shares_memory(adopted._keys[l], patched.keys)
+        assert np.shares_memory(adopted._values[l], patched.values)
+        assert not np.shares_memory(copied._keys[l], patched.keys)
+    token = M.greedy_token(logits)
+    for step in range(80):
+        a = M.decode_step(model, adopted, token, patched.n + step)
+        b = M.decode_step(model, copied, token, patched.n + step)
+        assert a.tobytes() == b.tobytes()
+        token = M.greedy_token(a)
+
+
 def test_prefill_patches_the_buffer_concat_laid_out(tmp_path, monkeypatch):
-    # The returned cache is concat's own (L, H, n, hd) pair, question rows
+    # The returned cache is concat's own pair of buffers, question rows
     # included: the pipeline allocates no cache of its own.
     model = make_model()
     segments = make_instance(model, np.random.default_rng(14))
@@ -318,7 +383,8 @@ def test_prefill_patches_the_buffer_concat_laid_out(tmp_path, monkeypatch):
     monkeypatch.setattr(FU, "concat_chunks", concat)
     for strategy in FU.STRATEGIES:
         patched, _, _ = FU.fused_prefill(model, segments, FU.FusionPlan(strategy), tmp_path)
-        assert patched.keys is laid_out[-1].keys and patched.values is laid_out[-1].values
+        assert patched.key_buffer is laid_out[-1].key_buffer
+        assert patched.value_buffer is laid_out[-1].value_buffer
         assert patched.segments is laid_out[-1].segments and patched.n == segments.n
 
 

@@ -7,7 +7,7 @@ from kvfuse import chunkstore as CS
 from kvfuse import model as M
 from kvfuse.errors import ConfigError, ContractViolation, InputError, ShapeError
 
-from attention_reference import float32_error_bound
+from attention_reference import cache_layer, float32_error_bound
 
 # Pinned by running the init generator once; guards the weight scheme
 # against accidental reordering of tensor streams.
@@ -186,7 +186,7 @@ def test_attention_single_key_returns_value():
     q = rng.normal(size=(2, 1, 8))
     k = rng.normal(size=(2, 1, 8))
     v = rng.normal(size=(2, 1, 8))
-    out = M.attention(q, k, v, np.array([0]))
+    out = M.attention(q, *cache_layer(k, v), np.array([0]))
     np.testing.assert_allclose(out, v, atol=1e-12)
 
 
@@ -196,7 +196,7 @@ def test_attention_identical_keys_split_mass():
     k_row = rng.normal(size=4)
     k = np.stack([k_row, k_row])[None]
     v = rng.normal(size=(1, 2, 4))
-    out = M.attention(q, k, v, np.array([5]))
+    out = M.attention(q, *cache_layer(k, v), np.array([5]))
     np.testing.assert_allclose(out[0, 0], v[0].mean(axis=0), atol=1e-12)
 
 
@@ -208,7 +208,7 @@ def test_attention_matches_loop_reference():
     k = rng.normal(size=(H, n, hd))
     v = rng.normal(size=(H, n, hd))
     pos = np.arange(n)
-    out = M.attention(q, k, v, pos)
+    out = M.attention(q, *cache_layer(k, v), pos)
     ref = ref_attention(q, k, v, pos, pos, 1.0 / np.sqrt(hd))
     # Within float32 round-off of the float64 loop, per head and row.
     assert np.all(np.abs(out - ref).max(axis=-1) <= float32_error_bound(q, k, v, pos, pos))
@@ -223,14 +223,14 @@ def test_attention_rows_sum_to_one_via_constant_values():
     k = rng.normal(size=(H, n, hd))
     v = np.ones((H, n, hd))
     pos = np.arange(n)
-    out = M.attention(q, k, v, pos)
+    out = M.attention(q, *cache_layer(k, v), pos)
     np.testing.assert_allclose(out, np.ones_like(out), atol=1e-5)
 
 
 def test_attention_head_mismatch():
     with pytest.raises(ShapeError):
         M.attention(
-            np.zeros((2, 1, 4)), np.zeros((3, 1, 4)), np.zeros((3, 1, 4)), np.array([0]),
+            np.zeros((2, 1, 4)), np.zeros((3, 4, 1)), np.zeros((3, 5, 1)), np.array([0]),
         )
 
 
@@ -307,7 +307,7 @@ def reference_prefill(model, ids):
         values.append(v.astype(M.DTYPE))
         raw_keys.append(k_raw.astype(M.DTYPE))
         queries.append(q.astype(M.DTYPE))
-        x = M.block_out(model, l, x, M.attention(q, k, v, pos))
+        x = M.block_out(model, l, x, M.attention(q, *cache_layer(k, v), pos))
     return M.final_logits(model, x[-1:])[0], keys, values, raw_keys, queries
 
 
