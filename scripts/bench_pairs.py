@@ -23,7 +23,9 @@ Before the pairs, the script runs the change tree's
 `output_hashes`, how many lines the change printed, how many of them the
 parent printed the same, and the label of every line that differs or is
 printed by one side only, so that a claim of identical outputs is read
-from the file.
+from the file. Beside it, `src_lines` holds each tree's line count of
+`src/kvfuse/*.py`, as `wc -l` counts them, so a claim that `src/` shrank
+is read from the file too.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ def compare_output_hashes(parent_lines: list[str], change_lines: list[str]) -> d
             "lines": len(change_lines), "parent_lines": len(parent_lines),
             "identical": sum(parent.get(label) == value for label, value in change.items()),
             "differing": differing}
+
+
+def src_lines(tree: Path) -> int:
+    """The newlines in the tree's `src/kvfuse/*.py`: `wc -l`'s total."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "kvfuse").glob("*.py"))
 
 
 def json_lines(stdout: str) -> list[dict]:
@@ -221,6 +228,7 @@ def main(argv=None, runner=run_perfbench, hashes=run_output_hashes) -> int:
                    "per-layer figures are wall-clock",
         "verdict_rule": VERDICT_RULE,
         "output_hashes": output_hashes,
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "workloads": workloads,
     }
     if args.section:

@@ -161,7 +161,7 @@ def _load_manifest(path: str) -> dict:
             raise ConfigError(f"manifest is missing {key!r}")
     if not isinstance(manifest["model"], dict):
         raise ConfigError("manifest 'model' must be an object")
-    if not isinstance(manifest["store"], str):
+    if not isinstance(manifest["store"], str) or "\0" in manifest["store"]:
         raise ConfigError("manifest 'store' must be a path string")
     chunks = manifest["chunks"]
     if not isinstance(chunks, list) or len(chunks) < 2:
@@ -196,9 +196,15 @@ def cmd_generate(args) -> int:
     # Context token ids always come from the store; the vanilla baseline
     # ignores the cached KV but reads the same files. The fused prefill then
     # takes the chunks read here from the same store, so each file is read
-    # and verified once while they fit in `chunkstore.RESIDENT_BYTES`.
+    # and verified once while they fit in `chunkstore.RESIDENT_BYTES`. A
+    # verified file whose ids lie outside the vocabulary is stored data
+    # that does not fit the model, like a chunk of another shape.
     parts = [store.load(entry["id"]).token_ids.astype(np.int64)
              for entry in manifest["chunks"]]
+    for entry, ids in zip(manifest["chunks"], parts):
+        if ids.max() >= config.vocab_size:
+            raise FingerprintError(f"chunk {entry['id']} holds token ids outside the model's "
+                                   f"vocabulary [0, {config.vocab_size})")
     segments = InputSegments(system=parts[0], documents=parts[1:], question=question)
 
     run = run_strategy(

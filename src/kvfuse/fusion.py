@@ -1,21 +1,20 @@
 """Selective recomputation over a fused chunk cache, plus the reuse baselines.
 
-Every strategy runs one loop over the model's block from layer 0, over
-the one pair of float32 buffers `concat_chunks` lays out in
-`model.kv_buffers`' layout (column i is position i): the chunks, then
-zeroed question rows. At each layer the carried rows write fresh keys and
-values into it, whose other rows keep the stored chunk entries bitwise,
-and attend over that layer as it lies; the decode cache adopts the same
-buffers, so decode continues from the cache the prefill attended to.
-Then one `PatchedCache`, which holds those buffers, one final-logits
-call and one `FusionTrace`. Only the row schedule differs. A layer's
-projections run a block of rows at a time (`model._project`), so a
-request holds the cache once plus one layer's scratch. The selective
-strategies recover global positions and carry every row until layer 1's
-projections, which the selection criteria read; then the selected rows
-(Re) plus the question. `full` rotates each chunk locally and carries the
-question alone. At the last layer only the tile that holds the last row attends,
-and only that row is finished (`model._attend_out`). The trace charges
+Every strategy runs the one prefill loop, `model._prefill_layers`, which
+`prefill_forward` runs too, over the one pair of float32 buffers
+`concat_chunks` lays out in `model.kv_buffers`' layout (column i is
+position i): the chunks, then zeroed question rows. At each layer the
+carried rows write fresh keys and values into it, whose other rows keep
+the stored chunk entries bitwise, and attend over that layer as it lies;
+the decode cache adopts the same buffers, so decode continues from the
+cache the prefill attended to. Then one `PatchedCache`, which holds those
+buffers, one final-logits call and one `FusionTrace`. Only the row
+schedule differs, and the loop takes it as its arguments. A request holds
+the cache once plus one layer's scratch. The selective strategies recover
+global positions and carry every row until layer 1's projections, which
+their selection step reads; then the selected rows (Re) plus the
+question. `full` rotates each chunk locally and carries the question
+alone, with no prefix and no selection. The trace charges
 `flops.prefill_flops` for the rows that ran (every row at layers 0-1
 when selecting), so a clamped budget pays for them; `flops.fused_flops`
 models the unclamped budget.
@@ -45,8 +44,9 @@ entry holds only its rows' float32 layer-1 inputs, exact because
 the projections of layers 0-1 over every row, which depend only on each
 token, its position and its layer input, but take the layer-1 inputs of
 the unbroken chain of entries that hit from row 0 and run layer 0's
-attention and block from the chain's end only. A miss stores the entries
-from the first one missed on. Only whole attention tiles are reused: a
+attention and block from the chain's end only. On a miss the selection
+step, which sees every row's layer-1 input, stores the entries from the
+first one missed on. Only whole attention tiles are reused: a
 tile that straddled a boundary would run its value product over a longer
 key range, which may sum in another order, so reusing it could change
 bits. `full` never uses the entries. At the rag_shared shape an entry is
@@ -92,10 +92,8 @@ from .model import (
     DecodeCache,
     Model,
     _F64,
-    _attend_out,
     _check_tokens,
-    _project,
-    _rope_table,
+    _prefill_layers,
     attention_weights,
     final_logits,
 )
@@ -354,20 +352,16 @@ def fused_prefill(
     n_ctx = n - q_len
     question_queries = np.empty((cfg.n_layers, cfg.n_heads, q_len, cfg.head_dim), dtype=DTYPE)
     question_rows = np.arange(n_ctx, n, dtype=np.int64)
-    pos = np.arange(n, dtype=np.int64)
-    cos, sin = _rope_table(pos, cfg)
 
-    # `reused`, the unbroken chain of entries that hit from row 0, holds the
-    # layer-1 inputs of rows [0, attend); layer 0's attention and block run
-    # from `attend`. A miss stores `chain`'s entries from the first one
-    # missed on.
-    chain, reused, attend = [], [], 0
+    # The schedule of the one prefill loop. `full` carries only the
+    # question; the chunk rows all precede it, so causality follows from
+    # the row offsets. The selective strategies carry every row, take the
+    # layer-1 inputs of the unbroken chain of entries that hit from row 0
+    # (`prefix`) and select after layer 1's projections.
+    prefix, select, scores_doc = [], None, None
+    rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)  # `full` and `none`
     if full:
-        # Only the question is carried; the chunk rows all precede it, so
-        # causality follows from the row offsets.
-        rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
-        scores_doc, rows, ids = None, question_rows, q_ids
-        rope = cos[rows], sin[rows]
+        rows, ids = question_rows, q_ids
     else:
         t0 = time.perf_counter()
         # Layers 0-1 of every stored key are overwritten.
@@ -377,38 +371,26 @@ def fused_prefill(
             # Layer 1's write below overwrites the stored values.
             stored = np.asarray(fused.values[1][:, segmap.document_offsets()], _F64, order="C")
         ids = np.concatenate([fused.token_ids.astype(np.int64), q_ids])
+        # `chain` keeps the entries from the first one missed on.
         chain = _prefix_chain(fp, ids, [chunk.length for chunk in chunks])
-        for key, _, end in chain:
-            inputs = store.get(key)
-            if inputs is None:
-                break
-            reused.append(inputs)
-            attend = end
-        rows, rope = pos, (cos, sin)
+        while chain and (inputs := store.get(chain[0][0])) is not None:
+            prefix.append(inputs)
+            del chain[0]
+        rows = np.arange(n, dtype=np.int64)
 
-    # The one layer loop: the carried rows write their keys and values into
-    # the stored layer, a block at a time, then attend over it. Only the
-    # queries that are read (layer 0: from `skip`; layer 1: documents and
-    # question) and layer 1's float64 keys, until the selection, outlive the
-    # projections. The selection shrinks the carried rows to Re plus the
-    # question.
-    t0 = time.perf_counter()
-    skip = attend  # later layers attend from every carried row
-    x = model.weights.embedding[ids].astype(DTYPE)  # exact: the weights are float32 draws
-    for l in range(cfg.n_layers):
-        select = l == 1 and not full
-        first = skip if l == 0 else (len(segments.system) if select else 0)
-        k = np.empty((cfg.n_heads, n, cfg.head_dim)) if select else None
-        q = _project(model, l, x, rope, k_buf[l], v_buf[l], rows, first, k64=k)
-        question_queries[l] = q[:, -q_len:]
-        if select:
+        def step(q, k, x):
+            # `x` holds every row's layer-1 input.
+            nonlocal t0, rset, scores_doc, rows
+            for key, start, end in chain:
+                inputs = x[start:end].astype(DTYPE)
+                inputs.flags.writeable = False
+                store.put(key, inputs, inputs.nbytes)
             durations["layer01"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             # Scores are recorded for every selective strategy so the harness
             # can compare any selection against the attention oracle at
             # matched budget.
             scores_doc = score_tokens(q[:, -q_len:], k, segmap)
-            k = None
             if plan.strategy == "attention_aware":
                 rset = select_recompute(scores_doc, plan.r, n, segmap)
             elif plan.strategy == "kv_diff":
@@ -419,22 +401,17 @@ def fused_prefill(
                 rset = select_recompute(deviation, plan.r, n, segmap)
             elif plan.strategy == "head_tail":
                 rset = select_head_tail(segmap, plan.head_tail_k)
-            else:  # none
-                rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)
             rows = np.concatenate([rset.indices, question_rows])
-            q, x, rope = q[:, rows - first], x[rows], (cos[rows], sin[rows])
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-        x = _attend_out(model, l, x[skip:], q, k_buf[l][:, :, :n], v_buf[l][:, :, :n], rows[skip:])
-        del q  # only the layer's output outlives it
-        if reused:
-            x = np.concatenate(reused + [x])
-        if l == 0:
-            for key, start, end in chain[len(reused):]:
-                inputs = x[start:end].astype(DTYPE)
-                inputs.flags.writeable = False
-                store.put(key, inputs, inputs.nbytes)
-            skip, reused = 0, []
+            return rows
+
+        # Only document and question rows can be selected.
+        select = (len(segments.system), step)
+
+    t0 = time.perf_counter()
+    x = _prefill_layers(model, ids, rows, k_buf[..., :n], v_buf[..., :n], prefix, select,
+                        question_queries)
     durations["patch"] = time.perf_counter() - t0
 
     patched = PatchedCache(
@@ -443,8 +420,8 @@ def fused_prefill(
     )
     trace = FusionTrace(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
-        selected=[int(i) for i in rset.indices], clamped=rset.clamped, reused_rows=attend,
-        chunk_bytes=chunk_bytes, chunk_hits=chunk_hits,
+        selected=[int(i) for i in rset.indices], clamped=rset.clamped,
+        reused_rows=sum(map(len, prefix)), chunk_bytes=chunk_bytes, chunk_hits=chunk_hits,
         chunk_bytes_read=chunk_bytes_read, durations=durations,
         flops={
             "prefill": F.prefill_flops(cfg, n, rows.size, 0 if full else 2),
@@ -453,5 +430,5 @@ def fused_prefill(
         },
         scores_doc=scores_doc,
     )
-    return patched, final_logits(model, x[-1:])[0], trace
+    return patched, final_logits(model, x)[0], trace
 

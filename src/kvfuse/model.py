@@ -19,14 +19,12 @@ question-relevance scorer, runs in float64.
 
 The block is written once, split at the attention: `block_qkv` projects a
 set of rows, the caller decides which keys they attend to, and `block_out`
-finishes the layer. `prefill_forward` (rows attend to each other),
-`decode_step` (one row over a growing cache) and the fused pipeline in
-`fusion` (rows patched into stored chunk caches) are all loops over it;
-`final_logits` ends each of them. The two prefill loops project and
-finish rows in blocks (`_project`, `_attend_out`), so a layer's scratch
-stays one block's and its projections are gone before the next layer;
-they read only their last row's output, so their last layer finishes
-that row alone (`_attend_out`). Each layer holds its Q, K and V weights
+finishes the layer. Two loops run it: `_prefill_layers`, the one prefill
+loop, which `prefill_forward` and every strategy of `fusion` call with
+their row schedules, and `decode_step` (one row over a growing cache);
+`final_logits` ends both. The prefill loop runs each layer in blocks of
+rows, so a layer's scratch stays one block's, and finishes only the last
+row at its last layer. Each layer holds its Q, K and V weights
 stacked in one (3, d_model, d_model) array, so `block_qkv` runs one
 projection product and rotates the q and k heads in one call; the weights
 take no more memory than three separate matrices.
@@ -49,6 +47,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -100,12 +99,13 @@ class ModelConfig:
     rope_base: float = 10000.0
 
     def __post_init__(self) -> None:
-        if self.d_model == 0:
-            object.__setattr__(self, "d_model", self.n_heads * self.head_dim)
-        if not _is_number(self.rope_base):
-            raise ConfigError(f"rope_base must be a number, got {self.rope_base!r}")
+        # An integer beyond the float range is refused before `float` overflows.
+        if not (_is_number(self.rope_base) and 1.0 < self.rope_base <= sys.float_info.max):
+            raise ConfigError(f"rope_base must be a finite number > 1, got {self.rope_base!r}")
         object.__setattr__(self, "rope_base", float(self.rope_base))
         for name in ("n_layers", "n_heads", "head_dim", "d_ff", "vocab_size", "d_model"):
+            if name == "d_model" and self.d_model == 0:  # its factors are checked by now
+                object.__setattr__(self, "d_model", self.n_heads * self.head_dim)
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
@@ -115,8 +115,6 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model={self.d_model} != n_heads*head_dim={self.n_heads * self.head_dim}"
             )
-        if not (self.rope_base > 1.0):
-            raise ConfigError(f"rope_base must be > 1, got {self.rope_base}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
@@ -529,9 +527,9 @@ def block_out(model: Model, layer: int, x: np.ndarray, attn: np.ndarray) -> np.n
     return out.astype(DTYPE).astype(x.dtype, copy=False)
 
 
-# Rows per block of `_project` and `_attend_out`. A row's products have the
-# bits of one product over every row unless its block has one row, which
-# takes NumPy's matrix-vector path (`_attend_out`), so no block has one.
+# Rows per block of `_prefill_layers`. A row's products have the bits of
+# one product over every row unless its block has one row, which takes
+# NumPy's matrix-vector path, so no block has one.
 _BLOCK_ROWS = 128
 
 
@@ -540,56 +538,6 @@ def _row_blocks(rows: int) -> list[slice]:
     if ends and rows - ends[-1] == 1:
         ends.pop()
     return [slice(a, b) for a, b in zip([0] + ends, ends + [rows])]
-
-
-def _project(model: Model, layer: int, x: np.ndarray, rope, keys: np.ndarray,
-             values: np.ndarray, cols, first: int = 0, k64: np.ndarray | None = None,
-             raw: np.ndarray | None = None) -> np.ndarray:
-    """`block_qkv` over `_row_blocks` of `x`, each block's rotated keys and
-    values written into the cache layer `keys`/`values` at columns `cols`
-    and then dropped. Returns the rotated queries (H, rows - first, hd) of
-    the rows from `first` on; `k64` and `raw` take the rotated keys in
-    float64 and the raw keys, when given."""
-    hd = keys.shape[1]
-    q = np.empty((keys.shape[0], x.shape[0] - first, hd))
-    for b in _row_blocks(x.shape[0]):
-        q_rot, k, k_raw, v = block_qkv(model, layer, x[b], (rope[0][b], rope[1][b]))
-        if b.stop > first:
-            q[:, max(b.start - first, 0):b.stop - first] = q_rot[:, max(first - b.start, 0):]
-        keys[:, :, cols[b]] = k.swapaxes(1, 2)
-        values[:, :hd, cols[b]] = v.swapaxes(1, 2)
-        for dst, src in ((k64, k), (raw, k_raw)):
-            if dst is not None:
-                dst[:, b] = src
-    return q
-
-
-def _attend_out(model: Model, layer: int, x: np.ndarray, q: np.ndarray, keys: np.ndarray,
-                values: np.ndarray, q_pos: np.ndarray) -> np.ndarray:
-    """`attention` of the rows' queries `q` at `q_pos` over `keys`/`values`,
-    then `block_out` over `_row_blocks`, so the feed-forward holds (rows,
-    d_ff) arrays of one block at a time, for the layers before the last.
-    At the last layer
-    only the last row's output is read (`final_logits` takes it), so only
-    the tile that holds it attends and only that row runs `block_out`; the
-    result is then that one row.
-
-    The tile stays whole, so its attention products are the full call's,
-    bit for bit. `block_out` over the last row alone takes NumPy's
-    matrix-vector path, whose float64 sums may differ from a many-row
-    product's in the last place, and rounding to float32 does not always
-    hide that: for some inputs the row differs from what a many-row
-    `block_out` would give it. So neither prefill loop promises the bits
-    that finishing every row would give its last row.
-    """
-    if layer < model.config.n_layers - 1:
-        attn, out = attention(q, keys, values, q_pos), np.empty_like(x)
-        for b in _row_blocks(x.shape[0]):
-            out[b] = block_out(model, layer, x[b], attn[:, b])
-        return out
-    tail = (q.shape[1] - 1) // _TILE_ROWS * _TILE_ROWS
-    attn = attention(q[:, tail:], keys, values, q_pos[tail:])
-    return block_out(model, layer, x[-1:], attn[:, -1:])
 
 
 def final_logits(model: Model, x: np.ndarray) -> np.ndarray:
@@ -629,6 +577,77 @@ def _check_tokens(config: ModelConfig, token_ids) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
+def _prefill_layers(model: Model, ids: np.ndarray, rows: np.ndarray, keys: np.ndarray,
+                    values: np.ndarray, prefix=(), select=None, queries=None,
+                    raw=None) -> np.ndarray:
+    """The one prefill loop; returns the last row's output of the last
+    layer, (1, d_model) float32. Vanilla carries every row, `full` the
+    question, the selective strategies every row and then their selection.
+
+    The carried rows, increasing positions `rows` that end at the last
+    one, start from the embeddings of `ids`. At each layer `block_qkv` runs
+    over `_row_blocks` of them, writes each block's rotated keys and values
+    into the layer of `keys`/`values` (`kv_buffers` cut to the cache's
+    rows; the other rows keep what they hold) and drops the rest but the
+    queries that are read: at layer 0 from the end of `prefix`, at layer 1
+    from `select`'s first row. The rows attend over the layer as it lies
+    and run `block_out` over the same blocks. `prefix` holds, in order, the
+    float32 layer-1 inputs of the first rows, which skip layer 0's
+    attention and block. `select`, (first, step), runs after layer 1's
+    projections: `step(q, k, x)` sees the queries from row `first` on,
+    every row's rotated keys in float64 and their layer inputs, and
+    returns the rows that carry on; a schedule that selects carries every
+    row until then, so rows and positions coincide. `queries` (L, H, m,
+    hd) takes each layer's last m queries, `raw` (L, H, rows, hd) its raw
+    keys.
+
+    At the last layer only the tile that holds the last row attends, whole,
+    so its products are the full call's, and only that row runs
+    `block_out`. That takes NumPy's matrix-vector path, whose float64 sums
+    may differ from a many-row product's in the last place, and rounding
+    to float32 does not always hide that; so no prefill promises the bits
+    that finishing every row would give its last row.
+    """
+    cfg = model.config
+    hd, last = cfg.head_dim, cfg.n_layers - 1
+    x = model.weights.embedding[ids].astype(DTYPE)  # exact: the weights are float32 draws
+    cos, sin = _rope_table(rows, cfg)
+    skip = sum(len(inputs) for inputs in prefix)
+    for l in range(cfg.n_layers):
+        selecting = l == 1 and select is not None
+        first = select[0] if selecting else skip
+        k64 = np.empty((cfg.n_heads, rows.size, hd)) if selecting else None
+        q = np.empty((cfg.n_heads, rows.size - first, hd))
+        for b in _row_blocks(rows.size):
+            q_rot, k, k_raw, v = block_qkv(model, l, x[b], (cos[b], sin[b]))
+            if b.stop > first:
+                q[:, max(b.start - first, 0):b.stop - first] = q_rot[:, max(first - b.start, 0):]
+            keys[l][:, :, rows[b]] = k.swapaxes(1, 2)
+            values[l][:, :hd, rows[b]] = v.swapaxes(1, 2)
+            if k64 is not None:
+                k64[:, b] = k
+            if raw is not None:
+                raw[l][:, b] = k_raw
+        del q_rot, k, k_raw, v
+        if queries is not None:
+            queries[l] = q[:, q.shape[1] - queries.shape[2]:]
+        if selecting:
+            rows = select[1](q, k64, x)
+            k64, q, x, cos, sin = None, q[:, rows - first], x[rows], cos[rows], sin[rows]
+        if l == last:
+            tail = (q.shape[1] - 1) // _TILE_ROWS * _TILE_ROWS
+            attn = attention(q[:, tail:], keys[l], values[l], rows[skip + tail:])
+            return block_out(model, l, x[-1:], attn[:, -1:])
+        attn = attention(q, keys[l], values[l], rows[skip:])
+        del q
+        out = np.empty_like(x[skip:])
+        for b in _row_blocks(out.shape[0]):
+            out[b] = block_out(model, l, x[skip:][b], attn[:, b])
+        x = np.concatenate([*prefix, out]) if skip else out
+        del attn, out
+        skip = 0
+
+
 def prefill_forward(
     model: Model,
     token_ids,
@@ -636,32 +655,26 @@ def prefill_forward(
     record_raw_keys: bool = False,
     record_queries: bool = False,
 ) -> PrefillResult:
-    """Full forward over a token sequence at positions 0..n-1.
+    """Full forward over a token sequence at positions 0..n-1: the one
+    prefill loop (`_prefill_layers`) carrying every row, with no prefix
+    and no selection.
 
     Every layer writes the keys and values of every row into one
     `kv_buffers` pair (and, when asked, records its raw keys and rotated
     queries); the caches are row views of it. Only the last row's logits
-    are returned, so at the last layer `_attend_out` attends with the final
-    32-row tile alone and finishes only the last row.
+    are returned.
     """
     cfg = model.config
     ids = _check_tokens(cfg, token_ids)
     n, h, hd = ids.shape[0], cfg.n_heads, cfg.head_dim
-    pos = np.arange(n, dtype=np.int64)
-    rope = _rope_table(pos, cfg)
-    x = model.weights.embedding[ids].astype(DTYPE)  # exact: the weights are float32 draws
     keys, values = kv_buffers(cfg.n_layers, h, hd, n)
     raw_keys = np.empty((cfg.n_layers, h, n, hd), dtype=DTYPE) if record_raw_keys else None
     queries = np.empty((cfg.n_layers, h, n, hd), dtype=DTYPE) if record_queries else None
-    for l in range(cfg.n_layers):
-        q = _project(model, l, x, rope, keys[l], values[l], pos,
-                     raw=None if raw_keys is None else raw_keys[l])
-        if queries is not None:
-            queries[l] = q
-        x = _attend_out(model, l, x, q, keys[l][:, :, :n], values[l][:, :, :n], pos)
+    x = _prefill_layers(model, ids, np.arange(n), keys[..., :n], values[..., :n],
+                        queries=queries, raw=raw_keys)
     caches = [LayerKV(keys=kv_rows(keys[l], n, hd), values=kv_rows(values[l], n, hd),
                       rope_applied=True) for l in range(cfg.n_layers)]
-    return PrefillResult(caches=caches, logits=final_logits(model, x[-1:])[0],
+    return PrefillResult(caches=caches, logits=final_logits(model, x)[0],
                          raw_keys=None if raw_keys is None else list(raw_keys),
                          queries=None if queries is None else list(queries))
 

@@ -170,6 +170,23 @@ def test_output_hash_lines_that_differ_are_named(trees, tmp_path):
                                           "decode step 1 logits"]
 
 
+def test_src_line_counts_are_recorded(trees, tmp_path):
+    # `wc -l` counts newlines: a last line without one is not counted, and
+    # only the package's Python files count.
+    parent, change = trees
+    files = {parent: {"model.py": "a\nb\nc\n", "fusion.py": "d\ne"},
+             change: {"model.py": "a\nb\n", "notes.txt": "x\ny\nz\n"}}
+    for tree, texts in files.items():
+        (tree / "src" / "kvfuse").mkdir(parents=True)
+        for name, text in texts.items():
+            (tree / "src" / "kvfuse" / name).write_text(text)
+    out = tmp_path / "BENCH_fake.json"
+    bench_pairs.main(
+        ["--parent", str(parent), "--change", str(change), "--workloads", "long_answer",
+         "--seeds", "1", "--out", str(out)], runner=FakeRunner(), hashes=FakeHashes())
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 4, "change": 2}
+
+
 def test_last_json_line_and_seed_ranges():
     stdout = 'start\n{"a": 1}\nend_to_end x 1 ms\n{"b": 2}\n'
     assert bench_pairs.json_lines(stdout) == [{"a": 1}, {"b": 2}]

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -317,8 +318,9 @@ def test_generate_maps_every_forged_document_to_an_exit_code(
     # A document file with any header, whose digest and content id are
     # valid, run through `generate` under every strategy: the run returns 0,
     # 1 or 2 and never raises; a file the reader refuses, or one no writer
-    # makes, is exit 2, and so is one the fused strategies cannot use: a
-    # shape other than the model's, or rotated keys.
+    # makes, is exit 2, and so is one whose ids lie outside the vocabulary
+    # and one the fused strategies cannot use: a shape other than the
+    # model's, or rotated keys.
     store, system = stored_system
     manifest = os.path.join(store, "forged-manifest.json")
     fp = ModelConfig(**MODEL).fingerprint()
@@ -337,8 +339,73 @@ def test_generate_maps_every_forged_document_to_an_exit_code(
         rc = main(["generate", "--manifest", manifest, "--question-text", "fox?",
                    "--strategy", strategy, "--gen-len", "2"])
         assert rc in (0, 1, 2)
-        if refused or impossible or (misfit and strategy != "vanilla"):
+        if (refused or impossible or max(token_ids) >= MODEL["vocab_size"]
+                or (misfit and strategy != "vanilla")):
             assert rc == 2, (strategy, rc)
+
+
+def _json(integers):
+    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=6)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=5)
+
+
+ANY_JSON = _json(st.integers())
+SIZE_JSON = _json(st.integers(-1, 8))  # no example builds a large model
+SIZES = ("n_layers", "n_heads", "head_dim", "d_ff", "vocab_size", "d_model")
+ABSENT = "<absent>"
+# Every key of the manifest, of its model object and of its first two chunk
+# entries, plus one that no reader knows.
+MANIFEST_PATHS = ([(key,) for key in ("model", "store", "chunks", "other")]
+                  + [("model", key) for key in (*MODEL, "d_model", "rope_base", "other")]
+                  + [("chunks", i) for i in (0, 1)]
+                  + [("chunks", i, key) for i in (0, 1) for key in ("id", "length", "other")])
+
+
+@st.composite
+def manifest_edit(draw):
+    path = draw(st.sampled_from(MANIFEST_PATHS))
+    return path, draw(st.just(ABSENT) | (SIZE_JSON if path[-1] in SIZES else ANY_JSON))
+
+
+@pytest.fixture(scope="module")
+def stored_manifest(tmp_path_factory):
+    return json.loads(setup_store(tmp_path_factory.mktemp("manifest")).read_text())
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edits=st.lists(manifest_edit(), max_size=3, unique_by=lambda edit: edit[0]),
+       evict=st.sampled_from([None, 40]))
+@example(edits=[], evict=None)
+@example(edits=[(("model", "n_heads"), None), (("model", "d_model"), ABSENT)], evict=None)
+@example(edits=[(("model", "rope_base"), 10**400)], evict=None)
+@example(edits=[(("store",), "store\0")], evict=None)
+def test_generate_maps_every_manifest_to_an_exit_code(stored_manifest, edits, evict):
+    # The stored manifest with values of any type, or none, at some of its
+    # keys, run through `generate` under every strategy: the run returns 0,
+    # 1 or 2 and never raises, and the unedited manifest runs without
+    # eviction.
+    manifest = json.loads(json.dumps(stored_manifest))
+    # Deeper keys first, so that every edit finds its enclosing object.
+    for path, value in sorted(edits, key=lambda edit: -len(edit[0])):
+        *outer, key = path
+        node = functools.reduce(lambda node, k: node[k], outer, manifest)
+        if value is not ABSENT:
+            node[key] = value
+        elif isinstance(node, dict):
+            node.pop(key, None)
+        else:
+            del node[key]
+    path = os.path.join(os.path.dirname(stored_manifest["store"]), "edited-manifest.json")
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    argv = ["generate", "--manifest", path, "--question-text", "fox?", "--gen-len", "2"]
+    argv += [] if evict is None else ["--evict-capacity", str(evict)]
+    for strategy in STRATEGIES:
+        rc = main(argv + ["--strategy", strategy])
+        assert rc in (0, 1, 2)
+        if not edits and evict is None:
+            assert rc == 0, strategy
 
 
 def test_generate_vanilla_trace(tmp_path):

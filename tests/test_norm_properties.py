@@ -55,7 +55,7 @@ MODEL = M.build_model(ModelConfig(n_layers=1, n_heads=2, head_dim=8, d_ff=16, vo
 def test_one_row_logits_are_those_of_the_many_row_norm(case):
     # Both sides unembed one row, since a one-row product takes NumPy's
     # matrix-vector path, whose sums may differ from a many-row product's
-    # in the last place (see `_attend_out`).
+    # in the last place (see `_prefill_layers`).
     x, i = case
     expect = (M._rmsnorm(x)[i:i + 1] @ MODEL.weights.unembed).astype(M.DTYPE)
     assert bits_equal(M.final_logits(MODEL, x[i:i + 1]), expect)
