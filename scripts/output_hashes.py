@@ -7,7 +7,8 @@ kept every result bit for bit:
     python3 scripts/output_hashes.py path/to/other/src > b.txt
     diff a.txt b.txt
 
-Covers `prefill_forward` (caches, raw keys, queries, last-row logits), every
+Covers `prefill_forward` (caches, raw keys, queries, last-row logits), the
+keys `rotate_chunk_local` gives each context chunk, every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
 queries, selection, scores, first logits, and the prefill, vanilla and scoring
 FLOP figures of the trace), every strategy at r=0.15 run twice on one
@@ -164,6 +165,11 @@ def main() -> None:
             emit(f"{name} prefill L{l} raw_keys", res.raw_keys[l])
             emit(f"{name} prefill L{l} queries", res.queries[l])
         emit(f"{name} prefill logits", res.logits)
+        for i, part in enumerate(segments.context_chunks()):
+            rotated = chunkstore.rotate_chunk_local(chunkstore.precompute_chunk(part, model),
+                                                    model.config)
+            emit(f"{name} rotate_chunk_local chunk {i} keys",
+                 np.stack([layer.keys for layer in rotated.layers]))
         with tempfile.TemporaryDirectory() as store:
             bench.populate_store(model, segments, store)
             for strategy in fusion.STRATEGIES:

@@ -211,8 +211,8 @@ def check_run_args(
         raise ConfigError(f"unknown strategy {strategy!r}")
     if gen_len < 1:
         raise InputError("gen_len must be >= 1")
-    if eviction is not None and strategy == "vanilla":
-        raise ConfigError("eviction needs a fused strategy; vanilla keeps no patched cache")
+    if eviction is not None and strategy in ("vanilla", "full"):
+        raise ConfigError(f"eviction needs a strategy that recovers positions, not {strategy}")
     return None if strategy == "vanilla" else FusionPlan(strategy, r=r, head_tail_k=head_tail_k)
 
 

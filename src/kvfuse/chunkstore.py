@@ -3,8 +3,10 @@
 Chunks are processed standalone: each forward runs with local positions
 0..len-1, but the stored keys are the pre-rotation projections, so a chunk
 can later be re-rotated at whatever global offset it lands on. Values are
-never rotated. One binary format serves every strategy; re-applying local
-rotation at load time realizes the plain concatenation baseline.
+never rotated. One binary format serves every strategy, and one function,
+`_rotate_keys`, rotates stored keys in place in the concatenated buffer:
+at global offsets for position recovery, at each chunk's local positions
+for the plain concatenation baseline.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 import struct
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .model import (
     _F64,
     _check_tokens,
     _rope_table,
-    _rotate,
     kv_buffers,
     kv_rows,
     prefill_forward,
@@ -558,7 +559,6 @@ class FusedCache(CacheRows):
     value_buffer: np.ndarray  # (L, H, hd + 1, n + headroom) float32, ones row last
     segments: SegmentMap
     rope_recovered: bool
-    local_rotation: bool
     token_ids: np.ndarray  # (n - question rows,) uint32, system + documents
 
 
@@ -570,7 +570,8 @@ def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:
 
     The first chunk is the system span; the rest are documents in order.
     Question tokens are never cached: the question span holds `q_len`
-    zeroed rows, into which fused prefill writes the fresh ones.
+    zeroed rows, into which fused prefill writes the fresh ones. Every
+    chunk must hold unrotated keys, which `_rotate_keys` rotates in place.
     """
     if not chunks:
         raise InputError("need at least one chunk (the system span)")
@@ -578,10 +579,8 @@ def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:
     for c in chunks[1:]:
         if c.model_fingerprint != fp:
             raise FingerprintError("chunks come from different model configurations")
-    rotated = {c.rope_applied for c in chunks}
-    if len(rotated) > 1:
-        raise ContractViolation("cannot mix rotated and unrotated chunks")
-    local_rotation = rotated.pop()
+    if any(c.rope_applied for c in chunks):
+        raise ContractViolation("chunks must hold unrotated keys")
     n_layers = len(chunks[0].layers)
     n_heads, _, head_dim = chunks[0].layers[0].keys.shape
     n = sum(c.length for c in chunks)
@@ -605,7 +604,6 @@ def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:
         value_buffer=values,
         segments=SegmentMap(spans),
         rope_recovered=False,
-        local_rotation=local_rotation,
         token_ids=token_ids,
     )
 
@@ -614,49 +612,39 @@ def recover_positions(fused: FusedCache, config: ModelConfig) -> FusedCache:
     """Rotate every chunk key row at its global offset in place; values
     and the question rows untouched.
 
-    Only valid once, and only on caches built from unrotated chunks:
-    rotations compose additively, so a second application would encode
-    position 2m.
+    Only valid once: rotations compose additively, so a second application
+    would encode position 2m.
     """
     if fused.rope_recovered:
         raise ContractViolation("positions already recovered; rotation is not idempotent")
-    if fused.local_rotation:
-        raise ContractViolation("locally rotated chunks cannot be position-recovered")
     if fused.keys.shape[-1] != config.head_dim:
         raise ShapeError(f"last axis {fused.keys.shape[-1]} != head_dim {config.head_dim}")
-    # One (head_dim / 2, rows) table for every layer, and one layer rotated
-    # at a time by `_rotate`'s products and sums, so the bits of
-    # `rope_rotate`, without its float64 copy of every layer at once.
     n_ctx = fused.segments.question_span.start
-    cos, sin = (t.T.copy() for t in _rope_table(np.arange(n_ctx, dtype=np.int64), config))
-    for layer in fused.key_buffer:
-        even, odd = layer[:, 0::2, :n_ctx], layer[:, 1::2, :n_ctx]
-        e, o = even.astype(_F64), odd.astype(_F64)
-        even[...] = e * cos - o * sin
-        odd[...] = o * cos + e * sin
+    _rotate_keys(fused.key_buffer[..., :n_ctx], np.arange(n_ctx, dtype=np.int64), config)
     fused.rope_recovered = True
     return fused
 
 
 def rotate_chunk_local(chunk: ChunkKV, config: ModelConfig) -> ChunkKV:
-    """Apply rotation at local positions 0..len-1 (plain-concatenation baseline).
-
-    One cos/sin table serves every layer, since all sit at the same positions.
-    """
+    """Apply rotation at local positions 0..len-1 (plain-concatenation
+    baseline) to a copy of the keys in the file layout; values shared."""
     if chunk.rope_applied:
         raise ContractViolation("chunk already rotated")
-    rope = _rope_table(np.arange(chunk.length, dtype=np.int64), config)
-    layers = [
-        LayerKV(
-            keys=_rotate(np.asarray(l.keys, dtype=_F64), *rope).astype(DTYPE),
-            values=l.values,
-            rope_applied=True,
-        )
-        for l in chunk.layers
-    ]
-    return ChunkKV(
-        chunk_id=chunk.chunk_id,
-        token_ids=chunk.token_ids,
-        layers=layers,
-        model_fingerprint=chunk.model_fingerprint,
-    )
+    keys = np.array([l.keys.swapaxes(1, 2) for l in chunk.layers], dtype=DTYPE)
+    _rotate_keys(keys, np.arange(chunk.length, dtype=np.int64), config)
+    layers = [LayerKV(keys=k.swapaxes(1, 2), values=l.values, rope_applied=True)
+              for k, l in zip(keys, chunk.layers)]
+    return replace(chunk, layers=layers)
+
+
+def _rotate_keys(keys: np.ndarray, positions, config: ModelConfig) -> None:
+    """Rotate column j of (L, H, head_dim, rows) keys, the `kv_buffers`
+    layout, at `positions[j]` in place: one (head_dim / 2, rows) table, one
+    layer at a time by `_rotate`'s products and sums, so the bits of
+    `rope_rotate` without its float64 copy of every layer at once."""
+    cos, sin = (t.T.copy() for t in _rope_table(positions, config))
+    for layer in keys:
+        even, odd = layer[:, 0::2], layer[:, 1::2]
+        e, o = even.astype(_F64), odd.astype(_F64)
+        even[...] = e * cos - o * sin
+        odd[...] = o * cos + e * sin

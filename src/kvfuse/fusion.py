@@ -13,11 +13,11 @@ schedule differs, and the loop takes it as its arguments. A request holds
 the cache once plus one layer's scratch. The selective strategies recover
 global positions and carry every row until layer 1's projections, which
 their selection step reads; then the selected rows (Re) plus the
-question. `full` rotates each chunk locally and carries the question
-alone, with no prefix and no selection. The trace charges
-`flops.prefill_flops` for the rows that ran (every row at layers 0-1
-when selecting), so a clamped budget pays for them; `flops.fused_flops`
-models the unclamped budget.
+question. `full` rotates each chunk's columns of the buffer in place at
+its local positions and carries the question alone, with no prefix and
+no selection. The trace charges `flops.prefill_flops` for the rows that
+ran (every row at layers 0-1 when selecting), so a clamped budget pays
+for them; `flops.fused_flops` models the unclamped budget.
 
 Chunks come from a `chunkstore.ChunkStore`, which keeps resident, under
 one LRU and byte budget (`chunkstore.RESIDENT_BYTES`), the chunks it
@@ -29,7 +29,7 @@ that directory (a write to a path keeps nothing until a load has made
 that directory's store the process's). Each chunk comes through
 `chunkstore.load_chunk`, resident or read, and the store's read counters
 give the trace's hits and bytes read. The loop only reads the resident
-arrays: concat copies them into the buffer, and `full` rotates copies.
+arrays: concat copies them into the buffer, which each strategy rotates.
 
 Every cached context prefix skips layer 0's attention and block. A row
 attends only to the rows before it, so its layer-1 input depends only on
@@ -79,11 +79,11 @@ from .chunkstore import (
     CacheRows,
     ChunkStore,
     SegmentMap,
+    _rotate_keys,
     chunk_id,
     concat_chunks,
     load_chunk,
     recover_positions,
-    rotate_chunk_local,
 )
 from .errors import ConfigError, ContractViolation, FingerprintError, InputError, ShapeError
 from .model import (
@@ -339,12 +339,13 @@ def fused_prefill(
                                    f"(layers, heads, head_dim) {want[:3]} and unrotated keys")
     chunk_bytes = sum(chunk.file_bytes for chunk in chunks)
     chunk_bytes_read = store.bytes_read - bytes_read
-    if full:
-        chunks = [rotate_chunk_local(chunk, cfg) for chunk in chunks]
     durations["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     fused = concat_chunks(chunks, q_ids.size)
+    if full:
+        local = np.concatenate([np.arange(chunk.length, dtype=np.int64) for chunk in chunks])
+        _rotate_keys(fused.key_buffer[..., :local.size], local, cfg)
     durations["concat"] = time.perf_counter() - t0
 
     k_buf, v_buf, segmap = fused.key_buffer, fused.value_buffer, fused.segments

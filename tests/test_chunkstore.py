@@ -413,8 +413,8 @@ def test_recover_twice_rejected():
 def test_recover_rejects_locally_rotated():
     model = make_model()
     chunk = CS.rotate_chunk_local(CS.precompute_chunk([1, 2], model), model.config)
-    fused = CS.concat_chunks([chunk])
     with pytest.raises(ContractViolation):
+        fused = CS.concat_chunks([chunk])
         CS.recover_positions(fused, model.config)
 
 

@@ -102,6 +102,45 @@ def test_precompute_repairs_a_corrupt_chunk(tmp_path, capsys):
     assert main(generate) == 0
 
 
+def test_generate_while_another_process_repairs_a_chunk(tmp_path, capsys):
+    # One other process repairs a corrupt chunk while generate runs here:
+    # each generate serves the corrupt file (exit 2) or the repaired one
+    # (exit 0), whole, and lets no exception escape.
+    manifest = setup_store(tmp_path)
+    data = json.loads(manifest.read_text())
+    bad_id = data["chunks"][1]["id"]
+    path = os.path.join(data["store"], bad_id)
+    blob = bytearray(open(path, "rb").read())
+    blob[len(blob) // 2] ^= 0x01
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    generate = ["generate", "--manifest", str(manifest), "--question-text", "fox?",
+                "--gen-len", "2"]
+    src = os.path.dirname(os.path.dirname(chunkstore.__file__))
+    # Its own manifest, so this process never reads one half written.
+    argv = precompute_argv(tmp_path, tmp_path / "repaired.json")
+    child = subprocess.Popen([sys.executable, "-u", "-m", "kvfuse.cli", *argv],
+                             env={**os.environ, "PYTHONPATH": src},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        # Its first line reports the system chunk; the next is the repair.
+        first = child.stdout.readline()
+        codes = [main(generate)]
+        while child.poll() is None and len(codes) < 200:
+            codes.append(main(generate))
+        out, err = child.communicate(timeout=120)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert set(codes) <= {0, 2}, codes
+    assert child.returncode == 0, err
+    assert first.startswith(b"cached ") and f"repaired {bad_id}".encode() in out
+    chunkstore.verify_chunk_file(path, expect_id=bytes.fromhex(bad_id))
+    capsys.readouterr()
+    assert main(generate) == 0
+
+
 def test_precompute_removes_only_dead_writers_temp_files(tmp_path, capsys):
     manifest = setup_store(tmp_path)
     store = tmp_path / "store"
@@ -223,7 +262,9 @@ def test_capacity_below_protected_rows_refused_before_any_work(tmp_path, capsys,
     assert rc == 1 and err.startswith("error:") and "protected span size 29" in err
     # So are the checks that need the arguments alone.
     for extra, message in ((["--strategy", "vanilla", "--evict-capacity", "60"],
-                            "eviction needs a fused strategy"),
+                            "recovers positions, not vanilla"),
+                           (["--strategy", "full", "--evict-capacity", "60"],
+                            "recovers positions, not full"),
                            (["--gen-len", "0"], "gen_len must be >= 1")):
         rc = main(["generate", "--manifest", str(manifest), "--question-text", "fox?", *extra])
         err = capsys.readouterr().err

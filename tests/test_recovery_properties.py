@@ -6,18 +6,23 @@ first, so at layer 0 everywhere and over the system span at every layer
 the result must match a full prefill of the same ids. Chunks of up to 100
 tokens put chunk edges on both sides of the 32-row attention tile edges.
 
-Recovery builds one cos/sin table and rotates one layer at a time; it must
-give bit for bit what `rope_rotate` of the whole cache gives. Local
-rotation (the plain-concatenation baseline) builds one cos/sin table per
-chunk for all its layers; it must rotate every layer bit for bit as
-`rope_rotate` at positions 0..len-1 does.
+Recovery, `full`'s prefill and `rotate_chunk_local` each rotate stored
+keys in place in the concatenated buffer's layout, one layer at a time
+from one cos/sin table. Recovery must give bit for bit what `rope_rotate`
+of the stored keys at their global offsets gives; `full` and local
+rotation what it gives at each chunk's positions 0..len-1. Values are
+never touched, and `full`'s question rows hold what the prefill loop
+writes over that rotated context.
 """
 
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvfuse import chunkstore as CS
+from kvfuse import fusion as FU
 from kvfuse import model as M
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -26,6 +31,7 @@ SETTINGS = settings(max_examples=30, deadline=None)
 MODEL = M.build_model(M.ModelConfig(n_layers=4, n_heads=2, head_dim=8, d_ff=32,
                                     vocab_size=64, seed=300))
 ATOL = 1e-6
+QUESTION = np.array([5, 9, 2, 40])
 
 
 @st.composite
@@ -53,14 +59,41 @@ def test_recovered_concat_matches_prefill_at_layer0_and_system_span(parts):
 
 
 @SETTINGS
-@given(chunkings())
-def test_recovery_equals_rope_rotate_of_the_whole_cache(parts):
-    fused = CS.concat_chunks([CS.precompute_chunk(p, MODEL) for p in parts])
-    expect = M.rope_rotate(fused.keys, np.arange(fused.n), MODEL.config).astype(M.DTYPE)
-    values = fused.values.copy()
-    CS.recover_positions(fused, MODEL.config)
-    assert fused.keys.dtype == M.DTYPE and np.array_equal(fused.keys, expect)
-    assert np.array_equal(fused.values, values)
+@given(st.sampled_from(["recovery", "full"]), chunkings())
+@example("full", [np.array([3]), np.array([5, 6, 7]), np.array([9])])
+def test_rotation_equals_rope_rotate_of_the_stored_keys(case, parts):
+    # Recovery rotates every stored key at its global offset; `full`'s
+    # prefill rotates each chunk's keys at its local positions.
+    chunks = [CS.precompute_chunk(p, MODEL) for p in parts]
+    stored = CS.concat_chunks(chunks, QUESTION.size)
+    n_ctx = stored.segments.question_span.start
+    if case == "recovery":
+        positions = np.arange(n_ctx)
+        cache = CS.recover_positions(CS.concat_chunks(chunks, QUESTION.size), MODEL.config)
+    else:
+        positions = np.concatenate([np.arange(p.size) for p in parts])
+        with tempfile.TemporaryDirectory() as directory:
+            store = CS.ChunkStore(directory)
+            for chunk in chunks:
+                CS.store_chunk(chunk, store)
+            cache, logits, _ = FU.fused_prefill(
+                MODEL, FU.InputSegments(parts[0], parts[1:], QUESTION), FU.FusionPlan("full"),
+                store)
+    expect = M.rope_rotate(stored.keys[:, :, :n_ctx], positions, MODEL.config).astype(M.DTYPE)
+    assert cache.keys.dtype == M.DTYPE and np.array_equal(cache.keys[:, :, :n_ctx], expect)
+    assert np.array_equal(cache.values[:, :, :n_ctx], stored.values[:, :, :n_ctx])
+    if case == "recovery":
+        assert np.array_equal(cache.keys[:, :, n_ctx:], stored.keys[:, :, n_ctx:])
+        assert np.array_equal(cache.values[:, :, n_ctx:], stored.values[:, :, n_ctx:])
+    else:
+        # The question rows hold what the loop writes over that context.
+        stored.keys[:, :, :n_ctx] = expect
+        x = M._prefill_layers(MODEL, QUESTION, np.arange(n_ctx, stored.n),
+                              stored.key_buffer[..., :stored.n],
+                              stored.value_buffer[..., :stored.n])
+        assert np.array_equal(cache.keys, stored.keys)
+        assert np.array_equal(cache.values, stored.values)
+        assert np.array_equal(logits, M.final_logits(MODEL, x)[0])
 
 
 @SETTINGS
