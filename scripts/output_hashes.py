@@ -7,7 +7,8 @@ kept every result bit for bit:
     python3 scripts/output_hashes.py path/to/other/src > b.txt
     diff a.txt b.txt
 
-Covers `prefill_forward` (caches, raw keys, queries, last-row logits), the
+Covers `prefill_forward` (caches, queries, last-row logits), the raw keys
+of `precompute_chunk` over the whole sequence, the
 keys `rotate_chunk_local` gives each context chunk, every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
 queries, selection, scores, first logits, and the prefill, vanilla and scoring
@@ -157,12 +158,12 @@ def main() -> None:
             documents=[bench._draw_ids(7, 1 + i, n, vocab) for i, n in enumerate(doc_lens)],
             question=bench._draw_ids(7, 99, q_len, vocab),
         )
-        res = M.prefill_forward(model, segments.all_ids(), record_raw_keys=True,
-                                record_queries=True)
+        res = M.prefill_forward(model, segments.all_ids(), record_queries=True)
+        whole = chunkstore.precompute_chunk(segments.all_ids(), model)
         for l, cache in enumerate(res.caches):
             emit(f"{name} prefill L{l} keys", cache.keys)
             emit(f"{name} prefill L{l} values", cache.values)
-            emit(f"{name} prefill L{l} raw_keys", res.raw_keys[l])
+            emit(f"{name} prefill L{l} raw_keys", whole.layers[l].keys)
             emit(f"{name} prefill L{l} queries", res.queries[l])
         emit(f"{name} prefill logits", res.logits)
         for i, part in enumerate(segments.context_chunks()):

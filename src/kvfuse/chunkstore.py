@@ -3,7 +3,10 @@
 Chunks are processed standalone: each forward runs with local positions
 0..len-1, but the stored keys are the pre-rotation projections, so a chunk
 can later be re-rotated at whatever global offset it lands on. Values are
-never rotated. One binary format serves every strategy, and one function,
+never rotated. A chunk is its file's arrays: keys and values each one
+(L, H, head_dim, n) float32 array in the layout of `model.kv_buffers`, and
+one rotation flag, from `precompute_chunk` through a store and a load to
+`concat_chunks`. One binary format serves every strategy, and one function,
 `_rotate_keys`, rotates stored keys in place in the concatenated buffer:
 at global offsets for position recovery, at each chunk's local positions
 for the plain concatenation baseline.
@@ -12,6 +15,7 @@ for the plain concatenation baseline.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import struct
@@ -36,10 +40,10 @@ from .model import (
     ModelConfig,
     _F64,
     _check_tokens,
+    _prefill_layers,
     _rope_table,
     kv_buffers,
     kv_rows,
-    prefill_forward,
 )
 
 MAGIC = b"A3KV"
@@ -63,7 +67,9 @@ def chunk_id(token_ids, fingerprint: bytes) -> bytes:
 class ChunkKV:
     chunk_id: bytes
     token_ids: np.ndarray  # (n,) uint32
-    layers: list[LayerKV]
+    keys: np.ndarray  # (L, H, head_dim, n) float32, the file's layout
+    values: np.ndarray  # (L, H, head_dim, n) float32
+    rope_applied: bool  # of the keys, all layers alike
     model_fingerprint: bytes
 
     @property
@@ -71,14 +77,15 @@ class ChunkKV:
         return int(self.token_ids.shape[0])
 
     @property
-    def rope_applied(self) -> bool:
-        return self.layers[0].rope_applied
+    def layers(self) -> list[LayerKV]:
+        """Each layer's keys and values as (H, n, head_dim) views."""
+        return [LayerKV(keys=k.swapaxes(1, 2), values=v.swapaxes(1, 2),
+                        rope_applied=self.rope_applied) for k, v in zip(self.keys, self.values)]
 
     @property
     def file_bytes(self) -> int:
         """The size of this chunk's file, which a load reads and verifies whole."""
-        n_heads, n, head_dim = self.layers[0].keys.shape
-        return _file_size(len(self.layers), n_heads, n, head_dim)
+        return _file_size(*self.keys.shape)
 
 
 def precompute_chunk(token_ids, model: Model) -> ChunkKV:
@@ -86,21 +93,19 @@ def precompute_chunk(token_ids, model: Model) -> ChunkKV:
 
     The forward itself attends with local positions 0..len-1 (that is what
     makes deeper layers approximate), but the persisted keys carry no
-    rotation so they can be placed at any global offset later.
+    rotation so they can be placed at any global offset later: the prefill
+    loop writes them straight into the returned key array.
     """
-    ids = _check_tokens(model.config, token_ids)
-    res = prefill_forward(model, ids, record_raw_keys=True)
-    layers = [
-        LayerKV(keys=raw, values=cache.values, rope_applied=False)
-        for raw, cache in zip(res.raw_keys, res.caches)
-    ]
-    fp = model.config.fingerprint()
-    return ChunkKV(
-        chunk_id=chunk_id(ids, fp),
-        token_ids=ids.astype(np.uint32),
-        layers=layers,
-        model_fingerprint=fp,
-    )
+    cfg = model.config
+    ids = _check_tokens(cfg, token_ids)
+    n, hd = ids.shape[0], cfg.head_dim
+    keys, values = kv_buffers(cfg.n_layers, cfg.n_heads, hd, n)
+    raw = np.empty((cfg.n_layers, cfg.n_heads, hd, n), dtype=DTYPE)
+    _prefill_layers(model, ids, np.arange(n), keys[..., :n], values[..., :n],
+                    raw=raw.swapaxes(2, 3))
+    fp = cfg.fingerprint()
+    return ChunkKV(chunk_id=chunk_id(ids, fp), token_ids=ids.astype(np.uint32), keys=raw,
+                   values=values[:, :, :hd, :n], rope_applied=False, model_fingerprint=fp)
 
 
 def split_into_chunks(token_ids, chunk_len: int = DEFAULT_CHUNK_LEN) -> list[np.ndarray]:
@@ -162,7 +167,7 @@ def remove_orphaned_temps(directory) -> list[str]:
     return removed
 
 
-def _file_size(n_layers: int, n_heads: int, n: int, head_dim: int) -> int:
+def _file_size(n_layers: int, n_heads: int, head_dim: int, n: int) -> int:
     # Header, token ids, keys and values, digest.
     return _HEADER.size + 4 * n + 2 * 4 * n_layers * n_heads * n * head_dim + _DIGEST_LEN
 
@@ -175,7 +180,7 @@ def store_chunk(chunk: ChunkKV, store) -> str:
     directory's (`ChunkStore.of`), and otherwise writes it and keeps
     nothing, so a write never replaces the process's store.
 
-    Each layer is copied once, into one buffer laid out as the file; the
+    The arrays are copied once, into one buffer laid out as the file; the
     digest is taken over a view of it and the buffer written as it stands.
     The resident chunk is read-only views of that buffer, held under the
     file's stat signature taken after the replace, so a load that follows
@@ -187,17 +192,13 @@ def store_chunk(chunk: ChunkKV, store) -> str:
     if not isinstance(store, ChunkStore):
         held, real = ChunkStore._process_store, os.path.realpath(store)
         store = held if held is not None and held.directory == real else ChunkStore(real)
-    n_layers = len(chunk.layers)
-    n_heads, n, head_dim = chunk.layers[0].keys.shape
-    flags = 1 if chunk.rope_applied else 0
-    buf = bytearray(_file_size(n_layers, n_heads, n, head_dim))
+    buf = bytearray(_file_size(*chunk.keys.shape))
     _HEADER.pack_into(buf, 0, MAGIC, VERSION, chunk.model_fingerprint, chunk.chunk_id,
-                      n_layers, n_heads, head_dim, n, 0, flags, 0)
+                      *chunk.keys.shape, 0, int(chunk.rope_applied), 0)
     written = _chunk_views(buf, _unpack_header(buf))
     written.token_ids[:] = chunk.token_ids
-    for dst, src in zip(written.layers, chunk.layers):
-        dst.keys[...] = src.keys
-        dst.values[...] = src.values
+    written.keys[...] = chunk.keys
+    written.values[...] = chunk.values
     buf[-_DIGEST_LEN:] = hashlib.sha256(memoryview(buf)[:-_DIGEST_LEN]).digest()
     path = _chunk_path(store.directory, chunk.chunk_id)
     fd, tmp = tempfile.mkstemp(dir=store.directory, prefix=f"{_TMP_PREFIX}{os.getpid()}-")
@@ -297,7 +298,7 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
         raise IntegrityError(
             f"chunk file {path} holds id {stored_id.hex()}, expected {expect_id.hex()}"
         )
-    if len(raw) != _file_size(h["n_layers"], h["n_heads"], h["chunk_len"], h["head_dim"]):
+    if len(raw) != _file_size(h["n_layers"], h["n_heads"], h["head_dim"], h["chunk_len"]):
         raise IntegrityError(f"chunk file {path} has wrong payload size")
     chunk = _chunk_views(raw, h)
     if chunk_id(chunk.token_ids, chunk.model_fingerprint) != chunk.chunk_id:
@@ -308,27 +309,19 @@ def verify_chunk_file(path, expect_id: bytes | None = None) -> ChunkKV:
 def _chunk_views(raw, h: dict) -> ChunkKV:
     """The chunk laid out in `raw` as a file whose unpacked header is `h`;
     its token ids, keys and values are views of `raw`."""
-    n_layers, n_heads, n, head_dim = h["n_layers"], h["n_heads"], h["chunk_len"], h["head_dim"]
-    offset = _HEADER.size
-    token_ids = np.frombuffer(raw, dtype="<u4", count=n, offset=offset)
-    offset += 4 * n
-    count = n_layers * n_heads * n * head_dim
-    shape = (n_layers, n_heads, head_dim, n)
-    keys = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
-    offset += count * 4
-    values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
-    layers = [
-        LayerKV(keys=keys[l].swapaxes(1, 2), values=values[l].swapaxes(1, 2),
-                rope_applied=h["rope_applied"])
-        for l in range(n_layers)
-    ]
-    return ChunkKV(chunk_id=h["chunk_id"], token_ids=token_ids, layers=layers,
-                   model_fingerprint=h["model_fingerprint"])
+    shape = (h["n_layers"], h["n_heads"], h["head_dim"], h["chunk_len"])
+    n, count = shape[3], math.prod(shape)
+    token_ids = np.frombuffer(raw, dtype="<u4", count=n, offset=_HEADER.size)
+    start = _HEADER.size + 4 * n
+    keys = np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(shape)
+    values = np.frombuffer(raw, dtype="<f4", count=count, offset=start + 4 * count).reshape(shape)
+    return ChunkKV(chunk_id=h["chunk_id"], token_ids=token_ids, keys=keys, values=values,
+                   rope_applied=h["rope_applied"], model_fingerprint=h["model_fingerprint"])
 
 
 def _read_only(chunk: ChunkKV) -> ChunkKV:
     """`chunk`, its arrays made read-only, as a store holds it."""
-    for array in [chunk.token_ids] + [a for l in chunk.layers for a in (l.keys, l.values)]:
+    for array in (chunk.token_ids, chunk.keys, chunk.values):
         array.flags.writeable = False
     return chunk
 
@@ -565,8 +558,9 @@ class FusedCache(CacheRows):
 def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:
     """Lay system + document chunks, then `q_len` question rows, into one
     pair of `model.kv_buffers`, column i at position i, which prefill
-    attention reads and a decode cache adopts; a chunk read from its file
-    is in that layout already, so each layer is copied as it lies.
+    attention reads and a decode cache adopts; a chunk is in that layout
+    already, so its keys and values are each copied as they lie, in one
+    slice assignment.
 
     The first chunk is the system span; the rest are documents in order.
     Question tokens are never cached: the question span holds `q_len`
@@ -575,26 +569,25 @@ def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:
     """
     if not chunks:
         raise InputError("need at least one chunk (the system span)")
-    fp = chunks[0].model_fingerprint
+    fp, shape = chunks[0].model_fingerprint, chunks[0].keys.shape[:3]
     for c in chunks[1:]:
         if c.model_fingerprint != fp:
             raise FingerprintError("chunks come from different model configurations")
+        if c.keys.shape[:3] != shape:
+            raise ShapeError(f"chunks disagree on (layers, heads, head_dim): "
+                             f"{c.keys.shape[:3]} vs {shape}")
     if any(c.rope_applied for c in chunks):
         raise ContractViolation("chunks must hold unrotated keys")
-    n_layers = len(chunks[0].layers)
-    n_heads, _, head_dim = chunks[0].layers[0].keys.shape
+    head_dim = shape[2]
     n = sum(c.length for c in chunks)
-    keys, values = kv_buffers(n_layers, n_heads, head_dim, n + q_len)
+    keys, values = kv_buffers(*shape, n + q_len)
     keys[..., n:n + q_len] = 0
     values[:, :, :head_dim, n:n + q_len] = 0
     spans, offset = [], 0
     for c in chunks:
-        if len(c.layers) != n_layers:
-            raise ShapeError(f"chunks disagree on layer count: {len(c.layers)} vs {n_layers}")
         span = slice(offset, offset + c.length)
-        for l, layer in enumerate(c.layers):
-            keys[l, :, :, span] = layer.keys.swapaxes(1, 2)
-            values[l, :, :head_dim, span] = layer.values.swapaxes(1, 2)
+        keys[..., span] = c.keys
+        values[:, :, :head_dim, span] = c.values
         spans.append(Span("document" if spans else "system", offset, c.length))
         offset += c.length
     spans.append(Span("question", offset, q_len))
@@ -630,11 +623,9 @@ def rotate_chunk_local(chunk: ChunkKV, config: ModelConfig) -> ChunkKV:
     baseline) to a copy of the keys in the file layout; values shared."""
     if chunk.rope_applied:
         raise ContractViolation("chunk already rotated")
-    keys = np.array([l.keys.swapaxes(1, 2) for l in chunk.layers], dtype=DTYPE)
+    keys = np.array(chunk.keys, dtype=DTYPE)
     _rotate_keys(keys, np.arange(chunk.length, dtype=np.int64), config)
-    layers = [LayerKV(keys=k.swapaxes(1, 2), values=l.values, rope_applied=True)
-              for k, l in zip(keys, chunk.layers)]
-    return replace(chunk, layers=layers)
+    return replace(chunk, keys=keys, rope_applied=True)
 
 
 def _rotate_keys(keys: np.ndarray, positions, config: ModelConfig) -> None:

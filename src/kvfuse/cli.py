@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 
 import numpy as np
 
@@ -141,9 +142,18 @@ def cmd_precompute(args) -> int:
         "system_len": int(system_len),
         "chunks": entries,
     }
-    with open(args.manifest_out, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # A rename, so a reader sees the old manifest or the new one, never a part.
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.manifest_out)),
+                               prefix=".tmp-manifest-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, args.manifest_out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     print(f"manifest: {args.manifest_out} ({len(entries)} chunks)")
     return 0
 

@@ -334,7 +334,7 @@ def fused_prefill(
     # A digest and id vouch for no shape, and a stored chunk is unrotated.
     want = (cfg.n_layers, cfg.n_heads, cfg.head_dim, False)
     for chunk in chunks:
-        if (len(chunk.layers),) + chunk.layers[0].keys.shape[::2] + (chunk.rope_applied,) != want:
+        if chunk.keys.shape[:3] + (chunk.rope_applied,) != want:
             raise FingerprintError(f"chunk {chunk.chunk_id.hex()} does not have the model's "
                                    f"(layers, heads, head_dim) {want[:3]} and unrotated keys")
     chunk_bytes = sum(chunk.file_bytes for chunk in chunks)

@@ -554,7 +554,6 @@ def final_logits(model: Model, x: np.ndarray) -> np.ndarray:
 class PrefillResult:
     caches: list[LayerKV]  # rotated keys, positions 0..n-1
     logits: np.ndarray  # (vocab,) float32, last row
-    raw_keys: list[np.ndarray] | None = None  # per layer (H, n, hd) float32, pre-rotation
     queries: list[np.ndarray] | None = None  # per layer (H, n, hd) float32, rotated
 
 
@@ -652,7 +651,6 @@ def prefill_forward(
     model: Model,
     token_ids,
     *,
-    record_raw_keys: bool = False,
     record_queries: bool = False,
 ) -> PrefillResult:
     """Full forward over a token sequence at positions 0..n-1: the one
@@ -660,22 +658,21 @@ def prefill_forward(
     and no selection.
 
     Every layer writes the keys and values of every row into one
-    `kv_buffers` pair (and, when asked, records its raw keys and rotated
-    queries); the caches are row views of it. Only the last row's logits
-    are returned.
+    `kv_buffers` pair (and, when asked, records its rotated queries); the
+    caches are row views of it. Only the last row's logits are returned.
+    A chunk's raw keys come from `chunkstore.precompute_chunk`, which runs
+    the same loop.
     """
     cfg = model.config
     ids = _check_tokens(cfg, token_ids)
     n, h, hd = ids.shape[0], cfg.n_heads, cfg.head_dim
     keys, values = kv_buffers(cfg.n_layers, h, hd, n)
-    raw_keys = np.empty((cfg.n_layers, h, n, hd), dtype=DTYPE) if record_raw_keys else None
     queries = np.empty((cfg.n_layers, h, n, hd), dtype=DTYPE) if record_queries else None
     x = _prefill_layers(model, ids, np.arange(n), keys[..., :n], values[..., :n],
-                        queries=queries, raw=raw_keys)
+                        queries=queries)
     caches = [LayerKV(keys=kv_rows(keys[l], n, hd), values=kv_rows(values[l], n, hd),
                       rope_applied=True) for l in range(cfg.n_layers)]
     return PrefillResult(caches=caches, logits=final_logits(model, x)[0],
-                         raw_keys=None if raw_keys is None else list(raw_keys),
                          queries=None if queries is None else list(queries))
 
 

@@ -16,6 +16,7 @@ from kvfuse.errors import (
     FingerprintError,
     InputError,
     IntegrityError,
+    ShapeError,
 )
 
 from forged_chunks import forge_chunk_file
@@ -60,13 +61,16 @@ def test_precompute_rejects_empty():
 def test_precompute_single_token_key_is_projection():
     # With one token there is no context: the stored key must equal the
     # normalized embedding row times W^k at every layer's input state.
+    # Position 0 rotates by angle 0, so the forward's rotated keys are the
+    # raw projections too.
     model = make_model()
     cfg = model.config
     chunk = CS.precompute_chunk([9], model)
-    res = M.prefill_forward(model, [9], record_raw_keys=True)
+    res = M.prefill_forward(model, [9])
+    assert not chunk.rope_applied
+    assert chunk.keys.shape == (cfg.n_layers, cfg.n_heads, cfg.head_dim, 1)
     for l in range(cfg.n_layers):
-        assert not chunk.layers[l].rope_applied
-        assert np.array_equal(chunk.layers[l].keys, res.raw_keys[l])
+        assert np.array_equal(chunk.layers[l].keys, res.caches[l].keys)
     # layer 0 explicitly: rms-normed embedding through W^k
     x = model.weights.embedding[9].astype(np.float64)
     h = x / np.sqrt(np.mean(x**2) + 1e-6)
@@ -83,15 +87,47 @@ def test_precompute_layer0_matches_longer_sequence():
     prefix = random_ids(rng, 6)
     suffix = random_ids(rng, 10)
     chunk = CS.precompute_chunk(suffix, model)
-    longer = M.prefill_forward(
-        model, np.concatenate([prefix, suffix]), record_raw_keys=True
+    longer = CS.precompute_chunk(np.concatenate([prefix, suffix]), model)
+    np.testing.assert_allclose(
+        chunk.layers[0].keys, longer.layers[0].keys[:, len(prefix) :], atol=1e-6
     )
     np.testing.assert_allclose(
-        chunk.layers[0].keys, longer.raw_keys[0][:, len(prefix) :], atol=1e-6
+        chunk.layers[0].values, longer.layers[0].values[:, len(prefix) :], atol=1e-6
     )
-    np.testing.assert_allclose(
-        chunk.layers[0].values, longer.caches[0].values[:, len(prefix) :], atol=1e-6
-    )
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_a_chunk_is_one_key_and_one_value_array(tmp_path, rotated):
+    # A precomputed chunk, the resident chunk a store keeps as written and
+    # the chunk read from its file each hold keys and values as one
+    # (L, H, head_dim, n) array and one rotation flag; `layers` are views
+    # of them that carry that flag.
+    model = make_model(n_layers=3)
+    cfg = model.config
+    chunk = CS.precompute_chunk(random_ids(np.random.default_rng(6), 11), model)
+    if rotated:
+        local = CS.rotate_chunk_local(chunk, cfg)
+        assert local.values is chunk.values and not np.shares_memory(local.keys, chunk.keys)
+        chunk = local
+    store = CS.ChunkStore(tmp_path)
+    CS.store_chunk(chunk, store)
+    written = store.load(chunk.chunk_id)
+    read = CS.load_chunk(chunk.chunk_id, tmp_path)
+    assert store.reads == 0 and written is not read
+    for c in (chunk, written, read):
+        assert c.keys.shape == c.values.shape == (3, cfg.n_heads, cfg.head_dim, 11)
+        assert c.keys.dtype == c.values.dtype == M.DTYPE
+        assert c.keys.tobytes() == chunk.keys.tobytes()
+        assert c.values.tobytes() == chunk.values.tobytes()
+        assert c.rope_applied is rotated
+        assert len(c.layers) == 3
+        for l, layer in enumerate(c.layers):
+            assert layer.rope_applied is rotated
+            assert np.shares_memory(layer.keys, c.keys[l])
+            assert np.shares_memory(layer.values, c.values[l])
+            assert layer.keys.shape == (cfg.n_heads, 11, cfg.head_dim)
+            assert np.array_equal(layer.keys, c.keys[l].swapaxes(1, 2))
+            assert np.array_equal(layer.values, c.values[l].swapaxes(1, 2))
 
 
 def test_split_into_chunks():
@@ -337,6 +373,18 @@ def test_concat_rejects_bad_inputs():
     rotated = CS.rotate_chunk_local(CS.precompute_chunk([5, 6], model), model.config)
     with pytest.raises(ContractViolation):
         CS.concat_chunks([c1, rotated])
+
+
+@pytest.mark.parametrize("other", [dict(n_heads=1, head_dim=16), dict(n_layers=3)])
+def test_concat_refuses_chunks_of_another_shape(other):
+    # One fingerprint vouches for no shape: a chunk with other layers,
+    # heads or head_dim than the first is refused before any copy.
+    model = make_model(n_layers=2)
+    first = CS.precompute_chunk([1, 2], model)
+    misfit = CS.precompute_chunk([3, 4], make_model(**{"n_layers": 2, **other}))
+    misfit = dataclasses.replace(misfit, model_fingerprint=first.model_fingerprint)
+    with pytest.raises(ShapeError, match="layers, heads, head_dim"):
+        CS.concat_chunks([first, misfit])
 
 
 def test_segment_map_offsets():

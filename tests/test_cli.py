@@ -82,6 +82,25 @@ def test_precompute_is_idempotent(tmp_path, capsys, monkeypatch):
     assert lengths[0] == 24 and sum(lengths) == len(CONTEXT) + 1
 
 
+def test_a_failed_manifest_write_keeps_the_old_manifest(tmp_path, capsys, monkeypatch):
+    # The manifest is written to a temp file and renamed over the old one,
+    # so a write that fails part way leaves the old manifest whole and no
+    # temp file behind.
+    manifest = setup_store(tmp_path)
+    before = manifest.read_bytes()
+
+    def dump_part(obj, fh, **kwargs):
+        fh.write(json.dumps(obj)[:40])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_part)
+    assert main(precompute_argv(tmp_path, manifest)) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert manifest.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "context.txt", "manifest.json", "model.json", "store"]
+
+
 def test_precompute_repairs_a_corrupt_chunk(tmp_path, capsys):
     manifest = setup_store(tmp_path)
     data = json.loads(manifest.read_text())

@@ -324,13 +324,14 @@ def test_prefill_finishing_only_the_last_row_matches_every_row(n, seed):
     cfg = small_config()
     model = M.build_model(cfg)
     ids = np.random.default_rng(seed).integers(0, cfg.vocab_size, size=n)
-    res = M.prefill_forward(model, ids, record_raw_keys=True, record_queries=True)
+    res = M.prefill_forward(model, ids, record_queries=True)
+    chunk = CS.precompute_chunk(ids, model)
     logits, keys, values, raw_keys, queries = reference_prefill(model, ids)
     assert res.logits.tobytes() == logits.tobytes()
     for l in range(cfg.n_layers):
         assert res.caches[l].keys.tobytes() == keys[l].tobytes()
         assert res.caches[l].values.tobytes() == values[l].tobytes()
-        assert res.raw_keys[l].tobytes() == raw_keys[l].tobytes()
+        assert chunk.layers[l].keys.tobytes() == raw_keys[l].tobytes()
         assert res.queries[l].tobytes() == queries[l].tobytes()
 
 

@@ -104,8 +104,8 @@ def test_local_rotation_equals_rope_rotate_per_layer(parts):
         rotated = CS.rotate_chunk_local(chunk, MODEL.config)
         pos = np.arange(chunk.length, dtype=np.int64)
         assert len(rotated.layers) == len(chunk.layers)
+        assert rotated.values is chunk.values
         for before, after in zip(chunk.layers, rotated.layers):
             assert after.rope_applied and after.keys.dtype == M.DTYPE
             assert np.array_equal(after.keys,
                                   M.rope_rotate(before.keys, pos, MODEL.config).astype(M.DTYPE))
-            assert after.values is before.values
