@@ -11,8 +11,9 @@ Covers `prefill_forward` (caches, queries, last-row logits), the raw keys
 of `precompute_chunk` over the whole sequence, the
 keys `rotate_chunk_local` gives each context chunk, every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
-queries, selection, scores, first logits, and the prefill, vanilla and scoring
-FLOP figures of the trace), every strategy at r=0.15 run twice on one
+queries, selection, scores, first logits, the prefill, vanilla and scoring
+FLOP figures of the trace, and the returned cache's `rope_recovered` flag,
+printed as it is), every strategy at r=0.15 run twice on one
 fresh `ChunkStore`, first reading its chunk files and then serving them
 resident (keys, values, question queries, scores, first logits; a tree
 without a `ChunkStore` is given the directory), greedy decoding with and
@@ -188,6 +189,7 @@ def main() -> None:
                     emit(f"{tag} first_logits", logits)
                     for kind in ("prefill", "vanilla", "scoring"):
                         print(f"{tag} flops_{kind} {trace.flops[kind]!r}")
+                    print(f"{tag} rope_recovered {patched.rope_recovered}")
             for strategy in fusion.STRATEGIES:
                 fresh = (chunkstore.ChunkStore(store) if hasattr(chunkstore, "ChunkStore")
                          else store)

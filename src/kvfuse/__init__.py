@@ -25,6 +25,7 @@ from .bench import BenchConfig, InputRecipe, run_bench
 from .chunkstore import (
     ChunkKV,
     ChunkStore,
+    FusedCache,
     concat_chunks,
     load_chunk,
     precompute_chunk,
@@ -38,7 +39,6 @@ from .fusion import (
     FusionPlan,
     FusionTrace,
     InputSegments,
-    PatchedCache,
     fused_prefill,
 )
 from .model import (
@@ -64,6 +64,7 @@ __all__ = [
     "DecodeCache",
     "EvictionPolicy",
     "FingerprintError",
+    "FusedCache",
     "FusionPlan",
     "FusionTrace",
     "InputError",
@@ -74,7 +75,6 @@ __all__ = [
     "Model",
     "ModelConfig",
     "ModelWeights",
-    "PatchedCache",
     "STRATEGIES",
     "ShapeError",
     "build_model",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import flops as F
-from .chunkstore import ChunkStore, precompute_chunk, store_chunk
+from .chunkstore import ChunkStore, FusedCache, precompute_chunk, store_chunk
 from .errors import ConfigError, InputError
 from .eviction import CompactedCache, EvictionPolicy, evict
 from .fusion import (
@@ -28,7 +28,6 @@ from .fusion import (
     FusionPlan,
     FusionTrace,
     InputSegments,
-    PatchedCache,
     RecomputeSet,
     _top_p,
     fused_prefill,
@@ -142,7 +141,7 @@ def populate_store(model: Model, segments: InputSegments, store) -> list[str]:
 
 
 def attention_l2_loss(
-    patched: PatchedCache,
+    patched: FusedCache,
     vanilla: PrefillResult,
     layer: int,
 ) -> float:
@@ -183,7 +182,7 @@ class StrategyRun:
     tokens: np.ndarray
     first_logits: np.ndarray
     trace: FusionTrace | None
-    patched: PatchedCache | None
+    patched: FusedCache | None
     cache: DecodeCache | CompactedCache
     prefill_seconds: float
     decode_seconds: list[float]

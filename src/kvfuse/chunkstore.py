@@ -9,7 +9,8 @@ one rotation flag, from `precompute_chunk` through a store and a load to
 `concat_chunks`. One binary format serves every strategy, and one function,
 `_rotate_keys`, rotates stored keys in place in the concatenated buffer:
 at global offsets for position recovery, at each chunk's local positions
-for the plain concatenation baseline.
+for the plain concatenation baseline. A request's cache is one
+`FusedCache` from `concat_chunks` to decode, which adopts its buffers.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import struct
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .model import (
     DTYPE,
+    DecodeCache,
     LayerKV,
     Model,
     ModelConfig,
@@ -45,6 +48,9 @@ from .model import (
     kv_buffers,
     kv_rows,
 )
+
+if TYPE_CHECKING:
+    from .fusion import RecomputeSet
 
 MAGIC = b"A3KV"
 VERSION = 2
@@ -178,7 +184,8 @@ def store_chunk(chunk: ChunkKV, store) -> str:
 
     A path keeps it in the process's store when that store is the
     directory's (`ChunkStore.of`), and otherwise writes it and keeps
-    nothing, so a write never replaces the process's store.
+    nothing, so a write never replaces the process's store; but a
+    process's store whose directory no longer exists is dropped first.
 
     The arrays are copied once, into one buffer laid out as the file; the
     digest is taken over a view of it and the buffer written as it stands.
@@ -191,6 +198,8 @@ def store_chunk(chunk: ChunkKV, store) -> str:
     """
     if not isinstance(store, ChunkStore):
         held, real = ChunkStore._process_store, os.path.realpath(store)
+        if held is not None and not os.path.isdir(held.directory):
+            ChunkStore._process_store = held = None
         store = held if held is not None and held.directory == real else ChunkStore(real)
     buf = bytearray(_file_size(*chunk.keys.shape))
     _HEADER.pack_into(buf, 0, MAGIC, VERSION, chunk.model_fingerprint, chunk.chunk_id,
@@ -529,9 +538,21 @@ class SegmentMap:
         return np.sort(np.concatenate([self.offsets("system"), self.offsets("question")]))
 
 
-class CacheRows:
-    """A cache held in `model.kv_buffers` `key_buffer` and `value_buffer`,
-    column i at position i; `keys` and `values` are (L, H, n, hd) views."""
+@dataclass
+class FusedCache:
+    """A request's cache in one pair of `model.kv_buffers`, column i at
+    position i; `keys` and `values` are (L, H, n, hd) views. `concat_chunks`
+    lays it out, `recover_positions` rotates it, and `fusion.fused_prefill`
+    patches its buffers and sets the last three fields, None until then."""
+
+    key_buffer: np.ndarray  # (L, H, hd, n + headroom) float32
+    value_buffer: np.ndarray  # (L, H, hd + 1, n + headroom) float32, ones row last
+    segments: SegmentMap
+    rope_recovered: bool  # False for `full`, whose chunks keep local rotation
+    token_ids: np.ndarray  # (n - question rows,) uint32, system + documents
+    recompute: RecomputeSet | None = None  # the selected document rows (Re)
+    patched_offsets: np.ndarray | None = None  # carried rows (Re plus question)
+    question_queries: np.ndarray | None = None  # (L, H, |Q|, hd) float32, rotated true queries
 
     @property
     def n(self) -> int:
@@ -545,14 +566,9 @@ class CacheRows:
     def values(self) -> np.ndarray:
         return kv_rows(self.value_buffer, self.n, self.key_buffer.shape[2])
 
-
-@dataclass
-class FusedCache(CacheRows):
-    key_buffer: np.ndarray  # (L, H, hd, n + headroom) float32
-    value_buffer: np.ndarray  # (L, H, hd + 1, n + headroom) float32, ones row last
-    segments: SegmentMap
-    rope_recovered: bool
-    token_ids: np.ndarray  # (n - question rows,) uint32, system + documents
+    def to_decode_cache(self) -> DecodeCache:
+        """A decode cache that adopts these buffers; one may decode at a time."""
+        return DecodeCache(self.key_buffer, self.value_buffer, self.n)
 
 
 def concat_chunks(chunks: list[ChunkKV], q_len: int = 0) -> FusedCache:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chunkstore import FusedCache
 from .errors import ConfigError, ContractViolation
-from .fusion import PatchedCache, _top_p, question_attention
+from .fusion import _top_p, question_attention
 from .model import DecodeCache, _is_int, kv_buffers
 
 POOL_KERNEL = 7  # max-pool width over positions, in rows
@@ -78,7 +79,7 @@ class CompactedCache(DecodeCache):
         }
 
 
-def snap_scores(cache: PatchedCache) -> np.ndarray:
+def snap_scores(cache: FusedCache) -> np.ndarray:
     """Pooled question attention per layer, head, and position.
 
     The question rows' weights over all causally visible positions are
@@ -86,8 +87,9 @@ def snap_scores(cache: PatchedCache) -> np.ndarray:
     edges clamped). Returns (n_layers, n_heads, n) float64 over all
     offsets; the caller decides which offsets compete.
     """
-    if not cache.rope_recovered:
-        raise ContractViolation("eviction scoring needs a position-recovered cache")
+    if not cache.rope_recovered or cache.question_queries is None:
+        raise ContractViolation("eviction scoring needs a position-recovered cache "
+                                "from fused_prefill")
     window = cache.question_queries
     summed = np.empty((window.shape[0], window.shape[1], cache.n))
     for l in range(window.shape[0]):
@@ -95,7 +97,7 @@ def snap_scores(cache: PatchedCache) -> np.ndarray:
     return _max_pool(summed)
 
 
-def evict(cache: PatchedCache, policy: EvictionPolicy) -> CompactedCache:
+def evict(cache: FusedCache, policy: EvictionPolicy) -> CompactedCache:
     """Compact to `policy.capacity` rows per layer per head.
 
     Retained = all system/question offsets plus the top capacity - |S| - |Q|

@@ -7,10 +7,11 @@ position i): the chunks, then zeroed question rows. At each layer the
 carried rows write fresh keys and values into it, whose other rows keep
 the stored chunk entries bitwise, and attend over that layer as it lies;
 the decode cache adopts the same buffers, so decode continues from the
-cache the prefill attended to. Then one `PatchedCache`, which holds those
-buffers, one final-logits call and one `FusionTrace`. Only the row
-schedule differs, and the loop takes it as its arguments. A request holds
-the cache once plus one layer's scratch. The selective strategies recover
+cache the prefill attended to. Then one final-logits call and one
+`FusionTrace`; concat's `chunkstore.FusedCache` is returned, its
+selection, carried rows and question queries set. Only the row schedule
+differs, and the loop takes it as its arguments. A request holds the
+cache once plus one layer's scratch. The selective strategies recover
 global positions and carry every row until layer 1's projections, which
 their selection step reads; then the selected rows (Re) plus the
 question. `full` rotates each chunk's columns of the buffer in place at
@@ -76,8 +77,8 @@ import numpy as np
 
 from . import flops as F
 from .chunkstore import (
-    CacheRows,
     ChunkStore,
+    FusedCache,
     SegmentMap,
     _rotate_keys,
     chunk_id,
@@ -89,7 +90,6 @@ from .errors import ConfigError, ContractViolation, FingerprintError, InputError
 from .model import (
     _TILE_ROWS,
     DTYPE,
-    DecodeCache,
     Model,
     _F64,
     _check_tokens,
@@ -146,26 +146,6 @@ class RecomputeSet:
         if idx.size > 1 and np.any(np.diff(idx) <= 0):
             raise ContractViolation("recompute indices must be strictly increasing")
         self.indices = idx
-
-
-@dataclass
-class PatchedCache(CacheRows):
-    """Fused cache after the pipeline ran: stored chunk entries patched at the
-    carried rows (selective: every row at layers 0-1, Re and the question at
-    layers >= 2; `full`: the question rows at every layer). Each layer is
-    exactly what the carried rows attended to, in concat's buffers."""
-
-    key_buffer: np.ndarray  # (L, H, hd, n + headroom) float32, `model.kv_buffers`
-    value_buffer: np.ndarray  # (L, H, hd + 1, n + headroom) float32
-    segments: SegmentMap
-    recompute: RecomputeSet
-    patched_offsets: np.ndarray  # carried rows (Re plus question)
-    question_queries: np.ndarray  # (L, H, |Q|, hd) float32, rotated true queries
-    rope_recovered: bool  # False only for `full`, whose chunks keep local rotation
-
-    def to_decode_cache(self) -> DecodeCache:
-        """A decode cache that adopts these buffers; one may decode at a time."""
-        return DecodeCache(self.key_buffer, self.value_buffer, self.n)
 
 
 @dataclass
@@ -306,8 +286,9 @@ def _prefix_chain(fp: bytes, ids: np.ndarray, lengths: list[int]) -> list[tuple]
 
 def fused_prefill(
     model: Model, segments: InputSegments, plan: FusionPlan, store
-) -> tuple[PatchedCache, np.ndarray, FusionTrace]:
-    """Run the selective-recomputation prefill; returns first-token logits.
+) -> tuple[FusedCache, np.ndarray, FusionTrace]:
+    """Run the selective-recomputation prefill; returns the cache
+    `concat_chunks` laid out, patched, the first-token logits and a trace.
 
     The system and document chunks must already be in `store`, a
     `ChunkStore` or a directory path (`ChunkStore.of`). The question is
@@ -365,8 +346,10 @@ def fused_prefill(
         rows, ids = question_rows, q_ids
     else:
         t0 = time.perf_counter()
-        # Layers 0-1 of every stored key are overwritten.
+        # Layers 0-1 of every stored key are overwritten, so a copy holding
+        # the other layers is recovered; the flag is set on the record.
         recover_positions(replace(fused, key_buffer=k_buf[2:]), cfg)
+        fused.rope_recovered = True
         durations["recover"] = time.perf_counter() - t0
         if plan.strategy == "kv_diff":
             # Layer 1's write below overwrites the stored values.
@@ -415,10 +398,7 @@ def fused_prefill(
                         question_queries)
     durations["patch"] = time.perf_counter() - t0
 
-    patched = PatchedCache(
-        key_buffer=k_buf, value_buffer=v_buf, segments=segmap, recompute=rset,
-        patched_offsets=rows, question_queries=question_queries, rope_recovered=not full,
-    )
+    fused.recompute, fused.patched_offsets, fused.question_queries = rset, rows, question_queries
     trace = FusionTrace(
         strategy=plan.strategy, r=plan.r, p=rset.p, n=n, n_ctx=n_ctx, q_len=q_len,
         selected=[int(i) for i in rset.indices], clamped=rset.clamped,
@@ -431,5 +411,5 @@ def fused_prefill(
         },
         scores_doc=scores_doc,
     )
-    return patched, final_logits(model, x)[0], trace
+    return fused, final_logits(model, x)[0], trace
 

@@ -14,14 +14,13 @@ from kvfuse.bench import (
     run_bench,
     run_strategy,
 )
-from kvfuse.chunkstore import ChunkStore
+from kvfuse.chunkstore import ChunkStore, FusedCache
 from kvfuse.errors import ConfigError, InputError
 from kvfuse.eviction import EvictionPolicy
 from kvfuse.flops import fused_flops, prefill_flops, row_flops, vanilla_flops
 from kvfuse.fusion import (
     STRATEGIES,
     FusionPlan,
-    PatchedCache,
     RecomputeSet,
     fused_prefill,
     hit_rate,
@@ -139,14 +138,15 @@ def test_attention_loss_zero_against_self(tmp_path):
     assert attention_l2_loss(run.patched, oracle, 1) <= 1e-6
     key_buffer, value_buffer = kv_layout([c.keys for c in oracle.caches],
                                          [c.values for c in oracle.caches])
-    sandwich = PatchedCache(
+    sandwich = FusedCache(
         key_buffer=key_buffer,
         value_buffer=value_buffer,
         segments=run.patched.segments,
+        rope_recovered=True,
+        token_ids=run.patched.token_ids,
         recompute=run.patched.recompute,
         patched_offsets=np.zeros(0, dtype=np.int64),
         question_queries=run.patched.question_queries,
-        rope_recovered=True,
     )
     for layer in range(cfg.n_layers):
         assert attention_l2_loss(sandwich, oracle, layer) == 0.0

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
+import re
+import shutil
 import struct
 
 import numpy as np
@@ -194,6 +196,26 @@ def test_impossible_headers_are_refused(tmp_path, shape):
     # The same file with a possible header loads.
     cid = forge_chunk_file(tmp_path, fp, [0, 1, 2], n_layers=2, n_heads=2, head_dim=8)
     assert CS.ChunkStore(tmp_path).load(cid).file_bytes == os.path.getsize(tmp_path / cid)
+
+
+@pytest.mark.parametrize("forged, message", [
+    (dict(magic=b"A3KW"), "has bad magic b'A3KW'"),
+    (dict(trailing=4), "has wrong payload size"),
+])
+def test_a_file_with_a_valid_digest_and_id_is_refused_for_its_magic_or_size(
+        tmp_path, capsys, forged, message):
+    # A byte flip fails the digest first; these files pass it and the id
+    # check, so only the magic or the size check can refuse them.
+    fp = make_model().config.fingerprint()
+    cid = forge_chunk_file(tmp_path, fp, [0, 1, 2], n_layers=2, n_heads=2, head_dim=8, **forged)
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        CS.verify_chunk_file(tmp_path / cid, expect_id=bytes.fromhex(cid))
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        CS.ChunkStore(tmp_path).load(cid)
+    capsys.readouterr()
+    assert main(["inspect", str(tmp_path / cid)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: corrupt: chunk file {tmp_path / cid} "
+                                              f"{message}")
 
 
 def test_load_unknown_id(tmp_path):
@@ -705,6 +727,27 @@ def test_a_deleted_file_is_not_served_while_resident(tmp_path):
     with pytest.raises(ChunkNotFoundError):
         store.load(chunk.chunk_id)
     assert store.resident_bytes == 0
+
+
+def test_a_write_drops_the_process_store_of_a_deleted_directory(tmp_path, monkeypatch):
+    # Once its directory is gone, the process's store holds chunks no load
+    # can serve; a write to another directory releases them, then keeps
+    # nothing, as for any directory that is not the process's store's.
+    monkeypatch.setattr(CS.ChunkStore, "_process_store", None)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    chunk, = stored_chunks(a, 1)
+    CS.ChunkStore.of(a).load(chunk.chunk_id)
+    assert CS.ChunkStore._process_store.resident_bytes == chunk.file_bytes
+    shutil.rmtree(a)
+    for _ in range(3):
+        CS.store_chunk(chunk, b)
+        assert CS.ChunkStore._process_store is None
+    # The directory's own store is kept while the directory exists.
+    held = CS.ChunkStore.of(b)
+    CS.store_chunk(chunk, b)
+    assert CS.ChunkStore._process_store is held and served(held, chunk.chunk_id) is True
 
 
 def test_a_path_maps_to_the_one_process_store(tmp_path, monkeypatch):

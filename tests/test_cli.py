@@ -528,6 +528,80 @@ def test_generate_malformed_manifest_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: manifest")
 
 
+def _precompute(tmp_path, inputs, *extra, model=MODEL):
+    """`precompute` argv over `inputs`, each written to a file of its own."""
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    argv = ["precompute", "--model", str(tmp_path / "model.json"), "--store",
+            str(tmp_path / "store"), "--chunk-len", "64", "--manifest-out",
+            str(tmp_path / "m.json"), *extra]
+    for i, data in enumerate(inputs):
+        (tmp_path / f"input{i}").write_bytes(data)
+        argv += ["--input", str(tmp_path / f"input{i}")]
+    return argv
+
+
+def _generate(tmp_path, *extra, model=MODEL):
+    """`generate` argv over a store of CONTEXT precomputed for `model`."""
+    assert main(_precompute(tmp_path, [CONTEXT], "--system-len", "24", model=model)) == 0
+    return ["generate", "--manifest", str(tmp_path / "m.json"), "--gen-len", "3", *extra]
+
+
+def _manifest(tmp_path, text):
+    (tmp_path / "m.json").write_text(text)
+    return ["generate", "--manifest", str(tmp_path / "m.json"), "--question-text", "q"]
+
+
+def _question_file(tmp_path):
+    (tmp_path / "question.txt").write_bytes("what does the fox do? \u00e9".encode())
+    return _generate(tmp_path, "--question-file", str(tmp_path / "question.txt"))
+
+
+ONE_LAYER = {**MODEL, "n_layers": 1}
+# name: (argv maker, exit code, what stderr starts with (an exit-0 run
+# prints nothing there), argv maker of a run whose stdout must match or None).
+CLI_PATHS = {
+    "question file": (_question_file, 0, "", lambda tmp_path: _generate(
+        tmp_path, "--question-text", "what does the fox do? \u00e9")),
+    "ids not integers": (lambda tmp_path: _precompute(tmp_path, [b"1 2 x 3"], "--format", "ids"),
+                         1, "error: {input0} is not a whitespace-separated id list: "
+                         "invalid literal for int() with base 10: 'x'", None),
+    "ids empty": (lambda tmp_path: _precompute(tmp_path, [b" \n"], "--format", "ids"),
+                  1, "error: {input0} holds no token ids", None),
+    "no document token": (lambda tmp_path: _precompute(tmp_path, [b"x" * 23], "--system-len", "24"),
+                          1, "error: system_len 24 must leave at least one document token "
+                          "(first input has 24)", None),
+    "system chunk only": (lambda tmp_path: _precompute(tmp_path, [b"x" * 23, b""],
+                                                       "--system-len", "24"),
+                          1, "error: need a system chunk plus at least one document chunk",
+                          None),
+    "manifest not JSON": (lambda tmp_path: _manifest(tmp_path, "{"), 1,
+                          "error: manifest is not valid JSON: Expecting property name", None),
+    "manifest not an object": (lambda tmp_path: _manifest(tmp_path, "[1, 2]"), 1,
+                               "error: manifest must be a JSON object", None),
+    "fused on 1 layer": (lambda tmp_path: _generate(tmp_path, "--question-text", "q",
+                                                    model=ONE_LAYER),
+                         1, "error: the selective pipeline needs at least 2 layers", None),
+    "vanilla on 1 layer": (lambda tmp_path: _generate(tmp_path, "--question-text", "q",
+                                                      "--strategy", "vanilla", model=ONE_LAYER),
+                           0, "", None),
+}
+
+
+@pytest.mark.parametrize("name", CLI_PATHS)
+def test_each_cli_path_exits_with_its_code_and_message(tmp_path, capsys, name):
+    make_argv, code, message, same_as = CLI_PATHS[name]
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err.startswith(message.format(input0=tmp_path / "input0")) and bool(err) == bool(code)
+    if same_as is not None:
+        expect = same_as(tmp_path)
+        capsys.readouterr()
+        assert main(expect) == 0
+        assert out == capsys.readouterr().out
+
+
 def bench_config(acceptance=None):
     return {
         "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "d_ff": 32,

@@ -107,9 +107,17 @@ def test_snap_scores_matches_loop_reference(tmp_path):
 def test_snap_scores_rejects_unrecovered(tmp_path):
     model = make_model()
     rng = np.random.default_rng(2)
-    _, patched, _, _ = patched_instance(model, tmp_path, rng, strategy="full")
+    segments, patched, _, _ = patched_instance(model, tmp_path, rng, strategy="full")
     with pytest.raises(ContractViolation):
         EV.snap_scores(patched)
+    # A record from concat and recovery alone holds no question queries.
+    fp = model.config.fingerprint()
+    chunks = [CS.load_chunk(CS.chunk_id(part, fp), tmp_path)
+              for part in segments.context_chunks()]
+    fused = CS.recover_positions(CS.concat_chunks(chunks, len(segments.question)), model.config)
+    assert fused.rope_recovered and fused.question_queries is None
+    with pytest.raises(ContractViolation):
+        EV.evict(fused, EV.EvictionPolicy(capacity=fused.segments.protected_offsets().size + 1))
 
 
 def test_snap_scores_rejects_empty_window(tmp_path):

@@ -44,14 +44,15 @@ def instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
     shape = (cfg.n_layers, cfg.n_heads, n, cfg.head_dim)
     key_buffer, value_buffer = M.kv_layout(rng.normal(size=shape), rng.normal(size=shape))
-    cache = FU.PatchedCache(
+    cache = CS.FusedCache(
         key_buffer=key_buffer,
         value_buffer=value_buffer,
         segments=segments,
+        rope_recovered=True,
+        token_ids=np.zeros(n - q_len, dtype=np.uint32),
         recompute=FU.RecomputeSet(np.zeros(0, dtype=np.int64), 0),
         patched_offsets=segments.offsets("question"),
         question_queries=rng.normal(size=shape[:2] + (q_len, cfg.head_dim)).astype(M.DTYPE),
-        rope_recovered=True,
     )
     return cache, capacity, steps
 

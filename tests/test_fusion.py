@@ -369,8 +369,9 @@ def test_decode_cache_adopts_the_prefill_buffers(tmp_path):
 
 
 def test_prefill_patches_the_buffer_concat_laid_out(tmp_path, monkeypatch):
-    # The returned cache is concat's own pair of buffers, question rows
-    # included: the pipeline allocates no cache of its own.
+    # The returned cache is the record concat made, with its own pair of
+    # buffers, question rows included: the pipeline allocates no cache of
+    # its own, and sets the rotation flag on that record.
     model = make_model()
     segments = make_instance(model, np.random.default_rng(14))
     populate_store(model, segments, tmp_path)
@@ -386,6 +387,8 @@ def test_prefill_patches_the_buffer_concat_laid_out(tmp_path, monkeypatch):
         assert patched.key_buffer is laid_out[-1].key_buffer
         assert patched.value_buffer is laid_out[-1].value_buffer
         assert patched.segments is laid_out[-1].segments and patched.n == segments.n
+        assert patched is laid_out[-1]
+        assert patched.rope_recovered == (strategy != "full")
 
 
 def test_fused_prefill_r0_identical_to_none(tmp_path):
