@@ -12,8 +12,10 @@ of `precompute_chunk` over the whole sequence, the
 keys `rotate_chunk_local` gives each context chunk, every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
 queries, selection, scores, first logits, the prefill, vanilla and scoring
-FLOP figures of the trace, and the returned cache's `rope_recovered` flag,
-printed as it is), every strategy at r=0.15 run twice on one
+FLOP figures of the trace, the returned cache's `rope_recovered` flag,
+printed as it is, and `layers01_vanilla`, whether its layer-0 and layer-1
+keys and values are `prefill_forward`'s bit for bit), every strategy at
+r=0.15 run twice on one
 fresh `ChunkStore`, first reading its chunk files and then serving them
 resident (keys, values, question queries, scores, first logits; a tree
 without a `ChunkStore` is given the directory), greedy decoding with and
@@ -28,8 +30,9 @@ store, over a 3-document request read twice, then over a request that
 shares only its first document with it and then over one that shares
 only its system chunk, so that the second read reuses the layer-0 rows of
 every cached context prefix, the third only some of them and the fourth
-only the system's (a system hit with a first-document miss, as in
-ingest_cold); for every strategy at r=0.15, the same arrays for an ingest-shaped
+none (a first-document miss after a shared system, as in ingest_cold,
+whose whole tiles keep their stored entries and have no prefix entry);
+for every strategy at r=0.15, the same arrays for an ingest-shaped
 request, whose two new documents are written into one fresh store by
 `store_chunk` and served from it as written, without a read ("ingest
 written"), and then read from their files by another fresh store ("ingest
@@ -190,6 +193,10 @@ def main() -> None:
                     for kind in ("prefill", "vanilla", "scoring"):
                         print(f"{tag} flops_{kind} {trace.flops[kind]!r}")
                     print(f"{tag} rope_recovered {patched.rope_recovered}")
+                    exact = all(np.array_equal(patched.keys[l], res.caches[l].keys)
+                                and np.array_equal(patched.values[l], res.caches[l].values)
+                                for l in (0, 1))
+                    print(f"{tag} layers01_vanilla {exact}")
             for strategy in fusion.STRATEGIES:
                 fresh = (chunkstore.ChunkStore(store) if hasattr(chunkstore, "ChunkStore")
                          else store)

@@ -12,13 +12,16 @@ cache the prefill attended to. Then one final-logits call and one
 selection, carried rows and question queries set. Only the row schedule
 differs, and the loop takes it as its arguments. A request holds the
 cache once plus one layer's scratch. The selective strategies recover
-global positions and carry every row until layer 1's projections, which
-their selection step reads; then the selected rows (Re) plus the
-question. `full` rotates each chunk's columns of the buffer in place at
-its local positions and carries the question alone, with no prefix and
-no selection. The trace charges `flops.prefill_flops` for the rows that
-ran (every row at layers 0-1 when selecting), so a clamped budget pays
-for them; `flops.fused_flops` models the unclamped budget.
+global positions and carry the rows from the system's last whole 32-row
+tile on until layer 1's projections, which their selection step reads;
+then the selected rows (Re) plus the question. The rows before keep
+their stored entries at every layer, a full prefill's bit for bit (see
+`model` on the one rounding point for keys). `full` rotates each chunk's
+columns of the buffer in place at its local positions and carries the
+question alone, with no prefix and no selection. The trace charges
+`flops.prefill_flops` for every row at layers 0-1 when selecting, though
+not every row runs them, and for the rows carried after, so a clamped
+budget pays for them; `flops.fused_flops` models the unclamped budget.
 
 Chunks come from a `chunkstore.ChunkStore`, which keeps resident, under
 one LRU and byte budget (`chunkstore.RESIDENT_BYTES`), the chunks it
@@ -32,29 +35,27 @@ that directory's store the process's). Each chunk comes through
 give the trace's hits and bytes read. The loop only reads the resident
 arrays: concat copies them into the buffer, which each strategy rotates.
 
-Every cached context prefix skips layer 0's attention and block. A row
-attends only to the rows before it, so its layer-1 input depends only on
-the tokens up to it and the model, and repeats whenever that prefix does.
-A chain of entries in the same store holds them, from row 0: one for the
-system's whole tiles and one per document boundary but the last (the full
-context rarely repeats), each rounded down to a whole 32-row tile and
-keyed by the model fingerprint, its first row and the token bytes before
-its end; the first row depends on how the context is cut into chunks. An
-entry holds only its rows' float32 layer-1 inputs, exact because
-`block_out` rounds through float32. The selective strategies still run
-the projections of layers 0-1 over every row, which depend only on each
-token, its position and its layer input, but take the layer-1 inputs of
-the unbroken chain of entries that hit from row 0 and run layer 0's
-attention and block from the chain's end only. On a miss the selection
-step, which sees every row's layer-1 input, stores the entries from the
-first one missed on. Only whole attention tiles are reused: a
-tile that straddled a boundary would run its value product over a longer
-key range, which may sum in another order, so reusing it could change
-bits. `full` never uses the entries. At the rag_shared shape an entry is
-0.12 MB (480 rows), against a chunk's 1.97 MB; both count against the
-store's budget. The selective strategies recover positions from layer 2
-on: the loop overwrites every stored key and value of layers 0-1, so
-`kv_diff` copies the stored layer-1 document values before the loop.
+Every cached context prefix skips layer 0. A row attends only to the
+rows before it, so its layer-1 input depends only on the tokens up to it
+and the model, and repeats whenever that prefix does. A chain of entries
+in the same store holds them, from the system's last whole tile: one per
+document boundary but the last (the full context rarely repeats), each
+rounded down to a whole 32-row tile and keyed by the model fingerprint,
+its first row and the token bytes before its end; the first row depends
+on how the context is cut into chunks. An entry holds only its rows'
+float32 layer-1 inputs, exact because `block_out` rounds through float32.
+The rows of the unbroken chain of entries that hit take those inputs and
+run nothing at layer 0, whose keys and values depend only on each token
+and its position and are the recovered stored ones. On a miss the
+selection step, which sees every carried row's layer-1 input, stores the
+entries from the first one missed on. Only whole attention tiles are
+reused: a tile that straddled a boundary would run its value product over
+a longer key range, which may sum in another order, so reusing it could
+change bits. `full` never uses the entries. At the rag_shared shape an
+entry is 0.12 MB (480 rows), against a chunk's 1.97 MB; both count
+against the store's budget. The loop overwrites layers 0-1 of every
+carried row, so `kv_diff` copies the stored layer-1 document values
+before the loop.
 
 Question relevance (`question_attention`) and the top-p rule (`_top_p`)
 are written once, here; eviction and the harness call them too.
@@ -71,7 +72,7 @@ Strategies:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,7 +159,7 @@ class FusionTrace:
     q_len: int
     selected: list[int]
     clamped: bool
-    reused_rows: int = 0  # rows whose layer-0 attention and block came from prefix entries
+    reused_rows: int = 0  # rows of the prefix entries that hit, which skip layer 0
     chunk_bytes: int = 0  # bytes of the chunk files served, each verified when it was read
     chunk_hits: int = 0  # chunks served resident
     chunk_bytes_read: int = 0  # bytes of the chunk files this call read and verified
@@ -270,14 +271,15 @@ def hit_rate(selected: RecomputeSet, oracle_topk: RecomputeSet) -> float:
 
 def _prefix_chain(fp: bytes, ids: np.ndarray, lengths: list[int]) -> list[tuple]:
     """The prefix entries of a context whose chunks have `lengths`: (store
-    key, first row, end row) for the system's boundary and every document
-    boundary but the last, each rounded down to a whole tile. A span with
-    no whole tile is left out. A key holds the model, the first row and the
-    int64 token bytes of rows [0, end), which determine the entry; the
-    first row depends on the chunking, not on the tokens, so the same
-    tokens cut otherwise get other entries."""
-    chain, start = [], 0
-    for end in (np.cumsum(lengths[:1] + lengths[1:-1]) // _TILE_ROWS * _TILE_ROWS).tolist():
+    key, first row, end row) for every document boundary but the last,
+    each rounded down to a whole tile, from the system's last whole tile,
+    where the carried rows start. A span with no whole tile is left out.
+    A key holds the model, the first row and the int64 token bytes of rows
+    [0, end), which determine the entry; the first row depends on the
+    chunking, not on the tokens, so the same tokens cut otherwise get
+    other entries."""
+    chain, start = [], lengths[0] // _TILE_ROWS * _TILE_ROWS
+    for end in (np.cumsum(lengths)[1:-1] // _TILE_ROWS * _TILE_ROWS).tolist():
         if end > start:
             chain.append(((fp, start, ids[:end].tobytes()), start, end))
             start = end
@@ -337,19 +339,16 @@ def fused_prefill(
 
     # The schedule of the one prefill loop. `full` carries only the
     # question; the chunk rows all precede it, so causality follows from
-    # the row offsets. The selective strategies carry every row, take the
-    # layer-1 inputs of the unbroken chain of entries that hit from row 0
-    # (`prefix`) and select after layer 1's projections.
+    # the row offsets. The selective strategies carry the rows from the
+    # system's last whole tile, take the layer-1 inputs of the unbroken
+    # chain of entries that hit (`prefix`) and select after layer 1.
     prefix, select, scores_doc = [], None, None
     rset = RecomputeSet(indices=np.zeros(0, dtype=np.int64), p=0)  # `full` and `none`
     if full:
         rows, ids = question_rows, q_ids
     else:
         t0 = time.perf_counter()
-        # Layers 0-1 of every stored key are overwritten, so a copy holding
-        # the other layers is recovered; the flag is set on the record.
-        recover_positions(replace(fused, key_buffer=k_buf[2:]), cfg)
-        fused.rope_recovered = True
+        recover_positions(fused, cfg)
         durations["recover"] = time.perf_counter() - t0
         if plan.strategy == "kv_diff":
             # Layer 1's write below overwrites the stored values.
@@ -360,21 +359,22 @@ def fused_prefill(
         while chain and (inputs := store.get(chain[0][0])) is not None:
             prefix.append(inputs)
             del chain[0]
-        rows = np.arange(n, dtype=np.int64)
+        start = len(segments.system) // _TILE_ROWS * _TILE_ROWS
+        rows, ids = np.arange(start, n, dtype=np.int64), ids[start:]
 
-        def step(q, k, x):
-            # `x` holds every row's layer-1 input.
+        def select(q, k, x):
             nonlocal t0, rset, scores_doc, rows
-            for key, start, end in chain:
-                inputs = x[start:end].astype(DTYPE)
+            for key, begin, end in chain:
+                inputs = x[begin - start:end - start].astype(DTYPE)
                 inputs.flags.writeable = False
                 store.put(key, inputs, inputs.nbytes)
             durations["layer01"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             # Scores are recorded for every selective strategy so the harness
             # can compare any selection against the attention oracle at
-            # matched budget.
-            scores_doc = score_tokens(q[:, -q_len:], k, segmap)
+            # matched budget; the rows before `start` score with their stored keys.
+            keys = np.concatenate([fused.keys[1][:, :start], k], axis=1)
+            scores_doc = score_tokens(q[:, -q_len:], keys, segmap)
             if plan.strategy == "attention_aware":
                 rset = select_recompute(scores_doc, plan.r, n, segmap)
             elif plan.strategy == "kv_diff":
@@ -389,9 +389,6 @@ def fused_prefill(
             durations["select"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             return rows
-
-        # Only document and question rows can be selected.
-        select = (len(segments.system), step)
 
     t0 = time.perf_counter()
     x = _prefill_layers(model, ids, rows, k_buf[..., :n], v_buf[..., :n], prefix, select,

@@ -29,6 +29,11 @@ stacked in one (3, d_model, d_model) array, so `block_qkv` runs one
 projection product and rotates the q and k heads in one call; the weights
 take no more memory than three separate matrices.
 
+Keys have one rounding point: `block_qkv` rounds raw key heads to float32
+before it rotates them, as recovery rotates stored raw keys, so a
+recovered stored key is a full prefill's bit for bit wherever the stored
+row saw its whole context.
+
 The norm and the rotation each have two forms with the same bits, picked
 by the row count, since one row pays each array call's fixed cost in full.
 The RMS norm has no gain (a unit gain multiplies by 1.0, which is exact).
@@ -498,7 +503,8 @@ def block_qkv(model: Model, layer: int, x: np.ndarray, rope: tuple[np.ndarray, n
     heads by `rope`, the rows' table, which a forward builds once for all
     its layers: the (cos, sin) `_rope_table` of many rows, rotated by
     `_rotate`, or the `_RopeRow` of a decode step's one row, rotated by
-    `_rotate_row`. Both give the same bits.
+    `_rotate_row`. Both give the same bits. The raw key heads are rounded
+    to float32 first, the keys' one rounding point (see the module doc).
 
     Returns (q_rot, k_rot, k_raw, v), each (n_heads, rows, head_dim) float64.
     What the rows attend to is the caller's choice; `block_out` finishes.
@@ -507,6 +513,7 @@ def block_qkv(model: Model, layer: int, x: np.ndarray, rope: tuple[np.ndarray, n
     # (3, rows, d_model): q, k and v each one contiguous block, the layout
     # of three separate products, so the rotation reads them as fast.
     qkv = _split_heads(_rmsnorm(np.asarray(x, dtype=_F64)) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
+    qkv[1] = qkv[1].astype(DTYPE)
     rotate = _rotate_row if isinstance(rope, _RopeRow) else _rotate
     q_rot, k_rot = rotate(qkv[:2], *rope)
     return q_rot, k_rot, qkv[1], qkv[2]
@@ -581,24 +588,22 @@ def _prefill_layers(model: Model, ids: np.ndarray, rows: np.ndarray, keys: np.nd
                     raw=None) -> np.ndarray:
     """The one prefill loop; returns the last row's output of the last
     layer, (1, d_model) float32. Vanilla carries every row, `full` the
-    question, the selective strategies every row and then their selection.
+    question, the selective strategies the rows from the system's last
+    whole tile on and then their selection.
 
     The carried rows, increasing positions `rows` that end at the last
-    one, start from the embeddings of `ids`. At each layer `block_qkv` runs
-    over `_row_blocks` of them, writes each block's rotated keys and values
-    into the layer of `keys`/`values` (`kv_buffers` cut to the cache's
-    rows; the other rows keep what they hold) and drops the rest but the
-    queries that are read: at layer 0 from the end of `prefix`, at layer 1
-    from `select`'s first row. The rows attend over the layer as it lies
-    and run `block_out` over the same blocks. `prefix` holds, in order, the
-    float32 layer-1 inputs of the first rows, which skip layer 0's
-    attention and block. `select`, (first, step), runs after layer 1's
-    projections: `step(q, k, x)` sees the queries from row `first` on,
-    every row's rotated keys in float64 and their layer inputs, and
-    returns the rows that carry on; a schedule that selects carries every
-    row until then, so rows and positions coincide. `queries` (L, H, m,
-    hd) takes each layer's last m queries, `raw` (L, H, rows, hd) its raw
-    keys.
+    one, hold the tokens `ids`. `prefix` holds, in order, the float32
+    layer-1 inputs of the first ones, whose layer-0 keys and values lie in
+    the buffers already, so only the rows after them run layer 0. At each
+    layer `block_qkv` runs over `_row_blocks` of the rows, writes each
+    block's rotated keys and values into the layer of `keys`/`values`
+    (`kv_buffers` cut to the cache's rows; the other rows keep what they
+    hold) and drops the rest but the queries. The rows attend over the
+    layer as it lies and run `block_out` over the same blocks. After layer
+    1's projections `select(q, k, x)`, given the rows' queries, rotated
+    keys in float64 and layer inputs, returns the positions that carry on.
+    `queries` (L, H, m, hd) takes each layer's last m queries, `raw` (L, H,
+    rows, hd) its raw keys.
 
     At the last layer only the tile that holds the last row attends, whole,
     so its products are the full call's, and only that row runs
@@ -609,39 +614,36 @@ def _prefill_layers(model: Model, ids: np.ndarray, rows: np.ndarray, keys: np.nd
     """
     cfg = model.config
     hd, last = cfg.head_dim, cfg.n_layers - 1
-    x = model.weights.embedding[ids].astype(DTYPE)  # exact: the weights are float32 draws
-    cos, sin = _rope_table(rows, cfg)
     skip = sum(len(inputs) for inputs in prefix)
+    x = model.weights.embedding[ids[skip:]].astype(DTYPE)  # exact: the weights are float32 draws
+    cos, sin = _rope_table(rows, cfg)
     for l in range(cfg.n_layers):
-        selecting = l == 1 and select is not None
-        first = select[0] if selecting else skip
-        k64 = np.empty((cfg.n_heads, rows.size, hd)) if selecting else None
-        q = np.empty((cfg.n_heads, rows.size - first, hd))
-        for b in _row_blocks(rows.size):
-            q_rot, k, k_raw, v = block_qkv(model, l, x[b], (cos[b], sin[b]))
-            if b.stop > first:
-                q[:, max(b.start - first, 0):b.stop - first] = q_rot[:, max(first - b.start, 0):]
-            keys[l][:, :, rows[b]] = k.swapaxes(1, 2)
-            values[l][:, :hd, rows[b]] = v.swapaxes(1, 2)
+        run, c, s = rows[skip:], cos[skip:], sin[skip:]
+        k64 = np.empty((cfg.n_heads, run.size, hd)) if l == 1 and select is not None else None
+        q = np.empty((cfg.n_heads, run.size, hd))
+        for b in _row_blocks(run.size):
+            q[:, b], k, k_raw, v = block_qkv(model, l, x[b], (c[b], s[b]))
+            keys[l][:, :, run[b]] = k.swapaxes(1, 2)
+            values[l][:, :hd, run[b]] = v.swapaxes(1, 2)
             if k64 is not None:
                 k64[:, b] = k
             if raw is not None:
                 raw[l][:, b] = k_raw
-        del q_rot, k, k_raw, v
         if queries is not None:
             queries[l] = q[:, q.shape[1] - queries.shape[2]:]
-        if selecting:
-            rows = select[1](q, k64, x)
-            k64, q, x, cos, sin = None, q[:, rows - first], x[rows], cos[rows], sin[rows]
+        if k64 is not None:
+            run = select(q, k64, x)
+            at = np.searchsorted(rows, run)
+            k64, rows, q, x, cos, sin = None, run, q[:, at], x[at], cos[at], sin[at]
         if l == last:
             tail = (q.shape[1] - 1) // _TILE_ROWS * _TILE_ROWS
-            attn = attention(q[:, tail:], keys[l], values[l], rows[skip + tail:])
+            attn = attention(q[:, tail:], keys[l], values[l], run[tail:])
             return block_out(model, l, x[-1:], attn[:, -1:])
-        attn = attention(q, keys[l], values[l], rows[skip:])
+        attn = attention(q, keys[l], values[l], run)
         del q
-        out = np.empty_like(x[skip:])
+        out = np.empty_like(x)
         for b in _row_blocks(out.shape[0]):
-            out[b] = block_out(model, l, x[skip:][b], attn[:, b])
+            out[b] = block_out(model, l, x[b], attn[:, b])
         x = np.concatenate([*prefix, out]) if skip else out
         del attn, out
         skip = 0

@@ -154,11 +154,13 @@ def test_attention_loss_zero_against_self(tmp_path):
 
 @pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "full"])
 def test_layers_0_and_1_match_vanilla_exactly_cold_and_warm(tmp_path, strategy):
-    # Every selective strategy carries every row through layers 0-1, and
-    # prefill attention multiplies the float32 rows it is given, so the
-    # fused layers 0-1 are vanilla's bit for bit, at the acceptance shape,
-    # whether layer 0's prefix entries are computed (cold store) or reused
-    # (warm store).
+    # Every selective strategy carries the rows from the system's last
+    # whole tile through layers 0-1, the rows before it keep stored entries
+    # that are vanilla's bit for bit, and prefill attention multiplies the
+    # float32 rows it is given, so the fused layers 0-1 are vanilla's bit
+    # for bit, at the acceptance shape, whether layer 0's prefix entries
+    # are computed (cold store) or reused (warm store). The one entry is the
+    # first document's rows [480, 960).
     cfg = ModelConfig(n_layers=8, n_heads=4, head_dim=16, d_ff=256, vocab_size=512, seed=101)
     model = build_model(cfg)
     recipe = InputRecipe(n_doc_chunks=2, chunk_len=480, system_len=480, question_len=24,
@@ -167,7 +169,7 @@ def test_layers_0_and_1_match_vanilla_exactly_cold_and_warm(tmp_path, strategy):
     store = ChunkStore(tmp_path)
     populate_store(model, segments, store)
     oracle = prefill_forward(model, segments.all_ids(), record_queries=True)
-    for reused in (0, 960):
+    for reused in (0, 480):
         run = run_strategy(model, segments, strategy, store, gen_len=1)
         assert run.trace.reused_rows == reused
         assert [attention_l2_loss(run.patched, oracle, l) for l in (0, 1)] == [0.0, 0.0]

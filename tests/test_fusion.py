@@ -608,16 +608,18 @@ def test_prefix_memo_hit_is_bitwise_a_miss(tmp_path, sys_len, system_rows):
     for strategy in SELECTIVE:
         store = CS.ChunkStore(tmp_path)
         miss = run_prefill(model, segments, strategy, store)
-        # The system's whole tiles, if any, are the chain's first entry.
-        assert (store.get((fp, 0, ids[:system_rows].tobytes())) is None) == (system_rows == 0)
+        # The system's whole tiles keep their stored entries and have no
+        # entry of their own; the chain's one entry runs from them to the
+        # first document's boundary, row 110 or 60, rounded down to 96 or 32.
+        assert store.get((fp, 0, ids[:system_rows].tobytes())) is None
+        assert store.get((fp, system_rows, ids[:system_rows + 32].tobytes())) is not None
         hit = run_prefill(model, segments, strategy, store)
-        # Then the first document's boundary, row 110, rounded down to 96 or 32.
-        assert (miss[2].reused_rows, hit[2].reused_rows) == (0, system_rows + 32)
+        assert (miss[2].reused_rows, hit[2].reused_rows) == (0, 32)
         assert_same_prefill(hit, miss)
 
 
 @pytest.mark.parametrize("sys_len", [64, 70])
-def test_a_context_without_documents_reuses_its_system_entry(tmp_path, sys_len):
+def test_a_context_without_documents_stores_no_entry(tmp_path, sys_len):
     model = make_model()
     rng = np.random.default_rng(34)
     segments = FU.InputSegments(rng.integers(0, 64, size=sys_len), [],
@@ -628,7 +630,9 @@ def test_a_context_without_documents_reuses_its_system_entry(tmp_path, sys_len):
         store = CS.ChunkStore(tmp_path)
         miss = run_prefill(model, segments, strategy, store)
         hit = run_prefill(model, segments, strategy, store)
-        assert (miss[2].reused_rows, hit[2].reused_rows) == (0, sys_len // 32 * 32)
+        # The system's whole tiles keep their stored entries; only the chunk is resident.
+        assert (miss[2].reused_rows, hit[2].reused_rows) == (0, 0)
+        assert store.resident_bytes == hit[2].chunk_bytes
         assert_same_prefill(miss, cold)
         assert_same_prefill(hit, cold)
 
@@ -638,17 +642,22 @@ def test_prefix_memo_is_not_reused_stale(tmp_path):
     segments = make_instance(model, np.random.default_rng(32), sys_len=70,
                              doc_lens=(40, 30), q_len=6)
     vocab = model.config.vocab_size
-    # Changed inside the reused prefix but after its first tile, at its
-    # last row, and only after the prefix, where the memo still holds.
+    # The one entry, rows [64, 96), is keyed by every token before row 96:
+    # a change inside the system's whole tiles, at their last row, in the
+    # system's partial tile or in the entry's rows misses it, and only a
+    # change after row 96 (first document row 26) leaves it to hit.
     inside, last, after = (segments.system.copy() for _ in range(3))
     inside[40] = (inside[40] + 1) % vocab
     last[63] = (last[63] + 1) % vocab
     after[66] = (after[66] + 1) % vocab
+    later = [d.copy() for d in segments.documents]
+    later[0][26] = (later[0][26] + 1) % vocab
     other_seed = make_model(seed=22)
     cases = [
         (model, FU.InputSegments(inside, segments.documents, segments.question), 0),
         (model, FU.InputSegments(last, segments.documents, segments.question), 0),
-        (model, FU.InputSegments(after, segments.documents, segments.question), 64),
+        (model, FU.InputSegments(after, segments.documents, segments.question), 0),
+        (model, FU.InputSegments(segments.system, later, segments.question), 32),
         (other_seed, segments, 0),
     ]
     for m, segs, _ in [(model, segments, 0)] + cases:
@@ -659,7 +668,6 @@ def test_prefix_memo_is_not_reused_stale(tmp_path):
             store = CS.ChunkStore(tmp_path)
             run_prefill(model, segments, strategy, store)  # fills the entries
             after_other = run_prefill(m, segs, strategy, store)
-            # The second entry's key holds every token up to row 96.
             assert after_other[2].reused_rows == reused
             assert_same_prefill(after_other, cleared)
 
@@ -683,28 +691,26 @@ def test_prefix_entries_form_a_chain(tmp_path):
         populate_store(model, segments, tmp_path)
         run_prefill(model, segments, "attention_aware", store)
         ids = context_ids(segments)
-        # The layer-1 inputs of the system's whole tiles, rows [0, 64), then
-        # one entry per document boundary but the last, rounded down to a
-        # whole tile: rows [64, 96).
-        entries = [store.get((fp, 0, ids[:64].tobytes())),
-                   store.get((fp, 64, ids[:96].tobytes()))]
-        for inputs, rows in zip(entries, (64, 32)):
-            assert inputs.shape == (rows, d_model) and inputs.dtype == M.DTYPE
-            assert not inputs.flags.writeable
+        # One entry per document boundary but the last, from the system's
+        # last whole tile and rounded down to a whole tile: rows [64, 96).
+        # The system's whole tiles, rows [0, 64), keep their stored entries.
+        assert store.get((fp, 0, ids[:64].tobytes())) is None
+        inputs = store.get((fp, 64, ids[:96].tobytes()))
+        assert inputs.shape == (32, d_model) and inputs.dtype == M.DTYPE
+        assert not inputs.flags.writeable
         assert store.get((fp, 96, ids[:96 + 32].tobytes())) is None
-        held[ids[:64].tobytes()], held[ids[:96].tobytes()] = entries
-    assert len(held) == 3  # the system's entry is shared
+        held[ids[:96].tobytes()] = inputs
+    assert len(held) == 2
     chunk_bytes = sum(os.path.getsize(tmp_path / CS.chunk_id(part, fp).hex())
                       for part in [first.system] + first.documents + second.documents[:1])
     # Each entry holds one float32 layer-1 input per row.
-    entry_bytes = (64 + 2 * 32) * d_model * 4
+    entry_bytes = 2 * 32 * d_model * 4
     assert store.resident_bytes == chunk_bytes + entry_bytes
     # `full` neither reads nor replaces the entries.
     _, _, trace = run_prefill(model, first, "full", store)
     assert trace.reused_rows == 0
     for segments in (first, second):
         ids = context_ids(segments)
-        assert store.get((fp, 0, ids[:64].tobytes())) is held[ids[:64].tobytes()]
         assert store.get((fp, 64, ids[:96].tobytes())) is held[ids[:96].tobytes()]
     assert store.resident_bytes == chunk_bytes + entry_bytes
 
@@ -712,7 +718,7 @@ def test_prefix_entries_form_a_chain(tmp_path):
 @pytest.mark.parametrize("sys_len, doc_lens, system_rows, document_rows", [
     (64, (64, 32), 64, 64),  # every boundary on a tile edge
     (70, (40, 30), 64, 32),
-    (20, (40, 30), 0, 32),  # the first entry covers the system and part of document 1
+    (20, (40, 30), 0, 32),  # the entry covers the system and part of document 1
     (70, (40, 50, 30), 64, 96),
 ])
 def test_document_entries_hit_is_bitwise_a_miss(tmp_path, sys_len, doc_lens, system_rows,
@@ -721,11 +727,15 @@ def test_document_entries_hit_is_bitwise_a_miss(tmp_path, sys_len, doc_lens, sys
     segments = make_instance(model, np.random.default_rng(38), sys_len=sys_len,
                              doc_lens=doc_lens, q_len=6)
     populate_store(model, segments, tmp_path)
+    ids = context_ids(segments)
+    fp = model.config.fingerprint()
     for strategy in SELECTIVE:
         store = CS.ChunkStore(tmp_path)
         miss = run_prefill(model, segments, strategy, store)
+        # The system's whole tiles keep their stored entries: no entry, not counted.
+        assert store.get((fp, 0, ids[:system_rows].tobytes())) is None
         hit = run_prefill(model, segments, strategy, store)
-        assert (miss[2].reused_rows, hit[2].reused_rows) == (0, system_rows + document_rows)
+        assert (miss[2].reused_rows, hit[2].reused_rows) == (0, document_rows)
         assert_same_prefill(hit, miss)
 
 
@@ -752,7 +762,7 @@ def test_document_entries_reuse_only_an_equal_prefix(tmp_path):
             store = CS.ChunkStore(tmp_path)
             run_prefill(model, segments, strategy, store)
             warm = run_prefill(model, segs, strategy, store)
-            assert warm[2].reused_rows == 64 + reused_rows
+            assert warm[2].reused_rows == reused_rows
             assert_same_prefill(warm, cold)
 
 
@@ -781,13 +791,14 @@ def test_document_entries_of_another_chunking_are_not_confused(tmp_path):
             for i in order + order:
                 warm = run_prefill(model, runs[i], strategy, store)
                 assert_same_prefill(warm, cold[i])
-            # Each chunking ran before, so its own chain hits to row 160.
-            assert warm[2].reused_rows == 160
+            # Each chunking ran before, so its own chain hits from the
+            # system's last whole tile to row 160.
+            assert warm[2].reused_rows == 160 - len(runs[i].system) // 32 * 32
     fp = model.config.fingerprint()
     chains = [[(start, end) for _, start, end in
                FU._prefix_chain(fp, context_ids(segs), [len(c) for c in segs.context_chunks()])]
               for segs in runs]
-    assert chains == [[(0, 64), (64, 96), (96, 160)], [(0, 64), (64, 160)], [(0, 96), (96, 160)]]
+    assert chains == [[(64, 96), (96, 160)], [(64, 160)], [(96, 160)]]
 
 
 def test_trace_reports_the_rows_taken_from_the_memo(tmp_path):
@@ -801,7 +812,7 @@ def test_trace_reports_the_rows_taken_from_the_memo(tmp_path):
     rows = [json.loads(json.dumps(run_prefill(model, segments, "attention_aware",
                                               store)[2].to_json_dict()))
             for _ in range(2)]
-    assert [r["reused_rows"] for r in rows] == [0, 96]
+    assert [r["reused_rows"] for r in rows] == [0, 32]
     assert not any("prefix_rows" in r for r in rows)
 
 
@@ -887,9 +898,9 @@ def test_prefill_rereads_a_changed_file_and_counts_the_prefix_entry(tmp_path, mo
     paths = [tmp_path / CS.chunk_id(part, fp).hex() for part in segments.context_chunks()]
     _, _, trace = run_prefill(model, segments, "attention_aware", tmp_path)
     store = CS.ChunkStore.of(tmp_path)  # the store the path stood for
-    # The chunks, then the float32 layer-1 inputs of rows [0, 64) and [64, 96).
+    # The chunks, then the float32 layer-1 inputs of rows [64, 96).
     d_model = model.config.d_model
-    assert store.resident_bytes == trace.chunk_bytes + 96 * d_model * 4
+    assert store.resident_bytes == trace.chunk_bytes + 32 * d_model * 4
     # A document replaced by `os.replace` with a copy of its bytes, as
     # another process's store of the same chunk would leave it.
     copy = tmp_path / "copy"

@@ -2,9 +2,16 @@
 
 Chunks are precomputed alone, concatenated and rotated at their global
 offsets. Layer 0 saw no context in any path, and the system chunk comes
-first, so at layer 0 everywhere and over the system span at every layer
-the result must match a full prefill of the same ids. Chunks of up to 100
+first, so at layer 0 everywhere and over the system's whole 32-row
+attention tiles at every layer the result must be a full prefill's of the
+same ids bit for bit, since every path rounds raw keys to float32 before
+it rotates them. The system's partial last tile is cut at another key in
+a full prefill, so there the match is to a tolerance. Chunks of up to 100
 tokens put chunk edges on both sides of the 32-row attention tile edges.
+
+The selective strategies keep those exact rows: their fused layers 0 and
+1, and the system's whole tiles at every layer, are a full prefill's bit
+for bit, from a cold store of prefix entries and from a warm one.
 
 Recovery, `full`'s prefill and `rotate_chunk_local` each rotate stored
 keys in place in the concatenated buffer's layout, one layer at a time
@@ -50,12 +57,49 @@ def test_recovered_concat_matches_prefill_at_layer0_and_system_span(parts):
     oracle = M.prefill_forward(MODEL, np.concatenate(parts)).caches
     true_k = np.stack([c.keys for c in oracle])
     true_v = np.stack([c.values for c in oracle])
-    np.testing.assert_allclose(fused.keys[0], true_k[0], rtol=0, atol=ATOL)
-    np.testing.assert_allclose(fused.values[0], true_v[0], rtol=0, atol=ATOL)
-    system = slice(0, parts[0].size)
-    np.testing.assert_allclose(fused.keys[:, :, system], true_k[:, :, system], rtol=0, atol=ATOL)
-    np.testing.assert_allclose(fused.values[:, :, system], true_v[:, :, system], rtol=0,
+    assert np.array_equal(fused.keys[0], true_k[0])
+    assert np.array_equal(fused.values[0], true_v[0])
+    tiles = parts[0].size // M._TILE_ROWS * M._TILE_ROWS
+    assert np.array_equal(fused.keys[:, :, :tiles], true_k[:, :, :tiles])
+    assert np.array_equal(fused.values[:, :, :tiles], true_v[:, :, :tiles])
+    partial = slice(tiles, parts[0].size)
+    np.testing.assert_allclose(fused.keys[1:, :, partial], true_k[1:, :, partial], rtol=0,
                                atol=ATOL)
+    np.testing.assert_allclose(fused.values[1:, :, partial], true_v[1:, :, partial], rtol=0,
+                               atol=ATOL)
+
+
+@st.composite
+def edge_chunkings(draw):
+    """`chunkings` whose system chunk ends just before, on or just after a
+    32-row tile edge, or anywhere up to 100 tokens."""
+    parts = draw(chunkings())
+    edge = st.sampled_from([31, 32, 33, 63, 64, 65, 95, 96, 97])
+    length = draw(st.one_of(edge, st.integers(1, 100)), label="system length")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="system seed"))
+    return [rng.integers(0, MODEL.config.vocab_size, size=length)] + parts[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_chunkings())
+def test_selective_strategies_keep_layers_0_1_and_the_system_tiles_exact(parts):
+    segments = FU.InputSegments(parts[0], parts[1:], QUESTION)
+    oracle = M.prefill_forward(MODEL, segments.all_ids()).caches
+    true_k = np.stack([c.keys for c in oracle])
+    true_v = np.stack([c.values for c in oracle])
+    tiles = parts[0].size // M._TILE_ROWS * M._TILE_ROWS
+    with tempfile.TemporaryDirectory() as directory:
+        store = CS.ChunkStore(directory)
+        for part in parts:
+            CS.store_chunk(CS.precompute_chunk(part, MODEL), store)
+        for strategy in ("attention_aware", "kv_diff", "head_tail", "none"):
+            for _ in ("cold", "warm"):
+                fused, _, _ = FU.fused_prefill(MODEL, segments, FU.FusionPlan(strategy, r=0.3),
+                                               store)
+                assert np.array_equal(fused.keys[:2], true_k[:2])
+                assert np.array_equal(fused.values[:2], true_v[:2])
+                assert np.array_equal(fused.keys[:, :, :tiles], true_k[:, :, :tiles])
+                assert np.array_equal(fused.values[:, :, :tiles], true_v[:, :, :tiles])
 
 
 @SETTINGS
