@@ -13,8 +13,10 @@ keys `rotate_chunk_local` gives each context chunk, every
 `fused_prefill` strategy at r in {0, 0.15, 1} (keys, values, question
 queries, selection, scores, first logits, the prefill, vanilla and scoring
 FLOP figures of the trace, the returned cache's `rope_recovered` flag,
-printed as it is, and `layers01_vanilla`, whether its layer-0 and layer-1
-keys and values are `prefill_forward`'s bit for bit), every strategy at
+printed as it is, `layers01_vanilla`, whether its layer-0 and layer-1
+keys and values are `prefill_forward`'s bit for bit, and
+`system_vanilla`, whether its keys and values over the system span are
+`prefill_forward`'s bit for bit at every layer), every strategy at
 r=0.15 run twice on one
 fresh `ChunkStore`, first reading its chunk files and then serving them
 resident (keys, values, question queries, scores, first logits; a tree
@@ -197,6 +199,12 @@ def main() -> None:
                                 and np.array_equal(patched.values[l], res.caches[l].values)
                                 for l in (0, 1))
                     print(f"{tag} layers01_vanilla {exact}")
+                    system = np.s_[:, :sys_len]
+                    exact = all(np.array_equal(patched.keys[l][system], res.caches[l].keys[system])
+                                and np.array_equal(patched.values[l][system],
+                                                   res.caches[l].values[system])
+                                for l in range(model.config.n_layers))
+                    print(f"{tag} system_vanilla {exact}")
             for strategy in fusion.STRATEGIES:
                 fresh = (chunkstore.ChunkStore(store) if hasattr(chunkstore, "ChunkStore")
                          else store)

@@ -47,6 +47,7 @@ from .model import (
     _rope_table,
     kv_buffers,
     kv_rows,
+    tile_end,
 )
 
 if TYPE_CHECKING:
@@ -107,7 +108,8 @@ def precompute_chunk(token_ids, model: Model) -> ChunkKV:
     n, hd = ids.shape[0], cfg.head_dim
     keys, values = kv_buffers(cfg.n_layers, cfg.n_heads, hd, n)
     raw = np.empty((cfg.n_layers, cfg.n_heads, hd, n), dtype=DTYPE)
-    _prefill_layers(model, ids, np.arange(n), keys[..., :n], values[..., :n],
+    end = tile_end(n)
+    _prefill_layers(model, ids, np.arange(n), keys[..., :end], values[..., :end],
                     raw=raw.swapaxes(2, 3))
     fp = cfg.fingerprint()
     return ChunkKV(chunk_id=chunk_id(ids, fp), token_ids=ids.astype(np.uint32), keys=raw,

@@ -15,13 +15,14 @@ cache once plus one layer's scratch. The selective strategies recover
 global positions and carry the rows from the system's last whole 32-row
 tile on until layer 1's projections, which their selection step reads;
 then the selected rows (Re) plus the question. The rows before keep
-their stored entries at every layer, a full prefill's bit for bit (see
-`model` on the one rounding point for keys). `full` rotates each chunk's
-columns of the buffer in place at its local positions and carries the
-question alone, with no prefix and no selection. The trace charges
-`flops.prefill_flops` for every row at layers 0-1 when selecting, though
-not every row runs them, and for the rows carried after, so a clamped
-budget pays for them; `flops.fused_flops` models the unclamped budget.
+their stored entries at every layer, and the rest of the system span from
+layer 2 on, a full prefill's bit for bit (see `model` on tile-aligned key
+cuts). `full` rotates each chunk's columns of the buffer in place at its
+local positions and carries the question alone, with no prefix and no
+selection. The trace charges `flops.prefill_flops` for every row at
+layers 0-1 when selecting, though not every row runs them, and for the
+rows carried after, so a clamped budget pays for them;
+`flops.fused_flops` models the unclamped budget.
 
 Chunks come from a `chunkstore.ChunkStore`, which keeps resident, under
 one LRU and byte budget (`chunkstore.RESIDENT_BYTES`), the chunks it
@@ -43,7 +44,7 @@ document boundary but the last (the full context rarely repeats), each
 rounded down to a whole 32-row tile and keyed by the model fingerprint,
 its first row and the token bytes before its end; the first row depends
 on how the context is cut into chunks. An entry holds only its rows'
-float32 layer-1 inputs, exact because `block_out` rounds through float32.
+float32 layer-1 inputs, exact because `block_out` returns float32.
 The rows of the unbroken chain of entries that hit take those inputs and
 run nothing at layer 0, whose keys and values depend only on each token
 and its position and are the recovered stored ones. On a miss the
@@ -97,6 +98,7 @@ from .model import (
     _prefill_layers,
     attention_weights,
     final_logits,
+    tile_end,
 )
 
 STRATEGIES = ("attention_aware", "kv_diff", "head_tail", "none", "full")
@@ -391,7 +393,8 @@ def fused_prefill(
             return rows
 
     t0 = time.perf_counter()
-    x = _prefill_layers(model, ids, rows, k_buf[..., :n], v_buf[..., :n], prefix, select,
+    end = tile_end(n)
+    x = _prefill_layers(model, ids, rows, k_buf[..., :end], v_buf[..., :end], prefix, select,
                         question_queries)
     durations["patch"] = time.perf_counter() - t0
 

@@ -1,21 +1,36 @@
 """Deterministic toy decoder-only transformer.
 
 Pre-norm RMS blocks with rotary position embeddings and a plain two-matrix
-SiLU feed-forward. Built for reproducibility rather than speed: weights come
-from a counter-based generator keyed per tensor as float32, hidden states
-between layers and the chunk, fused and decode caches are float32, and the
-projections, norms and feed-forward inside a layer run in float64, so the
-same tokens give the same numbers regardless of how the sequence was
-sliced. `build_model` upcasts each drawn tensor to float64 at once, so a
-`Model` holds exact float64 copies of the float32 values and no layer call
-converts them again. Attention, prefill and decode alike, multiplies the
-float32 cache as stored, in the one layout of `kv_buffers` that a
-prefill writes and a `DecodeCache` adopts: `attention` and
-`DecodeCache.attend` round the scaled queries to float32 once, run both
-products and the softmax core in float32 and divide by the sums, from
-the values' ones row, in float64. So a fused cache and a full prefill
-attend over the same float32 rows. Only `attention_weights`, the
-question-relevance scorer, runs in float64.
+SiLU feed-forward. Built for reproducibility rather than speed: the same
+tokens give the same numbers regardless of how the sequence was sliced.
+
+One precision rule holds for the whole block. Values are float32: the
+weights, which a counter-based generator draws per tensor as float32 and
+`build_model` holds as drawn, the hidden states between layers, the
+chunk, fused and decode caches and the logits. The arithmetic is float32
+too: the RMS norms, the Q/K/V, output and feed-forward products and the
+SiLU in `block_qkv`, `block_out` and `final_logits`, and attention's two
+products and softmax core, over the float32 cache as stored in the one
+layout of `kv_buffers` that a prefill writes and a `DecodeCache` adopts.
+Float64 is kept only where it is needed: the RoPE table and the rotation
+of the q and k heads, so that the one float32 rounding of a rotated key
+is the one recovery gives a stored raw key; attention's final divide by
+the sums, from the values' ones row, which `block_out` rounds to float32
+once; and `attention_weights`, the question-relevance scorer, whose
+weights decide the selection. `tests/block_reference.py` bounds the
+blocks' float32 round-off against a float64 restatement.
+
+Attention cuts keys on tile edges. Query rows run in tiles of 32, and
+`attention` cuts a tile's keys at the end of the 32-key tile that holds
+the last key some row of it sees (`tile_end`), not at that key, and runs
+every tile's products over 32 rows, the last tile's padded. The prefills
+pass their buffers through `tile_end` of the cache's rows, whose spare
+rows `kv_buffers` zeroes. So the products a row makes depend on its tile
+alone, not on the keys or rows that follow: a stored chunk's rows, its
+partial last tile included, make a full prefill's products, and a
+recovered stored entry wherever the stored row saw its whole context
+(the system span at every layer, every chunk at layer 0) is a full
+prefill's bit for bit.
 
 The block is written once, split at the attention: `block_qkv` projects a
 set of rows, the caller decides which keys they attend to, and `block_out`
@@ -29,17 +44,18 @@ stacked in one (3, d_model, d_model) array, so `block_qkv` runs one
 projection product and rotates the q and k heads in one call; the weights
 take no more memory than three separate matrices.
 
-Keys have one rounding point: `block_qkv` rounds raw key heads to float32
-before it rotates them, as recovery rotates stored raw keys, so a
-recovered stored key is a full prefill's bit for bit wherever the stored
-row saw its whole context.
+A float32 product of one row takes NumPy's matrix-vector path, whose sums
+differ from a many-row product's, so no product a prefill makes has one
+row unless the prefill carries one: `_row_blocks` never cuts a one-row
+block, and the last row is finished as a two-row product.
 
 The norm and the rotation each have two forms with the same bits, picked
 by the row count, since one row pays each array call's fixed cost in full.
 The RMS norm has no gain (a unit gain multiplies by 1.0, which is exact).
-Many rows finish `_rmsnorm` in array calls; one row finishes its divide,
-add and square root on a Python float, an IEEE double with the same
-correctly rounded operations, then needs one array divide. Many rows get a
+Many rows finish `_rmsnorm` in float32 array calls; one row finishes its
+divide, add and square root on Python floats, each result rounded to
+float32: an IEEE double carries more than 2 * 24 + 2 bits, so a double
+operation rounded to float32 is the float32 operation. Many rows get a
 (cos, sin) table that `_rotate` applies over strided even and odd views; a
 decode step's one row gets an interleaved `_RopeRow`, which `_rotate_row`
 applies in three array operations and which is the slower form over many
@@ -60,13 +76,14 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation, InputError, ShapeError
 
-# float32 values at every boundary (drawn weights, hidden states, caches,
-# logits) and in attention's products and softmax, which read the cache as
-# stored; float64 in the rest of a layer.
+# The dtype of every value and of the blocks' and attention's arithmetic;
+# float64 only in the rotation, attention's divide and `attention_weights`
+# (see the module doc).
 DTYPE = np.float32
 _F64 = np.float64
 
 _NORM_EPS = 1e-6
+_NORM_EPS32 = DTYPE(_NORM_EPS)  # what float32 arithmetic adds for _NORM_EPS
 
 # Per-tensor stream ids for the counter-based init generator. A layer's
 # block starts at _LAYER_BASE + 6 * layer_index.
@@ -171,8 +188,7 @@ class ModelWeights:
 
 @dataclass
 class Model:
-    """A config and its weights, held as float64 copies of the drawn float32
-    values (see `build_model`)."""
+    """A config and its weights, the float32 arrays `build_model` draws."""
 
     config: ModelConfig
     weights: ModelWeights
@@ -189,16 +205,14 @@ def _draw_uniform(seed: int, stream: int, shape: tuple[int, ...], scale: float) 
 def build_model(config: ModelConfig) -> Model:
     """The model of `config`: every projection matrix drawn uniform in
     [-1/sqrt(d_model), +1/sqrt(d_model)] as float32, a pure function of the
-    config, seed included, and upcast at once to float64, so float64 weights
-    never sit beside a float32 copy of the whole set. The values are exactly
-    the float32 draws, so every result is the same as with float32 weights
-    converted at each use.
+    config, seed included, and held as drawn; the blocks multiply it in
+    float32 (see the module doc).
     """
     d = config.d_model
     scale = 1.0 / np.sqrt(d)
 
     def draw(stream: int, shape: tuple[int, ...]) -> np.ndarray:
-        return _draw_uniform(config.seed, stream, shape, scale).astype(_F64)
+        return _draw_uniform(config.seed, stream, shape, scale)
 
     layers = []
     for l in range(config.n_layers):
@@ -282,9 +296,11 @@ def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     # out_even = even * cos - odd * sin, out_odd = even * sin + odd * cos,
     # the same rounded products and sums as those expressions, built in
     # `out` so that only one temporary of half v's size is made: rotating
-    # q and k together would otherwise double the temporaries' peak.
+    # q and k together would otherwise double the temporaries' peak. `out`
+    # is float64 whatever v's dtype, so float32 heads rotate as their
+    # exact float64 values do.
     even, odd = v[..., 0::2], v[..., 1::2]
-    out = np.empty_like(v)
+    out = np.empty(v.shape, dtype=_F64)
     out_even, out_odd = out[..., 0::2], out[..., 1::2]
     np.multiply(even, cos, out=out_even)
     out_even -= np.multiply(odd, sin, out=out_odd)
@@ -324,13 +340,23 @@ _GROUP_BYTES = 2**19
 _HEADROOM = 64  # spare rows of a new cache buffer, and a decode cache's least growth
 
 
+def tile_end(n):
+    """The end of the 32-key tile that holds key n - 1: n rounded up to a
+    multiple of 32. Works on integers and integer arrays alike."""
+    return -(-n // _TILE_ROWS) * _TILE_ROWS
+
+
 def kv_buffers(n_layers: int, n_heads: int, head_dim: int, rows: int):
-    """Empty float32 buffers for `rows` rows and `_HEADROOM` spare, in the one
-    layout prefill and decode attention read, a row per column: keys (L, H,
-    head_dim, capacity) and values (L, H, head_dim + 1, capacity) whose last
-    row is ones, so one product gives the outputs and their sums."""
+    """Float32 buffers for `rows` rows, which the caller writes, and
+    `_HEADROOM` zeroed spare, in the one layout prefill and decode attention
+    read, a row per column: keys (L, H, head_dim, capacity) and values (L,
+    H, head_dim + 1, capacity) whose last row is ones, so one product gives
+    the outputs and their sums. The spare rows through `tile_end(rows)` are
+    the zero rows `attention` reads past the last key."""
     keys = np.empty((n_layers, n_heads, head_dim, rows + _HEADROOM), dtype=DTYPE)
     values = np.empty((n_layers, n_heads, head_dim + 1, rows + _HEADROOM), dtype=DTYPE)
+    keys[..., rows:] = 0
+    values[..., rows:] = 0
     values[:, :, head_dim] = 1.0
     return keys, values
 
@@ -363,12 +389,22 @@ def attention(
     `kv_buffers` lays it out, float32, read where they are: key row j sits
     at position j, and the causal mask admits j <= query position. Query
     rows are processed in tiles of 32, so the score matrix never
-    materializes at full n x n. A tile scores only the keys up to the last
-    one some row of it can see, min(latest row + 1, n), since every later
-    key is hidden from all its rows (the block skipping of FlashAttention),
-    and masks only the band from the first key hidden from some row of it,
-    min(earliest row + 1, n). The call checks once that every row sees a
-    key: that there is one and no position is negative.
+    materializes at full n x n, and every tile's products run 32 rows: the
+    last tile is padded with zero queries, since the float32 value product
+    gives a row other bits in a partial block of rows (BLAS handles the
+    rows past a multiple of its block with other kernels), and a row must
+    not change its bits with the rows that follow it. A tile
+    scores the keys through the end of the 32-key tile that holds the last
+    key some row of it can see, min(`tile_end`(latest row + 1), n), since
+    every later tile is hidden from all its rows (the block skipping of
+    FlashAttention), and masks only the band from the first key hidden
+    from some row of it. The cut depends only on the latest row's tile, not
+    on how many keys follow, so a row's products are the same whether the
+    keys past that tile's end exist or not: the prefills pass the buffer
+    through `tile_end` of their key count, whose spare rows `kv_buffers`
+    zeroes (a hidden key then adds an exact zero). The call checks once
+    that every row sees a key: that there is one and no position is
+    negative.
 
     The tiles then run over groups of heads: the most heads whose tile
     score blocks together fit `_GROUP_BYTES`, at least one, so a tile's
@@ -391,30 +427,38 @@ def attention(
         raise ShapeError(f"head counts differ: {q.shape[0]}, {k.shape[0]}, {v.shape[0]}")
     if k.shape[2] != v.shape[2] or k.shape[1] != q.shape[2] or v.shape[1] != q.shape[2] + 1:
         raise ShapeError("keys/values misaligned with queries")
-    out = np.empty_like(q)
-    if q.shape[1] == 0:
-        return out
+    rows = q.shape[1]
+    if rows == 0:
+        return np.empty_like(q)
     qpos = np.asarray(q_positions, dtype=np.int64)
     h, hd, n = k.shape
     if n == 0 or qpos.min() < 0:
         raise ContractViolation("a query row has no visible key")
-    starts = np.arange(0, q.shape[1], _TILE_ROWS)
-    cuts = np.minimum(np.maximum.reduceat(qpos, starts) + 1, n)
-    bands = np.minimum(np.minimum.reduceat(qpos, starts) + 1, n)
-    # Each tile's rows, key cut, band start and the mask of its band.
+    starts = np.arange(0, rows, _TILE_ROWS)
+    cuts = np.minimum(tile_end(np.maximum.reduceat(qpos, starts) + 1), n)
+    bands = np.minimum(np.minimum.reduceat(qpos, starts) + 1, cuts)
+    # Each tile's rows, key cut, band start and the mask of its band, whose
+    # rows are the tile's: a partial last tile's padding is never masked.
     tiles = [(slice(start, start + _TILE_ROWS), cut, band,
               np.arange(band, cut)[None, :] > qpos[start:start + _TILE_ROWS, None])
              for start, cut, band in zip(starts.tolist(), cuts.tolist(), bands.tolist())]
     group = max(1, _GROUP_BYTES // (_TILE_ROWS * n * np.dtype(DTYPE).itemsize))
-    q = (q * (1.0 / np.sqrt(hd))).astype(DTYPE)
+    # Zero queries pad the last tile to 32 rows; their scores, all zero, are
+    # never exponentiated, and their outputs are dropped.
+    scaled = np.zeros((h, tile_end(rows), hd), dtype=DTYPE)
+    scaled[:, :rows] = q * (1.0 / np.sqrt(hd))
+    out = np.empty_like(q)
     for first in range(0, h, group):
         heads = slice(first, first + group)
         for tile, cut, band, hidden in tiles:
-            scores = np.matmul(q[heads, tile], k[heads, :, :cut])
+            scores = np.matmul(scaled[heads, tile], k[heads, :, :cut])
+            seen = scores[:, :hidden.shape[0]]
             if band < cut:
-                np.copyto(scores[..., band:], -np.inf, where=hidden)
-            ext = _softmax_exp(scores) @ v[heads, :, :cut].swapaxes(1, 2)
-            np.divide(ext[:, :, :hd], ext[:, :, hd:], out=out[heads, tile], dtype=_F64)
+                np.copyto(seen[..., band:], -np.inf, where=hidden)
+            _softmax_exp(seen)
+            ext = scores @ v[heads, :, :cut].swapaxes(1, 2)
+            np.divide(ext[:, :seen.shape[1], :hd], ext[:, :seen.shape[1], hd:],
+                      out=out[heads, tile], dtype=_F64)
     return out
 
 
@@ -469,12 +513,13 @@ class LayerKV:
 
 
 def _rmsnorm(x: np.ndarray) -> np.ndarray:
-    # Over float64 rows. np.mean is this reduction and the divide; called
+    # Over float32 rows. np.mean is this reduction and the divide; called
     # directly it gives the same bits without mean's dispatch. One row
-    # finishes on a Python float, with the same bits (see the module doc).
+    # finishes on Python floats, with the same bits (see the module doc).
     ss = np.add.reduce(np.square(x), axis=-1, keepdims=True)
     if ss.size == 1:
-        return x / math.sqrt(ss.item() / x.shape[-1] + _NORM_EPS)
+        mean = DTYPE(ss.item() / x.shape[-1])
+        return x / DTYPE(math.sqrt(mean + _NORM_EPS32))
     return x / np.sqrt(ss / x.shape[-1] + _NORM_EPS)
 
 
@@ -492,9 +537,9 @@ def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    # (n_heads, n, head_dim) -> (n, d_model)
+    # (n_heads, n, head_dim) -> (n, d_model) float32, rounded in one pass.
     h, n, d = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * d)
+    return x.transpose(1, 0, 2).astype(DTYPE, order="C").reshape(n, h * d)
 
 
 def block_qkv(model: Model, layer: int, x: np.ndarray, rope: tuple[np.ndarray, np.ndarray]):
@@ -503,17 +548,17 @@ def block_qkv(model: Model, layer: int, x: np.ndarray, rope: tuple[np.ndarray, n
     heads by `rope`, the rows' table, which a forward builds once for all
     its layers: the (cos, sin) `_rope_table` of many rows, rotated by
     `_rotate`, or the `_RopeRow` of a decode step's one row, rotated by
-    `_rotate_row`. Both give the same bits. The raw key heads are rounded
-    to float32 first, the keys' one rounding point (see the module doc).
+    `_rotate_row`. Both give the same bits. The norm and the product run
+    in float32; the rotation runs in float64 (see the module doc).
 
-    Returns (q_rot, k_rot, k_raw, v), each (n_heads, rows, head_dim) float64.
-    What the rows attend to is the caller's choice; `block_out` finishes.
+    Returns (q_rot, k_rot, k_raw, v), each (n_heads, rows, head_dim): the
+    rotated heads float64, the raw keys and the values float32. What the
+    rows attend to is the caller's choice; `block_out` finishes.
     """
     cfg, lw = model.config, model.weights.layers[layer]
     # (3, rows, d_model): q, k and v each one contiguous block, the layout
     # of three separate products, so the rotation reads them as fast.
-    qkv = _split_heads(_rmsnorm(np.asarray(x, dtype=_F64)) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
-    qkv[1] = qkv[1].astype(DTYPE)
+    qkv = _split_heads(_rmsnorm(np.asarray(x, dtype=DTYPE)) @ lw.wqkv, cfg.n_heads, cfg.head_dim)
     rotate = _rotate_row if isinstance(rope, _RopeRow) else _rotate
     q_rot, k_rot = rotate(qkv[:2], *rope)
     return q_rot, k_rot, qkv[1], qkv[2]
@@ -522,16 +567,15 @@ def block_qkv(model: Model, layer: int, x: np.ndarray, rope: tuple[np.ndarray, n
 def block_out(model: Model, layer: int, x: np.ndarray, attn: np.ndarray) -> np.ndarray:
     """Second half of the block: t = x + Wo(attn); out = t + FFN(norm2(t)).
 
-    `attn` is (n_heads, rows, head_dim). The result is rounded through
-    float32, the boundary between layers, so every path that carries a row
-    sees the same layer inputs, and has the dtype of `x`: the prefills hold
-    their rows' states as float32, a decode step keeps its one row in
-    float64 and converts nothing.
+    `attn` is (n_heads, rows, head_dim), attention's float64 output, which
+    is rounded to float32 once; the rest runs in float32 and returns the
+    float32 layer output, so every path that carries a row sees the same
+    layer inputs.
     """
     lw = model.weights.layers[layer]
-    t = x + _merge_heads(attn) @ lw.wo
-    out = t + _silu(_rmsnorm(t) @ lw.w_in) @ lw.w_out
-    return out.astype(DTYPE).astype(x.dtype, copy=False)
+    t = np.asarray(x, dtype=DTYPE) + _merge_heads(attn) @ lw.wo
+    t += _silu(_rmsnorm(t) @ lw.w_in) @ lw.w_out
+    return t
 
 
 # Rows per block of `_prefill_layers`. A row's products have the bits of
@@ -547,10 +591,18 @@ def _row_blocks(rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0] + ends, ends + [rows])]
 
 
+def _columns(rows: np.ndarray):
+    # Increasing positions as buffer columns: a run of consecutive ones as
+    # a slice, which a write copies as strided blocks rather than scattering
+    # column by column as an index array does.
+    if rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 def final_logits(model: Model, x: np.ndarray) -> np.ndarray:
     """Final norm and unembedding of the given rows; (rows, vocab) float32."""
-    w = model.weights
-    return (_rmsnorm(np.asarray(x, dtype=_F64)) @ w.unembed).astype(DTYPE)
+    return _rmsnorm(np.asarray(x, dtype=DTYPE)) @ model.weights.unembed
 
 
 # ---------------------------------------------------------------------------
@@ -597,25 +649,25 @@ def _prefill_layers(model: Model, ids: np.ndarray, rows: np.ndarray, keys: np.nd
     the buffers already, so only the rows after them run layer 0. At each
     layer `block_qkv` runs over `_row_blocks` of the rows, writes each
     block's rotated keys and values into the layer of `keys`/`values`
-    (`kv_buffers` cut to the cache's rows; the other rows keep what they
-    hold) and drops the rest but the queries. The rows attend over the
-    layer as it lies and run `block_out` over the same blocks. After layer
-    1's projections `select(q, k, x)`, given the rows' queries, rotated
-    keys in float64 and layer inputs, returns the positions that carry on.
-    `queries` (L, H, m, hd) takes each layer's last m queries, `raw` (L, H,
-    rows, hd) its raw keys.
+    (`kv_buffers` cut at `tile_end` of the cache's rows; the other rows
+    keep what they hold) and drops the rest but the queries. The rows
+    attend over the layer as it lies and run `block_out` over the same
+    blocks. After layer 1's projections `select(q, k, x)`, given the rows'
+    queries, rotated keys in float64 and layer inputs, returns the
+    positions that carry on. `queries` (L, H, m, hd) takes each layer's
+    last m queries, `raw` (L, H, rows, hd) its raw keys.
 
     At the last layer only the tile that holds the last row attends, whole,
     so its products are the full call's, and only that row runs
-    `block_out`. That takes NumPy's matrix-vector path, whose float64 sums
-    may differ from a many-row product's in the last place, and rounding
-    to float32 does not always hide that; so no prefill promises the bits
-    that finishing every row would give its last row.
+    `block_out`, as the product of the row twice: one row would take
+    NumPy's matrix-vector path, whose float32 sums differ from a many-row
+    product's, so only a loop that carries one row finishes one row. The
+    last row's output is then the one finishing every row gives it.
     """
     cfg = model.config
     hd, last = cfg.head_dim, cfg.n_layers - 1
     skip = sum(len(inputs) for inputs in prefix)
-    x = model.weights.embedding[ids[skip:]].astype(DTYPE)  # exact: the weights are float32 draws
+    x = model.weights.embedding[ids[skip:]]
     cos, sin = _rope_table(rows, cfg)
     for l in range(cfg.n_layers):
         run, c, s = rows[skip:], cos[skip:], sin[skip:]
@@ -623,8 +675,9 @@ def _prefill_layers(model: Model, ids: np.ndarray, rows: np.ndarray, keys: np.nd
         q = np.empty((cfg.n_heads, run.size, hd))
         for b in _row_blocks(run.size):
             q[:, b], k, k_raw, v = block_qkv(model, l, x[b], (c[b], s[b]))
-            keys[l][:, :, run[b]] = k.swapaxes(1, 2)
-            values[l][:, :hd, run[b]] = v.swapaxes(1, 2)
+            at = _columns(run[b])
+            keys[l][:, :, at] = k.swapaxes(1, 2)
+            values[l][:, :hd, at] = v.swapaxes(1, 2)
             if k64 is not None:
                 k64[:, b] = k
             if raw is not None:
@@ -638,7 +691,8 @@ def _prefill_layers(model: Model, ids: np.ndarray, rows: np.ndarray, keys: np.nd
         if l == last:
             tail = (q.shape[1] - 1) // _TILE_ROWS * _TILE_ROWS
             attn = attention(q[:, tail:], keys[l], values[l], run[tail:])
-            return block_out(model, l, x[-1:], attn[:, -1:])
+            pick = [-1] if x.shape[0] == 1 else [-1, -1]
+            return block_out(model, l, x[pick], attn[:, pick])[-1:]
         attn = attention(q, keys[l], values[l], run)
         del q
         out = np.empty_like(x)
@@ -670,7 +724,8 @@ def prefill_forward(
     n, h, hd = ids.shape[0], cfg.n_heads, cfg.head_dim
     keys, values = kv_buffers(cfg.n_layers, h, hd, n)
     queries = np.empty((cfg.n_layers, h, n, hd), dtype=DTYPE) if record_queries else None
-    x = _prefill_layers(model, ids, np.arange(n), keys[..., :n], values[..., :n],
+    end = tile_end(n)
+    x = _prefill_layers(model, ids, np.arange(n), keys[..., :end], values[..., :end],
                         queries=queries)
     caches = [LayerKV(keys=kv_rows(keys[l], n, hd), values=kv_rows(values[l], n, hd),
                       rope_applied=True) for l in range(cfg.n_layers)]
@@ -811,7 +866,7 @@ def decode_step(model: Model, cache: DecodeCache, last_token: int, position: int
     cfg = model.config
     if not (0 <= int(last_token) < cfg.vocab_size):
         raise InputError(f"token id {last_token} out of vocabulary")
-    x = model.weights.embedding[int(last_token)][None, :]
+    x = model.weights.embedding[int(last_token)][None, :]  # float32, like every layer's output
     rope = _rope_row(position, cfg)  # before any append: a bad position changes nothing
     for l in range(cfg.n_layers):
         q_rot, k_rot, _, v = block_qkv(model, l, x, rope)

@@ -10,16 +10,26 @@ formulation below share `float32_error_bound`.
 
 import numpy as np
 
+from kvfuse.model import tile_end
+
 EPS32 = float(np.finfo(np.float32).eps)
 
 
-def cache_layer(keys, values, dtype=np.float32):
+def cache_layer(keys, values, dtype=np.float32, end=None):
     """Rows (H, n, hd) laid out as one layer of the cache `model.attention`
-    reads: keys (H, hd, n) and values (H, hd + 1, n) whose last row is ones."""
-    ones = np.ones(values.shape[:1] + (1,) + values.shape[1:2])
-    return (np.ascontiguousarray(np.swapaxes(keys, 1, 2), dtype=dtype),
-            np.ascontiguousarray(np.concatenate([np.swapaxes(values, 1, 2), ones], axis=1),
-                                 dtype=dtype))
+    reads, through `end` columns, `tile_end(n)` unless given, as the
+    prefills pass a `kv_buffers` layer: keys (H, hd, end) and values (H,
+    hd + 1, end) whose last row is ones, the spare columns past n zero
+    but for that row. A query at position n or later sees spare columns,
+    so a check that puts one there passes `end=n`."""
+    h, n, hd = keys.shape
+    end = tile_end(n) if end is None else end
+    k = np.zeros((h, hd, end), dtype=dtype)
+    v = np.zeros((h, hd + 1, end), dtype=dtype)
+    k[:, :, :n] = np.swapaxes(keys, 1, 2)
+    v[:, :hd, :n] = np.swapaxes(values, 1, 2)
+    v[:, hd] = 1.0
+    return k, v
 
 
 def where_weights(q, k, q_pos, k_pos):

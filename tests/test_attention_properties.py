@@ -4,6 +4,12 @@
 cache layout (`cache_layer`), so every check below lays them out so; the
 untiled reference in `attention_reference` still takes rows and key
 positions.
+
+A tile's keys are cut at the end of the 32-key tile that holds its last
+visible key, and every tile runs 32 query rows, so a row's bits depend
+neither on the keys past that tile end, zero spare rows or real ones, nor
+on the rows that follow it: a chunk attends alone as it does in front of
+the rest of a sequence.
 """
 
 from unittest import mock
@@ -36,10 +42,10 @@ def arrays(seed, n_heads, n_q, n_k, head_dim):
 key_counts = st.integers(1, 400)
 
 
-def check_against_untiled(q, k, v, q_pos):
+def check_against_untiled(q, k, v, q_pos, end=None):
     # Within float32 round-off of the float64 untiled formulation, per head
     # and row.
-    out = attention(q, *cache_layer(k, v), q_pos)
+    out = attention(q, *cache_layer(k, v, end=end), q_pos)
     k_pos = np.arange(k.shape[1])
     error = np.abs(out - where_attention(q, k, v, q_pos, k_pos)).max(axis=-1)
     assert out.dtype == np.float64
@@ -93,7 +99,7 @@ def test_unordered_queries_match_untiled(n_heads, head_dim, n, seed, sort_querie
     if sort_queries:
         q_pos = np.sort(q_pos)
     q, k, v = arrays(seed, n_heads, n_q, n, head_dim)
-    check_against_untiled(q, k, v, q_pos)
+    check_against_untiled(q, k, v, q_pos, end=n)
 
 
 @SETTINGS
@@ -131,6 +137,40 @@ def test_float64_keys_and_values_give_the_bits_of_their_float32_roundings(n_head
     got = attention(q, *cache_layer(k, v, np.float64), rows)
     expect = attention(q, *cache_layer(k, v), rows)
     assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
+
+
+@SETTINGS
+@given(heads, head_dims, carried_rows(), st.integers(1, 100), seeds)
+@example(n_heads=2, head_dim=8, case=(10, np.arange(10)), extra=5, seed=0)
+def test_keys_past_a_rows_tile_end_never_change_its_bits(n_heads, head_dim, case, extra, seed):
+    # The rows attend over n keys laid out through `tile_end(n)`, the spare
+    # rows zero, and over the same keys with `extra` real ones appended.
+    n, rows = case
+    q, k, v = arrays(seed, n_heads, rows.size, n + extra, head_dim)
+    alone = attention(q, *cache_layer(k[:, :n], v[:, :n]), rows)
+    appended = attention(q, *cache_layer(k, v), rows)
+    assert alone.tobytes() == appended.tobytes()
+
+
+@st.composite
+def prefixes(draw):
+    """A sequence length n and the length m <= n of a chunk it starts with."""
+    n = draw(key_counts, label="n")
+    return n, draw(st.integers(1, n), label="m")
+
+
+@SETTINGS
+@given(heads, head_dims, prefixes(), seeds)
+@example(n_heads=2, head_dim=8, case=(15, 10), seed=0)  # 10 of a tile's 15 rows
+@example(n_heads=4, head_dim=16, case=(1464, 480), seed=0)  # rag_shared's system chunk
+def test_a_chunk_attends_alone_as_in_front_of_the_sequence(n_heads, head_dim, case, seed):
+    # The first m rows of a sequence, laid out alone, against the whole
+    # sequence: a stored chunk against a full prefill of its context.
+    n, m = case
+    q, k, v = arrays(seed, n_heads, n, n, head_dim)
+    whole = attention(q, *cache_layer(k, v), np.arange(n))
+    alone = attention(q[:, :m], *cache_layer(k[:, :m], v[:, :m]), np.arange(m))
+    assert alone.tobytes() == whole[:, :m].tobytes()
 
 
 @st.composite

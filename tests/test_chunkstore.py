@@ -73,10 +73,12 @@ def test_precompute_single_token_key_is_projection():
     assert chunk.keys.shape == (cfg.n_layers, cfg.n_heads, cfg.head_dim, 1)
     for l in range(cfg.n_layers):
         assert np.array_equal(chunk.layers[l].keys, res.caches[l].keys)
-    # layer 0 explicitly: rms-normed embedding through W^k
-    x = model.weights.embedding[9].astype(np.float64)
-    h = x / np.sqrt(np.mean(x**2) + 1e-6)
-    k = (h @ model.weights.layers[0].wqkv[1].astype(np.float64)).astype(np.float32)
+    # layer 0 explicitly: rms-normed embedding through W^k, in float32 as
+    # the blocks run, one row as a one-token prefill has
+    x = model.weights.embedding[9:10]
+    assert x.dtype == np.float32
+    h = x / np.sqrt(np.sum(x**2, axis=-1, keepdims=True) / x.shape[-1] + np.float32(1e-6))
+    k = (h @ model.weights.layers[0].wqkv[1])[0]
     stored = chunk.layers[0].keys.transpose(1, 0, 2).reshape(1, -1)[0]
     np.testing.assert_array_equal(stored, k)
 

@@ -282,8 +282,9 @@ def test_prefill_attends_over_the_cache_it_returns(tmp_path, strategy):
             rows = patched.patched_offsets
             x = x[rows]
         q, _, _, _ = M.block_qkv(model, l, x, M._rope_table(rows, model.config))
-        attn = M.attention(q, patched.key_buffer[l][:, :, :patched.n],
-                           patched.value_buffer[l][:, :, :patched.n], rows)
+        end = M.tile_end(patched.n)
+        attn = M.attention(q, patched.key_buffer[l][:, :, :end],
+                           patched.value_buffer[l][:, :, :end], rows)
         x = M.block_out(model, l, x, attn)
     assert np.array_equal(M.final_logits(model, x[-1:])[0], logits)
 

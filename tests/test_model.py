@@ -98,13 +98,11 @@ def test_init_seed_sensitivity():
 
 
 def test_init_range_and_dtype():
-    # Every weight is float64 holding a float32 value exactly, within the
-    # draw's bound.
+    # Every weight is the float32 array drawn, within the draw's bound.
     cfg = small_config()
     bound = 1.0 / np.sqrt(cfg.d_model)
     for w in all_weights(M.build_model(cfg).weights):
-        assert w.dtype == np.float64
-        assert w.astype(np.float32).astype(np.float64).tobytes() == w.tobytes()
+        assert w.dtype == np.float32
         assert np.all(np.abs(w) <= bound)
 
 
@@ -196,7 +194,7 @@ def test_attention_identical_keys_split_mass():
     k_row = rng.normal(size=4)
     k = np.stack([k_row, k_row])[None]
     v = rng.normal(size=(1, 2, 4))
-    out = M.attention(q, *cache_layer(k, v), np.array([5]))
+    out = M.attention(q, *cache_layer(k, v, end=2), np.array([5]))
     np.testing.assert_allclose(out[0, 0], v[0].mean(axis=0), atol=1e-12)
 
 

@@ -12,8 +12,8 @@ plain two-line expression. A decode step's one row is rotated by its
 interleaved `_RopeRow` table instead, which must give `rope_rotate`'s bits,
 signed zeros included, at every position a long decode reaches.
 `block_qkv` runs one product with a layer's stacked Q/K/V weights and one
-rotation of the q and k heads; each part must equal its own product, and
-the stacked array must be the one float64 copy of those weights.
+rotation of the q and k heads; each part must equal its own float32
+product, and the stacked array must be the float32 weights as drawn.
 """
 
 import numpy as np
@@ -157,26 +157,28 @@ def test_one_qkv_product_equals_the_three_products(rows, layer, seed):
     x = rng.normal(size=(rows, cfg.d_model))
     positions = rng.integers(0, 50_000, size=rows)
     q_rot, k_rot, k_raw, v = M.block_qkv(MODEL, layer, x, M._rope_table(positions, cfg))
-    h1 = M._rmsnorm(x)
+    h1 = M._rmsnorm(x.astype(np.float32))  # the block runs its rows in float32
 
     def heads(y):
         return M._split_heads(y, cfg.n_heads, cfg.head_dim)
 
-    # The raw keys are rounded to float32, then rotated.
-    assert np.array_equal(k_raw, heads(h1 @ lw.wqkv[1]).astype(np.float32))
+    # The raw keys and the values are the float32 products; the heads rotate
+    # in float64.
+    assert k_raw.dtype == v.dtype == np.float32 and q_rot.dtype == k_rot.dtype == np.float64
+    assert np.array_equal(k_raw, heads(h1 @ lw.wqkv[1]))
     assert np.array_equal(v, heads(h1 @ lw.wqkv[2]))
     assert np.array_equal(q_rot, rope_rotate(heads(h1 @ lw.wqkv[0]), positions, cfg))
     assert np.array_equal(k_rot, rope_rotate(k_raw, positions, cfg))
     if rows == 1:  # a decode step's table rotates to the same bits
         step = M.block_qkv(MODEL, layer, x, M._rope_row(int(positions[0]), cfg))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(step, (q_rot, k_rot, k_raw, v)))
-    # Wq, Wk and Wv are slices of the stacked float64 array, which holds
-    # exactly the float32 values drawn at the layer's first three streams.
+    # Wq, Wk and Wv are slices of the stacked float32 array, which holds
+    # the values drawn at the layer's first three streams.
     base = M._LAYER_BASE + M._STREAMS_PER_LAYER * layer
     drawn = [M._draw_uniform(cfg.seed, base + i, (cfg.d_model, cfg.d_model),
                              1.0 / np.sqrt(cfg.d_model)) for i in range(3)]
     assert all(w.dtype == np.float32 for w in drawn)
-    assert lw.wqkv.dtype == np.float64
+    assert lw.wqkv.dtype == np.float32
     assert np.array_equal(lw.wqkv, np.stack(drawn))
     for w in (lw.wqkv[0], lw.wqkv[1], lw.wqkv[2]):
         assert np.shares_memory(w, lw.wqkv)
